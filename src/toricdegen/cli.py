@@ -39,6 +39,13 @@ def _int_vector(value, where, rank=None):
     return tuple(value)
 
 
+def _nonzero_vector(value, where, rank):
+    vector = _int_vector(value, where, rank)
+    if not any(vector):
+        _fail_input("expected a nonzero vector", where)
+    return vector
+
+
 def load_job(text: str):
     """Parse and validate a job description."""
     try:
@@ -110,19 +117,11 @@ def build_job_partition(ambient, part_spec):
         return build_partition(ambient, pieces)
     if "fan_rays" in part_spec:
         rays = [
-            _int_vector(r, f"$.partition.fan_rays[{i}]", rank)
+            _nonzero_vector(r, f"$.partition.fan_rays[{i}]", rank)
             for i, r in enumerate(part_spec["fan_rays"])
         ]
         return partition_from_fan_checked(ambient, rays)
-    cuts = []
-    for i, h in enumerate(part_spec["hyperplanes"]):
-        if not isinstance(h, dict) or "normal" not in h or "offset" not in h:
-            _fail_input("hyperplane needs normal and offset", f"$.partition.hyperplanes[{i}]")
-        normal = _int_vector(h["normal"], f"$.partition.hyperplanes[{i}].normal", rank)
-        if not isinstance(h["offset"], int):
-            _fail_input("offset must be an integer", f"$.partition.hyperplanes[{i}].offset")
-        cuts.append((normal, h["offset"]))
-    return partition_by_hyperplanes(ambient, cuts)
+    return partition_by_hyperplanes(ambient, _hyperplane_cuts(part_spec, rank))
 
 
 def partition_from_fan_checked(ambient, rays):
@@ -130,10 +129,16 @@ def partition_from_fan_checked(ambient, rays):
     return partition_from_fan(ambient, fan)
 
 
-def _hyperplane_cuts(part_spec):
-    return [
-        (tuple(h["normal"]), h["offset"]) for h in part_spec["hyperplanes"]
-    ]
+def _hyperplane_cuts(part_spec, rank):
+    cuts = []
+    for i, h in enumerate(part_spec["hyperplanes"]):
+        if not isinstance(h, dict) or "normal" not in h or "offset" not in h:
+            _fail_input("hyperplane needs normal and offset", f"$.partition.hyperplanes[{i}]")
+        normal = _nonzero_vector(h["normal"], f"$.partition.hyperplanes[{i}].normal", rank)
+        if not isinstance(h["offset"], int):
+            _fail_input("offset must be an integer", f"$.partition.hyperplanes[{i}].offset")
+        cuts.append((normal, h["offset"]))
+    return cuts
 
 
 def run_job(command, text, args):
@@ -149,7 +154,7 @@ def run_job(command, text, args):
     ambient = build_polytope(poly_spec)
 
     if multi_base:
-        cuts = _hyperplane_cuts(part_spec)
+        cuts = _hyperplane_cuts(part_spec, ambient.ambient_rank)
         normals = {tuple(n) for n, _ in cuts}
         if len(normals) != 1:
             raise GeometryError("multi-base lifting requires parallel hyperplanes")

@@ -36,11 +36,16 @@ class LatticeSequence:
     project_base: tuple  # rank x (rank+1)
 
     def check_exact(self):
-        assert _matmul(self.project_height, self.include) == _zero(1, self.rank)
-        assert _matmul(self.project_base, self.include_height) == _zero(self.rank, 1)
-        assert self.project_height[0][-1] == 1  # surjective
-        for i in range(self.rank):  # projection hits every basis vector
-            assert self.project_base[i][i] == 1
+        """Return True, or raise ``GeometryError`` naming the first failed check."""
+        if _matmul(self.project_height, self.include) != _zero(1, self.rank):
+            raise GeometryError("height projection does not vanish on the base lattice")
+        if _matmul(self.project_base, self.include_height) != _zero(self.rank, 1):
+            raise GeometryError("base projection does not vanish on the height axis")
+        if self.project_height[0][-1] != 1:
+            raise GeometryError("height projection is not surjective")
+        # the base projection hits every basis vector
+        if any(self.project_base[i][i] != 1 for i in range(self.rank)):
+            raise GeometryError("base projection is not surjective")
         return True
 
 

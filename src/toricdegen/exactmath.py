@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .errors import GeometryError
+
 Rational = Fraction
 
 Vector = tuple  # tuple of int (lattice) or Fraction (rational)
@@ -68,7 +70,7 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
-class GeometryErrorZero(ValueError):
+class GeometryErrorZero(GeometryError):
     def __init__(self):
         super().__init__("zero vector has no primitive representative")
 

@@ -519,24 +519,29 @@ def _verify_lifts(partition, lifted, piece_facets):
     return lift_map
 
 
+def _shadow_is_base_face(base, face):
+    """Whether the vertical shadow conv(pts) + cone(rays) of a lifted face is
+    a face of ``base``: exactly when the smallest base face containing it has
+    all its vertices among ``pts`` and all its rays among ``rays``."""
+    pts = {v[:-1] for v in face.vertices}
+    rays = {primitive(r[:-1]) for r in face.rays if any(r[:-1])}
+    try:
+        hull = base.smallest_face_containing(pts, rays)
+    except GeometryError:
+        return False
+    return set(hull.vertices) <= pts and set(hull.rays) <= rays
+
+
 def _verify_projections(partition, lifted, piece_facets):
     """Every face of the lifted polytope projects onto a base or partition face."""
-    piece_idx = frozenset(piece_facets.values())
     base = partition.ambient
-    base.faces()
-    base_keys = {f.key for f in base.faces()}
     if base.is_whole_space:
-        base_keys = {((), ())}
+        return
+    piece_idx = frozenset(piece_facets.values())
     for face in lifted.faces():
         if face.tight & piece_idx:
             continue  # graph faces were matched against partition faces already
-        pts = [v[:-1] for v in face.vertices]
-        rays = [r[:-1] for r in face.rays if any(r[:-1])]
-        if base.is_whole_space:
-            continue
-        shadow = LatticePolytope.from_generators(pts, rays)
-        key = (shadow.vertices, shadow.rays)
-        if key not in base_keys:
+        if not _shadow_is_base_face(base, face):
             raise LiftingError(
                 "face projects onto neither a base face nor a partition face",
                 witness=face.key,

@@ -3,10 +3,13 @@
 Polyhedra live in a fixed ambient lattice of rank ``n``.  The H-representation
 uses inward halfspaces ``<x, normal> >= -offset`` with primitive integer
 normals; offsets are exact rationals (they stay integral for lattice
-polytopes).  Unbounded polyhedra carry explicit recession rays.  Dual
-descriptions are computed by brute force over tight subsets, which is entirely
-adequate at desk scale (rank <= 6, a few dozen facets) and keeps every step
-exact.
+polytopes).  Unbounded polyhedra carry explicit recession rays.  Every step
+is exact.  Vertices and rays of a halfspace system are enumerated over tight
+constraint subsets; for a full-dimensional system ``from_halfspaces`` then
+keeps the input halfspaces whose tight generators span a hyperplane.  Facets
+of a polyhedron given by generators, or of a lower-dimensional system, come
+from brute force over tight generator subsets (``_dual_from_generators``),
+which is also the test oracle for the halfspace path.
 """
 
 from __future__ import annotations
@@ -283,9 +286,22 @@ class LatticePolytope:
         vertices, rays = _enumerate_generators(halfspaces, equations, rank)
         if not vertices:
             raise EmptyPolyhedronError("empty polyhedron")
-        # canonical facet-only representation
-        hs, eqs = _dual_from_generators(vertices, rays, rank)
-        return cls(rank, hs, eqs, vertices, rays)
+        if equations or _face_dim(vertices, rays) < rank:
+            # normals are canonical only modulo the affine hull: rebuild them
+            hs, eqs = _dual_from_generators(vertices, rays, rank)
+            return cls(rank, hs, eqs, vertices, rays)
+        # full-dimensional: the facets are the input halfspaces whose tight
+        # generators span a hyperplane
+        facets = [
+            h
+            for h in halfspaces
+            if _face_dim(
+                [v for v in vertices if vdot(v, h.normal) == -h.offset],
+                [r for r in rays if vdot(r, h.normal) == 0],
+            )
+            == rank - 1
+        ]
+        return cls(rank, facets, (), vertices, rays)
 
     # -- basic queries ----------------------------------------------------
 

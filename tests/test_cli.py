@@ -89,6 +89,40 @@ class TestVerify:
         assert code == 2
         assert "$.partition" in records[0]["message"]
 
+    @pytest.mark.parametrize(
+        "partition, argv, where",
+        [
+            (
+                {"fan_rays": [[1, 0, 0], [0, 0, 0], [-1, 1, 0], [0, -1, 1], [0, 0, -1]]},
+                ["verify"],
+                "$.partition.fan_rays[1]",
+            ),
+            (
+                {"hyperplanes": [{"normal": [1, 1, 1], "offset": 1}, {"normal": [0, 0, 0], "offset": 2}]},
+                ["verify"],
+                "$.partition.hyperplanes[1].normal",
+            ),
+            (
+                {"hyperplanes": [{"normal": [0, 0, 0], "offset": 1}]},
+                ["lift", "--multi-base"],
+                "$.partition.hyperplanes[0].normal",
+            ),
+        ],
+    )
+    def test_zero_vector_exits_two(self, tmp_path, capsys, partition, argv, where):
+        spec = {"polytope": STAIRCASE3["polytope"], "partition": partition}
+        path = write_spec(tmp_path, spec)
+        code, out, records = run(capsys, [argv[0], path, *argv[1:]])
+        assert code == 2
+        assert records == [
+            {
+                "record": "error",
+                "code": "input",
+                "message": f"expected a nonzero vector (at {where})",
+                "witness": None,
+            }
+        ]
+
     def test_empty_polyhedron_is_a_mathematical_rejection(self, tmp_path, capsys):
         spec = {
             "polytope": {

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,20 @@ class TestLatticeSequences:
     def test_bad_rank(self):
         with pytest.raises(GeometryError):
             build_sequences(0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("include", ((1, 0), (0, 1), (0, 1)), "height projection does not vanish"),
+            ("include_height", ((1,), (0,), (1,)), "base projection does not vanish"),
+            ("project_height", ((0, 0, 2),), "height projection is not surjective"),
+            ("project_base", ((1, 0, 0), (0, 2, 0)), "base projection is not surjective"),
+        ],
+    )
+    def test_non_exact_sequence_raises(self, field, value, message):
+        seq = replace(build_sequences(2), **{field: value})
+        with pytest.raises(GeometryError, match=message):
+            seq.check_exact()
 
 
 class TestBuildReport:

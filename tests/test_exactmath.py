@@ -19,6 +19,7 @@ from toricdegen.exactmath import (
     saturation,
     solve_linear,
 )
+from toricdegen.errors import GeometryError
 
 
 def square_matrices(max_dim=4, bound=9):
@@ -139,7 +140,7 @@ class TestPrimitive:
         assert primitive((6, 10, 15)) == (6, 10, 15)
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GeometryError):
             primitive((0, 0, 0))
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=5))

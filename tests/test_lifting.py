@@ -22,7 +22,7 @@ from toricdegen import (
     wall_functions,
     SupportFunction,
 )
-from toricdegen.lifting import WallCochain
+from toricdegen.lifting import WallCochain, _shadow_is_base_face, _verify_projections
 
 from corpus import (
     accepted_partitions,
@@ -304,6 +304,50 @@ class TestLiftPolytope:
         lifted = lift_polytope(part, lifting_function(part))
         assert lifted.polytope.vertices == ((0, 0, 0),)
         assert lifted.nonsingular
+
+
+def _shadow_key_is_base_face(base, face):
+    """Brute-force oracle: build the shadow polyhedron and look up its key."""
+    pts = [v[:-1] for v in face.vertices]
+    rays = [r[:-1] for r in face.rays if any(r[:-1])]
+    shadow = LatticePolytope.from_generators(pts, rays)
+    return (shadow.vertices, shadow.rays) in {f.key for f in base.faces()}
+
+
+def _unbounded_lifts():
+    quadrant = LatticePolytope.from_halfspaces([((1, 0), 0), ((0, 1), 0)], 2)
+    part = partition_by_hyperplanes(quadrant, [((1, 0), 1), ((1, 0), 2)])
+    # a cone over the quadrant whose rays project to non-primitive vectors
+    sheared = LatticePolytope.from_generators([(0, 0, 0)], [(2, 0, 1), (0, 1, 0), (0, 0, 1)])
+    return {
+        "quadrant-cuts": (quadrant, lift_polytope(part, lifting_function(part)).polytope),
+        "sheared-cone": (quadrant, sheared),
+    }
+
+
+class TestVerifyProjections:
+    def test_subset_test_matches_shadow_oracle(self):
+        # graph faces too: their shadows are partition faces, often not base faces
+        cases = {name: (part.ambient, lifted.polytope) for name, (part, _, lifted) in LIFTED.items()}
+        cases.update(_unbounded_lifts())
+        verdicts = set()
+        for name, (base, lifted) in cases.items():
+            for face in lifted.faces():
+                verdict = _shadow_is_base_face(base, face)
+                assert verdict == _shadow_key_is_base_face(base, face), (name, face.key)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_shadow_that_is_not_a_face_is_rejected(self):
+        part, _, lifted = LIFTED["staircase-2"]
+        # with no graph facets declared, the lifts of interior partition
+        # vertices must be rejected as non-faces of the base
+        expected = next(
+            f.key for f in lifted.polytope.faces() if not _shadow_key_is_base_face(part.ambient, f)
+        )
+        with pytest.raises(LiftingError, match="neither a base face nor a partition face") as exc:
+            _verify_projections(part, lifted.polytope, {})
+        assert exc.value.witness == expected
 
 
 class TestIteratedLift:

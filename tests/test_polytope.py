@@ -10,11 +10,12 @@ from toricdegen import (
     GeometryError,
     LatticePolytope,
     SupportFunction,
+    UnsupportedGeometryError,
     lattice_equivalent,
     normal_fan,
     support_function_of_polytope,
 )
-from toricdegen.polytope import Fan, complete_fan_from_rays
+from toricdegen.polytope import Fan, _dual_from_generators, complete_fan_from_rays
 
 from corpus import (
     chain_partition,
@@ -84,27 +85,55 @@ class TestFromHalfspaces:
         s = LatticePolytope.from_halfspaces([((1,), 0), ((1,), -1), ((-1,), 2)], 1)
         assert len(s.halfspaces) == 2
 
-    @given(point_sets(2, 7))
+    @staticmethod
+    def _with_redundant(hull, slack):
+        """The facets of ``hull``, repeated with the offsets loosened by
+        ``slack`` (0 duplicates a facet), plus the sum of each pair of
+        consecutive facets, which is tight only on a lower-dimensional face."""
+        hs = [(h.normal, h.offset) for h in hull.halfspaces]
+        shifted = [(n, o + slack[i % len(slack)]) for i, (n, o) in enumerate(hs)]
+        summed = [
+            (tuple(a + b for a, b in zip(n1, n2)), o1 + o2)
+            for (n1, o1), (n2, o2) in zip(hs, hs[1:])
+            if any(a + b for a, b in zip(n1, n2))
+        ]
+        return hs + shifted + summed
+
+    @given(point_sets(2, 7), st.lists(st.integers(0, 3), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
-    def test_round_trip_2d(self, points):
+    def test_round_trip_2d(self, points, slack):
         hull = LatticePolytope.from_vertices(points)
         if hull.dim < 2:
             return
-        back = LatticePolytope.from_halfspaces(
-            [(h.normal, h.offset) for h in hull.halfspaces], 2
-        )
+        back = LatticePolytope.from_halfspaces(self._with_redundant(hull, slack), 2)
         assert set(back.vertices) == set(hull.vertices)
+        assert back.halfspaces == hull.halfspaces and back.equations == ()
 
-    @given(point_sets(3, 6, bound=3))
+    @given(point_sets(3, 6, bound=3), st.lists(st.integers(0, 3), min_size=1, max_size=4))
     @settings(max_examples=25, deadline=None)
-    def test_round_trip_3d(self, points):
+    def test_round_trip_3d(self, points, slack):
         hull = LatticePolytope.from_vertices(points)
         if hull.dim < 3:
             return
-        back = LatticePolytope.from_halfspaces(
-            [(h.normal, h.offset) for h in hull.halfspaces], 3
-        )
+        back = LatticePolytope.from_halfspaces(self._with_redundant(hull, slack), 3)
         assert set(back.vertices) == set(hull.vertices)
+        assert back.halfspaces == hull.halfspaces and back.equations == ()
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_facets_match_brute_force_oracle(self, rank, data):
+        """Random systems: unbounded ones, rational vertices, redundant and
+        duplicate rows; the kept facets are the brute-force dual of the
+        enumerated generators."""
+        normal = st.tuples(*[st.integers(-3, 3)] * rank).map(lambda n: n if any(n) else (1,) + n[1:])
+        system = data.draw(st.lists(st.tuples(normal, st.integers(-2, 6)), min_size=rank, max_size=rank + 5))
+        try:
+            p = LatticePolytope.from_halfspaces(system, rank)
+        except (EmptyPolyhedronError, UnsupportedGeometryError):
+            return
+        halfspaces, equations = _dual_from_generators(p.vertices, p.rays, rank)
+        assert p.halfspaces == halfspaces and p.equations == equations
 
 
 class TestNormalFan:
