@@ -15,7 +15,7 @@ from .errors import (
     PartitionError,
     UnsupportedGeometryError,
 )
-from .exactmath import AffineFunction, Rational
+from .exactmath import AffineFunction
 from .polytope import (
     Fan,
     Halfspace,

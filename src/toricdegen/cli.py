@@ -46,6 +46,12 @@ def _nonzero_vector(value, where, rank):
     return vector
 
 
+def _list(value, where):
+    if not isinstance(value, list):
+        _fail_input("expected a list", where)
+    return value
+
+
 def load_job(text: str):
     """Parse and validate a job description."""
     try:
@@ -106,7 +112,7 @@ def build_job_partition(ambient, part_spec):
     rank = ambient.ambient_rank
     if "pieces" in part_spec:
         pieces = []
-        for i, vlist in enumerate(part_spec["pieces"]):
+        for i, vlist in enumerate(_list(part_spec["pieces"], "$.partition.pieces")):
             if not isinstance(vlist, list) or not vlist:
                 _fail_input("piece must be a list of vertices", f"$.partition.pieces[{i}]")
             points = [
@@ -118,7 +124,7 @@ def build_job_partition(ambient, part_spec):
     if "fan_rays" in part_spec:
         rays = [
             _nonzero_vector(r, f"$.partition.fan_rays[{i}]", rank)
-            for i, r in enumerate(part_spec["fan_rays"])
+            for i, r in enumerate(_list(part_spec["fan_rays"], "$.partition.fan_rays"))
         ]
         return partition_from_fan_checked(ambient, rays)
     return partition_by_hyperplanes(ambient, _hyperplane_cuts(part_spec, rank))
@@ -131,7 +137,7 @@ def partition_from_fan_checked(ambient, rays):
 
 def _hyperplane_cuts(part_spec, rank):
     cuts = []
-    for i, h in enumerate(part_spec["hyperplanes"]):
+    for i, h in enumerate(_list(part_spec["hyperplanes"], "$.partition.hyperplanes")):
         if not isinstance(h, dict) or "normal" not in h or "offset" not in h:
             _fail_input("hyperplane needs normal and offset", f"$.partition.hyperplanes[{i}]")
         normal = _nonzero_vector(h["normal"], f"$.partition.hyperplanes[{i}].normal", rank)

@@ -264,8 +264,11 @@ def family_equations(lifted: LiftedPolytope, coefficients=None, anchor=None, see
 
     The lifting function is renormalized to vanish on the anchor piece
     (default: the integration root), so exponents are nonnegative and vanish
-    exactly on the anchor's lattice points.  Coefficients default to formal
-    symbols ``a1..aN``; a seed draws deterministic rational values instead.
+    exactly on the anchor's lattice points.  Supports and exponents are read
+    off each piece's cached lattice points, matched to the base points by
+    index; a point on a wall takes its exponent from the first piece holding
+    it.  Coefficients default to formal symbols ``a1..aN``; a seed draws
+    deterministic rational values instead.
     """
     base = lifted.base.ambient
     if not base.is_compact:
@@ -279,13 +282,22 @@ def family_equations(lifted: LiftedPolytope, coefficients=None, anchor=None, see
     if not shifted.is_integral():
         raise LiftingError("anchor renormalization is not integral", witness=anchor)
     points = tuple(base.lattice_points())
-    exponents = tuple(int(shifted.value(p)) for p in points)
+    index = {p: j for j, p in enumerate(points)}
+    # both point lists are sorted, so each support comes out increasing
+    supports = tuple(
+        tuple(index[p] for p in piece.lattice_points()) for piece in lifted.base.pieces
+    )
+    # as in PiecewiseAffine.value: the first piece holding a point gives its value
+    exponents = [None] * len(points)
+    for support, f in zip(supports, shifted.per_piece):
+        for j in support:
+            if exponents[j] is None:
+                exponents[j] = int(f(points[j]))
+    if None in exponents:
+        raise GeometryError("point outside the partitioned polytope")
+    exponents = tuple(exponents)
     if min(exponents) < 0:
         raise LiftingError("negative exponent: function not minimal on the anchor piece")
-    supports = tuple(
-        tuple(j for j, p in enumerate(points) if piece.contains(p))
-        for piece in lifted.base.pieces
-    )
     if coefficients is not None:
         coeffs = tuple(coefficients[p] for p in points)
     elif seed is not None:

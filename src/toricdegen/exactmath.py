@@ -14,10 +14,6 @@ from math import gcd
 
 from .errors import GeometryError
 
-Rational = Fraction
-
-Vector = tuple  # tuple of int (lattice) or Fraction (rational)
-
 
 def vadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
@@ -37,10 +33,6 @@ def vscale(c, a):
 
 def vdot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def is_zero_vector(a):
-    return all(x == 0 for x in a)
 
 
 def gcd_all(values) -> int:

@@ -183,9 +183,10 @@ class PiecewiseAffine:
     def value_samples(self):
         """Exact generating set for the values on the lattice points.
 
-        Compact pieces contribute all their lattice point values; unbounded
-        pieces contribute the values on a one-step truncation together with
-        the slopes along their recession rays.
+        Compact pieces contribute their values on their lattice points,
+        which each piece enumerates once and caches; unbounded pieces
+        contribute the values on a one-step truncation, rebuilt on every
+        call, together with the slopes along their recession rays.
         """
         samples = []
         for piece, f in zip(self.partition.pieces, self.per_piece):
@@ -198,10 +199,13 @@ class PiecewiseAffine:
             samples.extend(f(p) for p in pts)
         return [Fraction(s) for s in samples]
 
-    def minimal_integral_scale(self) -> Fraction:
+    def minimal_integral_scale(self, samples=None) -> Fraction:
         """Least positive rational ``r`` with ``r * F`` integer-valued on the
-        lattice points of the base."""
-        samples = [s for s in self.value_samples() if s != 0]
+        lattice points of the base; ``samples`` may pass precomputed
+        ``value_samples()``."""
+        if samples is None:
+            samples = self.value_samples()
+        samples = [s for s in samples if s != 0]
         if not samples:
             return Fraction(1)
         denom = lcm_all(s.denominator for s in samples)
@@ -296,7 +300,9 @@ def minimal_integral_lifting(func: PiecewiseAffine) -> IntegralLifting:
     if any(c <= 0 for c in profile.values()):
         bad = min(p for p, c in profile.items() if c <= 0)
         raise LiftingError("not a lifting function: nonpositive concavity", witness=bad)
-    scale = func.minimal_integral_scale()
+    # F scales linearly, so the samples of c * F are c times those of F
+    samples = func.value_samples()
+    scale = func.minimal_integral_scale(samples)
     scaled = func.scale(scale)
     profile = {p: c * scale for p, c in profile.items()}
     flags = func.partition.classify()
@@ -304,9 +310,8 @@ def minimal_integral_lifting(func: PiecewiseAffine) -> IntegralLifting:
     if flags["balanced"] and len(values) == 1 and values != {Fraction(1)}:
         c = values.pop()
         candidate_scale = scale / c
-        candidate = func.scale(candidate_scale)
-        if candidate.is_integral():
-            scaled, scale = candidate, candidate_scale
+        if all((s * candidate_scale).denominator == 1 for s in samples):
+            scaled, scale = func.scale(candidate_scale), candidate_scale
             profile = {p: Fraction(1) for p in profile}
     return IntegralLifting(scaled, scale, profile, set(profile.values()) == {Fraction(1)})
 

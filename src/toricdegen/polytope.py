@@ -193,8 +193,8 @@ def _enumerate_generators(halfspaces, equations, rank):
     k = rank - r_eq
 
     def feasible(point):
-        return all(vdot(point, h.normal) >= -Fraction(h.offset) for h in halfspaces) and all(
-            vdot(point, e.normal) == -Fraction(e.offset) for e in equations
+        return all(vdot(point, h.normal) >= -h.offset for h in halfspaces) and all(
+            vdot(point, e.normal) == -e.offset for e in equations
         )
 
     vertices = set()
@@ -240,6 +240,7 @@ class LatticePolytope:
         "_dim",
         "_faces",
         "_face_index",
+        "_lattice_points",
     )
 
     def __init__(self, ambient_rank, halfspaces, equations, vertices, rays, whole=False):
@@ -252,6 +253,7 @@ class LatticePolytope:
         self._dim = ambient_rank if whole else _face_dim(self.vertices, self.rays)
         self._faces = None
         self._face_index = None
+        self._lattice_points = None
 
     # -- construction ----------------------------------------------------
 
@@ -322,8 +324,8 @@ class LatticePolytope:
             raise GeometryError("point has wrong dimension")
         if self.is_whole_space:
             return True
-        return all(vdot(point, h.normal) >= -Fraction(h.offset) for h in self.halfspaces) and all(
-            vdot(point, e.normal) == -Fraction(e.offset) for e in self.equations
+        return all(vdot(point, h.normal) >= -h.offset for h in self.halfspaces) and all(
+            vdot(point, e.normal) == -e.offset for e in self.equations
         )
 
     def contains_polyhedron(self, other: "LatticePolytope") -> bool:
@@ -378,7 +380,7 @@ class LatticePolytope:
         tight_v = []
         tight_r = []
         for h in self.halfspaces:
-            tight_v.append(frozenset(v for v in self.vertices if vdot(v, h.normal) == -Fraction(h.offset)))
+            tight_v.append(frozenset(v for v in self.vertices if vdot(v, h.normal) == -h.offset))
             tight_r.append(frozenset(r for r in self.rays if vdot(r, h.normal) == 0))
         seen = {(all_v, all_r)}
         queue = [(all_v, all_r)]
@@ -419,14 +421,14 @@ class LatticePolytope:
         tight = [
             i
             for i, h in enumerate(self.halfspaces)
-            if all(vdot(p, h.normal) == -Fraction(h.offset) for p in points)
+            if all(vdot(p, h.normal) == -h.offset for p in points)
             and all(vdot(r, h.normal) == 0 for r in rays)
         ]
         vs = set(self.vertices)
         rs = set(self.rays)
         for i in tight:
             h = self.halfspaces[i]
-            vs = {v for v in vs if vdot(v, h.normal) == -Fraction(h.offset)}
+            vs = {v for v in vs if vdot(v, h.normal) == -h.offset}
             rs = {r for r in rs if vdot(r, h.normal) == 0}
         face = self.face_by_key(tuple(vs), tuple(rs))
         if face is None:
@@ -475,12 +477,25 @@ class LatticePolytope:
     # -- metric / point queries ---------------------------------------------
 
     def lattice_points(self):
-        """All lattice points of a compact polytope, sorted."""
+        """All lattice points of a compact polytope, sorted.
+
+        A column scan: the first ``n - 1`` coordinates run over the bounding
+        box of the vertices, and for each such prefix the halfspaces with a
+        nonzero last normal entry give the exact integer range of the last
+        coordinate.  The result is cached per polytope; each call returns a
+        fresh list.
+        """
         if not self.is_compact:
             raise GeometryError("lattice point enumeration requires a compact polytope")
+        if self._lattice_points is None:
+            self._lattice_points = self._scan_lattice_points()
+        return list(self._lattice_points)
+
+    def _scan_lattice_points(self):
+        n = self.ambient_rank
         lo = []
         hi = []
-        for i in range(self.ambient_rank):
+        for i in range(n):
             coords = [Fraction(v[i]) for v in self.vertices]
             lo.append(min(coords).__ceil__())
             hi.append(max(coords).__floor__())
@@ -491,10 +506,30 @@ class LatticePolytope:
             raise UnsupportedGeometryError(
                 f"lattice point enumeration over a box of {box} points"
             )
+        if n == 0:
+            return [()]
+        # <prefix, head> + last * x >= -offset, split by the sign of last
+        flat = []
+        bounding = []
+        for h in self.halfspaces:
+            head, last = h.normal[:-1], h.normal[-1]
+            (bounding if last else flat).append((head, last, -h.offset))
         points = []
-        for p in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-            if self.contains(p):
-                points.append(p)
+        for prefix in itertools.product(*[range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1])]):
+            if not all(vdot(prefix, head) >= rhs for head, _, rhs in flat):
+                continue
+            a, b = lo[-1], hi[-1]
+            # last * x >= rest: ceil or floor of rest / last, by exact floor division
+            for head, last, rhs in bounding:
+                rest = rhs - vdot(prefix, head)
+                if last > 0:
+                    a = max(a, -(-rest // last))
+                else:
+                    b = min(b, rest // last)
+            for x in range(a, b + 1):
+                p = prefix + (x,)
+                if all(vdot(p, e.normal) == -e.offset for e in self.equations):
+                    points.append(p)
         return points
 
     def relative_interior_point(self):
@@ -517,9 +552,6 @@ class LatticePolytope:
 
     def intersect_polyhedron(self, other: "LatticePolytope"):
         return self.intersect(other.halfspaces, other.equations)
-
-    def translate(self, vector):
-        return LatticePolytope.from_generators([vadd(v, vector) for v in self.vertices], self.rays)
 
     def bounding_box_polytope(self, margin=1):
         """Axis box strictly containing all vertices, one ray step deep."""

@@ -123,6 +123,29 @@ class TestVerify:
             }
         ]
 
+    @pytest.mark.parametrize(
+        "partition, argv, where",
+        [
+            ({"pieces": 5}, ["verify"], "$.partition.pieces"),
+            ({"fan_rays": 5}, ["verify"], "$.partition.fan_rays"),
+            ({"hyperplanes": 5}, ["verify"], "$.partition.hyperplanes"),
+            ({"hyperplanes": {"normal": [1, 0, 0]}}, ["lift", "--multi-base"], "$.partition.hyperplanes"),
+        ],
+    )
+    def test_non_list_partition_field_exits_two(self, tmp_path, capsys, partition, argv, where):
+        spec = {"polytope": STAIRCASE3["polytope"], "partition": partition}
+        path = write_spec(tmp_path, spec)
+        code, out, records = run(capsys, [argv[0], path, *argv[1:]])
+        assert code == 2
+        assert records == [
+            {
+                "record": "error",
+                "code": "input",
+                "message": f"expected a list (at {where})",
+                "witness": None,
+            }
+        ]
+
     def test_empty_polyhedron_is_a_mathematical_rejection(self, tmp_path, capsys):
         spec = {
             "polytope": {

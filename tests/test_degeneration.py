@@ -7,6 +7,7 @@ from toricdegen import (
     DualComplex,
     GeometryError,
     LatticePolytope,
+    LiftingError,
     build_report,
     build_sequences,
     family_equations,
@@ -209,6 +210,29 @@ class TestFamilyEquations:
         lifted = lift_polytope(part, lifting_function(part))
         fam = family_equations(lifted)
         assert fam.supports == ((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("name", sorted(LIFTED))
+    def test_matches_per_point_oracle(self, name):
+        # oracle: the value of the renormalized function at every base point,
+        # and the support of every piece by a containment test per point
+        part, lifting, lifted = LIFTED[name]
+        func = lifting.function
+        points = part.ambient.lattice_points()
+        for anchor in range(len(part.pieces)):
+            shifted = func.subtract_affine(func.piece_function(anchor))
+            exponents = tuple(int(shifted.value(p)) for p in points)
+            supports = tuple(
+                tuple(j for j, p in enumerate(points) if piece.contains(p))
+                for piece in part.pieces
+            )
+            if not shifted.is_integral() or min(exponents) < 0:
+                with pytest.raises(LiftingError):
+                    family_equations(lifted, anchor=anchor)
+                continue
+            fam = family_equations(lifted, anchor=anchor)
+            assert fam.points == tuple(points), name
+            assert fam.exponents == exponents, (name, anchor)
+            assert fam.supports == supports, (name, anchor)
 
     def test_seeded_coefficients_deterministic(self):
         part = segment_partition(0, 2, (1,))

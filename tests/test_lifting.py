@@ -208,6 +208,28 @@ class TestMinimalIntegralScaling:
                 smaller = raw.scale(expected / k)
                 assert not smaller.is_integral(), name
 
+    def test_balanced_rescaling_matches_per_candidate_oracle(self):
+        # oracle: the candidate rescaling tested by enumerating every piece
+        # again; the triangle cuts reach that branch with constant concavity 2 and 3
+        t = LatticePolytope.from_vertices([(0, 0), (2, 0), (0, 2)])
+        parts = [part for _, (part, _, _) in sorted(LIFTED.items())] + [
+            partition_by_hyperplanes(t, [((2, 1), 2)]),
+            partition_by_hyperplanes(t, [((1, -2), 0)]),
+        ]
+        for part in parts:
+            raw = integrate_cocycle(wall_functions(part), part.dual_complex(), part)
+            for k in (1, Fraction(1, 2), 3):
+                func = raw.scale(k)
+                scale = func.minimal_integral_scale()
+                values = {c * scale for c in concavity_profile(func).values()}
+                if part.classify()["balanced"] and len(values) == 1 and values != {1}:
+                    candidate = scale / values.pop()
+                    if func.scale(candidate).is_integral():
+                        scale = candidate
+                result = minimal_integral_lifting(func)
+                assert result.scale == scale
+                assert result.function.per_piece == func.scale(scale).per_piece
+
     def test_nonconcave_rejected(self):
         part = segment_partition(0, 2, (1,))
         func = integrate_cocycle(wall_functions(part), part.dual_complex(), part)

@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricdegen import (
@@ -256,7 +257,82 @@ class TestSupportFunctions:
             assert support_function_of_polytope(poly).classify() == "strictly-convex"
 
 
+def box_scan_lattice_points(poly):
+    """Oracle: every lattice point of the vertex bounding box that the
+    polytope contains, in lexicographic order."""
+    ranges = []
+    for i in range(poly.ambient_rank):
+        coords = [Fraction(v[i]) for v in poly.vertices]
+        ranges.append(range(min(coords).__ceil__(), max(coords).__floor__() + 1))
+    return [p for p in itertools.product(*ranges) if poly.contains(p)]
+
+
+def rational_points(rank, count):
+    coord = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 3))
+    return st.lists(st.tuples(*[coord] * rank), min_size=count, max_size=count)
+
+
 class TestLatticePoints:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_column_scan_matches_box_scan_full_dim(self, data):
+        rank = data.draw(st.integers(1, 3))
+        extra = data.draw(st.integers(0, 3))
+        points = data.draw(rational_points(rank, rank + 1 + extra))
+        poly = LatticePolytope.from_vertices(points)
+        assume(poly.dim == rank)
+        assert poly.lattice_points() == box_scan_lattice_points(poly)
+
+    @given(rational_points(2, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_column_scan_matches_box_scan_segment_in_rank_2(self, points):
+        poly = LatticePolytope.from_vertices(points)
+        if poly.dim == 1:
+            assert poly.equations
+        assert poly.lattice_points() == box_scan_lattice_points(poly)
+
+    @given(rational_points(3, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_column_scan_matches_box_scan_triangle_in_rank_3(self, points):
+        poly = LatticePolytope.from_vertices(points)
+        if poly.dim == 2:
+            assert len(poly.equations) == 1
+        assert poly.lattice_points() == box_scan_lattice_points(poly)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_column_scan_matches_box_scan_flat_halfspaces(self, data):
+        # a box, cut by halfspaces of which some have last normal entry 0
+        rank = data.draw(st.integers(1, 3))
+        hs = []
+        for i in range(rank):
+            e = tuple(int(i == j) for j in range(rank))
+            hs.append((e, 5))
+            hs.append((tuple(-x for x in e), 5))
+        for _ in range(data.draw(st.integers(1, 4))):
+            head = data.draw(st.tuples(*[st.integers(-3, 3)] * (rank - 1)))
+            last = data.draw(st.sampled_from([0, 0, -2, -1, 1, 2]))
+            normal = head + (last,)
+            if not any(normal):
+                continue
+            offset = data.draw(st.builds(Fraction, st.integers(0, 12), st.integers(1, 3)))
+            hs.append((normal, offset))
+        poly = LatticePolytope.from_halfspaces(hs, rank)
+        assert poly.lattice_points() == box_scan_lattice_points(poly)
+
+    def test_rank_zero_point(self):
+        poly = LatticePolytope.from_vertices([()])
+        assert poly.lattice_points() == box_scan_lattice_points(poly) == [()]
+
+    def test_cached_result_is_a_fresh_list(self):
+        t = LatticePolytope.from_vertices([(0, 0), (3, 0), (0, 3)])
+        first = t.lattice_points()
+        second = t.lattice_points()
+        assert first == second
+        assert first is not second
+        first.clear()
+        assert t.lattice_points() == second
+
     def test_triangle(self):
         t = LatticePolytope.from_vertices([(0, 0), (3, 0), (0, 3)])
         assert len(t.lattice_points()) == 10
