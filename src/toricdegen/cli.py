@@ -52,6 +52,13 @@ def _list(value, where):
     return value
 
 
+def _int_option(options, key):
+    value = options.get(key)
+    if value is not None and type(value) is not int:
+        _fail_input("expected an integer", f"$.options.{key}")
+    return value
+
+
 def load_job(text: str):
     """Parse and validate a job description."""
     try:
@@ -199,8 +206,8 @@ def run_job(command, text, args):
     deg = build_report(lifted)
     records.append(rpt.degeneration_record(deg))
     if ambient.is_compact:
-        anchor = args.anchor if args.anchor is not None else options.get("anchor_piece")
-        seed = args.seed if args.seed is not None else options.get("coefficient_seed")
+        anchor = args.anchor if args.anchor is not None else _int_option(options, "anchor_piece")
+        seed = args.seed if args.seed is not None else _int_option(options, "coefficient_seed")
         fam = family_equations(lifted, anchor=anchor, seed=seed)
         records.append(rpt.family_record(fam))
     if args.dot:

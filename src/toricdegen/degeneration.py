@@ -279,8 +279,6 @@ def family_equations(lifted: LiftedPolytope, coefficients=None, anchor=None, see
     if not 0 <= anchor < len(lifted.base.pieces):
         raise GeometryError(f"anchor piece {anchor} out of range")
     shifted = func.subtract_affine(func.piece_function(anchor))
-    if not shifted.is_integral():
-        raise LiftingError("anchor renormalization is not integral", witness=anchor)
     points = tuple(base.lattice_points())
     index = {p: j for j, p in enumerate(points)}
     # both point lists are sorted, so each support comes out increasing
@@ -292,7 +290,10 @@ def family_equations(lifted: LiftedPolytope, coefficients=None, anchor=None, see
     for support, f in zip(supports, shifted.per_piece):
         for j in support:
             if exponents[j] is None:
-                exponents[j] = int(f(points[j]))
+                value = f(points[j])
+                if value.denominator != 1:
+                    raise LiftingError("anchor renormalization is not integral", witness=anchor)
+                exponents[j] = int(value)
     if None in exponents:
         raise GeometryError("point outside the partitioned polytope")
     exponents = tuple(exponents)

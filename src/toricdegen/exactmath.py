@@ -3,14 +3,17 @@
 Everything operates on plain tuples of ``int`` / ``Fraction``; no floating
 point is used anywhere.  Rationals are ``fractions.Fraction`` (always reduced,
 positive denominator), lattice vectors are tuples of arbitrary-precision
-integers.
+integers.  Linear systems, ranks and determinants are eliminated over the
+integers by fraction-free (Bareiss) elimination: ``echelon`` clears each
+row's denominators and works on integers throughout, and its callers form a
+``Fraction`` only for the final answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import GeometryError
 
@@ -118,29 +121,11 @@ def determinant(rows) -> int:
 
 
 def determinant_fraction(rows) -> Fraction:
-    """Determinant over the rationals (Gaussian elimination)."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] * inv
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    return det
+    """Determinant over the rationals: Bareiss on the rows cleared of
+    denominators, divided by the product of the row scales."""
+    scales = [lcm_all(Fraction(x).denominator for x in row) for row in rows]
+    scaled = [[int(x * q) for x in row] for row, q in zip(rows, scales)]
+    return Fraction(determinant(scaled), prod(scales))
 
 
 def is_unimodular_basis(vectors) -> bool:
@@ -249,27 +234,61 @@ def in_lattice_span(basis, v) -> bool:
     return all(x == 0 for x in v)
 
 
-def rank_fraction(rows) -> int:
-    m = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
+def echelon(m, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the rows ``m``.
+
+    ``m`` is reduced in place: its rows are replaced, never mutated, so rows
+    may be shared tuples.  A row with ``Fraction`` entries is first scaled by
+    the lcm of its denominators.  Pivots are sought in the first ``ncols``
+    columns; further columns (a right-hand side) are carried along.  Returns
+    ``(rank, pivots, det)``: rows ``0 .. rank-1`` hold the pivots, in column
+    order, each with value ``det`` on its own pivot column and ``0`` on the
+    other pivot columns, and rows from ``rank`` on are zero in the first
+    ``ncols`` columns.  Every division is exact, so all entries stay integers
+    (minors of the input).  With full column rank the unique solution of the
+    augmented system is ``m[i][ncols] / det``.
+    """
+    for i, row in enumerate(m):
+        if any(type(x) is not int for x in row):
+            q = lcm_all(Fraction(x).denominator for x in row)
+            m[i] = [int(x * q) for x in row]
+    nrows = len(m)
+    pivots = []
+    det = 1
     for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(m)):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
+        r = len(pivots)
+        p = next((i for i in range(r, nrows) if m[i][col]), None)
+        if p is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col] * inv
-                for j in range(col, ncols):
-                    m[i][j] -= f * m[rank][j]
-        rank += 1
-    return rank
+        m[r], m[p] = m[p], m[r]
+        top = m[r]
+        piv = top[col]
+        for i in range(nrows):
+            f = m[i][col]
+            if i != r and (f or piv != det):
+                m[i] = [(piv * x - f * y) // det for x, y in zip(m[i], top)]
+        det = piv
+        pivots.append(col)
+    return len(pivots), pivots, det
+
+
+def rank_fraction(rows) -> int:
+    m = list(rows)
+    return echelon(m, len(m[0]) if m else 0)[0]
+
+
+def _solve(rows, rhs):
+    """``(rank, x)`` for ``A x = b`` with free variables 0, or None if
+    inconsistent."""
+    ncols = len(rows[0]) if rows else 0
+    m = [tuple(row) + (b,) for row, b in zip(rows, rhs)]
+    rank, pivots, det = echelon(m, ncols)
+    if any(row[ncols] for row in m[rank:]):
+        return None
+    x = [Fraction(0)] * ncols
+    for row, col in zip(m, pivots):
+        x[col] = Fraction(row[ncols], det)
+    return rank, tuple(x)
 
 
 def solve_linear(rows, rhs):
@@ -278,68 +297,19 @@ def solve_linear(rows, rhs):
     Returns ``("unique", x)``, ``("none", None)`` for an inconsistent system,
     or ``("many", None)`` when the solution is not unique.
     """
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(m)):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(m)):
-        if m[i][ncols] != 0:
-            return "none", None
-    if rank < ncols:
+    solved = _solve(rows, rhs)
+    if solved is None:
+        return "none", None
+    rank, x = solved
+    if rank < len(x):
         return "many", None
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = m[i][ncols]
-    return "unique", tuple(x)
+    return "unique", x
 
 
 def solve_particular(rows, rhs):
     """One rational solution of a consistent underdetermined system, or None."""
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(m)):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(m)):
-        if m[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = m[i][ncols]
-    return tuple(x)
+    solved = _solve(rows, rhs)
+    return None if solved is None else solved[1]
 
 
 def normalize_coord(x):

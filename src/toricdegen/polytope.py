@@ -5,11 +5,15 @@ uses inward halfspaces ``<x, normal> >= -offset`` with primitive integer
 normals; offsets are exact rationals (they stay integral for lattice
 polytopes).  Unbounded polyhedra carry explicit recession rays.  Every step
 is exact.  Vertices and rays of a halfspace system are enumerated over tight
-constraint subsets; for a full-dimensional system ``from_halfspaces`` then
-keeps the input halfspaces whose tight generators span a hyperplane.  Facets
-of a polyhedron given by generators, or of a lower-dimensional system, come
-from brute force over tight generator subsets (``_dual_from_generators``),
-which is also the test oracle for the halfspace path.
+constraint subsets: each subset is solved by integer elimination
+(``exactmath.echelon``) and each candidate vertex is tested with integer
+arithmetic, as a homogeneous integer vector, before it is made rational.  For
+a full-dimensional system ``from_halfspaces`` then keeps the input
+halfspaces whose tight generators span a hyperplane.  Facets of a polyhedron
+given by generators, or of a lower-dimensional system, come from brute force
+over tight generator subsets (``_dual_from_generators``), which is also the
+test oracle for the halfspace path.  A brute-force enumeration over more
+than ``SUBSET_BUDGET`` subsets is refused before it starts.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .errors import EmptyPolyhedronError, GeometryError, UnsupportedGeometryErro
 from .exactmath import (
     determinant,
     determinant_fraction,
+    echelon,
     gcd_all,
     left_kernel,
     normalize_coord,
@@ -153,6 +158,18 @@ def _model_coords(basis, base, point):
     return normalize_point(t)
 
 
+# constraint or generator subsets tried by one brute-force enumeration
+SUBSET_BUDGET = 10**6
+
+
+def _subsets(items, k):
+    """The k-subsets of ``items``, refused up front when there are too many."""
+    count = math.comb(len(items), k)
+    if count > SUBSET_BUDGET:
+        raise UnsupportedGeometryError(f"enumeration over {count} subsets of {len(items)}")
+    return itertools.combinations(items, k)
+
+
 def _full_dim_facets(points, rays, rank):
     """Brute-force facet enumeration for a full-dimensional hull."""
     # generators are scaled to primitive integer vectors: rational points may
@@ -161,8 +178,7 @@ def _full_dim_facets(points, rays, rank):
         tuple(r) + (0,) for r in rays
     ]
     found = {}
-    for subset in itertools.combinations(range(len(homog)), rank):
-        rows = [homog[i] for i in subset]
+    for rows in _subsets(homog, rank):
         kernel = right_kernel(list(rows))
         if len(kernel) != 1:
             continue
@@ -181,38 +197,53 @@ def _full_dim_facets(points, rays, rank):
     return [_normalize_halfspace(h.normal, h.offset) for h in found.values()]
 
 
+def _integer_row(constraint):
+    """``<x, normal> = -offset`` cleared of the offset's denominator."""
+    q = constraint.offset.denominator
+    return tuple(x * q for x in constraint.normal) + (-constraint.offset.numerator,)
+
+
 def _enumerate_generators(halfspaces, equations, rank):
-    """All vertices and extreme rays of a pointed H-representation."""
+    """All vertices and extreme rays of a pointed H-representation.
+
+    Each vertex candidate solves the equations plus ``k`` halfspaces made
+    tight, by integer elimination: it is ``X / det`` with ``det > 0``, kept
+    as the homogeneous integer vector ``(X, -det)``, whose dot product with a
+    halfspace's integer row is ``<x, normal> + offset`` times a positive
+    scale.  A candidate is tested once and made rational only if accepted.
+    """
     normals = [h.normal for h in halfspaces] + [e.normal for e in equations]
     lineality = right_kernel(list(normals)) if normals else None
     if normals and lineality:
         raise UnsupportedGeometryError("polyhedron has a nontrivial lineality space")
     eq_rows = [e.normal for e in equations]
-    eq_rhs = [-Fraction(e.offset) for e in equations]
     r_eq = rank_fraction(eq_rows) if eq_rows else 0
     k = rank - r_eq
 
-    def feasible(point):
-        return all(vdot(point, h.normal) >= -h.offset for h in halfspaces) and all(
-            vdot(point, e.normal) == -e.offset for e in equations
-        )
-
-    vertices = set()
-    for subset in itertools.combinations(range(len(halfspaces)), k):
-        rows = eq_rows + [halfspaces[i].normal for i in subset]
-        rhs = eq_rhs + [-Fraction(halfspaces[i].offset) for i in subset]
-        status, x = solve_linear(rows, rhs)
-        if status == "unique" and feasible(x):
-            vertices.add(normalize_point(x))
-    if k == 0:
-        status, x = solve_linear(eq_rows, eq_rhs)
-        if status == "unique" and feasible(x):
-            vertices.add(normalize_point(x))
+    hs_int = [_integer_row(h) for h in halfspaces]
+    eq_int = [_integer_row(e) for e in equations]
+    vertices = []
+    seen = set()
+    for subset in _subsets(hs_int, k):
+        m = eq_int + list(subset)
+        r, _, det = echelon(m, rank)
+        # the equations are among the rows, so a unique solution meets them
+        if r < rank or any(row[rank] for row in m[r:]):
+            continue
+        point = tuple(row[rank] for row in m[:rank]) + (-det,)
+        g = math.gcd(*point)
+        # lowest terms, with the sign that makes the last entry negative
+        point = tuple(x // (g if det > 0 else -g) for x in point)
+        if point in seen:
+            continue
+        seen.add(point)
+        if all(vdot(point, row) >= 0 for row in hs_int):
+            vertices.append(normalize_point(Fraction(x, -point[-1]) for x in point[:-1]))
 
     rays = set()
     if k >= 1:
-        for subset in itertools.combinations(range(len(halfspaces)), k - 1):
-            rows = eq_rows + [halfspaces[i].normal for i in subset]
+        for subset in _subsets(halfspaces, k - 1):
+            rows = eq_rows + [h.normal for h in subset]
             if not rows:
                 rows = [tuple(0 for _ in range(rank))]
             kernel = right_kernel(list(rows))
@@ -282,7 +313,7 @@ class LatticePolytope:
         dedup = {}
         for h in halfspaces:
             prev = dedup.get(h.normal)
-            if prev is None or Fraction(h.offset) < Fraction(prev):
+            if prev is None or h.offset < prev:
                 dedup[h.normal] = h.offset
         halfspaces = [Halfspace(n, o) for n, o in sorted(dedup.items())]
         vertices, rays = _enumerate_generators(halfspaces, equations, rank)

@@ -1,0 +1,144 @@
+"""Brute-force ``Fraction`` versions of the exact kernels, kept as test oracles.
+
+These are the rational Gaussian eliminations and the vertex enumeration that
+the integer (fraction-free) code in ``toricdegen`` replaced.  Tests compare
+the fast paths against them; nothing in the package imports this module.
+"""
+
+import itertools
+from fractions import Fraction
+
+from toricdegen.errors import UnsupportedGeometryError
+from toricdegen.exactmath import normalize_point, primitive, right_kernel, vdot
+
+
+def determinant_fraction(rows):
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(n):
+        pivot = None
+        for i in range(k, n):
+            if m[i][k] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        inv = 1 / m[k][k]
+        for i in range(k + 1, n):
+            if m[i][k] != 0:
+                f = m[i][k] * inv
+                for j in range(k, n):
+                    m[i][j] -= f * m[k][j]
+    return det
+
+
+def rank_fraction(rows):
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(rank, len(m)):
+            if m[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col] * inv
+                for j in range(col, ncols):
+                    m[i][j] -= f * m[rank][j]
+        rank += 1
+    return rank
+
+
+def _reduced(rows, rhs):
+    """Reduced row echelon form of the augmented system over the rationals."""
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(rank, len(m)):
+            if m[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        pivots.append(col)
+        rank += 1
+    consistent = all(m[i][ncols] == 0 for i in range(rank, len(m)))
+    x = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        x[col] = m[i][ncols]
+    return consistent, rank, tuple(x)
+
+
+def solve_linear(rows, rhs):
+    consistent, rank, x = _reduced(rows, rhs)
+    if not consistent:
+        return "none", None
+    if rank < len(x):
+        return "many", None
+    return "unique", x
+
+
+def solve_particular(rows, rhs):
+    consistent, _, x = _reduced(rows, rhs)
+    return x if consistent else None
+
+
+def enumerate_generators(halfspaces, equations, rank):
+    """Vertices and extreme rays: one rational solve per k-subset."""
+    normals = [h.normal for h in halfspaces] + [e.normal for e in equations]
+    if normals and right_kernel(list(normals)):
+        raise UnsupportedGeometryError("polyhedron has a nontrivial lineality space")
+    eq_rows = [e.normal for e in equations]
+    eq_rhs = [-Fraction(e.offset) for e in equations]
+    k = rank - (rank_fraction(eq_rows) if eq_rows else 0)
+
+    def feasible(point):
+        return all(vdot(point, h.normal) >= -h.offset for h in halfspaces) and all(
+            vdot(point, e.normal) == -e.offset for e in equations
+        )
+
+    vertices = set()
+    for subset in itertools.combinations(range(len(halfspaces)), k):
+        rows = eq_rows + [halfspaces[i].normal for i in subset]
+        rhs = eq_rhs + [-Fraction(halfspaces[i].offset) for i in subset]
+        status, x = solve_linear(rows, rhs)
+        if status == "unique" and feasible(x):
+            vertices.add(normalize_point(x))
+
+    rays = set()
+    if k >= 1:
+        for subset in itertools.combinations(range(len(halfspaces)), k - 1):
+            rows = eq_rows + [halfspaces[i].normal for i in subset]
+            if not rows:
+                rows = [tuple(0 for _ in range(rank))]
+            kernel = right_kernel(list(rows))
+            if len(kernel) != 1:
+                continue
+            c = primitive(kernel[0])
+            for cand in (c, tuple(-x for x in c)):
+                if all(vdot(cand, h.normal) >= 0 for h in halfspaces) and all(
+                    vdot(cand, e.normal) == 0 for e in equations
+                ):
+                    rays.add(cand)
+    return sorted(vertices), sorted(rays)

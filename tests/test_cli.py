@@ -292,6 +292,27 @@ class TestDegenerate:
         assert fam["anchor"] == 3
         assert min(fam["exponents"]) == 0
 
+    @pytest.mark.parametrize(
+        "options, where",
+        [
+            ({"anchor_piece": "x"}, "$.options.anchor_piece"),
+            ({"coefficient_seed": [1]}, "$.options.coefficient_seed"),
+            ({"anchor_piece": True}, "$.options.anchor_piece"),
+        ],
+    )
+    def test_non_integer_family_option_exits_two(self, tmp_path, capsys, options, where):
+        path = write_spec(tmp_path, {**CHAIN4, "options": options})
+        code, out, records = run(capsys, ["degenerate", path])
+        assert code == 2
+        assert records == [
+            {
+                "record": "error",
+                "code": "input",
+                "message": f"expected an integer (at {where})",
+                "witness": None,
+            }
+        ]
+
     def test_multi_base_rejected(self, tmp_path, capsys):
         path = write_spec(tmp_path, CHAIN4)
         code, out, records = run(capsys, ["degenerate", path, "--multi-base"])

@@ -205,6 +205,15 @@ class TestFamilyEquations:
         assert zero == {p for p in fam.points if part.pieces[2].contains(p)}
         assert min(fam.exponents) == 0
 
+    def test_non_integral_renormalization_rejected(self):
+        part = segment_partition(0, 2, (1,))
+        lifting = lifting_function(part)
+        halved = replace(lifting, function=lifting.function.scale(Fraction(1, 2)))
+        lifted = replace(lift_polytope(part, lifting), lifting=halved)
+        with pytest.raises(LiftingError, match="not integral") as info:
+            family_equations(lifted, anchor=0)
+        assert info.value.witness == 0
+
     def test_component_supports(self):
         part = segment_partition(0, 2, (1,))
         lifted = lift_polytope(part, lifting_function(part))

@@ -2,13 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricdegen.exactmath import (
     AffineFunction,
     determinant,
     determinant_fraction,
+    echelon,
     hermite_normal_form,
     in_lattice_span,
     is_unimodular_basis,
@@ -18,8 +19,11 @@ from toricdegen.exactmath import (
     right_kernel,
     saturation,
     solve_linear,
+    solve_particular,
 )
 from toricdegen.errors import GeometryError
+
+import oracles
 
 
 def square_matrices(max_dim=4, bound=9):
@@ -155,11 +159,11 @@ class TestDeterminant:
     @given(square_matrices())
     @settings(max_examples=60)
     def test_bareiss_matches_rational_elimination(self, rows):
-        assert determinant(rows) == determinant_fraction(rows)
+        assert determinant(rows) == oracles.determinant_fraction(rows)
 
     def test_bareiss_avoids_fraction_blowup(self):
         rows = [[i * j + (i == j) * 7 for j in range(6)] for i in range(6)]
-        assert determinant(rows) == int(determinant_fraction(rows))
+        assert determinant(rows) == int(oracles.determinant_fraction(rows))
 
 
 class TestSolve:
@@ -176,6 +180,83 @@ class TestSolve:
 
     def test_underdetermined(self):
         assert solve_linear([(1, 1)], (2,))[0] == "many"
+
+
+ENTRIES = st.one_of(
+    st.integers(-4, 4), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+)
+
+
+@st.composite
+def linear_systems(draw, max_cols=4, max_rows=5):
+    """``(rows, rhs)`` with 0-4 columns over ``int`` and ``Fraction``: full
+    rank, rank-deficient (repeated rows and combinations of rows),
+    consistent and inconsistent."""
+    ncols = draw(st.integers(0, max_cols))
+    row = st.lists(ENTRIES, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=max_rows))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a = draw(st.sampled_from(rows))
+        b = draw(st.sampled_from(rows))
+        c = draw(ENTRIES)
+        rows.append([x + c * y for x, y in zip(a, b)])
+    if draw(st.booleans()):
+        x0 = draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+        rhs = [sum(a * x for a, x in zip(r, x0)) for r in rows]
+    else:
+        rhs = draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs
+
+
+def same(new, old):
+    # equal values of equal types: a Fraction(0) may not turn into an int 0
+    assert new == old and repr(new) == repr(old)
+
+
+class TestEliminationAgainstOracles:
+    """The integer kernel and its wrappers against the Fraction eliminations."""
+
+    @given(linear_systems())
+    @settings(max_examples=300, deadline=None)
+    @example(([], []))
+    @example(([[]], [1]))
+    @example(([[1, 0], [1, 0]], [0, 1]))
+    @example(([[Fraction(1, 2), 1], [1, 2]], [Fraction(1, 3), Fraction(2, 3)]))
+    def test_solvers_and_rank_match(self, system):
+        rows, rhs = system
+        same(solve_linear(rows, rhs), oracles.solve_linear(rows, rhs))
+        same(solve_particular(rows, rhs), oracles.solve_particular(rows, rhs))
+        same(rank_fraction(rows), oracles.rank_fraction(rows))
+
+    @given(st.integers(0, 4).flatmap(
+        lambda n: st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
+    ))
+    @settings(max_examples=200, deadline=None)
+    @example([[1, 2], [2, 4]])
+    def test_determinant_fraction_matches(self, rows):
+        same(determinant_fraction(rows), oracles.determinant_fraction(rows))
+
+    @given(linear_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_echelon_leaves_det_on_every_pivot(self, system):
+        rows, rhs = system
+        ncols = len(rows[0]) if rows else 0
+        m = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
+        rank, pivots, det = echelon(m, ncols)
+        assert rank == len(pivots) == oracles.rank_fraction(rows)
+        assert pivots == sorted(set(pivots)) and det != 0
+        for i, row in enumerate(m):
+            assert all(type(x) is int for x in row)
+            for j, col in enumerate(pivots):
+                assert row[col] == (det if i == j else 0)
+            if i >= rank:
+                assert not any(row[:ncols])
+        consistent = not any(row[ncols] for row in m[rank:])
+        particular = oracles.solve_particular(rows, rhs)
+        assert consistent == (particular is not None)
+        if consistent:
+            for row, col in zip(m, pivots):
+                assert Fraction(row[ncols], det) == particular[col]
 
 
 class TestAffineFunction:

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricdegen import (
@@ -16,7 +16,17 @@ from toricdegen import (
     normal_fan,
     support_function_of_polytope,
 )
-from toricdegen.polytope import Fan, _dual_from_generators, complete_fan_from_rays
+from toricdegen.polytope import (
+    SUBSET_BUDGET,
+    Fan,
+    _dual_from_generators,
+    _enumerate_generators,
+    _normalize_equation,
+    _normalize_halfspace,
+    complete_fan_from_rays,
+)
+
+import oracles
 
 from corpus import (
     chain_partition,
@@ -135,6 +145,56 @@ class TestFromHalfspaces:
             return
         halfspaces, equations = _dual_from_generators(p.vertices, p.rays, rank)
         assert p.halfspaces == halfspaces and p.equations == equations
+
+
+@st.composite
+def h_systems(draw):
+    """Halfspace systems in rank 0-4 with rational offsets: bounded, unbounded
+    with rays, empty, with a lineality space, lower-dimensional through
+    equations, and with duplicated and redundant (loosened or summed) rows."""
+    rank = draw(st.integers(0, 4))
+    if rank == 0:
+        return [], [], 0
+    normal = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
+    offset = st.builds(Fraction, st.integers(-4, 8), st.integers(1, 3))
+    hs = draw(st.lists(st.tuples(normal, offset), max_size=rank + 3))
+    for _ in range(draw(st.integers(0, 3)) if hs else 0):
+        (n1, o1), (n2, o2) = draw(st.sampled_from(hs)), draw(st.sampled_from(hs))
+        kind = draw(st.sampled_from(["duplicate", "loosened", "summed"]))
+        if kind == "duplicate":
+            hs.append((n1, o1))
+        elif kind == "loosened":
+            hs.append((n1, o1 + draw(st.integers(1, 3))))
+        elif any(a + b for a, b in zip(n1, n2)):
+            hs.append((tuple(a + b for a, b in zip(n1, n2)), o1 + o2))
+    eqs = draw(st.lists(st.tuples(normal, offset), max_size=min(2, rank - 1)))
+    return (
+        [_normalize_halfspace(n, o) for n, o in hs],
+        [_normalize_equation(n, o) for n, o in eqs],
+        rank,
+    )
+
+
+class TestEnumerateGeneratorsAgainstOracle:
+    @given(h_systems())
+    @settings(max_examples=250, deadline=None)
+    @example(([], [], 0))
+    @example(([_normalize_halfspace((1, 0), Fraction(1, 2)), _normalize_halfspace((0, 1), 0)], [], 2))
+    @example((
+        [_normalize_halfspace((1, 0, 0), 0), _normalize_halfspace((-1, 0, 0), 3)] * 2,
+        [_normalize_equation((0, 1, 0), Fraction(-1, 3)), _normalize_equation((0, 0, 2), 1)],
+        3,
+    ))
+    def test_matches_rational_enumeration(self, system):
+        halfspaces, equations, rank = system
+        try:
+            expected = oracles.enumerate_generators(halfspaces, equations, rank)
+        except UnsupportedGeometryError:
+            with pytest.raises(UnsupportedGeometryError, match="lineality"):
+                _enumerate_generators(halfspaces, equations, rank)
+            return
+        got = _enumerate_generators(halfspaces, equations, rank)
+        assert got == expected and repr(got) == repr(expected)
 
 
 class TestNormalFan:
@@ -488,3 +548,19 @@ class TestEnumerationGuard:
         long_segment = segment(0, 10**12)
         with pytest.raises(UnsupportedGeometryError, match="enumeration"):
             long_segment.lattice_points()
+
+    def test_vertex_enumeration_over_budget_refused_up_front(self, monkeypatch):
+        monkeypatch.setattr("toricdegen.polytope.echelon", None)  # never reached
+        rank = 8
+        hs = [(tuple(int(i == j) for j in range(rank)), 0) for i in range(rank)]
+        hs += [((-1, -t) + (-1,) * (rank - 2), 100 * t) for t in range(1, 23)]
+        assert comb(len(hs), rank) > SUBSET_BUDGET
+        with pytest.raises(UnsupportedGeometryError, match=f"{comb(30, 8)} subsets"):
+            LatticePolytope.from_halfspaces(hs, rank)
+
+    def test_facet_enumeration_over_budget_refused_up_front(self, monkeypatch):
+        monkeypatch.setattr("toricdegen.polytope.right_kernel", None)  # never reached
+        moment_curve = [tuple(t**i for i in range(1, 7)) for t in range(40)]
+        assert comb(len(moment_curve), 6) > SUBSET_BUDGET
+        with pytest.raises(UnsupportedGeometryError, match=f"{comb(40, 6)} subsets"):
+            LatticePolytope.from_vertices(moment_curve)
