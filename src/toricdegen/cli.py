@@ -101,6 +101,8 @@ def build_polytope(poly_spec):
     rank = poly_spec.get("rank")
     if halfspaces:
         first = halfspaces[0].get("normal") if isinstance(halfspaces[0], dict) else None
+        if rank is None and first and isinstance(first, (int, float)):
+            _fail_input("expected a list of integers", "$.polytope.halfspaces[0].normal")
         rank = rank if rank is not None else (len(first) if first else None)
     if not isinstance(rank, int) or rank < 1:
         _fail_input("rank required for halfspace input", "$.polytope.rank")
@@ -133,6 +135,8 @@ def build_job_partition(ambient, part_spec):
             _nonzero_vector(r, f"$.partition.fan_rays[{i}]", rank)
             for i, r in enumerate(_list(part_spec["fan_rays"], "$.partition.fan_rays"))
         ]
+        if not rays:
+            _fail_input("expected a nonempty list", "$.partition.fan_rays")
         return partition_from_fan_checked(ambient, rays)
     return partition_by_hyperplanes(ambient, _hyperplane_cuts(part_spec, rank))
 

@@ -356,8 +356,15 @@ def build_partition(ambient: LatticePolytope, pieces) -> Partition:
 
 
 def _check_interior_disjoint(pieces, d):
+    """Reject the first piece pair whose interiors meet, with a witness.
+
+    A facet of one piece with every vertex and ray of the other on its far
+    side certifies a pair: every stored halfspace defines a facet, so the
+    relative interior of its piece lies strictly inside it (in a
+    lower-dimensional ambient too).  Only uncertified pairs are intersected.
+    """
     for i, j in itertools.combinations(range(len(pieces)), 2):
-        if not _boxes_touch(pieces[i], pieces[j]):
+        if _facet_separates(pieces[i], pieces[j]) or _facet_separates(pieces[j], pieces[i]):
             continue
         try:
             meet = pieces[i].intersect_polyhedron(pieces[j])
@@ -370,15 +377,13 @@ def _check_interior_disjoint(pieces, d):
             )
 
 
-def _boxes_touch(p, q):
-    for i in range(p.ambient_rank):
-        if p.rays or q.rays:
-            return True
-        pc = [Fraction(v[i]) for v in p.vertices]
-        qc = [Fraction(v[i]) for v in q.vertices]
-        if max(pc) < min(qc) or max(qc) < min(pc):
-            return False
-    return True
+def _facet_separates(p, q):
+    """Whether a facet halfspace of ``p`` has all of ``q`` on its far side."""
+    return any(
+        all(vdot(v, h.normal) <= -h.offset for v in q.vertices)
+        and all(vdot(r, h.normal) <= 0 for r in q.rays)
+        for h in p.halfspaces
+    )
 
 
 def _check_cover(ambient, pieces):
@@ -499,8 +504,11 @@ def partition_from_fan(ambient: LatticePolytope, fan: Fan) -> Partition:
 def partition_by_hyperplanes(ambient: LatticePolytope, cuts) -> Partition:
     """Chambers of ``<x, normal> = value`` hyperplane cuts inside a polytope.
 
-    Pieces are ordered by the position of their interior point along the
-    first cut normal, then lexicographically.
+    A region whose vertices and rays all lie on one closed side of a cut,
+    not all on the hyperplane, is kept whole; only a region the cut crosses
+    (or a whole-space region, or one the hyperplane contains) is intersected
+    with both sides.  Pieces are ordered by the position of their interior
+    point along the first cut normal, then lexicographically.
     """
     regions = [ambient]
     for normal, value in cuts:
@@ -508,6 +516,11 @@ def partition_by_hyperplanes(ambient: LatticePolytope, cuts) -> Partition:
         value = Fraction(value)
         new_regions = []
         for region in regions:
+            sides = [vdot(v, normal) - value for v in region.vertices]
+            sides += [vdot(r, normal) for r in region.rays]
+            if sides and (min(sides) >= 0 or max(sides) <= 0) and any(sides):
+                new_regions.append(region)  # the cut misses the region's interior
+                continue
             for hs in ((normal, -value), (tuple(-x for x in normal), value)):
                 try:
                     piece = region.intersect([hs])

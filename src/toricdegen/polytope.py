@@ -272,6 +272,7 @@ class LatticePolytope:
         "_faces",
         "_face_index",
         "_lattice_points",
+        "_edges",
     )
 
     def __init__(self, ambient_rank, halfspaces, equations, vertices, rays, whole=False):
@@ -285,6 +286,7 @@ class LatticePolytope:
         self._faces = None
         self._face_index = None
         self._lattice_points = None
+        self._edges = None
 
     # -- construction ----------------------------------------------------
 
@@ -469,16 +471,22 @@ class LatticePolytope:
     # -- vertex-local structure --------------------------------------------
 
     def edges_at(self, vertex):
-        """Primitive edge directions at a vertex (bounded edges and rays)."""
-        dirs = []
-        for f in self.faces(1):
-            if vertex in f.vertices:
+        """Primitive edge directions at a vertex (bounded edges and rays).
+
+        Found for all vertices once and cached; each call returns a fresh
+        sorted list, empty for a point that is not a vertex.
+        """
+        if self._edges is None:
+            edges = {v: [] for v in self.vertices}
+            for f in self.faces(1):
                 if len(f.vertices) == 2:
-                    other = f.vertices[0] if f.vertices[1] == vertex else f.vertices[1]
-                    dirs.append(rational_primitive(vsub(other, vertex))[0])
+                    a, b = f.vertices
+                    edges[a].append(rational_primitive(vsub(b, a))[0])
+                    edges[b].append(rational_primitive(vsub(a, b))[0])
                 elif len(f.vertices) == 1 and len(f.rays) == 1:
-                    dirs.append(f.rays[0])
-        return sorted(dirs)
+                    edges[f.vertices[0]].append(f.rays[0])
+            self._edges = {v: tuple(sorted(dirs)) for v, dirs in edges.items()}
+        return list(self._edges.get(vertex, ()))
 
     def is_simplicial(self) -> bool:
         if self.is_whole_space:

@@ -1,15 +1,25 @@
-"""Brute-force ``Fraction`` versions of the exact kernels, kept as test oracles.
+"""Brute-force versions of fast paths in ``toricdegen``, kept as test oracles.
 
 These are the rational Gaussian eliminations and the vertex enumeration that
-the integer (fraction-free) code in ``toricdegen`` replaced.  Tests compare
-the fast paths against them; nothing in the package imports this module.
+the integer (fraction-free) code replaced, the tiling checks that intersect
+every piece pair and cut every region by every hyperplane, and the per-call
+edge scan.  Tests compare the fast paths against them; nothing in the package
+imports this module.
 """
 
 import itertools
 from fractions import Fraction
 
-from toricdegen.errors import UnsupportedGeometryError
-from toricdegen.exactmath import normalize_point, primitive, right_kernel, vdot
+from toricdegen.errors import EmptyPolyhedronError, PartitionError, UnsupportedGeometryError
+from toricdegen.exactmath import (
+    normalize_point,
+    primitive,
+    rational_primitive,
+    right_kernel,
+    vdot,
+    vsub,
+)
+from toricdegen.partition import build_partition
 
 
 def determinant_fraction(rows):
@@ -142,3 +152,70 @@ def enumerate_generators(halfspaces, equations, rank):
                 ):
                     rays.add(cand)
     return sorted(vertices), sorted(rays)
+
+
+def edges_at(poly, vertex):
+    """Primitive edge directions at a vertex, by a scan of every 1-face."""
+    dirs = []
+    for f in poly.faces(1):
+        if vertex in f.vertices:
+            if len(f.vertices) == 2:
+                other = f.vertices[0] if f.vertices[1] == vertex else f.vertices[1]
+                dirs.append(rational_primitive(vsub(other, vertex))[0])
+            elif len(f.vertices) == 1 and len(f.rays) == 1:
+                dirs.append(f.rays[0])
+    return sorted(dirs)
+
+
+def check_interior_disjoint(pieces, d):
+    """Exact intersection of every piece pair whose bounding boxes touch."""
+    for i, j in itertools.combinations(range(len(pieces)), 2):
+        if not _boxes_touch(pieces[i], pieces[j]):
+            continue
+        try:
+            meet = pieces[i].intersect_polyhedron(pieces[j])
+        except EmptyPolyhedronError:
+            continue
+        if meet.dim == d:
+            raise PartitionError(
+                "interior overlap between pieces",
+                witness=(i, j, meet.relative_interior_point()),
+            )
+
+
+def _boxes_touch(p, q):
+    for i in range(p.ambient_rank):
+        if p.rays or q.rays:
+            return True
+        pc = [Fraction(v[i]) for v in p.vertices]
+        qc = [Fraction(v[i]) for v in q.vertices]
+        if max(pc) < min(qc) or max(qc) < min(pc):
+            return False
+    return True
+
+
+def partition_by_hyperplanes(ambient, cuts):
+    """Hyperplane chambers, intersecting every region with both sides of every cut."""
+    regions = [ambient]
+    for normal, value in cuts:
+        normal = tuple(int(x) for x in normal)
+        value = Fraction(value)
+        new_regions = []
+        for region in regions:
+            for hs in ((normal, -value), (tuple(-x for x in normal), value)):
+                try:
+                    piece = region.intersect([hs])
+                except EmptyPolyhedronError:
+                    continue
+                if piece.dim == ambient.dim:
+                    new_regions.append(piece)
+        regions = new_regions
+    first_normal = tuple(int(x) for x in cuts[0][0]) if cuts else None
+
+    def sort_key(piece):
+        p = piece.relative_interior_point()
+        primary = vdot(p, first_normal) if first_normal else 0
+        return (primary, p)
+
+    regions.sort(key=sort_key)
+    return build_partition(ambient, regions)

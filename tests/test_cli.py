@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricdegen import cli
 from toricdegen.report import parse_report
@@ -144,6 +149,37 @@ class TestVerify:
                 "message": f"expected a list (at {where})",
                 "witness": None,
             }
+        ]
+
+    @pytest.mark.parametrize(
+        "polytope, partition, message, where",
+        [
+            (
+                {"halfspaces": [{"normal": -2, "offset": 0}]},
+                {"hyperplanes": []},
+                "expected a list of integers",
+                "$.polytope.halfspaces[0].normal",
+            ),
+            (
+                {"halfspaces": [{"normal": 1.5, "offset": 3}]},
+                {"hyperplanes": []},
+                "expected a list of integers",
+                "$.polytope.halfspaces[0].normal",
+            ),
+            (
+                {"halfspaces": [], "rank": 1},
+                {"fan_rays": []},
+                "expected a nonempty list",
+                "$.partition.fan_rays",
+            ),
+        ],
+    )
+    def test_fuzz_findings_exit_two(self, tmp_path, capsys, polytope, partition, message, where):
+        path = write_spec(tmp_path, {"polytope": polytope, "partition": partition})
+        code, out, records = run(capsys, ["verify", path])
+        assert code == 2
+        assert records == [
+            {"record": "error", "code": "input", "message": f"{message} (at {where})", "witness": None}
         ]
 
     def test_empty_polyhedron_is_a_mathematical_rejection(self, tmp_path, capsys):
@@ -339,3 +375,104 @@ class TestDeterminismAndRoundTrip:
         big = 2**80 + 1
         assert decode_value(encode_value(big)) == big
         assert isinstance(encode_value(big), str)
+
+
+# -- front-door fuzzing ------------------------------------------------------------
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(-2, 2, width=16),
+    st.text(max_size=2),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["normal", "offset", "x"]), st.integers(-2, 2), max_size=2),
+)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+@st.composite
+def fuzz_jobs(draw):
+    """Small well-formed jobs of rank 1-3, then up to three corruptions:
+    a value replaced by one of the wrong type or length, a key or list
+    entry dropped, or a second partition form added."""
+    rank = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-2, 3), min_size=rank, max_size=rank)
+    constraint = st.fixed_dictionaries({"normal": vec, "offset": st.integers(-2, 3)})
+    staircase = [[int(i == j) - int(i == j + 1) for i in range(rank)] for j in range(-1, rank)]
+    polytope = draw(
+        st.one_of(
+            st.fixed_dictionaries({"vertices": st.lists(vec, min_size=1, max_size=rank + 2)}),
+            st.fixed_dictionaries(
+                {"halfspaces": st.lists(constraint, max_size=rank + 2)},
+                optional={"rank": st.just(rank)},
+            ),
+        )
+    )
+    forms = {
+        "pieces": st.lists(st.lists(vec, min_size=1, max_size=rank + 2), min_size=1, max_size=3),
+        "fan_rays": st.one_of(st.just(staircase), st.lists(vec, max_size=rank + 2)),
+        "hyperplanes": st.lists(constraint, max_size=3),
+    }
+    form = draw(st.sampled_from(sorted(forms)))
+    options = draw(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "anchor_piece": st.integers(-1, 3),
+                "coefficient_seed": st.integers(0, 3),
+                "compact_cap": st.one_of(st.booleans(), constraint),
+                "multi_base": st.booleans(),
+            },
+        )
+    )
+    job = {"polytope": polytope, "partition": {form: draw(forms[form])}, "options": options}
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(job))))
+        if not path:
+            job = draw(JUNK)
+            break
+        *head, key = path
+        parent = job
+        for step in head:
+            parent = parent[step]
+        how = draw(st.sampled_from(["junk", "drop", "second-form"]))
+        if how == "junk":
+            parent[key] = draw(JUNK)
+        elif how == "drop":
+            del parent[key]
+        elif isinstance(job.get("partition"), dict):
+            other = draw(st.sampled_from(sorted(forms)))
+            job["partition"][other] = draw(forms[other])
+    argv = [draw(st.sampled_from(["verify", "lift", "degenerate"]))]
+    argv += draw(st.sampled_from([[], ["--multi-base"], ["--compact-cap"], ["--seed", "3", "--anchor", "1"]]))
+    return argv, json.dumps(job)
+
+
+class TestFrontDoorFuzz:
+    @given(fuzz_jobs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_job_exits_cleanly_with_json_records(self, job):
+        argv, text = job
+        out = io.StringIO()
+        stdin = sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv + ["-"])
+        finally:
+            sys.stdin = stdin
+        assert code in (0, 1, 2)
+        lines = out.getvalue().splitlines()
+        assert lines
+        for line in lines:
+            assert "record" in json.loads(line)

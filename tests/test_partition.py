@@ -1,16 +1,23 @@
 import itertools
+from unittest import mock
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from toricdegen import (
     DualComplex,
     EmptyPolyhedronError,
+    GeometryError,
     LatticePolytope,
     PartitionError,
+    UnsupportedGeometryError,
     build_partition,
     partition_by_hyperplanes,
 )
-from toricdegen.partition import partitions_equivalent
+from toricdegen import partition as partition_module
+from toricdegen.exactmath import vdot
+from toricdegen.partition import _check_interior_disjoint, partitions_equivalent
 
 from corpus import (
     accepted_partitions,
@@ -26,6 +33,8 @@ from corpus import (
     torus_fan_partition,
     triptych,
 )
+
+import oracles
 
 
 class TestBuildPartition:
@@ -162,6 +171,14 @@ class TestWeights:
 
 
 class TestClassification:
+    def test_staircase_five(self):
+        # rank 5: the tiling certificate keeps this to well under a second
+        part = staircase_partition(5)
+        assert len(part.pieces) == 6
+        flags = part.classify()
+        assert flags["semistable"] and flags["balanced"]
+        assert flags["nonsingular"] and flags["mildly_singular"]
+
     def test_staircase_nonsingular(self):
         for n in (2, 3, 4):
             flags = staircase_partition(n).classify()
@@ -451,3 +468,162 @@ class TestStaircaseRayRelation:
             if all(x < 0 for x in rel):
                 rel = tuple(-x for x in rel)
             assert rel == tuple(1 for _ in range(n + 1))
+
+
+# -- fast tiling checks against their always-intersect oracles -------------------
+
+
+def _outcome(build, *args):
+    """The pieces a build returns, or the error it raises with its witness."""
+    try:
+        part = build(*args)
+    except GeometryError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "witness", None))
+    return [(p.vertices, p.rays, p.halfspaces, p.equations) for p in part.pieces]
+
+
+def _oracle_outcome(build, *args):
+    with mock.patch.object(
+        partition_module, "_check_interior_disjoint", oracles.check_interior_disjoint
+    ):
+        return _outcome(build, *args)
+
+
+def _assert_same(got, expected):
+    assert got == expected and repr(got) == repr(expected)
+
+
+@st.composite
+def cut_problems(draw):
+    """An ambient of rank 1-3 and 1-4 cuts.
+
+    Ambients: hulls of lattice points (of any dimension), polygons on a plane
+    in rank 3, halfspace systems (possibly unbounded) and the whole space.
+    Cuts: random, through a vertex, supporting a face, missing the ambient,
+    containing a lower-dimensional ambient, and repeats.
+    """
+    rank = draw(st.integers(1, 3))
+    coord = st.integers(-2, 3)
+    kind = draw(st.sampled_from(["hull", "hull", "plane", "halfspaces", "whole"]))
+    if kind == "plane" and rank == 3:
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=5))
+        ambient = LatticePolytope.from_vertices([(x, y, 1 - x + 2 * y) for x, y in pts])
+    elif kind == "halfspaces":
+        normal = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
+        hs = draw(st.lists(st.tuples(normal, st.integers(-1, 4)), min_size=1, max_size=rank + 2))
+        try:
+            ambient = LatticePolytope.from_halfspaces(hs, rank)
+        except (EmptyPolyhedronError, UnsupportedGeometryError):
+            assume(False)
+    elif kind == "whole":
+        ambient = LatticePolytope.from_halfspaces([], rank)
+    else:
+        pts = draw(st.lists(st.tuples(*[coord] * rank), min_size=1, max_size=rank + 3))
+        ambient = LatticePolytope.from_vertices(pts)
+    normal = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
+    cuts = []
+    for _ in range(draw(st.integers(1, 4))):
+        how = draw(st.sampled_from(["random", "vertex", "support", "miss", "contain", "repeat"]))
+        n = draw(normal)
+        levels = [vdot(v, n) for v in ambient.vertices]
+        if how == "vertex" and levels:
+            cuts.append((n, draw(st.sampled_from(levels))))
+        elif how == "support" and levels:
+            cuts.append((n, draw(st.sampled_from([min(levels), max(levels)]))))
+        elif how == "miss" and levels:
+            cuts.append((n, min(levels) - 1))
+        elif how == "contain" and ambient.equations:
+            e = draw(st.sampled_from(ambient.equations))
+            cuts.append((e.normal, -e.offset))
+        elif how == "repeat" and cuts:
+            cuts.append(draw(st.sampled_from(cuts)))
+        else:
+            cuts.append((n, draw(st.integers(-3, 4))))
+    return ambient, cuts
+
+
+@st.composite
+def piece_sets(draw):
+    """2-4 pieces of dimension d in rank d (or d = 2 on a plane in rank 3):
+    simplices, boxes and unbounded pieces that may overlap, touch or miss."""
+    rank = draw(st.integers(1, 3))
+    flat = rank == 3 and draw(st.booleans())
+    d = 2 if flat else rank
+    pieces = []
+    for _ in range(draw(st.integers(2, 4))):
+        shift = draw(st.tuples(*[st.integers(-3, 3)] * d))
+        local = st.tuples(*[st.integers(0, 2)] * d)
+        pts = [
+            tuple(a + b for a, b in zip(shift, p))
+            for p in draw(st.lists(local, min_size=d + 1, max_size=d + 2))
+        ]
+        rays = []
+        if draw(st.integers(0, 3)) == 0:
+            rays.append(draw(st.tuples(*[st.integers(-1, 1)] * d).filter(any)))
+        if flat:
+            pts = [(x, y, 1 - x + 2 * y) for x, y in pts]
+            rays = [(x, y, 2 * y - x) for x, y in rays]
+        piece = LatticePolytope.from_generators(pts, rays)
+        assume(piece.dim == d)
+        pieces.append(piece)
+    return pieces, d
+
+
+class TestTilingCertificateAgainstOracles:
+    @given(cut_problems())
+    @settings(max_examples=120, deadline=None)
+    @example((LatticePolytope.from_vertices([(0, 0), (3, 0), (0, 3)]), [((1, 0), 1), ((1, 0), 1)]))
+    @example((LatticePolytope.from_vertices([(0, 0), (3, 0), (0, 3)]), [((1, 1), 3), ((1, 0), -1)]))
+    @example((LatticePolytope.from_vertices([(0, 0, 0), (2, 2, 2)]), [((1, -1, 0), 0), ((1, 1, 1), 3)]))
+    @example((LatticePolytope.from_halfspaces([], 2), [((1, 0), 0), ((0, 1), 1)]))
+    @example((
+        LatticePolytope.from_halfspaces([((1, 0), 0), ((0, 1), 0)], 2),
+        [((1, -1), 0), ((1, 0), -1), ((0, 1), 2)],
+    ))
+    def test_hyperplane_partition_matches_oracle(self, problem):
+        ambient, cuts = problem
+        _assert_same(
+            _outcome(partition_by_hyperplanes, ambient, cuts),
+            _oracle_outcome(oracles.partition_by_hyperplanes, ambient, cuts),
+        )
+
+    @given(piece_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_disjointness_matches_oracle(self, problem):
+        pieces, d = problem
+        try:
+            oracles.check_interior_disjoint(pieces, d)
+        except PartitionError as exc:
+            with pytest.raises(PartitionError) as err:
+                _check_interior_disjoint(pieces, d)
+            assert (str(err.value), err.value.witness) == (str(exc), exc.witness)
+            return
+        _check_interior_disjoint(pieces, d)
+
+    @pytest.mark.parametrize(
+        "name,edit",
+        [
+            ("gap", lambda ps: ps[1:]),
+            ("duplicate", lambda ps: ps + ps[:1]),
+            ("merged", lambda ps: [LatticePolytope.from_vertices(ps[0].vertices + ps[1].vertices)] + ps[1:]),
+            ("reversed", lambda ps: ps[::-1]),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: partition_by_hyperplanes(
+                LatticePolytope.from_vertices([(0, 0), (4, 0), (0, 4)]), [((1, 0), 1), ((0, 1), 2)]
+            ),
+            lambda: chain_partition(3, 2),
+            lambda: segment_partition(0, 4, (1, 3)),
+            lambda: octagon_partition(),
+        ],
+    )
+    def test_overlaps_and_gaps_match_oracle(self, name, edit, make):
+        part = make()
+        pieces = edit(list(part.pieces))
+        got = _outcome(build_partition, part.ambient, pieces)
+        _assert_same(got, _oracle_outcome(build_partition, part.ambient, pieces))
+        if name in ("gap", "duplicate", "merged"):
+            assert got[0] == "PartitionError"

@@ -253,6 +253,27 @@ class TestSimplicialNonsingular:
         assert not pyr.is_simplicial()
 
 
+class TestEdgesAgainstOracle:
+    @given(h_systems())
+    @settings(max_examples=80, deadline=None)
+    @example(([_normalize_halfspace((1, 0), 0), _normalize_halfspace((0, 1), 0)], [], 2))
+    @example(([_normalize_halfspace((1, 0), 0)], [], 1))
+    def test_cached_edges_match_face_scan(self, system):
+        halfspaces, equations, rank = system
+        try:
+            poly = LatticePolytope.from_halfspaces(halfspaces, rank, equations)
+        except (EmptyPolyhedronError, UnsupportedGeometryError):
+            return
+        probes = list(poly.vertices) + [poly.relative_interior_point(), (7,) * rank]
+        for point in probes:
+            got = poly.edges_at(point)
+            assert got == oracles.edges_at(poly, point) and repr(got) == repr(
+                oracles.edges_at(poly, point)
+            )
+            got.append(None)  # the caller owns the list it gets
+            assert None not in poly.edges_at(point)
+
+
 class TestSupportFunctions:
     def test_zero_is_affine(self):
         fan = staircase_fan(2)
