@@ -32,7 +32,7 @@ def _fail_input(message, where):
 
 
 def _int_vector(value, where, rank=None):
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
         _fail_input("expected a list of integers", where)
     if rank is not None and len(value) != rank:
         _fail_input(f"expected a vector of length {rank}", where)
@@ -104,14 +104,14 @@ def build_polytope(poly_spec):
         if rank is None and first and isinstance(first, (int, float)):
             _fail_input("expected a list of integers", "$.polytope.halfspaces[0].normal")
         rank = rank if rank is not None else (len(first) if first else None)
-    if not isinstance(rank, int) or rank < 1:
+    if type(rank) is not int or rank < 1:
         _fail_input("rank required for halfspace input", "$.polytope.rank")
     parsed = []
     for i, h in enumerate(halfspaces):
         if not isinstance(h, dict) or "normal" not in h or "offset" not in h:
             _fail_input("halfspace needs normal and offset", f"$.polytope.halfspaces[{i}]")
         normal = _int_vector(h["normal"], f"$.polytope.halfspaces[{i}].normal", rank)
-        if not isinstance(h["offset"], int):
+        if type(h["offset"]) is not int:
             _fail_input("offset must be an integer", f"$.polytope.halfspaces[{i}].offset")
         parsed.append((normal, h["offset"]))
     return LatticePolytope.from_halfspaces(parsed, rank)
@@ -152,7 +152,7 @@ def _hyperplane_cuts(part_spec, rank):
         if not isinstance(h, dict) or "normal" not in h or "offset" not in h:
             _fail_input("hyperplane needs normal and offset", f"$.partition.hyperplanes[{i}]")
         normal = _nonzero_vector(h["normal"], f"$.partition.hyperplanes[{i}].normal", rank)
-        if not isinstance(h["offset"], int):
+        if type(h["offset"]) is not int:
             _fail_input("offset must be an integer", f"$.partition.hyperplanes[{i}].offset")
         cuts.append((normal, h["offset"]))
     return cuts
@@ -200,7 +200,7 @@ def run_job(command, text, args):
             _int_vector(cap_spec.get("normal"), "$.options.compact_cap.normal", ambient.ambient_rank),
             cap_spec.get("offset"),
         )
-        if not isinstance(cap[1], int):
+        if type(cap[1]) is not int:
             _fail_input("cap offset must be an integer", "$.options.compact_cap.offset")
     lifted = lift_polytope(partition, lifting, compact_cap=cap)
     records.append(rpt.lifted_polytope_record(lifted))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GeometryError, LiftingError
-from .exactmath import determinant, solve_linear
+from .exactmath import determinant, solve_linear, vdot
 from .lifting import LiftedPolytope
 from .partition import DualComplex
 from .polytope import lattice_equivalent, normal_fan
@@ -252,12 +252,6 @@ class FamilyEquations:
     supports: tuple
     anchor: int
 
-    def monomials(self):
-        return tuple(
-            (self.coefficients[j], self.exponents[j], self.points[j])
-            for j in range(len(self.points))
-        )
-
 
 def family_equations(lifted: LiftedPolytope, coefficients=None, anchor=None, seed=None):
     """Exponents of the degeneration parameter across all lattice points.
@@ -266,9 +260,9 @@ def family_equations(lifted: LiftedPolytope, coefficients=None, anchor=None, see
     (default: the integration root), so exponents are nonnegative and vanish
     exactly on the anchor's lattice points.  Supports and exponents are read
     off each piece's cached lattice points, matched to the base points by
-    index; a point on a wall takes its exponent from the first piece holding
-    it.  Coefficients default to formal symbols ``a1..aN``; a seed draws
-    deterministic rational values instead.
+    index; a point on a wall takes its exponent, ``(<a, p> + b) / d`` by
+    integer division, from the first piece holding it.  Coefficients default
+    to formal symbols ``a1..aN``; a seed draws deterministic rational values.
     """
     base = lifted.base.ambient
     if not base.is_compact:
@@ -288,12 +282,13 @@ def family_equations(lifted: LiftedPolytope, coefficients=None, anchor=None, see
     # as in PiecewiseAffine.value: the first piece holding a point gives its value
     exponents = [None] * len(points)
     for support, f in zip(supports, shifted.per_piece):
+        a, b, d = f.a, f.b, f.d
         for j in support:
             if exponents[j] is None:
-                value = f(points[j])
-                if value.denominator != 1:
+                value, rest = divmod(vdot(a, points[j]) + b, d)
+                if rest:
                     raise LiftingError("anchor renormalization is not integral", witness=anchor)
-                exponents[j] = int(value)
+                exponents[j] = value
     if None in exponents:
         raise GeometryError("point outside the partitioned polytope")
     exponents = tuple(exponents)

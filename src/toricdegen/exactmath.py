@@ -3,10 +3,12 @@
 Everything operates on plain tuples of ``int`` / ``Fraction``; no floating
 point is used anywhere.  Rationals are ``fractions.Fraction`` (always reduced,
 positive denominator), lattice vectors are tuples of arbitrary-precision
-integers.  Linear systems, ranks and determinants are eliminated over the
-integers by fraction-free (Bareiss) elimination: ``echelon`` clears each
-row's denominators and works on integers throughout, and its callers form a
-``Fraction`` only for the final answer.
+integers.  Linear systems, ranks, determinants and one-dimensional kernels
+are eliminated over the integers by fraction-free (Bareiss) elimination:
+``echelon`` clears each row's denominators and works on integers throughout,
+and its callers form a ``Fraction`` only for the final answer.  Affine
+functions are likewise integer triples ``(a, b, d)`` over one positive
+denominator, in lowest terms.
 """
 
 from __future__ import annotations
@@ -24,14 +26,6 @@ def vadd(a, b):
 
 def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vneg(a):
-    return tuple(-x for x in a)
-
-
-def vscale(c, a):
-    return tuple(c * x for x in a)
 
 
 def vdot(a, b):
@@ -272,6 +266,20 @@ def echelon(m, ncols):
     return len(pivots), pivots, det
 
 
+def kernel_vector(rows, ncols):
+    """Primitive generator of ``{c : A c = 0}`` for rows of width ``ncols``,
+    or None unless that kernel is a line.  Read off ``echelon``: at rank
+    ``ncols - 1`` the free column gets ``det`` and each pivot column minus
+    its row's entry in the free column."""
+    m = list(rows)
+    rank, pivots, det = echelon(m, ncols)
+    if rank != ncols - 1:
+        return None
+    free = next(j for j in range(ncols) if j not in pivots)
+    x = {col: -row[free] for row, col in zip(m, pivots)}
+    return primitive(tuple(x.get(j, det) for j in range(ncols)))
+
+
 def rank_fraction(rows) -> int:
     m = list(rows)
     return echelon(m, len(m[0]) if m else 0)[0]
@@ -324,45 +332,70 @@ def normalize_point(p):
 
 @dataclass(frozen=True)
 class AffineFunction:
-    """A rational affine function ``x -> <linear, x> + constant``."""
+    """A rational affine function ``x -> (<a, x> + b) / d`` with integer
+    ``a``, ``b``, ``d``, ``d > 0`` and ``gcd(a..., b, d) = 1``.
 
-    linear: tuple
-    constant: Fraction
+    The form is canonical, so field equality and hashing are equality of
+    functions.  Build one with ``make`` or ``zero``; every operation works on
+    integers and reduces its result once.
+    """
+
+    a: tuple
+    b: int
+    d: int
+
+    @staticmethod
+    def _reduced(a, b, d):
+        g = gcd(*a, b, d)
+        return AffineFunction(tuple(x // g for x in a), b // g, d // g)
 
     @staticmethod
     def make(linear, constant=0):
-        return AffineFunction(tuple(Fraction(c) for c in linear), Fraction(constant))
+        """The function ``x -> <linear, x> + constant`` for rational data."""
+        fracs = [Fraction(c) for c in (*linear, constant)]
+        d = lcm_all(c.denominator for c in fracs)
+        *a, b = (c.numerator * (d // c.denominator) for c in fracs)
+        return AffineFunction._reduced(a, b, d)
 
     @staticmethod
     def zero(rank):
-        return AffineFunction(tuple(Fraction(0) for _ in range(rank)), Fraction(0))
+        return AffineFunction((0,) * rank, 0, 1)
+
+    @property
+    def linear(self):
+        return tuple(Fraction(x, self.d) for x in self.a)
+
+    @property
+    def constant(self):
+        return Fraction(self.b, self.d)
 
     def __call__(self, point):
-        return vdot(self.linear, point) + self.constant
+        return Fraction(vdot(self.a, point) + self.b, self.d)
 
     def directional(self, vector):
-        return vdot(self.linear, vector)
+        return Fraction(vdot(self.a, vector), self.d)
 
     def __add__(self, other):
-        return AffineFunction(vadd(self.linear, other.linear), self.constant + other.constant)
+        s, t = other.d, self.d
+        a = tuple(s * x + t * y for x, y in zip(self.a, other.a))
+        return AffineFunction._reduced(a, s * self.b + t * other.b, s * t)
 
     def __sub__(self, other):
-        return AffineFunction(vsub(self.linear, other.linear), self.constant - other.constant)
+        return self + -other
 
     def __neg__(self):
-        return AffineFunction(vneg(self.linear), -self.constant)
+        return AffineFunction(tuple(-x for x in self.a), -self.b, self.d)
 
     def scale(self, c):
         c = Fraction(c)
-        return AffineFunction(vscale(c, self.linear), c * self.constant)
+        p, q = c.numerator, c.denominator
+        return AffineFunction._reduced(tuple(p * x for x in self.a), p * self.b, q * self.d)
 
     @property
     def is_zero(self):
-        return self.constant == 0 and all(c == 0 for c in self.linear)
+        return self.b == 0 and not any(self.a)
 
     @property
     def is_integral(self):
         """Integral as a function on the full lattice Z^n."""
-        return self.constant.denominator == 1 and all(
-            Fraction(c).denominator == 1 for c in self.linear
-        )
+        return self.d == 1

@@ -3,7 +3,8 @@
 The pipeline: wall cochain from the interior codimension-one faces, cocycle
 check over triples, integration over a spanning tree of the dual complex,
 concavity profile, minimal integral rescaling, then the lifted polytope
-``{(x, y) : x in base, y >= F(x)}`` with the extra coordinate *last*.
+``{(x, y) : x in base, y >= F(x)}`` with the extra coordinate *last*.  The
+rescaling is an integer gcd with a floor (``PiecewiseAffine.value_generator``).
 
 Sign convention (followed verbatim from the toric-degeneration literature):
 the concavity ``C(F, p)`` sums the increments of ``F`` along the partition
@@ -14,18 +15,19 @@ functions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import GeometryError, LiftingError
 from .exactmath import (
     AffineFunction,
     determinant,
     gcd_all,
-    lcm_all,
+    kernel_vector,
     primitive,
     rational_primitive,
-    right_kernel,
     vdot,
     vsub,
 )
@@ -99,15 +101,10 @@ def _wall_function_at(partition, wall, p, i, j, ambient_vertex=False):
     base = wall.vertices[0]
     dirs = [vsub(v, base) for v in wall.vertices[1:]] + list(wall.rays)
     int_dirs = [rational_primitive(d)[0] for d in dirs if any(x != 0 for x in d)]
-    rank = partition.ambient.ambient_rank
-    if int_dirs:
-        kernel = right_kernel(int_dirs)
-    else:
-        kernel = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    if len(kernel) != 1:
+    u = kernel_vector(int_dirs, partition.ambient.ambient_rank)
+    if u is None:
         raise LiftingError("wall is not a hyperplane piece", witness=wall.key)
-    u = primitive(kernel[0])
-    c = vdot(base, u)
+    c = Fraction(vdot(base, u))
     # the unique partition edge at p missed by piece i; it points into piece j
     if ambient_vertex:
         edges = [e for e in partition.faces(1) if p in e.vertices]
@@ -120,8 +117,11 @@ def _wall_function_at(partition, wall, p, i, j, ambient_vertex=False):
     if len(missed) != 1:
         raise LiftingError("wall normalization edge is not unique", witness=p)
     direction = partition.edge_direction(missed[0], p)
-    scale = Fraction(1, weight_of(direction) * vdot(direction, u))
-    return AffineFunction.make(tuple(scale * x for x in u), -scale * c)
+    # (<u, x> - c) / (weight * <direction, u>) over the common denominator;
+    # u is primitive and c in lowest terms, so only the sign needs fixing
+    d = weight_of(direction) * vdot(direction, u) * c.denominator
+    s = 1 if d > 0 else -1
+    return AffineFunction(tuple(s * c.denominator * x for x in u), -s * c.numerator, s * d)
 
 
 def check_cocycle(alpha: WallCochain, dual: DualComplex):
@@ -180,40 +180,44 @@ class PiecewiseAffine:
         first = self.per_piece[0]
         return all(f == first for f in self.per_piece)
 
-    def value_samples(self):
-        """Exact generating set for the values on the lattice points.
+    def value_generator(self) -> Fraction:
+        """The rational ``g >= 0`` with ``g * Z`` the group generated by the
+        values on the lattice points of the base.
 
-        Compact pieces contribute their values on their lattice points,
-        which each piece enumerates once and caches; unbounded pieces
-        contribute the values on a one-step truncation, rebuilt on every
-        call, together with the slopes along their recession rays.
-        """
-        samples = []
+        A piece with ``f = (<a, x> + b) / d`` gives ``G / d``, ``G`` the gcd of
+        ``<a, p> + b`` over its lattice points (unbounded: over a one-step
+        truncation, and of the slopes ``<a, r>`` along its rays).  Every term
+        is an integer combination of ``a_1 .. a_n`` and ``<a, p0> + b`` for the
+        first point ``p0``, so ``G`` is a multiple of their gcd: the running gcd
+        stops once it equals that floor, usually after a few points.  ``g`` is
+        the rational gcd over the pieces."""
+        g = Fraction(0)
         for piece, f in zip(self.partition.pieces, self.per_piece):
+            a, b, rays = f.a, f.b, ()
             if piece.is_compact:
                 pts = piece.lattice_points()
             else:
-                box = piece.bounding_box_polytope(1)
-                pts = piece.intersect_polyhedron(box).lattice_points()
-                samples.extend(f.directional(r) for r in piece.rays)
-            samples.extend(f(p) for p in pts)
-        return [Fraction(s) for s in samples]
+                pts = piece.intersect_polyhedron(piece.bounding_box_polytope(1)).lattice_points()
+                rays = piece.rays
+            total, floor = 0, None
+            for t in itertools.chain((vdot(a, p) + b for p in pts), (vdot(a, r) for r in rays)):
+                if floor is None:
+                    floor = gcd(*a, t)
+                total = gcd(total, t)
+                if total == floor:
+                    break
+            if total:
+                g = Fraction(gcd(g.numerator * f.d, total * g.denominator), g.denominator * f.d)
+        return g
 
-    def minimal_integral_scale(self, samples=None) -> Fraction:
-        """Least positive rational ``r`` with ``r * F`` integer-valued on the
-        lattice points of the base; ``samples`` may pass precomputed
-        ``value_samples()``."""
-        if samples is None:
-            samples = self.value_samples()
-        samples = [s for s in samples if s != 0]
-        if not samples:
-            return Fraction(1)
-        denom = lcm_all(s.denominator for s in samples)
-        nums = gcd_all(int(s * denom) for s in samples)
-        return Fraction(denom, nums)
+    def minimal_integral_scale(self) -> Fraction:
+        """Least positive ``r`` with ``r * F`` integer-valued on the lattice
+        points of the base: ``1 / value_generator()``, or 1 if that is 0."""
+        g = self.value_generator()
+        return 1 / g if g else Fraction(1)
 
     def is_integral(self) -> bool:
-        return all(s.denominator == 1 for s in self.value_samples())
+        return self.value_generator().denominator == 1
 
 
 def integrate_cocycle(alpha: WallCochain, dual: DualComplex, partition: Partition, root=None):
@@ -300,20 +304,18 @@ def minimal_integral_lifting(func: PiecewiseAffine) -> IntegralLifting:
     if any(c <= 0 for c in profile.values()):
         bad = min(p for p, c in profile.items() if c <= 0)
         raise LiftingError("not a lifting function: nonpositive concavity", witness=bad)
-    # F scales linearly, so the samples of c * F are c times those of F
-    samples = func.value_samples()
-    scale = func.minimal_integral_scale(samples)
-    scaled = func.scale(scale)
+    # F scales linearly, so the values of c * F generate c * g * Z
+    g = func.value_generator()
+    scale = 1 / g if g else Fraction(1)
     profile = {p: c * scale for p, c in profile.items()}
-    flags = func.partition.classify()
     values = set(profile.values())
-    if flags["balanced"] and len(values) == 1 and values != {Fraction(1)}:
-        c = values.pop()
-        candidate_scale = scale / c
-        if all((s * candidate_scale).denominator == 1 for s in samples):
-            scaled, scale = func.scale(candidate_scale), candidate_scale
+    if func.partition.classify()["balanced"] and len(values) == 1 and values != {Fraction(1)}:
+        candidate_scale = scale / values.pop()
+        if (g * candidate_scale).denominator == 1:
+            scale = candidate_scale
             profile = {p: Fraction(1) for p in profile}
-    return IntegralLifting(scaled, scale, profile, set(profile.values()) == {Fraction(1)})
+    unit = set(profile.values()) == {Fraction(1)}
+    return IntegralLifting(func.scale(scale), scale, profile, unit)
 
 
 def lifting_function(partition: Partition, root=None) -> IntegralLifting:
@@ -366,9 +368,6 @@ class LiftedPolytope:
             if Fraction(v[-1]) == vdot(a, v[:-1]) + b
         }
 
-    def lifted_vertex(self, point):
-        return tuple(point) + (self.lifting.function.value(point),)
-
     def lifted_edge_vectors(self, point):
         """Primitive lifted directions of the partition edges at a vertex
         that lie in its smallest containing ambient face."""
@@ -407,11 +406,10 @@ def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=No
     halfspaces = [(h.normal + (0,), h.offset) for h in base.halfspaces]
     piece_keys = {}
     for idx, f in enumerate(func.per_piece):
-        denom = lcm_all([Fraction(c).denominator for c in f.linear] + [f.constant.denominator])
-        normal = tuple(int(-c * denom) for c in f.linear) + (denom,)
-        offset = -f.constant * denom
+        # y >= (<a, x> + b) / d  is  <(-a, d), (x, y)> >= b
+        normal, offset = tuple(-x for x in f.a) + (f.d,), -f.b
         g = gcd_all(normal)
-        key = (tuple(x // g for x in normal), Fraction(offset) / g)
+        key = (tuple(x // g for x in normal), Fraction(offset, g))
         if key in piece_keys:
             raise LiftingError("pieces share an affine function", witness=(piece_keys[key], idx))
         piece_keys[key] = idx

@@ -152,9 +152,6 @@ class Partition:
         self._weights = None
         self._dual = None
 
-    def __repr__(self):
-        return f"Partition({len(self.pieces)} pieces of {self.ambient!r})"
-
     @property
     def dim(self):
         return self.ambient.dim
@@ -164,9 +161,6 @@ class Partition:
         if dim is None:
             return faces
         return [f for f in faces if f.dim == dim]
-
-    def vertices(self):
-        return [f.vertices[0] for f in self.faces(0)]
 
     def face_at(self, point):
         for f in self.faces(0):

@@ -30,6 +30,7 @@ from .exactmath import (
     determinant_fraction,
     echelon,
     gcd_all,
+    kernel_vector,
     left_kernel,
     normalize_coord,
     normalize_point,
@@ -179,17 +180,14 @@ def _full_dim_facets(points, rays, rank):
     ]
     found = {}
     for rows in _subsets(homog, rank):
-        kernel = right_kernel(list(rows))
-        if len(kernel) != 1:
+        w = kernel_vector(rows, rank + 1)
+        if w is None:
             continue
-        w = primitive(kernel[0])
         dots = [vdot(g, w) for g in homog]
-        if all(x >= 0 for x in dots):
-            pass
-        elif all(x <= 0 for x in dots):
+        if any(x < 0 for x in dots):
+            if any(x > 0 for x in dots):
+                continue
             w = tuple(-x for x in w)
-        else:
-            continue
         normal, off = w[:-1], w[-1]
         if all(x == 0 for x in normal):
             continue  # the hyperplane at infinity
@@ -243,17 +241,12 @@ def _enumerate_generators(halfspaces, equations, rank):
     rays = set()
     if k >= 1:
         for subset in _subsets(halfspaces, k - 1):
-            rows = eq_rows + [h.normal for h in subset]
-            if not rows:
-                rows = [tuple(0 for _ in range(rank))]
-            kernel = right_kernel(list(rows))
-            if len(kernel) != 1:
+            # the equations are among the rows, so the kernel meets them
+            c = kernel_vector(eq_rows + [h.normal for h in subset], rank)
+            if c is None:
                 continue
-            c = primitive(kernel[0])
             for cand in (c, tuple(-x for x in c)):
-                if all(vdot(cand, h.normal) >= 0 for h in halfspaces) and all(
-                    vdot(cand, e.normal) == 0 for e in equations
-                ):
+                if all(vdot(cand, h.normal) >= 0 for h in halfspaces):
                     rays.add(cand)
     return sorted(vertices), sorted(rays)
 
@@ -708,10 +701,6 @@ class Fan:
             out.append(frozenset(i for i in cone if self.rays[i] in set(f.rays)))
         return out
 
-    def cone_contains(self, cone, vector) -> bool:
-        poly = self.cone_polyhedron(cone)
-        return poly.contains(vector)
-
     def is_complete(self) -> bool:
         """Support equals the whole space (every wall borders two chambers)."""
         maxes = [c for c in self.maximal_cones if self.cone_dim(c) == self.rank]
@@ -800,15 +789,6 @@ class SupportFunction:
             if sol is None:
                 raise GeometryError("values do not extend linearly over a cone")
             self._linears[cone] = sol
-
-    def cone_linear(self, cone):
-        return self._linears[frozenset(cone)]
-
-    def value(self, vector):
-        for cone in self.fan.maximal_cones:
-            if self.fan.cone_contains(cone, vector):
-                return vdot(self._linears[cone], vector)
-        raise GeometryError("vector outside the support of the fan")
 
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for v in self.values)

@@ -2,13 +2,16 @@
 
 These are the rational Gaussian eliminations and the vertex enumeration that
 the integer (fraction-free) code replaced, the tiling checks that intersect
-every piece pair and cut every region by every hyperplane, and the per-call
-edge scan.  Tests compare the fast paths against them; nothing in the package
-imports this module.
+every piece pair and cut every region by every hyperplane, the per-call
+edge scan, and the ``Fraction``-field affine functions with the per-point
+lifting scale.  Tests compare the fast paths against them; nothing in the
+package imports this module.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from toricdegen.errors import EmptyPolyhedronError, PartitionError, UnsupportedGeometryError
 from toricdegen.exactmath import (
@@ -16,6 +19,7 @@ from toricdegen.exactmath import (
     primitive,
     rational_primitive,
     right_kernel,
+    vadd,
     vdot,
     vsub,
 )
@@ -219,3 +223,111 @@ def partition_by_hyperplanes(ambient, cuts):
 
     regions.sort(key=sort_key)
     return build_partition(ambient, regions)
+
+
+@dataclass(frozen=True)
+class AffineFunction:
+    """A rational affine function ``x -> <linear, x> + constant`` on
+    ``Fraction`` fields."""
+
+    linear: tuple
+    constant: Fraction
+
+    @staticmethod
+    def make(linear, constant=0):
+        return AffineFunction(tuple(Fraction(c) for c in linear), Fraction(constant))
+
+    @staticmethod
+    def zero(rank):
+        return AffineFunction(tuple(Fraction(0) for _ in range(rank)), Fraction(0))
+
+    def __call__(self, point):
+        return vdot(self.linear, point) + self.constant
+
+    def directional(self, vector):
+        return vdot(self.linear, vector)
+
+    def __add__(self, other):
+        return AffineFunction(vadd(self.linear, other.linear), self.constant + other.constant)
+
+    def __sub__(self, other):
+        return AffineFunction(vsub(self.linear, other.linear), self.constant - other.constant)
+
+    def __neg__(self):
+        return AffineFunction(tuple(-x for x in self.linear), -self.constant)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return AffineFunction(tuple(c * x for x in self.linear), c * self.constant)
+
+    @property
+    def is_zero(self):
+        return self.constant == 0 and all(c == 0 for c in self.linear)
+
+    @property
+    def is_integral(self):
+        return self.constant.denominator == 1 and all(
+            Fraction(c).denominator == 1 for c in self.linear
+        )
+
+
+def value_samples(func):
+    """Every value of a ``PiecewiseAffine`` on the lattice points of its
+    pieces (a one-step truncation of an unbounded piece), and its slopes
+    along the rays of unbounded pieces, each in ``Fraction`` arithmetic."""
+    samples = []
+    for piece, f in zip(func.partition.pieces, func.per_piece):
+        f = AffineFunction(f.linear, f.constant)
+        if piece.is_compact:
+            pts = piece.lattice_points()
+        else:
+            box = piece.bounding_box_polytope(1)
+            pts = piece.intersect_polyhedron(box).lattice_points()
+            samples.extend(f.directional(r) for r in piece.rays)
+        samples.extend(f(p) for p in pts)
+    return [Fraction(s) for s in samples]
+
+
+def minimal_integral_scale(samples):
+    """Least positive ``r`` with every ``r * s`` an integer (1 when all are 0)."""
+    samples = [s for s in samples if s != 0]
+    if not samples:
+        return Fraction(1)
+    denom = 1
+    for s in samples:
+        denom = denom * s.denominator // gcd(denom, s.denominator)
+    nums = 0
+    for s in samples:
+        nums = gcd(nums, int(s * denom))
+    return Fraction(denom, nums)
+
+
+def lifting_scale(func, profile, balanced):
+    """The scale ``minimal_integral_lifting`` picks, from the per-point
+    samples: the minimal integral scale, pushed to unit concavity when the
+    partition is balanced, the profile constant and every rescaled sample
+    integral."""
+    samples = value_samples(func)
+    scale = minimal_integral_scale(samples)
+    values = {c * scale for c in profile.values()}
+    if balanced and len(values) == 1 and values != {1}:
+        candidate = scale / values.pop()
+        if all((s * candidate).denominator == 1 for s in samples):
+            scale = candidate
+    return scale
+
+
+def family_exponents(func, anchor):
+    """Per base lattice point, the value of the function renormalized to
+    vanish on the anchor piece, from the first piece containing the point;
+    None when a value is not an integer."""
+    pieces = func.partition.pieces
+    fractional = [AffineFunction(f.linear, f.constant) for f in func.per_piece]
+    out = []
+    for p in func.partition.ambient.lattice_points():
+        i = next(i for i, piece in enumerate(pieces) if piece.contains(p))
+        value = (fractional[i] - fractional[anchor])(p)
+        if value.denominator != 1:
+            return None
+        out.append(int(value))
+    return tuple(out)

@@ -172,6 +172,31 @@ class TestVerify:
                 "expected a nonempty list",
                 "$.partition.fan_rays",
             ),
+            # JSON booleans are not integers
+            (
+                {"vertices": [[0, 0], [True, 0], [0, 3]]},
+                {"hyperplanes": [{"normal": [1, 0], "offset": True}]},
+                "expected a list of integers",
+                "$.polytope.vertices[1]",
+            ),
+            (
+                {"halfspaces": [{"normal": [1], "offset": 0}, {"normal": [-1], "offset": 2}], "rank": True},
+                {"hyperplanes": []},
+                "rank required for halfspace input",
+                "$.polytope.rank",
+            ),
+            (
+                {"vertices": TRIANGLE},
+                {"hyperplanes": [{"normal": [1, 0], "offset": True}]},
+                "offset must be an integer",
+                "$.partition.hyperplanes[0].offset",
+            ),
+            (
+                {"halfspaces": [{"normal": [1], "offset": False}, {"normal": [-1], "offset": 2}]},
+                {"hyperplanes": []},
+                "offset must be an integer",
+                "$.polytope.halfspaces[0].offset",
+            ),
         ],
     )
     def test_fuzz_findings_exit_two(self, tmp_path, capsys, polytope, partition, message, where):
@@ -234,6 +259,14 @@ class TestLift:
         lifted = records[-1]
         assert sorted(lifted["vertices"]) == [[0, 0], [1, 0], [2, 1]]
         assert lifted["nonsingular"] is True
+
+    def test_boolean_cap_offset_exits_two(self, tmp_path, capsys):
+        spec = {**CHAIN4, "options": {"compact_cap": {"normal": [0, 0, 0], "offset": True}}}
+        code, out, records = run(capsys, ["lift", write_spec(tmp_path, spec)])
+        assert code == 2
+        assert records[0]["message"] == (
+            "cap offset must be an integer (at $.options.compact_cap.offset)"
+        )
 
     def test_compact_cap_flag(self, tmp_path, capsys):
         path = write_spec(tmp_path, CHAIN4)
@@ -391,7 +424,7 @@ JUNK = st.one_of(
 
 
 def _paths(node, path=()):
-    yield path
+    yield path, node
     if isinstance(node, dict):
         for key, value in node.items():
             yield from _paths(value, path + (key,))
@@ -403,8 +436,9 @@ def _paths(node, path=()):
 @st.composite
 def fuzz_jobs(draw):
     """Small well-formed jobs of rank 1-3, then up to three corruptions:
-    a value replaced by one of the wrong type or length, a key or list
-    entry dropped, or a second partition form added."""
+    a value replaced by one of the wrong type or length, an integer 0 or 1
+    replaced by the equal boolean, a key or list entry dropped, or a second
+    partition form added."""
     rank = draw(st.integers(1, 3))
     vec = st.lists(st.integers(-2, 3), min_size=rank, max_size=rank)
     constraint = st.fixed_dictionaries({"normal": vec, "offset": st.integers(-2, 3)})
@@ -437,7 +471,12 @@ def fuzz_jobs(draw):
     )
     job = {"polytope": polytope, "partition": {form: draw(forms[form])}, "options": options}
     for _ in range(draw(st.integers(0, 3))):
-        path = draw(st.sampled_from(list(_paths(job))))
+        how = draw(st.sampled_from(["junk", "bool", "drop", "second-form"]))
+        paths = [path for path, node in _paths(job)]
+        if how == "bool":
+            # the equal JSON boolean where an integer 0 or 1 stands
+            paths = [path for path, node in _paths(job) if node in (0, 1)] or paths
+        path = draw(st.sampled_from(paths))
         if not path:
             job = draw(JUNK)
             break
@@ -445,9 +484,10 @@ def fuzz_jobs(draw):
         parent = job
         for step in head:
             parent = parent[step]
-        how = draw(st.sampled_from(["junk", "drop", "second-form"]))
         if how == "junk":
             parent[key] = draw(JUNK)
+        elif how == "bool":
+            parent[key] = bool(parent[key]) if parent[key] in (0, 1) else draw(st.booleans())
         elif how == "drop":
             del parent[key]
         elif isinstance(job.get("partition"), dict):
@@ -476,3 +516,16 @@ class TestFrontDoorFuzz:
         assert lines
         for line in lines:
             assert "record" in json.loads(line)
+        # every entry of the polytope and partition is read before success,
+        # and JSON booleans are not integers
+        job = json.loads(text)
+        if isinstance(job, dict) and _holds_bool([job.get("polytope"), job.get("partition")]):
+            assert code != 0
+
+
+def _holds_bool(node):
+    if isinstance(node, bool):
+        return True
+    if isinstance(node, dict):
+        node = list(node.values())
+    return isinstance(node, list) and any(_holds_bool(x) for x in node)

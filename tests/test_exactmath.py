@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from toricdegen.exactmath import (
     hermite_normal_form,
     in_lattice_span,
     is_unimodular_basis,
+    kernel_vector,
     left_kernel,
     primitive,
     rank_fraction,
@@ -272,3 +274,96 @@ class TestAffineFunction:
     def test_integrality(self):
         assert AffineFunction.make((1, 2), -3).is_integral
         assert not AffineFunction.make((Fraction(1, 2), 0), 0).is_integral
+
+
+@st.composite
+def affine_pairs(draw):
+    """Two affine functions of one rank with ``int``/``Fraction`` data, the
+    second sometimes equal to the first in another form, a scalar and a
+    point."""
+    n = draw(st.integers(0, 3))
+    vec = st.lists(ENTRIES, min_size=n, max_size=n)
+    f = (draw(vec), draw(ENTRIES))
+    if draw(st.booleans()):
+        g = (draw(vec), draw(ENTRIES))
+    else:
+        # the same function written with other denominators, or a multiple of it
+        k = draw(st.sampled_from([1, 1, Fraction(1, 2), -1, 3]))
+        g = ([Fraction(x) * k for x in f[0]], Fraction(f[1]) * k)
+    return f, g, draw(ENTRIES), draw(vec)
+
+
+def assert_canonical(h):
+    assert all(type(x) is int for x in h.a) and type(h.b) is int and type(h.d) is int
+    assert h.d > 0 and gcd(*h.a, h.b, h.d) == 1
+
+
+def assert_same_function(new, old):
+    # same values of the same types, so the report encodes identical JSON
+    assert_canonical(new)
+    same(new.linear, old.linear)
+    same(new.constant, old.constant)
+
+
+class TestAffineFunctionAgainstOracle:
+    """The integer form against the ``Fraction``-field functions it replaced."""
+
+    @given(affine_pairs())
+    @settings(max_examples=300, deadline=None)
+    @example((([], 0), ([], 0), 0, []))
+    @example((([Fraction(1, 2), 0], 1), ([Fraction(2, 4), 0], 1), Fraction(-2, 3), [1, Fraction(1, 3)]))
+    def test_operations_match(self, case):
+        (lin_f, c_f), (lin_g, c_g), c, x = case
+        f, g = AffineFunction.make(lin_f, c_f), AffineFunction.make(lin_g, c_g)
+        F, G = oracles.AffineFunction.make(lin_f, c_f), oracles.AffineFunction.make(lin_g, c_g)
+        assert_same_function(f, F)
+        assert_same_function(AffineFunction.zero(len(lin_f)), oracles.AffineFunction.zero(len(lin_f)))
+        assert_same_function(f + g, F + G)
+        assert_same_function(f - g, F - G)
+        assert_same_function(-f, -F)
+        assert_same_function(f.scale(c), F.scale(c))
+        same(f(x), Fraction(F(x)))
+        assert f.directional(x) == F.directional(x)
+        assert f.is_zero == F.is_zero and (f - f).is_zero
+        assert f.is_integral == F.is_integral
+        assert (f == g) == (F == G)
+        assert (f + g) - g == f and hash((f + g) - g) == hash(f)
+        if f == g:
+            assert hash(f) == hash(g)
+        if c:
+            assert f.scale(c).scale(1 / Fraction(c)) == f
+
+
+class TestKernelVector:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=n),
+                st.integers(0, 2),
+                st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=3),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    @example((1, [[0]], 0, []))
+    @example((3, [[1, 2, 3], [2, 4, 6]], 0, []))
+    def test_matches_right_kernel(self, case):
+        # rows of rank at most n - corank: a basis of that many rows and
+        # integer combinations of it, so coranks 0, 1 and 2 all occur
+        n, basis, corank, mix = case
+        basis = basis[: max(n - corank, 1)]
+        rows = basis + [
+            tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n))
+            for coeffs in mix
+        ]
+        kernel = right_kernel(rows)
+        got = kernel_vector(rows, n)
+        if len(kernel) == 1:
+            assert got in (primitive(kernel[0]), tuple(-x for x in primitive(kernel[0])))
+        else:
+            assert got is None
+
+    def test_no_rows(self):
+        assert kernel_vector([], 1) == (1,)
+        assert kernel_vector([], 2) is None

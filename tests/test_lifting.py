@@ -2,16 +2,21 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toricdegen import (
     AffineFunction,
+    GeometryError,
     LatticePolytope,
     LiftingError,
     PiecewiseAffine,
+    build_partition,
     check_cocycle,
     concavity,
     concavity_profile,
     extend_support_function,
+    family_equations,
     integrate_cocycle,
     iterated_lift,
     lift_polytope,
@@ -24,9 +29,12 @@ from toricdegen import (
 )
 from toricdegen.lifting import WallCochain, _shadow_is_base_face, _verify_projections
 
+import oracles
+
 from corpus import (
     accepted_partitions,
     chain_partition,
+    dilated_simplex,
     expanded_degeneration_partition,
     liftable_partitions,
     mildly_singular_triangle,
@@ -241,6 +249,135 @@ class TestMinimalIntegralScaling:
         assert set(lifting.concavities.values()) == {Fraction(1), Fraction(2)}
         assert not lifting.unit_concavity
         assert lifting.function.is_integral()
+
+
+RATIONALS = st.sampled_from(
+    [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(1, 6)]
+)
+OCTAGON = LatticePolytope.from_vertices(
+    [(0, 2), (1, 1), (3, 1), (4, 2), (4, 3), (3, 4), (1, 4), (0, 3)]
+)
+QUADRANT = LatticePolytope.from_halfspaces([((1, 0), 0), ((0, 1), 0)], 2)
+TRIANGLE_2 = LatticePolytope.from_vertices([(0, 0), (2, 0), (0, 2)])
+
+
+@st.composite
+def cut_partitions(draw):
+    """Dilated triangles, octagons and the (unbounded) quadrant under 1-2
+    random cuts, and dilated 3-simplices under random parallel cuts (chains);
+    None when the cuts give no valid partition."""
+    kind = draw(st.sampled_from(["triangle", "octagon", "quadrant", "chain"]))
+    if kind == "chain":
+        d = draw(st.integers(2, 4))
+        ambient = dilated_simplex(d)
+        normal = draw(st.sampled_from([(1, 1, 1), (1, 0, 0), (1, 1, 0)]))
+        levels = draw(st.sets(st.integers(1, d - 1), min_size=1))
+        cuts = [(normal, c) for c in sorted(levels)]
+    else:
+        if kind == "triangle":
+            k = draw(st.integers(1, 4))
+            ambient = LatticePolytope.from_vertices([(0, 0), (k, 0), (0, k)])
+        else:
+            ambient = OCTAGON if kind == "octagon" else QUADRANT
+        normal = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+        cuts = draw(st.lists(st.tuples(normal, st.integers(-1, 4)), min_size=1, max_size=2))
+    try:
+        return partition_by_hyperplanes(ambient, cuts)
+    except GeometryError:
+        return None
+
+
+def assert_scale_matches_oracle(func):
+    samples = oracles.value_samples(func)
+    assert func.minimal_integral_scale() == oracles.minimal_integral_scale(samples)
+    assert func.is_integral() == all(s.denominator == 1 for s in samples)
+
+
+class TestIntegerLiftingAgainstOracles:
+    """The gcd with a floor against the per-point ``Fraction`` samples."""
+
+    @given(cut_partitions(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_scale_and_integrality_match(self, part, data):
+        if part is None:
+            return
+        rank = part.ambient.ambient_rank
+        vec = st.lists(RATIONALS, min_size=rank, max_size=rank)
+        funcs = [
+            PiecewiseAffine(part, (AffineFunction.zero(rank),) * len(part.pieces), 0),
+            PiecewiseAffine(
+                part,
+                tuple(AffineFunction.make(data.draw(vec), data.draw(RATIONALS)) for _ in part.pieces),
+                0,
+            ),
+        ]
+        try:
+            funcs.append(integrate_cocycle(wall_functions(part), part.dual_complex(), part))
+        except GeometryError:
+            pass
+        k = data.draw(st.sampled_from([Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), 6]))
+        for func in funcs:
+            assert_scale_matches_oracle(func)
+            assert_scale_matches_oracle(func.scale(k))
+
+    @given(cut_partitions(), st.sampled_from([1, Fraction(1, 2), Fraction(2, 3), 3]))
+    @settings(max_examples=60, deadline=None)
+    @example(partition_by_hyperplanes(TRIANGLE_2, [((2, 1), 2)]), 1)
+    @example(partition_by_hyperplanes(TRIANGLE_2, [((1, -2), 0)]), 3)
+    @example(chain_partition(4), Fraction(1, 2))
+    @example(octagon_partition(), 1)
+    def test_lifting_and_family_match(self, part, k):
+        # the balanced-branch scale of minimal_integral_lifting, then the
+        # family exponents for every anchor piece
+        if part is None:
+            return
+        try:
+            raw = integrate_cocycle(wall_functions(part), part.dual_complex(), part).scale(k)
+            result = minimal_integral_lifting(raw)
+        except GeometryError:
+            return
+        flags = part.classify()
+        expected = oracles.lifting_scale(raw, concavity_profile(raw), flags["balanced"])
+        assert result.scale == expected
+        assert result.function.per_piece == raw.scale(expected).per_piece
+        if not part.ambient.is_compact:
+            return
+        try:
+            lifted = lift_polytope(part, result)
+        except GeometryError:
+            return
+        for anchor in range(len(part.pieces)):
+            exponents = oracles.family_exponents(result.function, anchor)
+            if exponents is None or min(exponents) < 0:
+                with pytest.raises(LiftingError):
+                    family_equations(lifted, anchor=anchor)
+            else:
+                assert family_equations(lifted, anchor=anchor).exponents == exponents
+
+    def test_floor_not_reached_on_a_proper_sublattice(self):
+        # the Reeve tetrahedron: its only lattice points are its vertices,
+        # whose differences span the index-2 sublattice {z even}, so the
+        # gcd of z over them is 2 while gcd(a..., <a, p0> + b) is 1
+        reeve = LatticePolytope.from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
+        assert len(reeve.lattice_points()) == 4
+        part = build_partition(reeve, [reeve])
+        for linear, constant in [
+            ((0, 0, 1), 0),
+            ((0, 0, 1), 4),
+            ((0, 0, Fraction(1, 3)), Fraction(2, 3)),
+            ((2, 0, 1), 0),
+        ]:
+            assert_scale_matches_oracle(
+                PiecewiseAffine(part, (AffineFunction.make(linear, constant),), 0)
+            )
+        z = PiecewiseAffine(part, (AffineFunction.make((0, 0, 1)),), 0)
+        assert z.value_generator() == 2 and z.minimal_integral_scale() == Fraction(1, 2)
+
+    def test_zero_function(self):
+        part = octagon_partition()
+        zero = PiecewiseAffine(part, (AffineFunction.zero(2),) * len(part.pieces), 0)
+        assert zero.value_generator() == 0
+        assert zero.minimal_integral_scale() == 1 and zero.is_integral()
 
 
 class TestLiftPolytope:
