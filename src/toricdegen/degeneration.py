@@ -282,10 +282,9 @@ def family_equations(lifted: LiftedPolytope, coefficients=None, anchor=None, see
     # as in PiecewiseAffine.value: the first piece holding a point gives its value
     exponents = [None] * len(points)
     for support, f in zip(supports, shifted.per_piece):
-        a, b, d = f.a, f.b, f.d
         for j in support:
             if exponents[j] is None:
-                value, rest = divmod(vdot(a, points[j]) + b, d)
+                value, rest = divmod(vdot(f.a, points[j]) + f.b, f.d)
                 if rest:
                     raise LiftingError("anchor renormalization is not integral", witness=anchor)
                 exponents[j] = value

@@ -387,8 +387,7 @@ class AffineFunction:
         return AffineFunction(tuple(-x for x in self.a), -self.b, self.d)
 
     def scale(self, c):
-        c = Fraction(c)
-        p, q = c.numerator, c.denominator
+        p, q = Fraction(c).as_integer_ratio()
         return AffineFunction._reduced(tuple(p * x for x in self.a), p * self.b, q * self.d)
 
     @property

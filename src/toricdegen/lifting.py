@@ -210,10 +210,10 @@ class PiecewiseAffine:
                 g = Fraction(gcd(g.numerator * f.d, total * g.denominator), g.denominator * f.d)
         return g
 
-    def minimal_integral_scale(self) -> Fraction:
-        """Least positive ``r`` with ``r * F`` integer-valued on the lattice
-        points of the base: ``1 / value_generator()``, or 1 if that is 0."""
-        g = self.value_generator()
+    def minimal_integral_scale(self, g=None) -> Fraction:
+        """Least positive ``r`` with ``r * F`` integer-valued on the lattice points
+        of the base: ``1 / g`` for ``g = value_generator()``, or 1 if that is 0."""
+        g = self.value_generator() if g is None else g
         return 1 / g if g else Fraction(1)
 
     def is_integral(self) -> bool:
@@ -306,7 +306,7 @@ def minimal_integral_lifting(func: PiecewiseAffine) -> IntegralLifting:
         raise LiftingError("not a lifting function: nonpositive concavity", witness=bad)
     # F scales linearly, so the values of c * F generate c * g * Z
     g = func.value_generator()
-    scale = 1 / g if g else Fraction(1)
+    scale = func.minimal_integral_scale(g)
     profile = {p: c * scale for p, c in profile.items()}
     values = set(profile.values())
     if func.partition.classify()["balanced"] and len(values) == 1 and values != {Fraction(1)}:

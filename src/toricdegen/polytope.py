@@ -184,10 +184,12 @@ def _full_dim_facets(points, rays, rank):
         if w is None:
             continue
         dots = [vdot(g, w) for g in homog]
-        if any(x < 0 for x in dots):
-            if any(x > 0 for x in dots):
-                continue
+        if all(x >= 0 for x in dots):
+            pass
+        elif all(x <= 0 for x in dots):
             w = tuple(-x for x in w)
+        else:
+            continue
         normal, off = w[:-1], w[-1]
         if all(x == 0 for x in normal):
             continue  # the hyperplane at infinity

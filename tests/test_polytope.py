@@ -580,7 +580,7 @@ class TestEnumerationGuard:
             LatticePolytope.from_halfspaces(hs, rank)
 
     def test_facet_enumeration_over_budget_refused_up_front(self, monkeypatch):
-        monkeypatch.setattr("toricdegen.polytope.right_kernel", None)  # never reached
+        monkeypatch.setattr("toricdegen.polytope.kernel_vector", None)  # never reached
         moment_curve = [tuple(t**i for i in range(1, 7)) for t in range(40)]
         assert comb(len(moment_curve), 6) > SUBSET_BUDGET
         with pytest.raises(UnsupportedGeometryError, match=f"{comb(40, 6)} subsets"):
