@@ -148,6 +148,11 @@ class Partition:
         self.ambient = ambient
         self.pieces = tuple(pieces)
         self.face_index = face_index  # dict key -> PartitionFace
+        self._faces = sorted(face_index.values(), key=lambda f: (f.dim, f.key))
+        self._faces_by_dim = {}
+        for f in self._faces:
+            self._faces_by_dim.setdefault(f.dim, []).append(f)
+        self._vertex_faces = {f.vertices[0]: f for f in self._faces_by_dim.get(0, ())}
         self._classification = None
         self._weights = None
         self._dual = None
@@ -157,16 +162,11 @@ class Partition:
         return self.ambient.dim
 
     def faces(self, dim=None):
-        faces = sorted(self.face_index.values(), key=lambda f: (f.dim, f.key))
-        if dim is None:
-            return faces
-        return [f for f in faces if f.dim == dim]
+        """The faces sorted by dimension and key, as a fresh list."""
+        return list(self._faces if dim is None else self._faces_by_dim.get(dim, ()))
 
     def face_at(self, point):
-        for f in self.faces(0):
-            if f.vertices[0] == tuple(point):
-                return f
-        return None
+        return self._vertex_faces.get(tuple(point))
 
     # -- semi-stability ----------------------------------------------------
 
@@ -344,8 +344,8 @@ def build_partition(ambient: LatticePolytope, pieces) -> Partition:
         if not piece.is_simplicial():
             raise PartitionError("piece is not simplicial", witness=idx)
     _check_interior_disjoint(pieces, d)
-    _check_cover(ambient, pieces)
     faces = _collect_faces(ambient, pieces)
+    _check_cover(ambient, faces, pieces)
     return Partition(ambient, pieces, faces)
 
 
@@ -380,55 +380,30 @@ def _facet_separates(p, q):
     )
 
 
-def _check_cover(ambient, pieces):
-    """Volume certificate that the pieces fill the ambient polytope.
+def _check_cover(ambient, faces, pieces):
+    """Certify that the pieces fill the ambient polytope, or reject a gap.
 
-    Pieces are already pairwise interior-disjoint and contained in the
-    ambient polytope, so equality of volumes certifies the tiling.  Unbounded
-    inputs are truncated by boxes at two scales; a mismatch falls back to an
-    exact polyhedral difference to produce a witness point.
+    The pieces are ``d``-dimensional, inside the ambient polytope and
+    pairwise interior-disjoint.  They cover it when every ``(d-1)``-face of
+    the partition is a facet of two pieces or lies in the boundary of the
+    ambient polytope.  For suppose a point ``x`` of its relative interior is
+    in no piece.  A generic segment from ``x`` to a piece misses every face
+    of dimension ``d - 2``, so where it first meets the union of the pieces
+    it crosses the relative interior of a facet ``F`` of a piece, and ``F``
+    is interior.  The two pieces sharing ``F`` lie on its two sides, so
+    their union holds a neighbourhood of that point and with it earlier
+    points of the segment, a contradiction.  A facet that is not matched (a
+    tiling that is not face-to-face, or a gap) leaves the verdict to the
+    exact polyhedral difference, which also supplies the witness.
     """
-    if ambient.dim == 0:
-        return  # containment and disjointness already pin a point tiling
-    chart = None
-    if ambient.dim < ambient.ambient_rank and not ambient.is_whole_space:
-        chart = affine_lattice_chart(ambient)
-
-    def model(poly):
-        if chart is None:
-            return poly
-        return LatticePolytope.from_generators(
-            [chart.point(v) for v in poly.vertices],
-            [chart.direction(r) for r in poly.rays],
-        )
-
-    ambient_m = model(ambient) if not ambient.is_whole_space else ambient
-    pieces_m = [model(p) for p in pieces]
-    compact = ambient_m.is_compact and not ambient.is_whole_space
-
-    def truncated_volumes(margin):
-        hull_gens = [v for p in pieces_m for v in p.vertices]
-        box = LatticePolytope.from_vertices(hull_gens).bounding_box_polytope(margin)
-        if ambient.is_whole_space:
-            amb_vol = box.volume()
-        else:
-            amb_vol = ambient_m.intersect_polyhedron(box).volume()
-        piece_vol = sum((p.intersect_polyhedron(box).volume() for p in pieces_m), Fraction(0))
-        return amb_vol, piece_vol
-
-    if compact:
-        amb_vol = ambient_m.volume()
-        piece_vol = sum((p.volume() for p in pieces_m), Fraction(0))
-        ok = amb_vol == piece_vol
-    else:
-        ok = True
-        for margin in (1, 3):
-            a, b = truncated_volumes(margin)
-            if a != b:
-                ok = False
-                break
-    if not ok:
-        witness = _uncovered_point(ambient_m if not ambient.is_whole_space else ambient, pieces_m)
+    if all(
+        len(f.pieces) == 2 or not f.is_interior
+        for f in faces.values()
+        if f.dim == ambient.dim - 1
+    ):
+        return
+    witness = _uncovered_point(ambient, pieces)
+    if witness is not None:
         raise PartitionError("gap: pieces do not cover the ambient polytope", witness=witness)
 
 

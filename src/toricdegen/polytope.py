@@ -4,16 +4,15 @@ Polyhedra live in a fixed ambient lattice of rank ``n``.  The H-representation
 uses inward halfspaces ``<x, normal> >= -offset`` with primitive integer
 normals; offsets are exact rationals (they stay integral for lattice
 polytopes).  Unbounded polyhedra carry explicit recession rays.  Every step
-is exact.  Vertices and rays of a halfspace system are enumerated over tight
-constraint subsets: each subset is solved by integer elimination
-(``exactmath.echelon``) and each candidate vertex is tested with integer
-arithmetic, as a homogeneous integer vector, before it is made rational.  For
-a full-dimensional system ``from_halfspaces`` then keeps the input
-halfspaces whose tight generators span a hyperplane.  Facets of a polyhedron
-given by generators, or of a lower-dimensional system, come from brute force
-over tight generator subsets (``_dual_from_generators``), which is also the
-test oracle for the halfspace path.  A brute-force enumeration over more
-than ``SUBSET_BUDGET`` subsets is refused before it starts.
+is exact.  Both directions between the descriptions run one integer double
+description kernel (``_dd_extreme_rays``).  Vertices and rays of a halfspace
+system are the extreme rays of the cone over it; for a full-dimensional
+system ``from_halfspaces`` keeps the input halfspaces whose tight rays are
+maximal, read off the kernel's tight sets.  Facets of a polyhedron given by
+generators, or of a lower-dimensional system in its lattice chart, are the
+extreme rays of the cone of valid homogeneous normals
+(``_dual_from_generators``).  A system whose brute-force subset enumeration
+would exceed ``SUBSET_BUDGET`` subsets is still refused before it starts.
 """
 
 from __future__ import annotations
@@ -27,11 +26,9 @@ from typing import NamedTuple
 from .errors import EmptyPolyhedronError, GeometryError, UnsupportedGeometryError
 from .exactmath import (
     determinant,
-    determinant_fraction,
     echelon,
     gcd_all,
     kernel_vector,
-    left_kernel,
     normalize_coord,
     normalize_point,
     primitive,
@@ -41,6 +38,7 @@ from .exactmath import (
     saturation,
     solve_linear,
     solve_particular,
+    transpose,
     vadd,
     vdot,
     vsub,
@@ -93,9 +91,6 @@ class Face:
     @property
     def key(self):
         return (self.vertices, self.rays)
-
-    def contains_generators_of(self, other: "Face") -> bool:
-        return set(other.vertices) <= set(self.vertices) and set(other.rays) <= set(self.rays)
 
 
 def _face_dim(vertices, rays):
@@ -159,98 +154,157 @@ def _model_coords(basis, base, point):
     return normalize_point(t)
 
 
-# constraint or generator subsets tried by one brute-force enumeration
+# constraint or generator subsets the brute-force enumeration would try; a
+# system over this count is refused before any elimination
 SUBSET_BUDGET = 10**6
 
 
-def _subsets(items, k):
-    """The k-subsets of ``items``, refused up front when there are too many."""
-    count = math.comb(len(items), k)
+def _refuse_over_budget(items, k):
+    count = math.comb(items, k)
     if count > SUBSET_BUDGET:
-        raise UnsupportedGeometryError(f"enumeration over {count} subsets of {len(items)}")
-    return itertools.combinations(items, k)
+        raise UnsupportedGeometryError(f"enumeration over {count} subsets of {items}")
+
+
+def _dd_extreme_rays(ineqs, eqs, width):
+    """Double description of ``{z : <a, z> >= 0 for a in ineqs, <e, z> = 0
+    for e in eqs}`` in ``Z^width`` (Motzkin et al. 1953; Fukuda and Prodon
+    1996).
+
+    Returns ``(rays, lines)``: the extreme rays as ``(z, mask)`` pairs, ``z``
+    a primitive integer vector and bit ``i`` of ``mask`` set when ``ineqs[i]``
+    is tight on ``z``, and a primitive basis of the lineality space.  The
+    lines start as a kernel basis of the equations.  Each inequality either
+    turns a line it is not orthogonal to into a ray, tight on every earlier
+    inequality, and reduces the other lines and the rays onto its hyperplane,
+    or it splits the rays by sign and adds the positive combination of each
+    adjacent pair across it.  Two rays are adjacent when no third ray's tight
+    set contains the intersection of theirs; a pair sharing fewer tight
+    inequalities than the lines turned into rays so far, minus two, spans no
+    edge and skips that test.  Every step is integer.
+    """
+    reduced = [tuple(e) for e in eqs]
+    _, pivots, det = echelon(reduced, width)
+    lines = []
+    for f in range(width):
+        if f not in pivots:
+            line = [0] * width
+            line[f] = det
+            for row, col in zip(reduced, pivots):
+                line[col] = -row[f]
+            lines.append(primitive(line))
+    free_dim = len(lines)
+    rays = []
+    for i, a in enumerate(ineqs):
+        bit = 1 << i
+        dots = [vdot(a, line) for line in lines]
+        k = next((k for k, s in enumerate(dots) if s), None)
+        if k is not None:
+            # the line becomes a ray; it is tight on every earlier inequality
+            s, p = dots[k], lines.pop(k)
+            del dots[k]
+            if s < 0:
+                s, p = -s, tuple(-x for x in p)
+            lines = [_combine(s, line, -d, p) if d else line for line, d in zip(lines, dots)]
+            dots = [vdot(a, z) for z, _ in rays]
+            rays = [(_combine(s, z, -d, p) if d else z, m | bit) for (z, m), d in zip(rays, dots)]
+            rays.append((p, bit - 1))
+            continue
+        pos, neg, new = [], [], []
+        for z, mask in rays:
+            s = vdot(a, z)
+            if s > 0:
+                pos.append((z, mask, s))
+                new.append((z, mask))
+            elif s < 0:
+                neg.append((z, mask, s))
+            else:
+                new.append((z, mask | bit))
+        if neg and pos:
+            masks = [mask for _, mask in rays]
+            least = free_dim - len(lines) - 2
+            for zp, mp, sp in pos:
+                for zn, mn, sn in neg:
+                    common = mp & mn
+                    if common.bit_count() < least:
+                        continue
+                    # the pair's own masks contain ``common``: no third may
+                    if sum(1 for mask in masks if common & mask == common) > 2:
+                        continue
+                    new.append((_combine(sp, zn, -sn, zp), common | bit))
+        rays = new
+    return rays, lines
+
+
+def _combine(c, u, d, v):
+    """The primitive vector along ``c * u + d * v``."""
+    return primitive(tuple(c * x + d * y for x, y in zip(u, v)))
 
 
 def _full_dim_facets(points, rays, rank):
-    """Brute-force facet enumeration for a full-dimensional hull."""
+    """Facets of a full-dimensional hull: the extreme rays of the cone of
+    homogeneous normals ``(w, c)`` with ``<p, w> + c >= 0`` on the points and
+    ``<r, w> >= 0`` on the rays, without the hyperplane at infinity."""
     # generators are scaled to primitive integer vectors: rational points may
     # appear, and positive scaling changes neither hyperplanes nor sides
     homog = [rational_primitive(tuple(p) + (1,))[0] for p in points] + [
         tuple(r) + (0,) for r in rays
     ]
-    found = {}
-    for rows in _subsets(homog, rank):
-        w = kernel_vector(rows, rank + 1)
-        if w is None:
-            continue
-        dots = [vdot(g, w) for g in homog]
-        if all(x >= 0 for x in dots):
-            pass
-        elif all(x <= 0 for x in dots):
-            w = tuple(-x for x in w)
-        else:
-            continue
-        normal, off = w[:-1], w[-1]
-        if all(x == 0 for x in normal):
-            continue  # the hyperplane at infinity
-        found[(normal, off)] = Halfspace(normal, off)
-    return [_normalize_halfspace(h.normal, h.offset) for h in found.values()]
+    _refuse_over_budget(len(homog), rank)
+    normals, _ = _dd_extreme_rays(homog, (), rank + 1)
+    return [_normalize_halfspace(w[:-1], w[-1]) for w, _ in normals if any(w[:-1])]
 
 
-def _integer_row(constraint):
-    """``<x, normal> = -offset`` cleared of the offset's denominator."""
+def _homogeneous_row(constraint):
+    """``(q * normal, p)`` for the offset ``p / q``: its dot product with
+    ``(x, 1)`` is ``<x, normal> + offset`` times ``q > 0``."""
     q = constraint.offset.denominator
-    return tuple(x * q for x in constraint.normal) + (-constraint.offset.numerator,)
+    return tuple(x * q for x in constraint.normal) + (constraint.offset.numerator,)
+
+
+def _generators(halfspaces, equations, rank):
+    """Vertices, extreme rays and facets of a pointed H-representation.
+
+    The polyhedron is the slice ``t = 1`` of the cone over it in
+    ``Z^(rank+1)``: each constraint becomes its homogeneous row, and
+    ``t >= 0`` is added last.  The extreme rays of that cone with ``t > 0``
+    are the vertices, those with ``t = 0`` the recession rays.  The facets
+    are the halfspaces whose tight rays are maximal among the tight ray sets
+    of all inequalities; they are None when there are equations or the
+    polyhedron is lower-dimensional (some inequality is tight on every ray).
+    A polyhedron with a lineality space is refused, and so is a system
+    whose subset enumeration would exceed ``SUBSET_BUDGET``, before any
+    elimination.
+    """
+    normals = [h.normal for h in halfspaces] + [e.normal for e in equations]
+    if normals and right_kernel(list(normals)):
+        raise UnsupportedGeometryError("polyhedron has a nontrivial lineality space")
+    eq_rows = [e.normal for e in equations]
+    k = rank - (rank_fraction(eq_rows) if eq_rows else 0)
+    _refuse_over_budget(len(halfspaces), k)
+    _refuse_over_budget(len(halfspaces), max(k - 1, 0))  # the ray subsets
+
+    ineqs = [_homogeneous_row(h) for h in halfspaces] + [(0,) * rank + (1,)]
+    cone, lines = _dd_extreme_rays(ineqs, [_homogeneous_row(e) for e in equations], rank + 1)
+    if lines:
+        # no constraint at all: the whole space has no vertex, and in rank 1
+        # its two directions are rays, as the subset enumeration found them
+        return [], [(-1,), (1,)] if rank == 1 else [], None
+    vertices = sorted(
+        normalize_point(Fraction(x, z[-1]) for x in z[:-1]) for z, _ in cone if z[-1]
+    )
+    rays = sorted(z[:-1] for z, _ in cone if not z[-1])
+    # per inequality, the set of cone rays tight on it, as a bit set
+    tight = [sum(1 << j for j, (_, m) in enumerate(cone) if m >> i & 1) for i in range(len(ineqs))]
+    if equations or (1 << len(cone)) - 1 in tight:
+        return vertices, rays, None
+    facets = [h for h, t in zip(halfspaces, tight) if not any(t & u == t != u for u in tight)]
+    return vertices, rays, facets
 
 
 def _enumerate_generators(halfspaces, equations, rank):
-    """All vertices and extreme rays of a pointed H-representation.
-
-    Each vertex candidate solves the equations plus ``k`` halfspaces made
-    tight, by integer elimination: it is ``X / det`` with ``det > 0``, kept
-    as the homogeneous integer vector ``(X, -det)``, whose dot product with a
-    halfspace's integer row is ``<x, normal> + offset`` times a positive
-    scale.  A candidate is tested once and made rational only if accepted.
-    """
-    normals = [h.normal for h in halfspaces] + [e.normal for e in equations]
-    lineality = right_kernel(list(normals)) if normals else None
-    if normals and lineality:
-        raise UnsupportedGeometryError("polyhedron has a nontrivial lineality space")
-    eq_rows = [e.normal for e in equations]
-    r_eq = rank_fraction(eq_rows) if eq_rows else 0
-    k = rank - r_eq
-
-    hs_int = [_integer_row(h) for h in halfspaces]
-    eq_int = [_integer_row(e) for e in equations]
-    vertices = []
-    seen = set()
-    for subset in _subsets(hs_int, k):
-        m = eq_int + list(subset)
-        r, _, det = echelon(m, rank)
-        # the equations are among the rows, so a unique solution meets them
-        if r < rank or any(row[rank] for row in m[r:]):
-            continue
-        point = tuple(row[rank] for row in m[:rank]) + (-det,)
-        g = math.gcd(*point)
-        # lowest terms, with the sign that makes the last entry negative
-        point = tuple(x // (g if det > 0 else -g) for x in point)
-        if point in seen:
-            continue
-        seen.add(point)
-        if all(vdot(point, row) >= 0 for row in hs_int):
-            vertices.append(normalize_point(Fraction(x, -point[-1]) for x in point[:-1]))
-
-    rays = set()
-    if k >= 1:
-        for subset in _subsets(halfspaces, k - 1):
-            # the equations are among the rows, so the kernel meets them
-            c = kernel_vector(eq_rows + [h.normal for h in subset], rank)
-            if c is None:
-                continue
-            for cand in (c, tuple(-x for x in c)):
-                if all(vdot(cand, h.normal) >= 0 for h in halfspaces):
-                    rays.add(cand)
-    return sorted(vertices), sorted(rays)
+    """All vertices and extreme rays of a pointed H-representation, sorted."""
+    vertices, rays, _ = _generators(halfspaces, equations, rank)
+    return vertices, rays
 
 
 class LatticePolytope:
@@ -265,6 +319,7 @@ class LatticePolytope:
         "is_whole_space",
         "_dim",
         "_faces",
+        "_faces_by_dim",
         "_face_index",
         "_lattice_points",
         "_edges",
@@ -279,6 +334,7 @@ class LatticePolytope:
         self.is_whole_space = whole
         self._dim = ambient_rank if whole else _face_dim(self.vertices, self.rays)
         self._faces = None
+        self._faces_by_dim = None
         self._face_index = None
         self._lattice_points = None
         self._edges = None
@@ -313,24 +369,13 @@ class LatticePolytope:
             if prev is None or h.offset < prev:
                 dedup[h.normal] = h.offset
         halfspaces = [Halfspace(n, o) for n, o in sorted(dedup.items())]
-        vertices, rays = _enumerate_generators(halfspaces, equations, rank)
+        vertices, rays, facets = _generators(halfspaces, equations, rank)
         if not vertices:
             raise EmptyPolyhedronError("empty polyhedron")
-        if equations or _face_dim(vertices, rays) < rank:
+        if facets is None:
             # normals are canonical only modulo the affine hull: rebuild them
             hs, eqs = _dual_from_generators(vertices, rays, rank)
             return cls(rank, hs, eqs, vertices, rays)
-        # full-dimensional: the facets are the input halfspaces whose tight
-        # generators span a hyperplane
-        facets = [
-            h
-            for h in halfspaces
-            if _face_dim(
-                [v for v in vertices if vdot(v, h.normal) == -h.offset],
-                [r for r in rays if vdot(r, h.normal) == 0],
-            )
-            == rank - 1
-        ]
         return cls(rank, facets, (), vertices, rays)
 
     # -- basic queries ----------------------------------------------------
@@ -393,12 +438,18 @@ class LatticePolytope:
     # -- faces -------------------------------------------------------------
 
     def faces(self, dim=None):
+        """The faces sorted by dimension and key; found once, with an index
+        by key and one tuple per dimension."""
         if self._faces is None:
             self._faces = self._compute_faces()
             self._face_index = {f.key: f for f in self._faces}
+            by_dim = {}
+            for f in self._faces:
+                by_dim.setdefault(f.dim, []).append(f)
+            self._faces_by_dim = {k: tuple(fs) for k, fs in by_dim.items()}
         if dim is None:
             return self._faces
-        return tuple(f for f in self._faces if f.dim == dim)
+        return self._faces_by_dim.get(dim, ())
 
     def _compute_faces(self):
         if self.is_whole_space:
@@ -602,37 +653,6 @@ class LatticePolytope:
             hs.append((tuple(-x for x in e), hi[i]))
         return LatticePolytope.from_halfspaces(hs, self.ambient_rank)
 
-    def volume(self):
-        """Euclidean volume of a full-dimensional compact polytope."""
-        if not self.is_compact:
-            raise GeometryError("volume requires a compact polytope")
-        if self.dim < self.ambient_rank:
-            raise GeometryError("volume requires a full-dimensional polytope")
-        total = Fraction(0)
-        for simplex in self.triangulation():
-            rows = [vsub(p, simplex[0]) for p in simplex[1:]]
-            total += abs(determinant_fraction(rows))
-        return total / math.factorial(self.dim)
-
-    def triangulation(self):
-        """Simplices (vertex tuples) triangulating a compact polytope."""
-        if not self.is_compact:
-            raise GeometryError("triangulation requires a compact polytope")
-        self.faces()
-        return _triangulate_face(self, self.top_face())
-
-
-def _triangulate_face(poly, face):
-    if face.dim == 0:
-        return [face.vertices]
-    apex = face.vertices[0]
-    simplices = []
-    for sub in poly.faces(face.dim - 1):
-        if face.contains_generators_of(sub) and apex not in sub.vertices:
-            for s in _triangulate_face(poly, sub):
-                simplices.append((apex,) + s)
-    return simplices
-
 
 # -- affine lattice charts for lower-dimensional polytopes -------------------
 
@@ -744,10 +764,9 @@ def complete_fan_from_rays(rays):
     rank = len(rays[0])
     if len(rays) != rank + 1:
         raise GeometryError("expected rank+1 rays")
-    kernel = left_kernel(rays)
-    if len(kernel) != 1:
+    rel = kernel_vector(transpose(rays), rank + 1)
+    if rel is None:
         raise GeometryError("rays must satisfy a single linear relation")
-    rel = kernel[0]
     if all(x < 0 for x in rel):
         rel = tuple(-x for x in rel)
     if not all(x > 0 for x in rel):

@@ -27,6 +27,16 @@ def staircase_rays(n):
     return rays
 
 
+def unimodular_matrix(rank, ops):
+    """The product of the elementary row operations ``row_i += c * row_j``
+    (``i != j``) given as ``(i, j, c)`` triples, applied to the identity."""
+    rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for i, j, c in ops:
+        if i != j:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return [tuple(r) for r in rows]
+
+
 @lru_cache(maxsize=None)
 def staircase_fan(n):
     return complete_fan_from_rays(tuple(staircase_rays(n)))

@@ -1,17 +1,19 @@
 """Brute-force versions of fast paths in ``toricdegen``, kept as test oracles.
 
-These are the rational Gaussian eliminations and the vertex enumeration that
-the integer (fraction-free) code replaced, the tiling checks that intersect
-every piece pair and cut every region by every hyperplane, the per-call
-edge scan, and the ``Fraction``-field affine functions with the per-point
-lifting scale.  Tests compare the fast paths against them; nothing in the
-package imports this module.
+These are the rational Gaussian eliminations that the integer
+(fraction-free) code replaced, the vertex and facet enumerations over every
+constraint or generator subset that the double description replaced, the
+tiling checks that intersect every piece pair and cut every region by every
+hyperplane, the volume certificate of a cover with its pulling
+triangulation, the per-call edge scan, and the ``Fraction``-field affine
+functions with the per-point lifting scale.  Tests compare the fast paths
+against them; nothing in the package imports this module.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 from toricdegen.errors import EmptyPolyhedronError, PartitionError, UnsupportedGeometryError
 from toricdegen.exactmath import (
@@ -23,7 +25,8 @@ from toricdegen.exactmath import (
     vdot,
     vsub,
 )
-from toricdegen.partition import build_partition
+from toricdegen.partition import _uncovered_point, build_partition
+from toricdegen.polytope import LatticePolytope, _normalize_halfspace, affine_lattice_chart
 
 
 def determinant_fraction(rows):
@@ -156,6 +159,88 @@ def enumerate_generators(halfspaces, equations, rank):
                 ):
                     rays.add(cand)
     return sorted(vertices), sorted(rays)
+
+
+def full_dim_facets(points, rays, rank):
+    """Facets of a full-dimensional hull: one kernel per ``rank``-subset of
+    the homogenized generators, kept when every generator is on one side."""
+    homog = [rational_primitive(tuple(p) + (1,))[0] for p in points] + [
+        tuple(r) + (0,) for r in rays
+    ]
+    found = set()
+    for rows in itertools.combinations(homog, rank):
+        kernel = right_kernel(list(rows))
+        if len(kernel) != 1:
+            continue
+        w = primitive(kernel[0])
+        dots = [vdot(g, w) for g in homog]
+        if all(x <= 0 for x in dots):
+            w = tuple(-x for x in w)
+        elif not all(x >= 0 for x in dots):
+            continue
+        if any(w[:-1]):  # not the hyperplane at infinity
+            found.add(_normalize_halfspace(w[:-1], w[-1]))
+    return list(found)
+
+
+def volume(poly):
+    """Euclidean volume of a full-dimensional compact polytope, summed over
+    a pulling triangulation."""
+    total = Fraction(0)
+    for simplex in _triangulate_face(poly, poly.faces(poly.dim)[0]):
+        rows = [vsub(p, simplex[0]) for p in simplex[1:]]
+        total += abs(determinant_fraction(rows))
+    return total / factorial(poly.dim)
+
+
+def _triangulate_face(poly, face):
+    if face.dim == 0:
+        return [face.vertices]
+    apex = face.vertices[0]
+    simplices = []
+    for sub in poly.faces(face.dim - 1):
+        inside = set(sub.vertices) <= set(face.vertices) and set(sub.rays) <= set(face.rays)
+        if inside and apex not in sub.vertices:
+            for s in _triangulate_face(poly, sub):
+                simplices.append((apex,) + s)
+    return simplices
+
+
+def check_cover(ambient, pieces):
+    """Volume certificate that interior-disjoint pieces inside the ambient
+    polytope fill it, in intrinsic lattice coordinates; unbounded inputs are
+    cut by the box of the piece vertices at two margins.  A mismatch is a
+    gap, with the polyhedral difference's witness in those coordinates."""
+    if ambient.dim == 0:
+        return
+    chart = None
+    if ambient.dim < ambient.ambient_rank and not ambient.is_whole_space:
+        chart = affine_lattice_chart(ambient)
+
+    def model(poly):
+        if chart is None:
+            return poly
+        return LatticePolytope.from_generators(
+            [chart.point(v) for v in poly.vertices], [chart.direction(r) for r in poly.rays]
+        )
+
+    ambient_m = ambient if ambient.is_whole_space else model(ambient)
+    pieces_m = [model(p) for p in pieces]
+    if ambient_m.is_compact:
+        ok = volume(ambient_m) == sum((volume(p) for p in pieces_m), Fraction(0))
+    else:
+        ok = True
+        for margin in (1, 3):
+            hull = LatticePolytope.from_vertices([v for p in pieces_m for v in p.vertices])
+            box = hull.bounding_box_polytope(margin)
+            whole = box if ambient.is_whole_space else ambient_m.intersect_polyhedron(box)
+            parts = sum((volume(p.intersect_polyhedron(box)) for p in pieces_m), Fraction(0))
+            if volume(whole) != parts:
+                ok = False
+                break
+    if not ok:
+        witness = _uncovered_point(ambient_m, pieces_m)
+        raise PartitionError("gap: pieces do not cover the ambient polytope", witness=witness)
 
 
 def edges_at(poly, vertex):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +208,28 @@ class TestVerify:
             {"record": "error", "code": "input", "message": f"{message} (at {where})", "witness": None}
         ]
 
+    @pytest.mark.parametrize(
+        "vertices, pieces, witness",
+        [
+            ([[0, 0], [4, 4]], [[[0, 0], [1, 1]], [[2, 2], [4, 4]]], '["3/2","3/2"]'),
+            (
+                [[0, 0, 0], [4, 0, 0], [0, 4, 0]],
+                [[[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[2, 0, 0], [4, 0, 0], [0, 4, 0], [0, 2, 0]]],
+                '["3/4","3/4",0]',
+            ),
+        ],
+    )
+    def test_gap_witness_of_lower_dimensional_ambient_is_an_ambient_point(
+        self, tmp_path, capsys, vertices, pieces, witness
+    ):
+        spec = {"polytope": {"vertices": vertices}, "partition": {"pieces": pieces}}
+        code, out, records = run(capsys, ["verify", write_spec(tmp_path, spec)])
+        assert code == 1
+        assert out == (
+            '{"code":"PartitionError","message":"gap: pieces do not cover the ambient polytope",'
+            f'"record":"error","witness":{witness}}}\n'
+        )
+
     def test_empty_polyhedron_is_a_mathematical_rejection(self, tmp_path, capsys):
         spec = {
             "polytope": {
@@ -275,6 +298,38 @@ class TestLift:
         lifted = next(r for r in records if r["record"] == "lifted_polytope")
         assert lifted["cap"] is not None
         assert lifted["rays"] == []
+
+    def test_unbounded_three_cut_cap_job(self, tmp_path, capsys):
+        # an unbounded rank-3 halfspace polytope cut three times: once slow
+        # (the cover check built and measured box truncations)
+        halfspaces = [
+            ([-2, 2, 1], 2), ([2, -2, -1], 1), ([2, 0, 3], 0), ([2, 3, 3], -1), ([2, 3, -2], 0)
+        ]
+        cuts = [([2, -1, 1], 0), ([0, -1, 3], 2), ([1, -1, 2], -2)]
+        spec = {
+            "polytope": {"halfspaces": [{"normal": n, "offset": o} for n, o in halfspaces]},
+            "partition": {"hyperplanes": [{"normal": n, "offset": o} for n, o in cuts]},
+        }
+        code, out, records = run(capsys, ["lift", write_spec(tmp_path, spec), "--compact-cap"])
+        assert code == 1
+        assert records == [
+            {"record": "job", "command": "lift"},
+            {
+                "record": "classification",
+                "pieces": 5,
+                "semistable": False,
+                "balanced": None,
+                "nonsingular": None,
+                "mildly_singular": None,
+                "witness": {
+                    "ambient_face_dim": 2,
+                    "expected": 3,
+                    "face_dim": 0,
+                    "face_vertices": [[Fraction(6, 5), Fraction(8, 5), Fraction(-4, 5)]],
+                    "pieces_sharing": 4,
+                },
+            },
+        ]
 
     def test_multi_base(self, tmp_path, capsys):
         spec = {

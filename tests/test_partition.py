@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -32,6 +33,7 @@ from corpus import (
     staircase_partition,
     torus_fan_partition,
     triptych,
+    unimodular_matrix,
 )
 
 import oracles
@@ -627,3 +629,102 @@ class TestTilingCertificateAgainstOracles:
         _assert_same(got, _oracle_outcome(build_partition, part.ambient, pieces))
         if name in ("gap", "duplicate", "merged"):
             assert got[0] == "PartitionError"
+
+
+# -- the face-poset cover certificate against the volume certificate -------------
+
+
+@st.composite
+def t_junction_tilings(draw):
+    """The box [0, 2]^d (d = 2 or 3) cut into the slab x_1 <= 1 and the two
+    halves of x_1 >= 1 across x_2 = 1, so the slab's facet x_1 = 1 meets two
+    facets: a tiling that is not face-to-face.  A random unimodular map and
+    shift move it, and for d = 2 it may sit on a plane in rank 3."""
+    d = draw(st.sampled_from([2, 3]))
+
+    def box(lo, hi):
+        return list(itertools.product(*[range(a, b + 1, max(b - a, 1)) for a, b in zip(lo, hi)]))
+
+    rest = (2,) * (d - 2)
+    zero = (0,) * (d - 2)
+    boxes = [
+        box((0, 0) + zero, (1, 2) + rest),
+        box((1, 0) + zero, (2, 1) + rest),
+        box((1, 1) + zero, (2, 2) + rest),
+    ]
+    ops = draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(-2, 2)), max_size=3))
+    matrix = unimodular_matrix(d, ops)
+    shift = draw(st.tuples(*[st.integers(-2, 2)] * d))
+    flat = d == 2 and draw(st.booleans())
+
+    def image(p):
+        q = tuple(sum(a * b for a, b in zip(row, p)) + s for row, s in zip(matrix, shift))
+        return q + (1 - q[0] + 2 * q[1],) if flat else q
+
+    pieces = [LatticePolytope.from_vertices([image(p) for p in b]) for b in boxes]
+    ambient = LatticePolytope.from_vertices([image(p) for p in box((0,) * d, (2,) * d)])
+    return ambient, pieces
+
+
+@st.composite
+def cover_problems(draw):
+    """Pieces for a cover check, one of them possibly dropped: the chambers
+    of hyperplane cuts, T-junction tilings, and random pieces in their hull,
+    which leave gaps (or overlap, which is rejected before the cover check)."""
+    kind = draw(st.sampled_from(["cuts", "t-junction", "hull"]))
+    if kind == "cuts":
+        ambient, cuts = draw(cut_problems())
+        # the chambers as cut, before any cover check has a say
+        with mock.patch.object(partition_module, "_check_cover", lambda *args: None):
+            try:
+                pieces = list(partition_by_hyperplanes(ambient, cuts).pieces)
+            except GeometryError:
+                assume(False)
+    elif kind == "t-junction":
+        ambient, pieces = draw(t_junction_tilings())
+    else:
+        pieces, _ = draw(piece_sets())
+        try:
+            ambient = LatticePolytope.from_generators(
+                [v for p in pieces for v in p.vertices], [r for p in pieces for r in p.rays]
+            )
+        except UnsupportedGeometryError:
+            assume(False)
+    if len(pieces) > 1 and draw(st.booleans()):
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    return ambient, pieces
+
+
+class TestCoverCertificateAgainstVolumes:
+    @given(cover_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_matches_volume_oracle(self, problem):
+        ambient, pieces = problem
+        got = _outcome(build_partition, ambient, pieces)
+        with mock.patch.object(
+            partition_module, "_check_cover", lambda amb, faces, ps: oracles.check_cover(amb, ps)
+        ):
+            expected = _outcome(build_partition, ambient, pieces)
+        gap = isinstance(expected, tuple) and expected[1].startswith("gap")
+        if ambient.dim == ambient.ambient_rank or not gap:
+            _assert_same(got, expected)
+            return
+        # lower-dimensional gap: the oracle's witness is in chart coordinates
+        assert got[:2] == expected[:2]
+        witness = got[2]
+        assert ambient.contains(witness)
+        assert not any(p.contains(witness) for p in pieces)
+
+    def test_t_junction_tiling_is_accepted(self):
+        ambient = LatticePolytope.from_vertices([(0, 0), (2, 0), (0, 2), (2, 2)])
+        pieces = [
+            LatticePolytope.from_vertices([(0, 0), (1, 0), (0, 2), (1, 2)]),
+            LatticePolytope.from_vertices([(1, 0), (2, 0), (1, 1), (2, 1)]),
+            LatticePolytope.from_vertices([(1, 1), (2, 1), (1, 2), (2, 2)]),
+        ]
+        part = build_partition(ambient, pieces)
+        slab_side = part.face_index[(((1, 0), (1, 2)), ())]
+        assert slab_side.is_interior and slab_side.pieces == frozenset({0})
+        with pytest.raises(PartitionError, match="gap") as err:
+            build_partition(ambient, pieces[:2])
+        assert err.value.witness == (Fraction(3, 2), Fraction(3, 2))

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,6 +17,7 @@ from toricdegen import (
     normal_fan,
     support_function_of_polytope,
 )
+from toricdegen import polytope as polytope_module
 from toricdegen.polytope import (
     SUBSET_BUDGET,
     Fan,
@@ -34,6 +36,7 @@ from corpus import (
     reflexive_simplex,
     segment,
     staircase_fan,
+    unimodular_matrix,
     weighted_projective_simplex,
 )
 
@@ -143,7 +146,8 @@ class TestFromHalfspaces:
             p = LatticePolytope.from_halfspaces(system, rank)
         except (EmptyPolyhedronError, UnsupportedGeometryError):
             return
-        halfspaces, equations = _dual_from_generators(p.vertices, p.rays, rank)
+        with mock.patch.object(polytope_module, "_full_dim_facets", oracles.full_dim_facets):
+            halfspaces, equations = _dual_from_generators(p.vertices, p.rays, rank)
         assert p.halfspaces == halfspaces and p.equations == equations
 
 
@@ -195,6 +199,111 @@ class TestEnumerateGeneratorsAgainstOracle:
             return
         got = _enumerate_generators(halfspaces, equations, rank)
         assert got == expected and repr(got) == repr(expected)
+
+
+def _transformed(halfspaces, matrix, shift):
+    """The halfspaces in the coordinates ``y`` with ``x = matrix y + shift``."""
+    out = []
+    for normal, offset in halfspaces:
+        pulled = tuple(sum(row[j] * normal[i] for i, row in enumerate(matrix)) for j in range(len(normal)))
+        out.append(_normalize_halfspace(pulled, offset + sum(n * t for n, t in zip(normal, shift))))
+    return out
+
+
+@st.composite
+def degenerate_h_systems(draw):
+    """Cubes, cross-polytopes and pyramids over them in rank 2-4, where many
+    facets pass through each vertex (up to 8 through a pyramid apex), plus
+    sums of two or three facet rows, tight only where all of them are,
+    under a random unimodular map and translation, with duplicated and
+    loosened rows in random order."""
+    rank = draw(st.integers(2, 4))
+    shape = draw(st.sampled_from(["cube", "cross", "pyramid over cube", "pyramid over cross"]))
+    base = rank - 1 if shape.startswith("pyramid") else rank
+    if shape.endswith("cube"):
+        units = [tuple(int(i == j) for j in range(base)) for i in range(base)]
+        hs = [(u, 1) for u in units] + [(tuple(-x for x in u), 1) for u in units]
+    else:
+        hs = [(s, 1) for s in itertools.product((-1, 1), repeat=base)]
+    if shape.startswith("pyramid"):
+        # apex at height h over the base at height 0: <x, n> + o (1 - t / h) >= 0
+        h = draw(st.integers(1, 3))
+        hs = [(tuple(h * x for x in n) + (-o,), h * o) for n, o in hs]
+        hs.append((tuple(int(j == rank - 1) for j in range(rank)), 0))
+    for _ in range(draw(st.integers(0, 3))):
+        rows = [draw(st.sampled_from(hs)) for _ in range(draw(st.integers(2, 3)))]
+        normal = tuple(map(sum, zip(*(n for n, _ in rows))))
+        if any(normal):
+            hs.append((normal, sum(o for _, o in rows)))
+    ops = draw(st.lists(st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1), st.integers(-2, 2)), max_size=4))
+    shift = draw(st.tuples(*[st.integers(-3, 3)] * rank))
+    hs = _transformed(hs, unimodular_matrix(rank, ops), shift)
+    for _ in range(draw(st.integers(0, 3))):
+        n, o = draw(st.sampled_from(hs))
+        hs.append(_normalize_halfspace(n, o + draw(st.sampled_from([0, 0, 1, Fraction(1, 2)]))))
+    return draw(st.permutations(hs)), rank
+
+
+@st.composite
+def generator_sets(draw):
+    """Points with rational coordinates and some rays in rank 1-4, spanning
+    an affine subspace of any dimension: generic coordinates, pushed into
+    the ambient lattice by a random integer map and shift."""
+    rank = draw(st.integers(1, 4))
+    dim = draw(st.integers(0, rank))
+    coord = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+    local = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=dim + 3))
+    local_rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim).filter(any), max_size=2)) if dim else []
+    embed = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=rank, max_size=rank))
+    shift = draw(st.tuples(*[coord] * rank))
+
+    def image(q, t):
+        return tuple(sum(a * b for a, b in zip(row, q)) + s for row, s in zip(embed, t))
+
+    points = [image(q, shift) for q in local]
+    rays = [image(r, (0,) * rank) for r in local_rays]
+    assume(all(any(r) for r in rays))
+    return points, rays, rank
+
+
+class TestDoubleDescriptionAgainstOracles:
+    @given(degenerate_h_systems())
+    @settings(max_examples=40, deadline=None)
+    def test_degenerate_systems_match_subset_enumeration(self, system):
+        halfspaces, rank = system
+        got = _enumerate_generators(halfspaces, [], rank)
+        expected = oracles.enumerate_generators(halfspaces, [], rank)
+        assert got == expected and repr(got) == repr(expected)
+        p = LatticePolytope.from_halfspaces(halfspaces, rank)
+        with mock.patch.object(polytope_module, "_full_dim_facets", oracles.full_dim_facets):
+            assert (p.halfspaces, p.equations) == _dual_from_generators(p.vertices, p.rays, rank)
+
+    @given(generator_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_dual_of_generators_matches_brute_force(self, gens):
+        points, rays, rank = gens
+        got = _dual_from_generators(points, rays, rank)
+        with mock.patch.object(polytope_module, "_full_dim_facets", oracles.full_dim_facets):
+            expected = _dual_from_generators(points, rays, rank)
+        assert got == expected and repr(got) == repr(expected)
+        try:
+            vertices, extreme = oracles.enumerate_generators(*expected, rank)
+        except UnsupportedGeometryError:
+            return
+        p = LatticePolytope.from_generators(points, rays)
+        assert (list(p.vertices), list(p.rays)) == (vertices, extreme)
+
+    def test_cube_in_rank_5_from_vertices(self):
+        cube = LatticePolytope.from_vertices(list(itertools.product((0, 1), repeat=5)))
+        assert [len(cube.faces(k)) for k in range(5)] == [32, 80, 80, 40, 10]
+        assert len(cube.halfspaces) == 10
+
+    def test_cross_polytope_in_rank_5_from_halfspaces(self):
+        cross = LatticePolytope.from_halfspaces([(s, 1) for s in itertools.product((-1, 1), repeat=5)], 5)
+        assert [len(cross.faces(k)) for k in range(5)] == [10, 40, 80, 80, 32]
+        assert set(cross.vertices) == {
+            tuple(s * int(i == j) for j in range(5)) for i in range(5) for s in (1, -1)
+        }
 
 
 class TestNormalFan:
@@ -494,12 +603,12 @@ class TestLatticeEquivalence:
 
 class TestVolume:
     def test_simplex(self):
-        assert dilated_simplex(1).volume() == Fraction(1, 6)
-        assert dilated_simplex(4).volume() == Fraction(64, 6)
+        assert oracles.volume(dilated_simplex(1)) == Fraction(1, 6)
+        assert oracles.volume(dilated_simplex(4)) == Fraction(64, 6)
 
     def test_square(self):
         sq = LatticePolytope.from_vertices([(0, 0), (2, 0), (0, 2), (2, 2)])
-        assert sq.volume() == 4
+        assert oracles.volume(sq) == 4
 
 
 class TestCompleteFanFromRays:
