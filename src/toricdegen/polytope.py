@@ -261,19 +261,17 @@ def _homogeneous_row(constraint):
     return tuple(x * q for x in constraint.normal) + (constraint.offset.numerator,)
 
 
-def _generators(halfspaces, equations, rank):
-    """Vertices, extreme rays and facets of a pointed H-representation.
+def _enumerate_generators(halfspaces, equations, rank):
+    """Vertices and extreme rays of a pointed H-representation, sorted, and
+    the tight masks of the cone's extreme rays.
 
     The polyhedron is the slice ``t = 1`` of the cone over it in
     ``Z^(rank+1)``: each constraint becomes its homogeneous row, and
     ``t >= 0`` is added last.  The extreme rays of that cone with ``t > 0``
-    are the vertices, those with ``t = 0`` the recession rays.  The facets
-    are the halfspaces whose tight rays are maximal among the tight ray sets
-    of all inequalities; they are None when there are equations or the
-    polyhedron is lower-dimensional (some inequality is tight on every ray).
-    A polyhedron with a lineality space is refused, and so is a system
-    whose subset enumeration would exceed ``SUBSET_BUDGET``, before any
-    elimination.
+    are the vertices, those with ``t = 0`` the recession rays; bit ``i`` of
+    a ray's mask is set when ``halfspaces[i]`` is tight on it.  A polyhedron
+    with a lineality space is refused, and so is a system whose subset
+    enumeration would exceed ``SUBSET_BUDGET``, before any elimination.
     """
     normals = [h.normal for h in halfspaces] + [e.normal for e in equations]
     if normals and right_kernel(list(normals)):
@@ -288,23 +286,12 @@ def _generators(halfspaces, equations, rank):
     if lines:
         # no constraint at all: the whole space has no vertex, and in rank 1
         # its two directions are rays, as the subset enumeration found them
-        return [], [(-1,), (1,)] if rank == 1 else [], None
+        return [], [(-1,), (1,)] if rank == 1 else [], []
     vertices = sorted(
         normalize_point(Fraction(x, z[-1]) for x in z[:-1]) for z, _ in cone if z[-1]
     )
     rays = sorted(z[:-1] for z, _ in cone if not z[-1])
-    # per inequality, the set of cone rays tight on it, as a bit set
-    tight = [sum(1 << j for j, (_, m) in enumerate(cone) if m >> i & 1) for i in range(len(ineqs))]
-    if equations or (1 << len(cone)) - 1 in tight:
-        return vertices, rays, None
-    facets = [h for h, t in zip(halfspaces, tight) if not any(t & u == t != u for u in tight)]
-    return vertices, rays, facets
-
-
-def _enumerate_generators(halfspaces, equations, rank):
-    """All vertices and extreme rays of a pointed H-representation, sorted."""
-    vertices, rays, _ = _generators(halfspaces, equations, rank)
-    return vertices, rays
+    return vertices, rays, [mask for _, mask in cone]
 
 
 class LatticePolytope:
@@ -353,7 +340,7 @@ class LatticePolytope:
             raise GeometryError("at least one point is required")
         rank = len(points[0])
         halfspaces, equations = _dual_from_generators(points, rays, rank)
-        vertices, extreme = _enumerate_generators(halfspaces, equations, rank)
+        vertices, extreme, _ = _enumerate_generators(halfspaces, equations, rank)
         return cls(rank, halfspaces, equations, vertices, extreme)
 
     @classmethod
@@ -369,13 +356,18 @@ class LatticePolytope:
             if prev is None or h.offset < prev:
                 dedup[h.normal] = h.offset
         halfspaces = [Halfspace(n, o) for n, o in sorted(dedup.items())]
-        vertices, rays, facets = _generators(halfspaces, equations, rank)
+        vertices, rays, masks = _enumerate_generators(halfspaces, equations, rank)
         if not vertices:
             raise EmptyPolyhedronError("empty polyhedron")
-        if facets is None:
-            # normals are canonical only modulo the affine hull: rebuild them
+        # per halfspace, the set of cone rays tight on it, as a bit set
+        tight = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(len(halfspaces))]
+        if equations or (1 << len(masks)) - 1 in tight:
+            # lower-dimensional: normals are canonical only modulo the
+            # affine hull, so rebuild them
             hs, eqs = _dual_from_generators(vertices, rays, rank)
             return cls(rank, hs, eqs, vertices, rays)
+        # the facets are the halfspaces whose tight ray sets are maximal
+        facets = [h for h, t in zip(halfspaces, tight) if not any(t & u == t != u for u in tight)]
         return cls(rank, facets, (), vertices, rays)
 
     # -- basic queries ----------------------------------------------------
