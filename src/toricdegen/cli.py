@@ -12,6 +12,7 @@ line and is byte-for-byte deterministic for a fixed spec and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -223,7 +224,10 @@ def run_job(command, text, args):
     return records, 0, diagrams
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The argument parser, built on the first call and reused: each call of
+    ``main`` parses into a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="toricdegen",
         description="semi-stable toric degenerations from lattice polytope partitions",
@@ -242,7 +246,11 @@ def main(argv=None) -> int:
         p.add_argument("--dot", default=None, help="write the dual graph in DOT format")
         p.add_argument("--svg", default=None, help="write an SVG of a 2D partition")
         p.add_argument("--multi-base", action="store_true", help="iterated lift over parallel cuts")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.spec == "-":

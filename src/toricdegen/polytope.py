@@ -11,8 +11,12 @@ system ``from_halfspaces`` keeps the input halfspaces whose tight rays are
 maximal, read off the kernel's tight sets.  Facets of a polyhedron given by
 generators, or of a lower-dimensional system in its lattice chart, are the
 extreme rays of the cone of valid homogeneous normals
-(``_dual_from_generators``).  A system whose brute-force subset enumeration
-would exceed ``SUBSET_BUDGET`` subsets is still refused before it starts.
+(``_dual_from_generators``); ``from_generators`` reads its vertices and
+extreme rays off that one run.  Either way the polyhedron keeps the
+generator-facet incidence as one bit set per facet, and its faces, their
+dimensions and their tight sets are read off those bit sets.  A system whose
+brute-force subset enumeration would exceed ``SUBSET_BUDGET`` subsets is
+still refused before it starts.
 """
 
 from __future__ import annotations
@@ -93,21 +97,11 @@ class Face:
         return (self.vertices, self.rays)
 
 
-def _face_dim(vertices, rays):
-    if not vertices:
-        return -1
-    base = vertices[0]
-    dirs = [vsub(v, base) for v in vertices[1:]] + list(rays)
-    dirs = [d for d in dirs if any(x != 0 for x in d)]
-    if not dirs:
-        return 0
-    return rank_fraction(dirs)
-
-
 def _dual_from_generators(points, rays, rank):
-    """Facet halfspaces and affine-hull equations of conv(points) + cone(rays)."""
-    points = [normalize_point(p) for p in points]
-    rays = [primitive(r) for r in rays]
+    """Facet halfspaces, affine-hull equations and incidence of conv(points)
+    + cone(rays): bit ``i`` of a facet's mask is set when the ``i``-th
+    generator, points first, lies on it.  The equations are a kernel basis,
+    so the hull has dimension ``rank - len(equations)``."""
     base = points[0]
     dirs = [vsub(p, base) for p in points[1:]] + list(rays)
     int_dirs = []
@@ -126,23 +120,23 @@ def _dual_from_generators(points, rays, rank):
                 u = tuple(int(i == j) for j in range(rank))
                 equations.append(_normalize_equation(u, -base[i]))
     if d == 0:
-        return (), tuple(sorted(equations))
+        return (), tuple(sorted(equations)), ()
 
     if d == rank:
-        halfspaces = _full_dim_facets(points, rays, rank)
+        facets = _full_dim_facets(points, rays, rank)
     else:
         basis = saturation(int_dirs)
         model_pts = [_model_coords(basis, base, p) for p in points]
         model_rays = [_model_coords(basis, None, r) for r in rays]
-        model_hs = _full_dim_facets(model_pts, model_rays, d)
-        halfspaces = []
-        for hs in model_hs:
+        facets = []
+        for hs, mask in _full_dim_facets(model_pts, model_rays, d):
             w = solve_particular(list(basis), hs.normal)
             scale_w, s = rational_primitive(w)
             # <x - base, w> >= -offset  in ambient coordinates
             off = (Fraction(hs.offset) - vdot(base, w)) / s
-            halfspaces.append(_normalize_halfspace(scale_w, off))
-    return tuple(sorted(set(halfspaces))), tuple(sorted(equations))
+            facets.append((_normalize_halfspace(scale_w, off), mask))
+    facets = sorted(set(facets))
+    return tuple(h for h, _ in facets), tuple(sorted(equations)), tuple(m for _, m in facets)
 
 
 def _model_coords(basis, base, point):
@@ -163,6 +157,24 @@ def _refuse_over_budget(items, k):
     count = math.comb(items, k)
     if count > SUBSET_BUDGET:
         raise UnsupportedGeometryError(f"enumeration over {count} subsets of {items}")
+
+
+def _refuse_unenumerable(halfspaces, equations, rank, k):
+    """Refuse a polyhedron with a nontrivial lineality space (its normals do
+    not span), then a system of ``k``-dimensional solution space whose subset
+    enumeration would exceed ``SUBSET_BUDGET``, both before any kernel run."""
+    normals = [h.normal for h in halfspaces] + [e.normal for e in equations]
+    if normals and echelon(normals, rank)[0] < rank:
+        raise UnsupportedGeometryError("polyhedron has a nontrivial lineality space")
+    _refuse_over_budget(len(halfspaces), k)
+    _refuse_over_budget(len(halfspaces), max(k - 1, 0))  # the ray subsets
+
+
+def _whole_space_generators(rank):
+    """Vertices and rays of a system with no constraint at all: the whole
+    space has no vertex, and in rank 1 its two directions are rays, as the
+    subset enumeration found them."""
+    return [], [(-1,), (1,)] if rank == 1 else []
 
 
 def _dd_extreme_rays(ineqs, eqs, width):
@@ -241,9 +253,10 @@ def _combine(c, u, d, v):
 
 
 def _full_dim_facets(points, rays, rank):
-    """Facets of a full-dimensional hull: the extreme rays of the cone of
-    homogeneous normals ``(w, c)`` with ``<p, w> + c >= 0`` on the points and
-    ``<r, w> >= 0`` on the rays, without the hyperplane at infinity."""
+    """Facets of a full-dimensional hull with their incidence masks: the
+    extreme rays of the cone of homogeneous normals ``(w, c)`` with
+    ``<p, w> + c >= 0`` on the points and ``<r, w> >= 0`` on the rays,
+    without the hyperplane at infinity."""
     # generators are scaled to primitive integer vectors: rational points may
     # appear, and positive scaling changes neither hyperplanes nor sides
     homog = [rational_primitive(tuple(p) + (1,))[0] for p in points] + [
@@ -251,7 +264,7 @@ def _full_dim_facets(points, rays, rank):
     ]
     _refuse_over_budget(len(homog), rank)
     normals, _ = _dd_extreme_rays(homog, (), rank + 1)
-    return [_normalize_halfspace(w[:-1], w[-1]) for w, _ in normals if any(w[:-1])]
+    return [(_normalize_halfspace(w[:-1], w[-1]), mask) for w, mask in normals if any(w[:-1])]
 
 
 def _homogeneous_row(constraint):
@@ -263,35 +276,46 @@ def _homogeneous_row(constraint):
 
 def _enumerate_generators(halfspaces, equations, rank):
     """Vertices and extreme rays of a pointed H-representation, sorted, and
-    the tight masks of the cone's extreme rays.
+    their tight masks in that order, vertices first.
 
     The polyhedron is the slice ``t = 1`` of the cone over it in
     ``Z^(rank+1)``: each constraint becomes its homogeneous row, and
     ``t >= 0`` is added last.  The extreme rays of that cone with ``t > 0``
     are the vertices, those with ``t = 0`` the recession rays; bit ``i`` of
-    a ray's mask is set when ``halfspaces[i]`` is tight on it.  A polyhedron
-    with a lineality space is refused, and so is a system whose subset
-    enumeration would exceed ``SUBSET_BUDGET``, before any elimination.
+    a generator's mask is set when ``halfspaces[i]`` is tight on it.  A
+    polyhedron with a lineality space is refused, and so is a system whose
+    subset enumeration would exceed ``SUBSET_BUDGET``, before any kernel run.
     """
-    normals = [h.normal for h in halfspaces] + [e.normal for e in equations]
-    if normals and right_kernel(list(normals)):
-        raise UnsupportedGeometryError("polyhedron has a nontrivial lineality space")
     eq_rows = [e.normal for e in equations]
     k = rank - (rank_fraction(eq_rows) if eq_rows else 0)
-    _refuse_over_budget(len(halfspaces), k)
-    _refuse_over_budget(len(halfspaces), max(k - 1, 0))  # the ray subsets
+    _refuse_unenumerable(halfspaces, equations, rank, k)
 
     ineqs = [_homogeneous_row(h) for h in halfspaces] + [(0,) * rank + (1,)]
     cone, lines = _dd_extreme_rays(ineqs, [_homogeneous_row(e) for e in equations], rank + 1)
     if lines:
-        # no constraint at all: the whole space has no vertex, and in rank 1
-        # its two directions are rays, as the subset enumeration found them
-        return [], [(-1,), (1,)] if rank == 1 else [], []
+        vertices, rays = _whole_space_generators(rank)
+        return vertices, rays, [0] * len(rays)
     vertices = sorted(
-        normalize_point(Fraction(x, z[-1]) for x in z[:-1]) for z, _ in cone if z[-1]
+        (normalize_point(Fraction(x, z[-1]) for x in z[:-1]), mask) for z, mask in cone if z[-1]
     )
-    rays = sorted(z[:-1] for z, _ in cone if not z[-1])
-    return vertices, rays, [mask for _, mask in cone]
+    rays = sorted((z[:-1], mask) for z, mask in cone if not z[-1])
+    return [v for v, _ in vertices], [r for r, _ in rays], [m for _, m in vertices + rays]
+
+
+def _extreme(generators, incidence, first):
+    """The distinct generators whose sets of facets are maximal among them,
+    sorted, each with its bit: generator ``j`` is bit ``first + j`` of the
+    facet masks ``incidence``."""
+    facet_sets = {}
+    for j, g in enumerate(generators):
+        bit = 1 << (first + j)
+        facet_sets[g] = (sum(1 << f for f, mask in enumerate(incidence) if mask & bit), bit)
+    distinct = {fs for fs, _ in facet_sets.values()}
+    return sorted(
+        (g, bit)
+        for g, (fs, bit) in facet_sets.items()
+        if not any(fs & other == fs != other for other in distinct)
+    )
 
 
 class LatticePolytope:
@@ -305,6 +329,7 @@ class LatticePolytope:
         "rays",
         "is_whole_space",
         "_dim",
+        "_incidence",
         "_faces",
         "_faces_by_dim",
         "_face_index",
@@ -312,14 +337,19 @@ class LatticePolytope:
         "_edges",
     )
 
-    def __init__(self, ambient_rank, halfspaces, equations, vertices, rays, whole=False):
+    def __init__(
+        self, ambient_rank, halfspaces, equations, vertices, rays, dim, incidence, whole=False
+    ):
+        """``incidence`` holds one mask per halfspace: bit ``j`` is set when
+        the ``j``-th generator, vertices first, lies on it."""
         self.ambient_rank = ambient_rank
         self.halfspaces = tuple(halfspaces)
         self.equations = tuple(equations)
         self.vertices = tuple(vertices)
         self.rays = tuple(rays)
         self.is_whole_space = whole
-        self._dim = ambient_rank if whole else _face_dim(self.vertices, self.rays)
+        self._dim = dim
+        self._incidence = tuple(incidence)
         self._faces = None
         self._faces_by_dim = None
         self._face_index = None
@@ -335,13 +365,27 @@ class LatticePolytope:
 
     @classmethod
     def from_generators(cls, points, rays):
+        """conv(points) + cone(rays), from one double description: the facets
+        and their incidence come from ``_dual_from_generators``, and a
+        generator is extreme when its set of facets is maximal among the
+        generators of its kind."""
         points = [normalize_point(p) for p in points]
         if not points:
             raise GeometryError("at least one point is required")
         rank = len(points[0])
-        halfspaces, equations = _dual_from_generators(points, rays, rank)
-        vertices, extreme, _ = _enumerate_generators(halfspaces, equations, rank)
-        return cls(rank, halfspaces, equations, vertices, extreme)
+        rays = [primitive(r) for r in rays]
+        halfspaces, equations, incidence = _dual_from_generators(points, rays, rank)
+        dim = rank - len(equations)
+        _refuse_unenumerable(halfspaces, equations, rank, dim)
+        if rank and not halfspaces and not equations:
+            # the hull is the whole space: no vertex, so dimension -1
+            return cls(rank, (), (), *_whole_space_generators(rank), -1, ())
+        vertices = _extreme(points, incidence, 0)
+        extreme = _extreme(rays, incidence, len(points))
+        kept = [bit for _, bit in vertices + extreme]
+        masks = [sum(1 << k for k, bit in enumerate(kept) if mask & bit) for mask in incidence]
+        vertices = [v for v, _ in vertices]
+        return cls(rank, halfspaces, equations, vertices, [r for r, _ in extreme], dim, masks)
 
     @classmethod
     def from_halfspaces(cls, halfspaces, rank, equations=()):
@@ -349,7 +393,7 @@ class LatticePolytope:
         halfspaces = [_normalize_halfspace(n, o) for n, o in halfspaces]
         equations = [_normalize_equation(n, o) for n, o in equations]
         if not halfspaces and not equations:
-            return cls(rank, (), (), (), (), whole=True)
+            return cls(rank, (), (), (), (), rank, (), whole=True)
         dedup = {}
         for h in halfspaces:
             prev = dedup.get(h.normal)
@@ -359,16 +403,19 @@ class LatticePolytope:
         vertices, rays, masks = _enumerate_generators(halfspaces, equations, rank)
         if not vertices:
             raise EmptyPolyhedronError("empty polyhedron")
-        # per halfspace, the set of cone rays tight on it, as a bit set
-        tight = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(len(halfspaces))]
+        # per halfspace, the set of generators tight on it, as a bit set
+        tight = [
+            sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(len(halfspaces))
+        ]
         if equations or (1 << len(masks)) - 1 in tight:
             # lower-dimensional: normals are canonical only modulo the
             # affine hull, so rebuild them
-            hs, eqs = _dual_from_generators(vertices, rays, rank)
-            return cls(rank, hs, eqs, vertices, rays)
-        # the facets are the halfspaces whose tight ray sets are maximal
-        facets = [h for h, t in zip(halfspaces, tight) if not any(t & u == t != u for u in tight)]
-        return cls(rank, facets, (), vertices, rays)
+            hs, eqs, incidence = _dual_from_generators(vertices, rays, rank)
+            return cls(rank, hs, eqs, vertices, rays, rank - len(eqs), incidence)
+        # the facets are the halfspaces whose tight generator sets are maximal
+        facets = [i for i, t in enumerate(tight) if not any(t & u == t != u for u in tight)]
+        hs = [halfspaces[i] for i in facets]
+        return cls(rank, hs, (), vertices, rays, rank, [tight[i] for i in facets])
 
     # -- basic queries ----------------------------------------------------
 
@@ -431,10 +478,12 @@ class LatticePolytope:
 
     def faces(self, dim=None):
         """The faces sorted by dimension and key; found once, with an index
-        by key and one tuple per dimension."""
+        by generator mask and one tuple per dimension."""
         if self._faces is None:
-            self._faces = self._compute_faces()
-            self._face_index = {f.key: f for f in self._faces}
+            self._face_index = self._faces_by_mask()
+            self._faces = tuple(
+                sorted(self._face_index.values(), key=lambda f: (f.dim, f.vertices, f.rays))
+            )
             by_dim = {}
             for f in self._faces:
                 by_dim.setdefault(f.dim, []).append(f)
@@ -443,37 +492,38 @@ class LatticePolytope:
             return self._faces
         return self._faces_by_dim.get(dim, ())
 
-    def _compute_faces(self):
+    def _faces_by_mask(self):
+        """Each face keyed by its generator mask, read off the facet masks.
+
+        A face is the top face or an intersection of facet masks that keeps
+        a vertex.  Top down, the maximal proper such intersections within a
+        ``d``-face are its ``(d-1)``-faces, and every face is reached so.
+        """
+        nv = len(self.vertices)
+        top = (1 << (nv + len(self.rays))) - 1
         if self.is_whole_space:
-            return (Face((), (), self.ambient_rank, frozenset()),)
-        all_v = frozenset(self.vertices)
-        all_r = frozenset(self.rays)
-        tight_v = []
-        tight_r = []
-        for h in self.halfspaces:
-            tight_v.append(frozenset(v for v in self.vertices if vdot(v, h.normal) == -h.offset))
-            tight_r.append(frozenset(r for r in self.rays if vdot(r, h.normal) == 0))
-        seen = {(all_v, all_r)}
-        queue = [(all_v, all_r)]
-        while queue:
-            vs, rs = queue.pop()
-            for i in range(len(self.halfspaces)):
-                nvs, nrs = vs & tight_v[i], rs & tight_r[i]
-                if not nvs:
-                    continue
-                if (nvs, nrs) not in seen:
-                    seen.add((nvs, nrs))
-                    queue.append((nvs, nrs))
-        faces = []
-        for vs, rs in seen:
-            verts = tuple(sorted(vs))
-            rays = tuple(sorted(rs))
-            tight = frozenset(
-                i for i in range(len(self.halfspaces)) if vs <= tight_v[i] and rs <= tight_r[i]
-            )
-            faces.append(Face(verts, rays, _face_dim(verts, rays), tight))
-        faces.sort(key=lambda f: (f.dim, f.vertices, f.rays))
-        return tuple(faces)
+            return {top: Face((), (), self.ambient_rank, frozenset())}
+        has_vertex = (1 << nv) - 1
+        dims = {top: self._dim}
+        level, d = [top], self._dim
+        while level:
+            d -= 1
+            below = []
+            for face in level:
+                cuts = {face & m for m in self._incidence}
+                cuts = [c for c in cuts if c != face and c & has_vertex]
+                for c in cuts:
+                    if c not in dims and not any(c & o == c != o for o in cuts):
+                        dims[c] = d
+                        below.append(c)
+            level = below
+        index = {}
+        for mask, dim in dims.items():
+            verts = tuple(v for j, v in enumerate(self.vertices) if mask >> j & 1)
+            rays = tuple(r for j, r in enumerate(self.rays, nv) if mask >> j & 1)
+            tight = frozenset(i for i, m in enumerate(self._incidence) if mask & m == mask)
+            index[mask] = Face(verts, rays, dim, tight)
+        return index
 
     def facets(self):
         return self.faces(self.dim - 1)
@@ -481,27 +531,19 @@ class LatticePolytope:
     def top_face(self):
         return self.faces(self.dim)[0]
 
-    def face_by_key(self, vertices, rays=()):
-        self.faces()
-        return self._face_index.get((tuple(sorted(vertices)), tuple(sorted(rays))))
-
     def smallest_face_containing(self, points, rays=()):
-        """The smallest face containing the given points and ray directions."""
+        """The smallest face containing the given points and ray directions:
+        the intersection of the facets tight on all of them."""
         if self.is_whole_space:
             return self.top_face()
-        tight = [
-            i
-            for i, h in enumerate(self.halfspaces)
-            if all(vdot(p, h.normal) == -h.offset for p in points)
-            and all(vdot(r, h.normal) == 0 for r in rays)
-        ]
-        vs = set(self.vertices)
-        rs = set(self.rays)
-        for i in tight:
-            h = self.halfspaces[i]
-            vs = {v for v in vs if vdot(v, h.normal) == -h.offset}
-            rs = {r for r in rs if vdot(r, h.normal) == 0}
-        face = self.face_by_key(tuple(vs), tuple(rs))
+        mask = (1 << (len(self.vertices) + len(self.rays))) - 1
+        for h, facet in zip(self.halfspaces, self._incidence):
+            if all(vdot(p, h.normal) == -h.offset for p in points) and all(
+                vdot(r, h.normal) == 0 for r in rays
+            ):
+                mask &= facet
+        self.faces()
+        face = self._face_index.get(mask)
         if face is None:
             raise GeometryError("generators do not lie on a common face")
         return face
@@ -711,7 +753,7 @@ class Fan:
         """Ray-index sets of the codimension-one faces of a cone."""
         poly = self.cone_polyhedron(cone)
         out = []
-        for f in poly.faces(self.cone_dim(cone) - 1):
+        for f in poly.facets():
             out.append(frozenset(i for i in cone if self.rays[i] in set(f.rays)))
         return out
 

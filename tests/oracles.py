@@ -3,6 +3,8 @@
 These are the rational Gaussian eliminations that the integer
 (fraction-free) code replaced, the vertex and facet enumerations over every
 constraint or generator subset that the double description replaced, the
+second double description that found the extreme generators of a hull, the
+face closure by dot products with a rational rank per face, the
 tiling checks that intersect every piece pair and cut every region by every
 hyperplane, the volume certificate of a cover with its pulling
 triangulation, the per-call edge scan, and the ``Fraction``-field affine
@@ -26,7 +28,14 @@ from toricdegen.exactmath import (
     vsub,
 )
 from toricdegen.partition import _uncovered_point, build_partition
-from toricdegen.polytope import LatticePolytope, _normalize_halfspace, affine_lattice_chart
+from toricdegen.polytope import (
+    Face,
+    LatticePolytope,
+    _dual_from_generators,
+    _enumerate_generators,
+    _normalize_halfspace,
+    affine_lattice_chart,
+)
 
 
 def determinant_fraction(rows):
@@ -162,8 +171,10 @@ def enumerate_generators(halfspaces, equations, rank):
 
 
 def full_dim_facets(points, rays, rank):
-    """Facets of a full-dimensional hull: one kernel per ``rank``-subset of
-    the homogenized generators, kept when every generator is on one side."""
+    """Facets of a full-dimensional hull with their incidence masks: one
+    kernel per ``rank``-subset of the homogenized generators, kept when every
+    generator is on one side; bit ``i`` is set when generator ``i`` is on
+    the facet."""
     homog = [rational_primitive(tuple(p) + (1,))[0] for p in points] + [
         tuple(r) + (0,) for r in rays
     ]
@@ -179,8 +190,78 @@ def full_dim_facets(points, rays, rank):
         elif not all(x >= 0 for x in dots):
             continue
         if any(w[:-1]):  # not the hyperplane at infinity
-            found.add(_normalize_halfspace(w[:-1], w[-1]))
+            mask = sum(1 << i for i, x in enumerate(dots) if x == 0)
+            found.add((_normalize_halfspace(w[:-1], w[-1]), mask))
     return list(found)
+
+
+def from_generators(points, rays):
+    """Vertices and extreme rays of conv(points) + cone(rays) by a second
+    double description: the vertices of the facet system the first found."""
+    points = [normalize_point(p) for p in points]
+    rank = len(points[0])
+    halfspaces, equations, _ = _dual_from_generators(points, [primitive(r) for r in rays], rank)
+    return _enumerate_generators(halfspaces, equations, rank)[:2]
+
+
+def face_dim(vertices, rays):
+    """Dimension of conv(vertices) + cone(rays) by a rational rank."""
+    if not vertices:
+        return -1
+    base = vertices[0]
+    dirs = [vsub(v, base) for v in vertices[1:]] + list(rays)
+    dirs = [d for d in dirs if any(x != 0 for x in d)]
+    if not dirs:
+        return 0
+    return rank_fraction(dirs)
+
+
+def faces(poly):
+    """The faces of a polyhedron: the closure of its generator sets under
+    intersection with each halfspace's tight set, by dot products, each
+    dimension by ``face_dim``; sorted by dimension and key."""
+    if poly.is_whole_space:
+        return (Face((), (), poly.ambient_rank, frozenset()),)
+    all_v = frozenset(poly.vertices)
+    all_r = frozenset(poly.rays)
+    tight_v = []
+    tight_r = []
+    for h in poly.halfspaces:
+        tight_v.append(frozenset(v for v in poly.vertices if vdot(v, h.normal) == -h.offset))
+        tight_r.append(frozenset(r for r in poly.rays if vdot(r, h.normal) == 0))
+    seen = {(all_v, all_r)}
+    queue = [(all_v, all_r)]
+    while queue:
+        vs, rs = queue.pop()
+        for i in range(len(poly.halfspaces)):
+            nvs, nrs = vs & tight_v[i], rs & tight_r[i]
+            if nvs and (nvs, nrs) not in seen:
+                seen.add((nvs, nrs))
+                queue.append((nvs, nrs))
+    found = []
+    for vs, rs in seen:
+        verts = tuple(sorted(vs))
+        rays = tuple(sorted(rs))
+        tight = frozenset(
+            i for i in range(len(poly.halfspaces)) if vs <= tight_v[i] and rs <= tight_r[i]
+        )
+        found.append(Face(verts, rays, face_dim(verts, rays), tight))
+    found.sort(key=lambda f: (f.dim, f.vertices, f.rays))
+    return tuple(found)
+
+
+def smallest_face_containing(poly, points, rays=()):
+    """The face cut out by every halfspace tight on all the given points and
+    rays, its generators found by dot products."""
+    tight = [
+        h
+        for h in poly.halfspaces
+        if all(vdot(p, h.normal) == -h.offset for p in points)
+        and all(vdot(r, h.normal) == 0 for r in rays)
+    ]
+    vs = tuple(v for v in poly.vertices if all(vdot(v, h.normal) == -h.offset for h in tight))
+    rs = tuple(r for r in poly.rays if all(vdot(r, h.normal) == 0 for h in tight))
+    return next(f for f in faces(poly) if f.key == (vs, rs))
 
 
 def volume(poly):

@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -553,21 +556,28 @@ def fuzz_jobs(draw):
     return argv, json.dumps(job)
 
 
+def _main_on_stdin(argv, text):
+    """``(exit code, stdout)`` of an in-process ``cli.main`` call reading ``text``
+    as its spec on stdin."""
+    out = io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue()
+
+
 class TestFrontDoorFuzz:
     @given(fuzz_jobs())
     @settings(max_examples=150, deadline=None)
     def test_every_job_exits_cleanly_with_json_records(self, job):
         argv, text = job
-        out = io.StringIO()
-        stdin = sys.stdin
-        sys.stdin = io.StringIO(text)
-        try:
-            with contextlib.redirect_stdout(out):
-                code = cli.main(argv + ["-"])
-        finally:
-            sys.stdin = stdin
+        code, out = _main_on_stdin(argv + ["-"], text)
         assert code in (0, 1, 2)
-        lines = out.getvalue().splitlines()
+        lines = out.splitlines()
         assert lines
         for line in lines:
             assert "record" in json.loads(line)
@@ -584,3 +594,56 @@ def _holds_bool(node):
     if isinstance(node, dict):
         node = list(node.values())
     return isinstance(node, list) and any(_holds_bool(x) for x in node)
+
+
+class TestParserReuse:
+    """The parser is built once per process; no flag of one call may leak
+    into the next."""
+
+    @pytest.mark.parametrize(
+        "calls",
+        [
+            [["degenerate", "-", "--seed", "7"], ["degenerate", "-"]],
+            [["lift", "-", "--compact-cap"], ["lift", "-"]],
+            [["degenerate", "-", "--anchor", "3"], ["verify", "-"], ["degenerate", "-"]],
+        ],
+    )
+    def test_consecutive_calls_print_what_each_prints_alone(self, calls):
+        text = json.dumps(CHAIN4)
+        together = [_main_on_stdin(argv, text) for argv in calls]
+        alone = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            alone.append(_main_on_stdin(argv, text))
+        assert together == alone
+        assert together[0] != together[1]
+
+
+class TestEntryPoint:
+    """``python -m toricdegen.cli`` in a child process: the exit code and
+    stdout match an in-process ``main`` call on the same stdin."""
+
+    @pytest.mark.parametrize(
+        "argv, spec, code",
+        [
+            (["verify", "-"], json.dumps(OCTAGON), 0),
+            (["degenerate", "-"], json.dumps(CHAIN4), 0),
+            (["verify", "-"], json.dumps(BAD_TRIPTYCH), 1),
+            (["degenerate", "-"], json.dumps(BAD_TRIPTYCH), 1),
+            (["verify", "-"], '{"polytope": ', 2),
+            (["degenerate", "-"], '{"polytope": {"vertices": [[0, 0]]}}', 2),
+        ],
+    )
+    def test_exit_code_and_stdout_match_in_process_main(self, argv, spec, code):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-m", "toricdegen.cli", *argv],
+            input=spec.encode(),
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert (child.returncode, child.stderr) == (code, b"")
+        assert (child.returncode, child.stdout.decode()) == _main_on_stdin(argv, spec)

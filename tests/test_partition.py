@@ -318,6 +318,61 @@ class TestRestriction:
             assert part.restrict(facet).is_semistable(), name
 
 
+def _signed_permutation_image(vertices, cuts, perm, signs, shift):
+    """The polytope and cuts under ``x -> A x + shift``, where row ``i`` of
+    ``A`` is ``signs[i]`` times the unit vector ``perm[i]``.  ``A`` is
+    orthogonal, so ``<x, n> = c`` becomes ``<y, A n> = c + <A n, shift>``."""
+
+    def apply(v):
+        return tuple(s * v[j] for j, s in zip(perm, signs))
+
+    image = [tuple(a + t for a, t in zip(apply(v), shift)) for v in vertices]
+    image_cuts = [(apply(n), c + vdot(apply(n), shift)) for n, c in cuts]
+    return LatticePolytope.from_vertices(image), image_cuts
+
+
+class TestPartitionsEquivalent:
+    CASES = [
+        (
+            [(0, 0), (4, 0), (4, 2), (2, 4), (0, 4)],
+            [((1, 0), 1), ((0, 1), 1)],
+            [((1, 0), 2), ((0, 1), 1)],
+            (1, 0),
+            (-1, 1),
+            (3, -2),
+        ),
+        (
+            [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)],
+            [((1, 0, 0), 1), ((0, 1, 0), 1)],
+            [((1, 0, 0), 1), ((1, 1, 0), 2)],
+            (2, 0, 1),
+            (1, -1, -1),
+            (1, 2, -1),
+        ),
+    ]
+
+    @pytest.mark.parametrize("vertices, cuts, other_cuts, perm, signs, shift", CASES)
+    def test_signed_permutation_image_is_equivalent(
+        self, vertices, cuts, other_cuts, perm, signs, shift
+    ):
+        a = partition_by_hyperplanes(LatticePolytope.from_vertices(vertices), cuts)
+        image, image_cuts = _signed_permutation_image(vertices, cuts, perm, signs, shift)
+        b = partition_by_hyperplanes(image, image_cuts)
+        # the image is not the same tiling, so the map must do the work
+        assert {p.vertices for p in a.pieces} != {p.vertices for p in b.pieces}
+        assert partitions_equivalent(a, b) and partitions_equivalent(b, a)
+
+    @pytest.mark.parametrize("vertices, cuts, other_cuts, perm, signs, shift", CASES)
+    def test_other_cuts_with_as_many_pieces_are_not_equivalent(
+        self, vertices, cuts, other_cuts, perm, signs, shift
+    ):
+        a = partition_by_hyperplanes(LatticePolytope.from_vertices(vertices), cuts)
+        image, image_cuts = _signed_permutation_image(vertices, other_cuts, perm, signs, shift)
+        b = partition_by_hyperplanes(image, image_cuts)
+        assert len(a.pieces) == len(b.pieces)
+        assert not partitions_equivalent(a, b) and not partitions_equivalent(b, a)
+
+
 class TestDualComplex:
     def test_chain_is_a_path(self):
         dual = chain_partition(4).dual_complex()

@@ -18,6 +18,7 @@ from toricdegen import (
     support_function_of_polytope,
 )
 from toricdegen import polytope as polytope_module
+from toricdegen.exactmath import echelon
 from toricdegen.polytope import (
     SUBSET_BUDGET,
     Fan,
@@ -147,8 +148,8 @@ class TestFromHalfspaces:
         except (EmptyPolyhedronError, UnsupportedGeometryError):
             return
         with mock.patch.object(polytope_module, "_full_dim_facets", oracles.full_dim_facets):
-            halfspaces, equations = _dual_from_generators(p.vertices, p.rays, rank)
-        assert p.halfspaces == halfspaces and p.equations == equations
+            expected = _dual_from_generators(p.vertices, p.rays, rank)
+        assert (p.halfspaces, p.equations, p._incidence) == expected
 
 
 @st.composite
@@ -276,7 +277,8 @@ class TestDoubleDescriptionAgainstOracles:
         assert got == expected and repr(got) == repr(expected)
         p = LatticePolytope.from_halfspaces(halfspaces, rank)
         with mock.patch.object(polytope_module, "_full_dim_facets", oracles.full_dim_facets):
-            assert (p.halfspaces, p.equations) == _dual_from_generators(p.vertices, p.rays, rank)
+            expected = _dual_from_generators(p.vertices, p.rays, rank)
+        assert (p.halfspaces, p.equations, p._incidence) == expected
 
     @given(generator_sets())
     @settings(max_examples=80, deadline=None)
@@ -287,7 +289,7 @@ class TestDoubleDescriptionAgainstOracles:
             expected = _dual_from_generators(points, rays, rank)
         assert got == expected and repr(got) == repr(expected)
         try:
-            vertices, extreme = oracles.enumerate_generators(*expected, rank)
+            vertices, extreme = oracles.enumerate_generators(*expected[:2], rank)
         except UnsupportedGeometryError:
             return
         p = LatticePolytope.from_generators(points, rays)
@@ -304,6 +306,167 @@ class TestDoubleDescriptionAgainstOracles:
         assert set(cross.vertices) == {
             tuple(s * int(i == j) for j in range(5)) for i in range(5) for s in (1, -1)
         }
+
+
+def _assert_faces_match_oracle(poly):
+    expected = oracles.faces(poly)
+    got = poly.faces()
+    assert got == expected and repr(got) == repr(expected)
+    if not poly.is_whole_space:
+        assert poly.dim == oracles.face_dim(poly.vertices, poly.rays)
+
+
+def _assert_smallest_faces_match_oracle(poly, data):
+    """On a few vertices and rays with the centroid of the vertices."""
+    if poly.is_whole_space or not poly.vertices:
+        return
+    vs = data.draw(st.lists(st.sampled_from(poly.vertices), min_size=1, max_size=3))
+    rs = data.draw(st.lists(st.sampled_from(poly.rays), max_size=2)) if poly.rays else []
+    points = vs + [tuple(Fraction(sum(c), len(vs)) for c in zip(*vs))]
+    expected = oracles.smallest_face_containing(poly, points, rs)
+    assert poly.smallest_face_containing(points, rs) == expected
+
+
+@st.composite
+def cluttered_generator_sets(draw):
+    """``generator_sets`` with repeated points, points inside the hull
+    (midpoints of two points, a point pushed along a ray), and repeated or
+    scaled rays, in random order."""
+    points, rays, rank = draw(generator_sets())
+    extra = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+        kind = draw(st.sampled_from(["duplicate", "midpoint", "pushed"]))
+        if kind == "duplicate":
+            extra.append(a)
+        elif kind == "midpoint":
+            extra.append(tuple(Fraction(x + y) / 2 for x, y in zip(a, b)))
+        elif rays:
+            r = draw(st.sampled_from(rays))
+            extra.append(tuple(x + y for x, y in zip(a, r)))
+    if rays:
+        scaled = draw(st.lists(st.tuples(st.integers(1, 3), st.sampled_from(rays)), max_size=2))
+        rays = rays + [tuple(c * x for x in r) for c, r in scaled]
+    return draw(st.permutations(points + extra)), draw(st.permutations(rays)), rank
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The argument tuples of every ``_dd_extreme_rays`` run from here on."""
+    runs = []
+    kernel = polytope_module._dd_extreme_rays
+    monkeypatch.setattr(polytope_module, "_dd_extreme_rays", lambda *a: runs.append(a) or kernel(*a))
+    return runs
+
+
+class TestIncidenceAgainstOracles:
+    """Faces, face dimensions, tight sets and extreme generators read off the
+    double description's incidence masks, against the dot-product closure
+    with a rational rank per face and the second double description."""
+
+    @given(h_systems(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_faces_of_halfspace_systems(self, system, data):
+        halfspaces, equations, rank = system
+        try:
+            p = LatticePolytope.from_halfspaces(halfspaces, rank, equations)
+        except (EmptyPolyhedronError, UnsupportedGeometryError):
+            return
+        _assert_faces_match_oracle(p)
+        _assert_smallest_faces_match_oracle(p, data)
+
+    @given(degenerate_h_systems(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_faces_of_degenerate_systems(self, system, data):
+        halfspaces, rank = system
+        p = LatticePolytope.from_halfspaces(halfspaces, rank)
+        _assert_faces_match_oracle(p)
+        _assert_smallest_faces_match_oracle(p, data)
+
+    @given(cluttered_generator_sets(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_from_generators_matches_two_pass_oracle(self, gens, data):
+        points, rays, rank = gens
+        try:
+            expected = oracles.from_generators(points, rays)
+        except UnsupportedGeometryError as exc:
+            with pytest.raises(UnsupportedGeometryError, match=str(exc)):
+                LatticePolytope.from_generators(points, rays)
+            return
+        p = LatticePolytope.from_generators(points, rays)
+        assert (list(p.vertices), list(p.rays)) == expected
+        _assert_faces_match_oracle(p)
+        _assert_smallest_faces_match_oracle(p, data)
+
+    def test_corpus_faces(self):
+        for poly in (
+            reflexive_simplex(3),
+            dilated_simplex(2),
+            weighted_projective_simplex(),
+            LatticePolytope.from_vertices(list(itertools.product((0, 1), repeat=4))),
+            LatticePolytope.from_vertices([(0, 0, 0), (2, 2, 2), (1, 1, 1)]),
+            LatticePolytope.from_generators([(0, 0, 0)], [(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+            LatticePolytope.from_vertices([()]),
+        ):
+            _assert_faces_match_oracle(poly)
+
+    @pytest.mark.parametrize(
+        "points, rays",
+        [
+            ([(0, 0)], [(1, 0), (-1, 0), (0, 1)]),  # a half-plane
+            ([(0, 0), (0, 2)], [(1, 0), (-1, 0)]),  # a strip
+            ([(0, 0, 0), (1, 0, 0)], [(0, 1, 1), (0, -2, -2)]),  # a flat strip in rank 3
+        ],
+    )
+    def test_lineality_refused(self, points, rays):
+        with pytest.raises(UnsupportedGeometryError, match="nontrivial lineality space"):
+            oracles.from_generators(points, rays)
+        with pytest.raises(UnsupportedGeometryError, match="nontrivial lineality space"):
+            LatticePolytope.from_generators(points, rays)
+
+    def test_lineality_refused_before_the_budget(self):
+        # the cyclic polytope on 14 points of the moment curve in rank 4 has
+        # 77 facets, and C(77, 5) is over the budget in rank 5
+        points = [(t, t**2, t**3, t**4, 0) for t in range(14)]
+        rays = [(0, 0, 0, 0, 1), (0, 0, 0, 0, -1)]
+        assert comb(77, 5) > SUBSET_BUDGET
+        with pytest.raises(UnsupportedGeometryError, match="nontrivial lineality space"):
+            LatticePolytope.from_generators(points, rays)
+
+    def test_budget_refused_with_the_subset_count(self, kernel_runs):
+        points = [(t, t**2, t**3, t**4) for t in range(14)]
+        message = f"enumeration over {comb(77, 4)} subsets of 77"
+        with pytest.raises(UnsupportedGeometryError, match=message):
+            LatticePolytope.from_vertices(points)
+        assert len(kernel_runs) == 1
+        with pytest.raises(UnsupportedGeometryError, match=message):
+            oracles.from_generators(points, [])
+
+    def test_whole_line_keeps_its_two_rays(self):
+        p = LatticePolytope.from_generators([(3,), (0,)], [(1,), (-2,)])
+        assert (p.vertices, p.rays, p.dim) == ((), ((-1,), (1,)), -1)
+        assert oracles.from_generators([(3,), (0,)], [(1,), (-2,)]) == ([], [(-1,), (1,)])
+        _assert_faces_match_oracle(p)
+
+    def test_whole_plane_has_no_generators(self):
+        p = LatticePolytope.from_generators([(1, 1)], [(1, 0), (-1, 0), (0, 1), (0, -1)])
+        assert (p.vertices, p.rays, p.dim) == ((), (), -1)
+        assert oracles.from_generators([(1, 1)], [(1, 0), (-1, 0), (0, 1), (0, -1)]) == ([], [])
+
+    @pytest.mark.parametrize(
+        "points, rays",
+        [
+            ([(0, 0), (4, 0), (0, 4), (1, 1), (1, 1), (2, 2)], []),
+            ([(0, 0, 0), (2, 2, 2), (1, 1, 1)], []),
+            ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)], []),
+            ([(0, 0), (1, 0), (1, 1)], [(1, 0), (2, 1), (0, 1)]),
+            ([(0, 0, 0)], [(1, 0, 0), (0, 1, 0)]),
+        ],
+    )
+    def test_one_kernel_run_per_hull(self, kernel_runs, points, rays):
+        p = LatticePolytope.from_generators(points, rays)
+        assert len(kernel_runs) == 1
+        assert (list(p.vertices), list(p.rays)) == oracles.from_generators(points, rays)
 
 
 class TestNormalFan:
@@ -680,13 +843,21 @@ class TestEnumerationGuard:
             long_segment.lattice_points()
 
     def test_vertex_enumeration_over_budget_refused_up_front(self, monkeypatch):
-        monkeypatch.setattr("toricdegen.polytope.echelon", None)  # never reached
+        # the one elimination before the refusal is the lineality rank test
+        calls = []
+
+        def recording_echelon(m, ncols):
+            calls.append((len(m), ncols))
+            return echelon(m, ncols)
+
+        monkeypatch.setattr("toricdegen.polytope.echelon", recording_echelon)
         rank = 8
         hs = [(tuple(int(i == j) for j in range(rank)), 0) for i in range(rank)]
         hs += [((-1, -t) + (-1,) * (rank - 2), 100 * t) for t in range(1, 23)]
         assert comb(len(hs), rank) > SUBSET_BUDGET
         with pytest.raises(UnsupportedGeometryError, match=f"{comb(30, 8)} subsets"):
             LatticePolytope.from_halfspaces(hs, rank)
+        assert calls == [(30, rank)]
 
     def test_facet_enumeration_over_budget_refused_up_front(self, monkeypatch):
         monkeypatch.setattr("toricdegen.polytope.kernel_vector", None)  # never reached
