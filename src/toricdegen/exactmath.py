@@ -8,7 +8,12 @@ are eliminated over the integers by fraction-free (Bareiss) elimination:
 ``echelon`` clears each row's denominators and works on integers throughout,
 and its callers form a ``Fraction`` only for the final answer.  Affine
 functions are likewise integer triples ``(a, b, d)`` over one positive
-denominator, in lowest terms.
+denominator, in lowest terms.  An integral value is always a plain ``int``,
+never an integral ``Fraction``: ``normalize_coord`` returns an ``int``
+unchanged, and ``rational_primitive`` of an all-``int`` vector divides by the
+gcd with an integer scale.  An inverse is integral too: ``echelon`` run on
+``[A | I]`` gives ``det * A^-1`` in integers, which is how lattice
+equivalence inverts an edge basis once per search.
 """
 
 from __future__ import annotations
@@ -68,8 +73,13 @@ def rational_primitive(v):
     """Scale a nonzero rational vector to a primitive integer vector.
 
     Returns ``(w, s)`` with ``w`` primitive integer and ``v = s * w`` for a
-    positive rational ``s``.
+    positive rational ``s``, an ``int`` when every entry of ``v`` is one.
     """
+    if all(type(x) is int for x in v):
+        g = gcd_all(v)
+        if not g:
+            raise GeometryErrorZero()
+        return tuple(x // g for x in v), g
     fracs = [Fraction(x) for x in v]
     if all(x == 0 for x in fracs):
         raise GeometryErrorZero()
@@ -321,9 +331,12 @@ def solve_particular(rows, rhs):
 
 
 def normalize_coord(x):
-    """Collapse integral Fractions to int so mixed tuples hash alike."""
+    """Collapse integral Fractions to int so mixed tuples hash alike; an
+    ``int`` is returned unchanged."""
+    if type(x) is int:
+        return x
     f = Fraction(x)
-    return int(f) if f.denominator == 1 else f
+    return f.numerator if f.denominator == 1 else f
 
 
 def normalize_point(p):

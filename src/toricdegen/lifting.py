@@ -24,7 +24,6 @@ from .errors import GeometryError, LiftingError
 from .exactmath import (
     AffineFunction,
     determinant,
-    gcd_all,
     kernel_vector,
     primitive,
     rational_primitive,
@@ -32,7 +31,7 @@ from .exactmath import (
     vsub,
 )
 from .partition import DualComplex, Partition, partition_by_hyperplanes
-from .polytope import LatticePolytope, SupportFunction, normal_fan
+from .polytope import LatticePolytope, SupportFunction, _normalize_halfspace, normal_fan
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ def _wall_function_at(partition, wall, p, i, j, ambient_vertex=False):
     u = kernel_vector(int_dirs, partition.ambient.ambient_rank)
     if u is None:
         raise LiftingError("wall is not a hyperplane piece", witness=wall.key)
-    c = Fraction(vdot(base, u))
+    c = vdot(base, u)
     # the unique partition edge at p missed by piece i; it points into piece j
     if ambient_vertex:
         edges = [e for e in partition.faces(1) if p in e.vertices]
@@ -197,7 +196,7 @@ class PiecewiseAffine:
             if piece.is_compact:
                 pts = piece.lattice_points()
             else:
-                pts = piece.intersect_polyhedron(piece.bounding_box_polytope(1)).lattice_points()
+                pts = piece.intersect(piece.box_halfspaces(1)).lattice_points()
                 rays = piece.rays
             total, floor = 0, None
             for t in itertools.chain((vdot(a, p) + b for p in pts), (vdot(a, r) for r in rays)):
@@ -365,7 +364,7 @@ class LiftedPolytope:
         return {
             v
             for v in self.polytope.vertices
-            if Fraction(v[-1]) == vdot(a, v[:-1]) + b
+            if v[-1] == vdot(a, v[:-1]) + b
         }
 
     def lifted_edge_vectors(self, point):
@@ -408,8 +407,7 @@ def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=No
     for idx, f in enumerate(func.per_piece):
         # y >= (<a, x> + b) / d  is  <(-a, d), (x, y)> >= b
         normal, offset = tuple(-x for x in f.a) + (f.d,), -f.b
-        g = gcd_all(normal)
-        key = (tuple(x // g for x in normal), Fraction(offset, g))
+        key = _normalize_halfspace(normal, offset)
         if key in piece_keys:
             raise LiftingError("pieces share an affine function", witness=(piece_keys[key], idx))
         piece_keys[key] = idx
@@ -432,22 +430,20 @@ def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=No
     ] or ())
 
     if not lifted.is_lattice:
-        bad = next(v for v in lifted.vertices if any(Fraction(x).denominator != 1 for x in v))
+        bad = next(v for v in lifted.vertices if any(type(x) is not int for x in v))
         raise LiftingError("lifted polytope is not integral", witness=bad)
 
     piece_facets = {}
-    index_of = {(h.normal, Fraction(h.offset)): i for i, h in enumerate(lifted.halfspaces)}
+    index_of = {h: i for i, h in enumerate(lifted.halfspaces)}
     for key, idx in piece_keys.items():
-        hs_index = index_of.get((key[0], Fraction(key[1])))
+        hs_index = index_of.get(key)
         if hs_index is None:
             raise LiftingError("a piece does not contribute a facet", witness=idx)
         piece_facets[idx] = hs_index
     cap_facet = -1
     if cap is not None:
         a, b = cap
-        g = gcd_all(a + (-1,))
-        key = (tuple(x // g for x in a + (-1,)), Fraction(b) / g)
-        cap_facet = index_of.get(key, -1)
+        cap_facet = index_of.get(_normalize_halfspace(a + (-1,), b), -1)
         if cap_facet < 0:
             raise LiftingError("cap does not contribute a facet; choose a larger bound")
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import EmptyPolyhedronError, GeometryError, PartitionError
-from .exactmath import determinant, left_kernel, rational_primitive, vdot, vsub
+from .exactmath import determinant, left_kernel, normalize_coord, rational_primitive, vdot, vsub
 from .polytope import (
     Face,
     Fan,
@@ -421,7 +420,7 @@ def _uncovered_point(ambient, pieces):
         for region in regions:
             prefix = []
             for h in piece.halfspaces:
-                flipped = (tuple(-x for x in h.normal), -Fraction(h.offset))
+                flipped = (tuple(-x for x in h.normal), -h.offset)
                 try:
                     chunk = region.intersect(prefix + [flipped])
                 except EmptyPolyhedronError:
@@ -482,7 +481,7 @@ def partition_by_hyperplanes(ambient: LatticePolytope, cuts) -> Partition:
     regions = [ambient]
     for normal, value in cuts:
         normal = tuple(int(x) for x in normal)
-        value = Fraction(value)
+        value = normalize_coord(value)
         new_regions = []
         for region in regions:
             sides = [vdot(v, normal) - value for v in region.vertices]

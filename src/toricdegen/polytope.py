@@ -1,14 +1,18 @@
 """Exact rational polyhedra, face lattices, normal fans and support functions.
 
-Polyhedra live in a fixed ambient lattice of rank ``n``.  The H-representation
-uses inward halfspaces ``<x, normal> >= -offset`` with primitive integer
-normals; offsets are exact rationals (they stay integral for lattice
-polytopes).  Unbounded polyhedra carry explicit recession rays.  Every step
-is exact.  Both directions between the descriptions run one integer double
-description kernel (``_dd_extreme_rays``).  Vertices and rays of a halfspace
-system are the extreme rays of the cone over it; for a full-dimensional
-system ``from_halfspaces`` keeps the input halfspaces whose tight rays are
-maximal, read off the kernel's tight sets.  Facets of a polyhedron given by
+Polyhedra live in a fixed ambient lattice of rank ``n``.  The
+H-representation uses inward halfspaces ``<x, normal> >= -offset`` with
+primitive integer normals; offsets are exact rationals (they stay integral
+for lattice polytopes).  Unbounded polyhedra carry explicit recession rays.
+Every step is exact, and an integral coordinate or offset is always a plain
+``int``: a ``Fraction`` appears only for a value that is not an integer, so a
+lattice polytope is one whose vertex coordinates are all ints.  ``intersect``
+normalizes only the constraints it adds.  Both directions between the
+descriptions run one integer double description kernel
+(``_dd_extreme_rays``).  Vertices and rays of a halfspace system are the
+extreme rays of the cone over it; for a full-dimensional system
+``from_halfspaces`` keeps the input halfspaces whose tight rays are maximal,
+read off the kernel's tight sets.  Facets of a polyhedron given by
 generators, or of a lower-dimensional system in its lattice chart, are the
 extreme rays of the cone of valid homogeneous normals
 (``_dual_from_generators``); ``from_generators`` reads its vertices and
@@ -16,7 +20,9 @@ extreme rays off that one run.  Either way the polyhedron keeps the
 generator-facet incidence as one bit set per facet, and its faces, their
 dimensions and their tight sets are read off those bit sets.  A system whose
 brute-force subset enumeration would exceed ``SUBSET_BUDGET`` subsets is
-still refused before it starts.
+still refused before it starts.  ``lattice_equivalences`` inverts the edge
+basis at one vertex once, as an integer matrix over its determinant, so each
+candidate map is an integer product and an exact division.
 """
 
 from __future__ import annotations
@@ -63,24 +69,31 @@ class Equation(NamedTuple):
     offset: object
 
 
+def _divide(offset, g):
+    """``offset / g`` for a positive integer ``g``, an ``int`` when exact."""
+    if type(offset) is int and offset % g == 0:
+        return offset // g
+    return normalize_coord(Fraction(offset) / g)
+
+
 def _normalize_halfspace(normal, offset):
     normal = tuple(int(x) for x in normal)
-    if all(x == 0 for x in normal):
-        raise GeometryError("halfspace normal must be nonzero")
     g = gcd_all(normal)
-    return Halfspace(tuple(x // g for x in normal), normalize_coord(Fraction(offset) / g))
+    if not g:
+        raise GeometryError("halfspace normal must be nonzero")
+    return Halfspace(tuple(x // g for x in normal), _divide(offset, g))
 
 
 def _normalize_equation(normal, offset):
     normal = tuple(int(x) for x in normal)
     g = gcd_all(normal)
     normal = tuple(x // g for x in normal)
-    offset = Fraction(offset) / g
+    offset = _divide(offset, g)
     lead = next(x for x in normal if x != 0)
     if lead < 0:
         normal = tuple(-x for x in normal)
         offset = -offset
-    return Equation(normal, normalize_coord(offset))
+    return Equation(normal, offset)
 
 
 @dataclass(frozen=True)
@@ -270,8 +283,11 @@ def _full_dim_facets(points, rays, rank):
 def _homogeneous_row(constraint):
     """``(q * normal, p)`` for the offset ``p / q``: its dot product with
     ``(x, 1)`` is ``<x, normal> + offset`` times ``q > 0``."""
-    q = constraint.offset.denominator
-    return tuple(x * q for x in constraint.normal) + (constraint.offset.numerator,)
+    normal, offset = constraint
+    if type(offset) is int:
+        return normal + (offset,)
+    q = offset.denominator
+    return tuple(x * q for x in normal) + (offset.numerator,)
 
 
 def _enumerate_generators(halfspaces, equations, rank):
@@ -295,11 +311,18 @@ def _enumerate_generators(halfspaces, equations, rank):
     if lines:
         vertices, rays = _whole_space_generators(rank)
         return vertices, rays, [0] * len(rays)
-    vertices = sorted(
-        (normalize_point(Fraction(x, z[-1]) for x in z[:-1]), mask) for z, mask in cone if z[-1]
-    )
+    vertices = sorted((_vertex(z), mask) for z, mask in cone if z[-1])
     rays = sorted((z[:-1], mask) for z, mask in cone if not z[-1])
     return [v for v, _ in vertices], [r for r, _ in rays], [m for _, m in vertices + rays]
+
+
+def _vertex(z):
+    """The point ``z[:-1] / t`` of a cone ray ``z`` with ``t = z[-1] > 0``:
+    read straight off the ray when ``t = 1``, else divided exactly."""
+    *x, t = z
+    if t == 1:
+        return tuple(x)
+    return tuple(c // t if c % t == 0 else Fraction(c, t) for c in x)
 
 
 def _extreme(generators, incidence, first):
@@ -390,8 +413,15 @@ class LatticePolytope:
     @classmethod
     def from_halfspaces(cls, halfspaces, rank, equations=()):
         """Intersection of halfspaces; may be unbounded or the whole space."""
-        halfspaces = [_normalize_halfspace(n, o) for n, o in halfspaces]
-        equations = [_normalize_equation(n, o) for n, o in equations]
+        return cls._from_normalized(
+            [_normalize_halfspace(n, o) for n, o in halfspaces],
+            rank,
+            [_normalize_equation(n, o) for n, o in equations],
+        )
+
+    @classmethod
+    def _from_normalized(cls, halfspaces, rank, equations):
+        """``from_halfspaces`` for constraints already in normal form."""
         if not halfspaces and not equations:
             return cls(rank, (), (), (), (), rank, (), whole=True)
         dedup = {}
@@ -429,7 +459,8 @@ class LatticePolytope:
 
     @property
     def is_lattice(self):
-        return all(all(Fraction(x).denominator == 1 for x in v) for v in self.vertices)
+        # integral coordinates are always plain ints
+        return all(type(x) is int for v in self.vertices for x in v)
 
     def contains(self, point) -> bool:
         if len(point) != self.ambient_rank:
@@ -615,9 +646,9 @@ class LatticePolytope:
         lo = []
         hi = []
         for i in range(n):
-            coords = [Fraction(v[i]) for v in self.vertices]
-            lo.append(min(coords).__ceil__())
-            hi.append(max(coords).__floor__())
+            coords = [v[i] for v in self.vertices]
+            lo.append(math.ceil(min(coords)))
+            hi.append(math.floor(max(coords)))
         box = 1
         for a, b in zip(lo, hi):
             box *= max(b - a + 1, 0)
@@ -653,39 +684,39 @@ class LatticePolytope:
 
     def relative_interior_point(self):
         if self.is_whole_space:
-            return tuple(Fraction(0) for _ in range(self.ambient_rank))
+            return (0,) * self.ambient_rank
         n = len(self.vertices)
-        acc = tuple(Fraction(0) for _ in range(self.ambient_rank))
-        for v in self.vertices:
-            acc = vadd(acc, v)
-        acc = tuple(Fraction(x, n) for x in acc)
+        acc = tuple(_divide(sum(c), n) for c in zip(*self.vertices))
         for r in self.rays:
             acc = vadd(acc, r)
-        return normalize_point(acc)
+        return acc
 
     def intersect(self, halfspaces=(), equations=()):
-        """Intersection with further constraints; raises on emptiness."""
-        hs = [(h.normal, h.offset) for h in self.halfspaces] + [tuple(h) for h in halfspaces]
-        eqs = [(e.normal, e.offset) for e in self.equations] + [tuple(e) for e in equations]
-        return LatticePolytope.from_halfspaces(hs, self.ambient_rank, eqs)
+        """Intersection with further constraints; raises on emptiness.  Only
+        the new constraints are normalized: the polyhedron's own already are."""
+        hs = [*self.halfspaces, *(_normalize_halfspace(n, o) for n, o in halfspaces)]
+        eqs = [*self.equations, *(_normalize_equation(n, o) for n, o in equations)]
+        return LatticePolytope._from_normalized(hs, self.ambient_rank, eqs)
 
     def intersect_polyhedron(self, other: "LatticePolytope"):
-        return self.intersect(other.halfspaces, other.equations)
+        hs = [*self.halfspaces, *other.halfspaces]
+        eqs = [*self.equations, *other.equations]
+        return LatticePolytope._from_normalized(hs, self.ambient_rank, eqs)
 
-    def bounding_box_polytope(self, margin=1):
-        """Axis box strictly containing all vertices, one ray step deep."""
-        lo, hi = [], []
-        for i in range(self.ambient_rank):
-            coords = [Fraction(v[i]) for v in self.vertices] or [Fraction(0)]
-            coords += [Fraction(v[i]) + r[i] for v in self.vertices for r in self.rays]
-            lo.append(min(coords).__floor__() - margin)
-            hi.append(max(coords).__ceil__() + margin)
+    def box_halfspaces(self, margin=1):
+        """Halfspaces of the axis box strictly containing all vertices, one
+        ray step deep."""
         hs = []
         for i in range(self.ambient_rank):
+            coords = [v[i] for v in self.vertices] or [0]
+            coords += [v[i] + r[i] for v in self.vertices for r in self.rays]
             e = tuple(int(i == j) for j in range(self.ambient_rank))
-            hs.append((e, -lo[i]))
-            hs.append((tuple(-x for x in e), hi[i]))
-        return LatticePolytope.from_halfspaces(hs, self.ambient_rank)
+            hs.append(Halfspace(e, margin - math.floor(min(coords))))
+            hs.append(Halfspace(tuple(-x for x in e), math.ceil(max(coords)) + margin))
+        return hs
+
+    def bounding_box_polytope(self, margin=1):
+        return LatticePolytope._from_normalized(self.box_halfspaces(margin), self.ambient_rank, ())
 
 
 # -- affine lattice charts for lower-dimensional polytopes -------------------
@@ -903,13 +934,23 @@ def _full_dim_vertex_model(poly):
     if poly.dim == poly.ambient_rank:
         if not poly.is_lattice:
             raise GeometryError("lattice equivalence requires lattice polytopes")
-        return poly, [tuple(int(x) for x in v) for v in poly.vertices]
+        return poly, list(poly.vertices)
     chart = affine_lattice_chart(poly)
     verts = [chart.point(v) for v in poly.vertices]
-    if any(any(Fraction(x).denominator != 1 for x in v) for v in verts):
+    if any(type(x) is not int for v in verts for x in v):
         raise GeometryError("lattice equivalence requires lattice polytopes")
     model = LatticePolytope.from_vertices(verts)
-    return model, [tuple(int(x) for x in v) for v in model.vertices]
+    return model, list(model.vertices)
+
+
+def _edge_vectors(model):
+    """Per vertex of a compact polytope, the sorted vectors to its neighbours."""
+    out = {v: [] for v in model.vertices}
+    for f in model.faces(1):
+        a, b = f.vertices
+        out[a].append(vsub(b, a))
+        out[b].append(vsub(a, b))
+    return {v: sorted(edges) for v, edges in out.items()}
 
 
 def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
@@ -917,7 +958,14 @@ def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
 
     Maps are returned as ``(matrix_rows, translation)`` acting by
     ``x -> A x + t`` in the intrinsic lattice coordinates of the polytopes
-    (ambient coordinates when both are full-dimensional).
+    (ambient coordinates when both are full-dimensional).  A candidate sends
+    a vertex ``p0`` of P to a vertex of Q and the edge vectors at ``p0`` to
+    those at the image in some order.  The edge vectors of a spanning subset
+    are the rows of ``E``, those of their images the rows of ``T``, so
+    ``A = T^T (E^T)^-1``.  One fraction-free elimination of ``[E^T | I]``
+    gives ``det * (E^T)^-1`` in integers, and each candidate's ``A`` is an
+    integer product divided exactly by ``det``; a product that ``det`` does
+    not divide is no lattice map.
     """
     if not (p.is_compact and q.is_compact):
         raise GeometryError("lattice equivalence requires compact polytopes")
@@ -933,17 +981,10 @@ def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
         return
     p_set = set(p_verts)
     q_set = set(q_verts)
-
-    def neighbors(model, v):
-        out = []
-        for f in model.faces(1):
-            if v in f.vertices and len(f.vertices) == 2:
-                other = f.vertices[0] if f.vertices[1] == v else f.vertices[1]
-                out.append(vsub(other, v))
-        return sorted(out)
+    q_edge_vectors = _edge_vectors(qm)
 
     p0 = min(p_verts)
-    p_edges = neighbors(pm, p0)
+    p_edges = _edge_vectors(pm)[p0]
     if len(p_edges) > 8:
         raise UnsupportedGeometryError("vertex valence too high for exhaustive matching")
     # a spanning subset of edge vectors determines the linear part
@@ -955,36 +996,21 @@ def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
             rows.append(e)
         if len(span_idx) == d:
             break
+    # [E^T | I] reduces to [det * I | det * (E^T)^-1]
+    m = [col + tuple(int(r == c) for c in range(d)) for r, col in enumerate(zip(*rows))]
+    _, _, det = echelon(m, d)
+    inv_cols = list(zip(*(row[d:] for row in m)))
     seen = set()
     for q0 in sorted(q_set):
-        q_edges = neighbors(qm, q0)
+        q_edges = q_edge_vectors[q0]
         if len(q_edges) != len(p_edges):
             continue
         for perm in itertools.permutations(range(len(q_edges))):
             targets = [q_edges[perm[i]] for i in range(len(p_edges))]
-            cols = []
-            ok = True
-            for i in span_idx:
-                cols.append(targets[i])
-            # A * p_edges[i] = targets[i] for the spanning subset
-            mat_rows = []
-            for rdx in range(d):
-                status, sol = solve_linear(
-                    [p_edges[i] for i in span_idx], [cols[j][rdx] for j in range(d)]
-                )
-                if status != "unique":
-                    ok = False
-                    break
-                mat_rows.append(sol)
-            if not ok:
+            a = _linear_part([targets[i] for i in span_idx], inv_cols, det)
+            if a is None or abs(determinant(a)) != 1:
                 continue
-            a = tuple(tuple(x) for x in mat_rows)
-            if any(Fraction(x).denominator != 1 for row in a for x in row):
-                continue
-            a = tuple(tuple(int(x) for x in row) for row in a)
-            if abs(determinant(a)) != 1:
-                continue
-            if any(_apply(a, p_edges[i]) != tuple(targets[i]) for i in range(len(p_edges))):
+            if any(_apply(a, p_edges[i]) != targets[i] for i in range(len(p_edges))):
                 continue
             t = vsub(q0, _apply(a, p0))
             image = {vadd(_apply(a, v), t) for v in p_set}
@@ -992,6 +1018,21 @@ def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
                 if (a, t) not in seen:
                     seen.add((a, t))
                     yield a, t
+
+
+def _linear_part(targets, inv_cols, det):
+    """The rows of ``T^T inv / det`` for the rows ``targets`` of ``T``, or
+    None at the first entry ``det`` does not divide."""
+    a = []
+    for col in zip(*targets):
+        row = []
+        for inv in inv_cols:
+            x, r = divmod(vdot(col, inv), det)
+            if r:
+                return None
+            row.append(x)
+        a.append(tuple(row))
+    return tuple(a)
 
 
 def _apply(matrix_rows, vector):

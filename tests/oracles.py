@@ -7,9 +7,11 @@ second double description that found the extreme generators of a hull, the
 face closure by dot products with a rational rank per face, the
 tiling checks that intersect every piece pair and cut every region by every
 hyperplane, the volume certificate of a cover with its pulling
-triangulation, the per-call edge scan, and the ``Fraction``-field affine
-functions with the per-point lifting scale.  Tests compare the fast paths
-against them; nothing in the package imports this module.
+triangulation, the per-call edge scan, the ``Fraction``-field affine
+functions with the per-point lifting scale, and the lattice-equivalence
+search with one rational solve per row of every candidate map.  Tests
+compare the fast paths against them; nothing in the package imports this
+module.
 """
 
 import itertools
@@ -17,8 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
-from toricdegen.errors import EmptyPolyhedronError, PartitionError, UnsupportedGeometryError
+from toricdegen.errors import (
+    EmptyPolyhedronError,
+    GeometryError,
+    PartitionError,
+    UnsupportedGeometryError,
+)
 from toricdegen.exactmath import (
+    determinant,
     normalize_point,
     primitive,
     rational_primitive,
@@ -31,8 +39,10 @@ from toricdegen.partition import _uncovered_point, build_partition
 from toricdegen.polytope import (
     Face,
     LatticePolytope,
+    _apply,
     _dual_from_generators,
     _enumerate_generators,
+    _full_dim_vertex_model,
     _normalize_halfspace,
     affine_lattice_chart,
 )
@@ -497,3 +507,74 @@ def family_exponents(func, anchor):
             return None
         out.append(int(value))
     return tuple(out)
+
+
+def lattice_equivalences(p, q):
+    """Every affine-unimodular map taking P onto Q: for each vertex of Q and
+    each permutation of its edge vectors, one rational solve per row of the
+    linear part."""
+    if not (p.is_compact and q.is_compact):
+        raise GeometryError("lattice equivalence requires compact polytopes")
+    if p.dim != q.dim:
+        return
+    d = p.dim
+    if d == 0:
+        yield tuple(), tuple()
+        return
+    pm, p_verts = _full_dim_vertex_model(p)
+    qm, q_verts = _full_dim_vertex_model(q)
+    if len(p_verts) != len(q_verts):
+        return
+    p_set = set(p_verts)
+    q_set = set(q_verts)
+
+    def neighbors(model, v):
+        out = []
+        for f in model.faces(1):
+            if v in f.vertices and len(f.vertices) == 2:
+                other = f.vertices[0] if f.vertices[1] == v else f.vertices[1]
+                out.append(vsub(other, v))
+        return sorted(out)
+
+    p0 = min(p_verts)
+    p_edges = neighbors(pm, p0)
+    if len(p_edges) > 8:
+        raise UnsupportedGeometryError("vertex valence too high for exhaustive matching")
+    span_idx = []
+    rows = []
+    for i, e in enumerate(p_edges):
+        if rank_fraction(rows + [e]) > len(span_idx):
+            span_idx.append(i)
+            rows.append(e)
+        if len(span_idx) == d:
+            break
+    seen = set()
+    for q0 in sorted(q_set):
+        q_edges = neighbors(qm, q0)
+        if len(q_edges) != len(p_edges):
+            continue
+        for perm in itertools.permutations(range(len(q_edges))):
+            targets = [q_edges[perm[i]] for i in range(len(p_edges))]
+            cols = [targets[i] for i in span_idx]
+            # A * p_edges[i] = targets[i] for the spanning subset
+            mat_rows = []
+            for rdx in range(d):
+                status, sol = solve_linear(
+                    [p_edges[i] for i in span_idx], [cols[j][rdx] for j in range(d)]
+                )
+                if status != "unique":
+                    break
+                mat_rows.append(sol)
+            else:
+                if any(x.denominator != 1 for row in mat_rows for x in row):
+                    continue
+                a = tuple(tuple(int(x) for x in row) for row in mat_rows)
+                if abs(determinant(a)) != 1:
+                    continue
+                if any(_apply(a, p_edges[i]) != tuple(targets[i]) for i in range(len(p_edges))):
+                    continue
+                t = vsub(q0, _apply(a, p0))
+                image = {vadd(_apply(a, v), t) for v in p_set}
+                if image == q_set and (a, t) not in seen:
+                    seen.add((a, t))
+                    yield a, t

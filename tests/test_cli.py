@@ -393,6 +393,18 @@ class TestDegenerate:
         assert tuple(range(4)) not in simplices
         assert all(tuple(sorted(set(range(4)) - {i})) in simplices for i in range(4))
 
+    def test_staircase_five(self, tmp_path, capsys):
+        # the six pieces are lattice-equivalent: one component class
+        rays = [[int(i == j) - int(i == j - 1) for i in range(5)] for j in range(6)]
+        vertices = [[-1] * 5] + [[6 * int(i == j) - 1 for i in range(5)] for j in range(5)]
+        spec = {"polytope": {"vertices": vertices}, "partition": {"fan_rays": rays}}
+        code, out, records = run(capsys, ["degenerate", write_spec(tmp_path, spec)])
+        assert code == 0
+        cls = next(r for r in records if r["record"] == "classification")
+        assert cls["pieces"] == 6
+        deg = next(r for r in records if r["record"] == "degeneration")
+        assert [c["class"] for c in deg["components"]] == [deg["components"][0]["class"]] * 6
+
     def test_octagon_svg(self, tmp_path, capsys):
         path = write_spec(tmp_path, OCTAGON)
         svg_path = tmp_path / "partition.svg"

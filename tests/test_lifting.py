@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -365,6 +366,16 @@ class TestIntegerLiftingAgainstOracles:
             )
         z = PiecewiseAffine(part, (AffineFunction.make((0, 0, 1)),), 0)
         assert z.value_generator() == 2 and z.minimal_integral_scale() == Fraction(1, 2)
+
+    def test_unbounded_pieces_are_truncated_without_a_box_polytope(self):
+        part = partition_by_hyperplanes(QUADRANT, [((1, -1), 0), ((1, 1), 3)])
+        assert not all(piece.is_compact for piece in part.pieces)
+        func = PiecewiseAffine(
+            part, tuple(AffineFunction.make((Fraction(i, 2), 1), 1) for i in range(len(part.pieces))), 0
+        )
+        expected = oracles.minimal_integral_scale(oracles.value_samples(func))
+        with mock.patch.object(LatticePolytope, "bounding_box_polytope", side_effect=AssertionError):
+            assert func.minimal_integral_scale() == expected
 
     def test_zero_function(self):
         part = octagon_partition()

@@ -11,14 +11,18 @@ from toricdegen import (
     EmptyPolyhedronError,
     GeometryError,
     LatticePolytope,
+    PartitionError,
     SupportFunction,
     UnsupportedGeometryError,
+    lattice_equivalences,
     lattice_equivalent,
     normal_fan,
+    partition_by_hyperplanes,
     support_function_of_polytope,
 )
+from toricdegen import exactmath
 from toricdegen import polytope as polytope_module
-from toricdegen.exactmath import echelon
+from toricdegen.exactmath import echelon, rational_primitive
 from toricdegen.polytope import (
     SUBSET_BUDGET,
     Fan,
@@ -37,6 +41,7 @@ from corpus import (
     reflexive_simplex,
     segment,
     staircase_fan,
+    staircase_partition,
     unimodular_matrix,
     weighted_projective_simplex,
 )
@@ -762,6 +767,192 @@ class TestLatticeEquivalence:
         a = LatticePolytope.from_vertices([(1, 1), (3, 3)])
         b = LatticePolytope.from_vertices([(0,), (2,)])
         assert lattice_equivalent(a, b) is not None
+
+    def test_staircase_five_pieces_pairwise_equivalent(self):
+        pieces = staircase_partition(5).pieces
+        assert len(pieces) == 6
+        for p, q in itertools.combinations(pieces, 2):
+            assert lattice_equivalent(p, q) is not None
+
+    def test_no_linear_solve_per_candidate(self):
+        p, q = staircase_partition(3).pieces[:2]
+        with mock.patch.object(
+            polytope_module, "solve_linear", wraps=polytope_module.solve_linear
+        ) as local, mock.patch.object(
+            exactmath, "solve_linear", wraps=exactmath.solve_linear
+        ) as shared:
+            maps = list(lattice_equivalences(p, q))
+        assert maps
+        assert local.call_count == 0 and shared.call_count == 0
+
+
+def _image(matrix, shift, v):
+    return tuple(sum(a * x for a, x in zip(row, v)) + t for row, t in zip(matrix, shift))
+
+
+@st.composite
+def equivalence_pairs(draw):
+    """A full-dimensional lattice polygon or 3-polytope and either its image
+    under a unimodular map plus a translation, or the image of a copy with
+    one edge stretched by a lattice step or one coordinate doubled (as many
+    vertices, rarely equivalent)."""
+    rank = draw(st.integers(2, 3))
+    pts = draw(point_sets(rank, 7 if rank == 2 else 6, bound=2))
+    try:
+        p = LatticePolytope.from_vertices(pts)
+    except UnsupportedGeometryError:
+        assume(False)
+    assume(p.dim == rank)
+    kind = draw(st.sampled_from(["image", "stretched", "doubled"]))
+    verts = list(p.vertices)
+    if kind == "stretched":
+        k = draw(st.integers(0, len(verts) - 1))
+        edge = draw(st.sampled_from(p.edges_at(verts[k])))
+        verts[k] = tuple(x - e for x, e in zip(verts[k], edge))
+    elif kind == "doubled":
+        verts = [(2 * v[0],) + v[1:] for v in verts]
+    ops = st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1), st.integers(-2, 2))
+    matrix = unimodular_matrix(rank, draw(st.lists(ops, max_size=4)))
+    shift = draw(st.tuples(*[st.integers(-3, 3)] * rank))
+    q = LatticePolytope.from_vertices([_image(matrix, shift, v) for v in verts])
+    assume(len(q.vertices) == len(p.vertices))
+    return p, q, kind
+
+
+class TestLatticeEquivalenceAgainstOracle:
+    @given(equivalence_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_same_maps_in_the_same_order(self, pair):
+        p, q, kind = pair
+        got = list(lattice_equivalences(p, q))
+        expected = list(oracles.lattice_equivalences(p, q))
+        assert got == expected and repr(got) == repr(expected)
+        if kind == "image":
+            assert got
+        for matrix, shift in got:
+            assert {_image(matrix, shift, v) for v in p.vertices} == set(q.vertices)
+
+    def test_first_map_of_the_staircase_pieces(self):
+        pieces = staircase_partition(3).pieces
+        for p, q in itertools.combinations(pieces, 2):
+            assert lattice_equivalent(p, q) == next(oracles.lattice_equivalences(p, q))
+
+
+def assert_integral_values_are_ints(poly):
+    """Every integral vertex or ray coordinate and every integral halfspace
+    or equation offset of the polyhedron is a plain ``int``."""
+    values = [x for v in poly.vertices + poly.rays for x in v]
+    values += [c for h in poly.halfspaces + poly.equations for c in (*h.normal, h.offset)]
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator != 1), repr(x)
+
+
+@st.composite
+def raw_h_systems(draw):
+    """Halfspace systems in rank 1-3 as plain tuples with normals that need
+    not be primitive, offsets given as ints or as Fractions (integral ones
+    too): bounded, unbounded, empty, and lower-dimensional through
+    equations."""
+    rank = draw(st.integers(1, 3))
+    normal = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
+    offset = st.one_of(
+        st.integers(-4, 8), st.builds(Fraction, st.integers(-8, 16), st.integers(1, 3))
+    )
+    hs = draw(st.lists(st.tuples(normal, offset), max_size=rank + 3))
+    eqs = draw(st.lists(st.tuples(normal, offset), max_size=rank - 1))
+    return hs, eqs, rank, normal, offset
+
+
+class TestIntegralDataStaysInt:
+    @given(raw_h_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_from_halfspaces(self, system):
+        hs, eqs, rank, _, _ = system
+        try:
+            poly = LatticePolytope.from_halfspaces(hs, rank, eqs)
+        except (EmptyPolyhedronError, UnsupportedGeometryError):
+            return
+        assert_integral_values_are_ints(poly)
+
+    @given(generator_sets(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_from_generators(self, generators, as_fractions):
+        points, rays, rank = generators
+        if as_fractions:
+            points = [tuple(Fraction(x) for x in p) for p in points]
+        try:
+            poly = LatticePolytope.from_generators(points, rays)
+        except UnsupportedGeometryError:
+            return
+        assert_integral_values_are_ints(poly)
+
+    @given(raw_h_systems(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_intersect_normalizes_only_the_new_constraints(self, system, data):
+        hs, eqs, rank, normal, offset = system
+        try:
+            region = LatticePolytope.from_halfspaces(hs, rank, eqs)
+        except (EmptyPolyhedronError, UnsupportedGeometryError):
+            return
+        new_hs = data.draw(st.lists(st.tuples(normal, offset), max_size=3))
+        new_eqs = data.draw(st.lists(st.tuples(normal, offset), max_size=1))
+        own_hs = [(h.normal, h.offset) for h in region.halfspaces]
+        own_eqs = [(e.normal, e.offset) for e in region.equations]
+        try:
+            public = LatticePolytope.from_halfspaces(own_hs + new_hs, rank, own_eqs + new_eqs)
+        except (EmptyPolyhedronError, UnsupportedGeometryError) as exc:
+            with pytest.raises(type(exc)):
+                region.intersect(new_hs, new_eqs)
+            return
+        with mock.patch.object(
+            polytope_module, "_normalize_halfspace", wraps=_normalize_halfspace
+        ) as spy:
+            got = region.intersect(new_hs, new_eqs)
+        if got.dim == rank:
+            # a full-dimensional result is not rebuilt from its generators
+            assert spy.call_count == len(new_hs)
+        assert_integral_values_are_ints(got)
+        assert got.halfspaces == public.halfspaces and got.equations == public.equations
+        assert got.vertices == public.vertices and got.rays == public.rays
+        assert got._incidence == public._incidence and got.dim == public.dim
+        assert repr((got.halfspaces, got.vertices)) == repr((public.halfspaces, public.vertices))
+
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(any))
+    def test_rational_primitive_of_ints_and_fractions(self, v):
+        ints = rational_primitive(tuple(v))
+        fracs = rational_primitive(tuple(Fraction(x) for x in v))
+        assert ints == fracs and repr(ints[0]) == repr(fracs[0])
+        assert type(ints[1]) is int
+
+    @given(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3, max_size=6),
+        st.lists(
+            st.tuples(
+                st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any),
+                st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 2))),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_pieces_of_hyperplane_cuts(self, points, cuts):
+        ambient = LatticePolytope.from_vertices(points)
+        assume(ambient.dim == 2)
+        try:
+            part = partition_by_hyperplanes(ambient, cuts)
+        except PartitionError:
+            return
+        for piece in part.pieces:
+            assert_integral_values_are_ints(piece)
+
+    def test_pieces_of_a_rank_three_chain(self):
+        part = partition_by_hyperplanes(
+            dilated_simplex(4), [((1, 1, 1), Fraction(c)) for c in (1, 2, 3)]
+        )
+        for piece in part.pieces:
+            assert piece.is_lattice
+            assert_integral_values_are_ints(piece)
 
 
 class TestVolume:
