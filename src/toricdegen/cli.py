@@ -60,6 +60,13 @@ def _int_option(options, key):
     return value
 
 
+def _bool_option(options, key):
+    value = options.get(key, False)
+    if type(value) is not bool:
+        _fail_input("expected a boolean", f"$.options.{key}")
+    return value
+
+
 def load_job(text: str):
     """Parse and validate a job description."""
     try:
@@ -162,7 +169,7 @@ def _hyperplane_cuts(part_spec, rank):
 def run_job(command, text, args):
     """Execute one command; returns (records, exit_code, diagrams)."""
     poly_spec, part_spec, options = load_job(text)
-    multi_base = bool(options.get("multi_base")) or args.multi_base
+    multi_base = _bool_option(options, "multi_base") or args.multi_base
     if multi_base and command != "lift":
         _fail_input("multi_base is only available for the lift command", "$.options.multi_base")
     if multi_base and "hyperplanes" not in part_spec:
@@ -194,7 +201,6 @@ def run_job(command, text, args):
 
     lifting = lifting_function(partition)
     records.append(rpt.lifting_record(lifting))
-    cap = True if (args.compact_cap or options.get("compact_cap")) else None
     cap_spec = options.get("compact_cap")
     if isinstance(cap_spec, dict):
         cap = (
@@ -203,6 +209,8 @@ def run_job(command, text, args):
         )
         if type(cap[1]) is not int:
             _fail_input("cap offset must be an integer", "$.options.compact_cap.offset")
+    else:
+        cap = True if (_bool_option(options, "compact_cap") or args.compact_cap) else None
     lifted = lift_polytope(partition, lifting, compact_cap=cap)
     records.append(rpt.lifted_polytope_record(lifted))
     if command == "lift":

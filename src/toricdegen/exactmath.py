@@ -3,7 +3,7 @@
 Everything operates on plain tuples of ``int`` / ``Fraction``; no floating
 point is used anywhere.  Rationals are ``fractions.Fraction`` (always reduced,
 positive denominator), lattice vectors are tuples of arbitrary-precision
-integers.  Linear systems, ranks, determinants and one-dimensional kernels
+integers.  Linear systems, ranks, determinants and rational kernel bases
 are eliminated over the integers by fraction-free (Bareiss) elimination:
 ``echelon`` clears each row's denominators and works on integers throughout,
 and its callers form a ``Fraction`` only for the final answer.  Affine
@@ -132,31 +132,18 @@ def determinant_fraction(rows) -> Fraction:
     return Fraction(determinant(scaled), prod(scales))
 
 
-def is_unimodular_basis(vectors) -> bool:
-    """True iff the vectors form a basis of the integer lattice (det = ±1)."""
-    if not vectors or any(len(v) != len(vectors) for v in vectors):
-        raise ValueError("not a candidate basis")
-    return abs(determinant(vectors)) == 1
-
-
 def _row_sub(row, other, q):
     for j in range(len(row)):
         row[j] -= q * other[j]
 
 
-def hermite_normal_form(rows):
+def _hnf_with_transform(rows):
     """Row-style Hermite normal form of an integer matrix.
 
-    Returns ``(basis, rank)`` where ``basis`` is a triangular lattice basis
-    of the integer row span: pivots positive, entries above a pivot reduced
-    into ``[0, pivot)``.  Empty input gives ``([], 0)``.
+    Returns ``(basis, rank, U)``: ``basis`` is a triangular lattice basis of
+    the integer row span (pivots positive, entries above a pivot reduced into
+    ``[0, pivot)``) and ``U`` a unimodular transform with ``U*A = H``.
     """
-    basis, rank, _ = _hnf_with_transform(rows)
-    return basis, rank
-
-
-def _hnf_with_transform(rows):
-    """HNF together with a unimodular transform ``U`` with ``U*A = H``."""
     m = [[_as_int(x) for x in r] for r in rows]
     nrows = len(m)
     width = len(m[0]) if nrows else 0
@@ -222,22 +209,6 @@ def saturation(rows):
     return right_kernel(ker)
 
 
-def in_lattice_span(basis, v) -> bool:
-    """Whether an integer vector reduces to zero against an HNF basis."""
-    v = list(map(int, v))
-    width = len(v)
-    for row in basis:
-        col = next((j for j in range(width) if row[j] != 0), None)
-        if col is None:
-            continue
-        if v[col] % row[col] != 0:
-            return False
-        q = v[col] // row[col]
-        for j in range(width):
-            v[j] -= q * row[j]
-    return all(x == 0 for x in v)
-
-
 def echelon(m, ncols):
     """Fraction-free Gauss-Jordan elimination (Bareiss) of the rows ``m``.
 
@@ -276,18 +247,30 @@ def echelon(m, ncols):
     return len(pivots), pivots, det
 
 
+def kernel_basis(rows, ncols):
+    """Basis of the rational kernel ``{c : A c = 0}`` for rows of width
+    ``ncols``, by primitive integer vectors read off ``echelon``: one per
+    free column, which gets ``det``, with each pivot column minus its row's
+    entry in that free column and the other free columns zero.  (It need not
+    be a lattice basis of the integer kernel; ``right_kernel`` is.)"""
+    m = list(rows)
+    _, pivots, det = echelon(m, ncols)
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            x = [0] * ncols
+            x[free] = det
+            for row, col in zip(m, pivots):
+                x[col] = -row[free]
+            basis.append(primitive(x))
+    return basis
+
+
 def kernel_vector(rows, ncols):
     """Primitive generator of ``{c : A c = 0}`` for rows of width ``ncols``,
-    or None unless that kernel is a line.  Read off ``echelon``: at rank
-    ``ncols - 1`` the free column gets ``det`` and each pivot column minus
-    its row's entry in the free column."""
-    m = list(rows)
-    rank, pivots, det = echelon(m, ncols)
-    if rank != ncols - 1:
-        return None
-    free = next(j for j in range(ncols) if j not in pivots)
-    x = {col: -row[free] for row, col in zip(m, pivots)}
-    return primitive(tuple(x.get(j, det) for j in range(ncols)))
+    or None unless that kernel is a line."""
+    basis = kernel_basis(rows, ncols)
+    return basis[0] if len(basis) == 1 else None
 
 
 def rank_fraction(rows) -> int:

@@ -13,7 +13,15 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import EmptyPolyhedronError, GeometryError, PartitionError
-from .exactmath import determinant, left_kernel, normalize_coord, rational_primitive, vdot, vsub
+from .exactmath import (
+    determinant,
+    kernel_vector,
+    normalize_coord,
+    rational_primitive,
+    transpose,
+    vdot,
+    vsub,
+)
 from .polytope import (
     Face,
     Fan,
@@ -216,10 +224,9 @@ class Partition:
         if len(edges) != l + 1:
             raise PartitionError("not semi-stable at vertex", witness=p)
         dirs = sorted(self.edge_direction(e, p) for e in edges)
-        kernel = left_kernel(dirs)
-        if len(kernel) != 1:
+        rel = kernel_vector(transpose(dirs), len(dirs))
+        if rel is None:
             raise PartitionError("not semi-stable at vertex", witness=p)
-        rel = kernel[0]
         if all(x < 0 for x in rel):
             rel = tuple(-x for x in rel)
         if not all(x > 0 for x in rel):

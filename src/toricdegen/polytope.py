@@ -18,11 +18,13 @@ extreme rays of the cone of valid homogeneous normals
 (``_dual_from_generators``); ``from_generators`` reads its vertices and
 extreme rays off that one run.  Either way the polyhedron keeps the
 generator-facet incidence as one bit set per facet, and its faces, their
-dimensions and their tight sets are read off those bit sets.  A system whose
-brute-force subset enumeration would exceed ``SUBSET_BUDGET`` subsets is
-still refused before it starts.  ``lattice_equivalences`` inverts the edge
-basis at one vertex once, as an integer matrix over its determinant, so each
-candidate map is an integer product and an exact division.
+dimensions and their tight sets are read off those bit sets.  The kernel
+counts the candidate ray pairs it tests and refuses a run past
+``PAIR_BUDGET`` with ``UnsupportedGeometryError``; a polyhedron with a
+lineality space is refused before it runs.  ``lattice_equivalences``
+inverts the edge basis at one vertex once, as an integer matrix over its
+determinant, so each candidate map is an integer product and an exact
+division.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .exactmath import (
     determinant,
     echelon,
     gcd_all,
+    kernel_basis,
     kernel_vector,
     normalize_coord,
     normalize_point,
@@ -161,26 +164,12 @@ def _model_coords(basis, base, point):
     return normalize_point(t)
 
 
-# constraint or generator subsets the brute-force enumeration would try; a
-# system over this count is refused before any elimination
-SUBSET_BUDGET = 10**6
-
-
-def _refuse_over_budget(items, k):
-    count = math.comb(items, k)
-    if count > SUBSET_BUDGET:
-        raise UnsupportedGeometryError(f"enumeration over {count} subsets of {items}")
-
-
-def _refuse_unenumerable(halfspaces, equations, rank, k):
-    """Refuse a polyhedron with a nontrivial lineality space (its normals do
-    not span), then a system of ``k``-dimensional solution space whose subset
-    enumeration would exceed ``SUBSET_BUDGET``, both before any kernel run."""
+def _refuse_lineality(halfspaces, equations, rank):
+    """Refuse a polyhedron with a nontrivial lineality space: its normals do
+    not span."""
     normals = [h.normal for h in halfspaces] + [e.normal for e in equations]
     if normals and echelon(normals, rank)[0] < rank:
         raise UnsupportedGeometryError("polyhedron has a nontrivial lineality space")
-    _refuse_over_budget(len(halfspaces), k)
-    _refuse_over_budget(len(halfspaces), max(k - 1, 0))  # the ray subsets
 
 
 def _whole_space_generators(rank):
@@ -188,6 +177,10 @@ def _whole_space_generators(rank):
     space has no vertex, and in rank 1 its two directions are rays, as the
     subset enumeration found them."""
     return [], [(-1,), (1,)] if rank == 1 else []
+
+
+# candidate ray pairs one double description may test, summed over its splits
+PAIR_BUDGET = 10**6
 
 
 def _dd_extreme_rays(ineqs, eqs, width):
@@ -198,7 +191,7 @@ def _dd_extreme_rays(ineqs, eqs, width):
     Returns ``(rays, lines)``: the extreme rays as ``(z, mask)`` pairs, ``z``
     a primitive integer vector and bit ``i`` of ``mask`` set when ``ineqs[i]``
     is tight on ``z``, and a primitive basis of the lineality space.  The
-    lines start as a kernel basis of the equations.  Each inequality either
+    lines start as the kernel basis of the equations.  Each inequality either
     turns a line it is not orthogonal to into a ray, tight on every earlier
     inequality, and reduces the other lines and the rays onto its hyperplane,
     or it splits the rays by sign and adds the positive combination of each
@@ -206,19 +199,16 @@ def _dd_extreme_rays(ineqs, eqs, width):
     set contains the intersection of theirs; a pair sharing fewer tight
     inequalities than the lines turned into rays so far, minus two, spans no
     edge and skips that test.  Every step is integer.
+
+    The work is bounded by the candidate pairs, ``len(pos) * len(neg)``
+    summed over the splits; a split that would take the sum past
+    ``PAIR_BUDGET`` is refused before its pairs are tested.  A split adds at
+    most one ray per pair, so the sum also bounds the rays the splits add.
     """
-    reduced = [tuple(e) for e in eqs]
-    _, pivots, det = echelon(reduced, width)
-    lines = []
-    for f in range(width):
-        if f not in pivots:
-            line = [0] * width
-            line[f] = det
-            for row, col in zip(reduced, pivots):
-                line[col] = -row[f]
-            lines.append(primitive(line))
+    lines = kernel_basis(eqs, width)
     free_dim = len(lines)
     rays = []
+    pairs = 0
     for i, a in enumerate(ineqs):
         bit = 1 << i
         dots = [vdot(a, line) for line in lines]
@@ -245,6 +235,11 @@ def _dd_extreme_rays(ineqs, eqs, width):
             else:
                 new.append((z, mask | bit))
         if neg and pos:
+            pairs += len(pos) * len(neg)
+            if pairs > PAIR_BUDGET:
+                raise UnsupportedGeometryError(
+                    f"double description over {pairs} candidate ray pairs"
+                )
             masks = [mask for _, mask in rays]
             least = free_dim - len(lines) - 2
             for zp, mp, sp in pos:
@@ -275,7 +270,6 @@ def _full_dim_facets(points, rays, rank):
     homog = [rational_primitive(tuple(p) + (1,))[0] for p in points] + [
         tuple(r) + (0,) for r in rays
     ]
-    _refuse_over_budget(len(homog), rank)
     normals, _ = _dd_extreme_rays(homog, (), rank + 1)
     return [(_normalize_halfspace(w[:-1], w[-1]), mask) for w, mask in normals if any(w[:-1])]
 
@@ -299,12 +293,10 @@ def _enumerate_generators(halfspaces, equations, rank):
     ``t >= 0`` is added last.  The extreme rays of that cone with ``t > 0``
     are the vertices, those with ``t = 0`` the recession rays; bit ``i`` of
     a generator's mask is set when ``halfspaces[i]`` is tight on it.  A
-    polyhedron with a lineality space is refused, and so is a system whose
-    subset enumeration would exceed ``SUBSET_BUDGET``, before any kernel run.
+    polyhedron with a lineality space is refused before the kernel runs, and
+    the kernel refuses a run over ``PAIR_BUDGET`` candidate pairs.
     """
-    eq_rows = [e.normal for e in equations]
-    k = rank - (rank_fraction(eq_rows) if eq_rows else 0)
-    _refuse_unenumerable(halfspaces, equations, rank, k)
+    _refuse_lineality(halfspaces, equations, rank)
 
     ineqs = [_homogeneous_row(h) for h in halfspaces] + [(0,) * rank + (1,)]
     cone, lines = _dd_extreme_rays(ineqs, [_homogeneous_row(e) for e in equations], rank + 1)
@@ -399,7 +391,7 @@ class LatticePolytope:
         rays = [primitive(r) for r in rays]
         halfspaces, equations, incidence = _dual_from_generators(points, rays, rank)
         dim = rank - len(equations)
-        _refuse_unenumerable(halfspaces, equations, rank, dim)
+        _refuse_lineality(halfspaces, equations, rank)
         if rank and not halfspaces and not equations:
             # the hull is the whole space: no vertex, so dimension -1
             return cls(rank, (), (), *_whole_space_generators(rank), -1, ())

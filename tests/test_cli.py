@@ -369,8 +369,49 @@ class TestLift:
         code, out, records = run(capsys, ["lift", path])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "options, where",
+        [
+            ({"multi_base": "no"}, "$.options.multi_base"),
+            ({"multi_base": 1}, "$.options.multi_base"),
+            ({"compact_cap": [1, 2]}, "$.options.compact_cap"),
+            ({"compact_cap": "yes"}, "$.options.compact_cap"),
+        ],
+    )
+    def test_non_boolean_option_exits_two(self, tmp_path, capsys, options, where):
+        # a truthy value that is no JSON boolean neither runs the iterated
+        # lift nor adds the default cap
+        path = write_spec(tmp_path, {**CHAIN4, "options": options})
+        code, out, records = run(capsys, ["lift", path])
+        assert code == 2
+        assert records == [
+            {
+                "record": "error",
+                "code": "input",
+                "message": f"expected a boolean (at {where})",
+                "witness": None,
+            }
+        ]
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_options_accepted(self, tmp_path, capsys, value):
+        spec = {**CHAIN4, "options": {"compact_cap": value, "multi_base": value}}
+        code, out, records = run(capsys, ["lift", write_spec(tmp_path, spec)])
+        assert code == 0
+        assert (records[-1]["record"] == "multi_lifting") is value
+
 
 class TestDegenerate:
+    @pytest.mark.parametrize("command", ["verify", "degenerate"])
+    def test_rank_six_cube_cut(self, tmp_path, capsys, command):
+        # 64 vertices in rank 6: C(64, 6) facet subsets, little kernel work
+        cube = [[2 * ((k >> i) & 1) for i in range(6)] for k in range(64)]
+        cut = {"hyperplanes": [{"normal": [1, 0, 0, 0, 0, 0], "offset": 1}]}
+        path = write_spec(tmp_path, {"polytope": {"vertices": cube}, "partition": cut})
+        code, out, records = run(capsys, [command, path])
+        assert code == 0
+        assert records[1]["semistable"] is True
+
     def test_chain_report_and_dot(self, tmp_path, capsys):
         path = write_spec(tmp_path, CHAIN4)
         dot_path = tmp_path / "dual.dot"

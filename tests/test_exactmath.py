@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from toricdegen.exactmath import (
     AffineFunction,
+    _hnf_with_transform,
     determinant,
     determinant_fraction,
     echelon,
-    hermite_normal_form,
-    in_lattice_span,
-    is_unimodular_basis,
+    kernel_basis,
     kernel_vector,
     left_kernel,
     primitive,
@@ -50,34 +49,41 @@ def rect_matrices(max_dim=4, bound=6):
 
 class TestHermiteNormalForm:
     def test_already_triangular(self):
-        basis, rank = hermite_normal_form([(2, 0), (0, 2)])
+        basis, rank, _ = _hnf_with_transform([(2, 0), (0, 2)])
         assert basis == [(2, 0), (0, 2)]
         assert rank == 2
 
     def test_mixed_rows_determinant(self):
         rows = [(1, 1), (1, -1)]
-        basis, rank = hermite_normal_form(rows)
+        basis, rank, _ = _hnf_with_transform(rows)
         assert rank == 2
         assert abs(determinant(basis)) == abs(determinant(rows)) == 2
 
     def test_single_row(self):
-        basis, rank = hermite_normal_form([(3, 6)])
+        basis, rank, _ = _hnf_with_transform([(3, 6)])
         assert basis == [(3, 6)]
         assert rank == 1
 
     def test_empty(self):
-        assert hermite_normal_form([]) == ([], 0)
+        assert _hnf_with_transform([]) == ([], 0, [])
 
     @given(rect_matrices())
     def test_row_span_preserved(self, rows):
-        basis, rank = hermite_normal_form(rows)
+        # U * A is the basis padded with zero rows, and U is unimodular, so
+        # the basis spans the same lattice as the rows
+        basis, rank, u = _hnf_with_transform(rows)
         assert rank == rank_fraction(rows) if any(any(r) for r in rows) else rank == 0
-        for row in rows:
-            assert in_lattice_span(basis, row)
+        assert abs(determinant(u)) == 1
+        width = len(rows[0])
+        product = [
+            tuple(sum(c * row[j] for c, row in zip(combo, rows)) for j in range(width))
+            for combo in u
+        ]
+        assert product == basis + [(0,) * width] * (len(rows) - rank)
 
     @given(rect_matrices())
     def test_triangular_shape(self, rows):
-        basis, _ = hermite_normal_form(rows)
+        basis, _, _ = _hnf_with_transform(rows)
         pivots = []
         for row in basis:
             lead = next(j for j, x in enumerate(row) if x != 0)
@@ -96,6 +102,17 @@ class TestKernels:
             ]
             assert all(x == 0 for x in image)
 
+    @given(rect_matrices())
+    def test_kernel_basis_spans_the_right_kernel(self, rows):
+        n = len(rows[0])
+        basis = kernel_basis(rows, n)
+        assert len(basis) == len(right_kernel(rows)) == n - rank_fraction(rows)
+        for v in basis:
+            assert v == primitive(v)
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+        if basis:
+            assert rank_fraction(basis) == len(basis)
+
     def test_right_kernel(self):
         kernel = right_kernel([(1, 1, 1)])
         assert len(kernel) == 2
@@ -109,34 +126,34 @@ class TestKernels:
     def test_saturation_of_full_rank(self):
         sat = saturation([(1, 1), (1, -1)])
         # the rational span is everything, so the saturation is Z^2
-        assert in_lattice_span(sat, (1, 0)) and in_lattice_span(sat, (0, 1))
+        assert abs(determinant(sat)) == 1
 
 
 class TestUnimodular:
     def test_standard_basis(self):
         for n in (1, 2, 3, 4):
             basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-            assert is_unimodular_basis(basis)
+            assert abs(determinant(basis)) == 1
 
     def test_determinant_two(self):
-        assert not is_unimodular_basis([(1, 0), (1, 2)])
+        assert abs(determinant([(1, 0), (1, 2)])) != 1
 
     def test_reflexive_simplex_corner(self):
         # edges of conv{(-1,-1),(2,-1),(-1,2)} at (-1,-1)
-        assert is_unimodular_basis([(1, 0), (0, 1)])
+        assert abs(determinant([(1, 0), (0, 1)])) == 1
 
-    def test_wrong_count_is_an_error(self):
-        with pytest.raises(ValueError, match="not a candidate basis"):
-            is_unimodular_basis([(1, 0)])
+    def test_non_square_is_an_error(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            determinant([(1, 0)])
 
     @given(square_matrices(3))
     def test_invariant_under_permutation_and_sign(self, rows):
-        base = is_unimodular_basis(rows) if rows else None
+        base = abs(determinant(rows))
         for perm in itertools.permutations(range(len(rows))):
             flipped = [
                 tuple(-x for x in rows[i]) if i % 2 else tuple(rows[i]) for i in perm
             ]
-            assert is_unimodular_basis(flipped) == base
+            assert abs(determinant(flipped)) == base
 
 
 class TestPrimitive:

@@ -1,4 +1,6 @@
 import itertools
+import re
+import sys
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -24,10 +26,11 @@ from toricdegen import exactmath
 from toricdegen import polytope as polytope_module
 from toricdegen.exactmath import echelon, rational_primitive
 from toricdegen.polytope import (
-    SUBSET_BUDGET,
+    PAIR_BUDGET,
     Fan,
     _dual_from_generators,
     _enumerate_generators,
+    _full_dim_facets,
     _normalize_equation,
     _normalize_halfspace,
     complete_fan_from_rays,
@@ -429,23 +432,27 @@ class TestIncidenceAgainstOracles:
         with pytest.raises(UnsupportedGeometryError, match="nontrivial lineality space"):
             LatticePolytope.from_generators(points, rays)
 
-    def test_lineality_refused_before_the_budget(self):
+    def test_lineality_refused_before_the_budget(self, kernel_runs):
         # the cyclic polytope on 14 points of the moment curve in rank 4 has
-        # 77 facets, and C(77, 5) is over the budget in rank 5
+        # 77 facets; the line through it is refused after the facet run,
+        # before any vertex enumeration
         points = [(t, t**2, t**3, t**4, 0) for t in range(14)]
         rays = [(0, 0, 0, 0, 1), (0, 0, 0, 0, -1)]
-        assert comb(77, 5) > SUBSET_BUDGET
         with pytest.raises(UnsupportedGeometryError, match="nontrivial lineality space"):
             LatticePolytope.from_generators(points, rays)
-
-    def test_budget_refused_with_the_subset_count(self, kernel_runs):
-        points = [(t, t**2, t**3, t**4) for t in range(14)]
-        message = f"enumeration over {comb(77, 4)} subsets of 77"
-        with pytest.raises(UnsupportedGeometryError, match=message):
-            LatticePolytope.from_vertices(points)
         assert len(kernel_runs) == 1
-        with pytest.raises(UnsupportedGeometryError, match=message):
-            oracles.from_generators(points, [])
+
+    def test_moment_curve_in_rank_four_matches_the_oracle(self, kernel_runs):
+        # the cyclic polytope on 14 points in rank 4: C(77, 4) facet subsets,
+        # which the subset count once refused
+        points = [(t, t**2, t**3, t**4) for t in range(14)]
+        expected = sorted(oracles.full_dim_facets(points, [], 4))
+        assert sorted(_full_dim_facets(points, [], 4)) == expected
+        p = LatticePolytope.from_vertices(points)
+        assert len(kernel_runs) == 2
+        assert p.halfspaces == tuple(h for h, _ in expected)
+        assert len(p.halfspaces) == 77 and p.vertices == tuple(points)
+        assert oracles.from_generators(points, []) == (points, [])
 
     def test_whole_line_keeps_its_two_rays(self):
         p = LatticePolytope.from_generators([(3,), (0,)], [(1,), (-2,)])
@@ -1033,46 +1040,51 @@ class TestEnumerationGuard:
         with pytest.raises(UnsupportedGeometryError, match="enumeration"):
             long_segment.lattice_points()
 
-    def test_vertex_enumeration_over_budget_refused_up_front(self, monkeypatch):
-        # the one elimination before the refusal is the lineality rank test
-        calls = []
 
-        def recording_echelon(m, ncols):
-            calls.append((len(m), ncols))
-            return echelon(m, ncols)
+class TestPairBudget:
+    """The double description counts the candidate ray pairs of its splits
+    and refuses a run past ``PAIR_BUDGET``.  Inputs with many constraint or
+    generator subsets but little kernel work are answered."""
 
-        monkeypatch.setattr("toricdegen.polytope.echelon", recording_echelon)
+    def test_rank_six_cube_from_its_vertices(self):
+        cube = LatticePolytope.from_vertices(list(itertools.product((0, 2), repeat=6)))
+        units = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+        expected = [(e, 0) for e in units] + [(tuple(-x for x in e), 2) for e in units]
+        assert sorted(cube.halfspaces) == sorted(expected)
+
+    def test_thirty_halfspaces_in_rank_eight(self):
         rank = 8
-        hs = [(tuple(int(i == j) for j in range(rank)), 0) for i in range(rank)]
+        units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        hs = [(e, 0) for e in units]
         hs += [((-1, -t) + (-1,) * (rank - 2), 100 * t) for t in range(1, 23)]
-        assert comb(len(hs), rank) > SUBSET_BUDGET
-        with pytest.raises(UnsupportedGeometryError, match=f"{comb(30, 8)} subsets"):
-            LatticePolytope.from_halfspaces(hs, rank)
-        assert calls == [(30, rank)]
+        p = LatticePolytope.from_halfspaces(hs, rank)
+        assert p.vertices == tuple(sorted([(0,) * rank] + [tuple(100 * x for x in e) for e in units]))
 
-    def test_facet_enumeration_over_budget_refused_up_front(self, monkeypatch):
-        monkeypatch.setattr("toricdegen.polytope.kernel_vector", None)  # never reached
+    def test_rank_eight_cross_polytope_from_its_halfspaces(self):
+        hs = [(signs, 1) for signs in itertools.product((-1, 1), repeat=8)]
+        p = LatticePolytope.from_halfspaces(hs, 8)
+        units = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+        assert p.vertices == tuple(sorted(units + [tuple(-x for x in e) for e in units]))
+        assert len(p.halfspaces) == 256
+
+    def test_blow_up_refused_with_the_pair_count(self, monkeypatch):
+        # the cyclic polytope on 40 points in rank 6 needs about 2.7e7 pairs;
+        # each combination records the running count of the kernel run it is
+        # part of, which must already be within the budget
+        counts = []
+        combine = polytope_module._combine
+
+        def counting(*args):
+            frame = sys._getframe(1)
+            while frame.f_code is not polytope_module._dd_extreme_rays.__code__:
+                frame = frame.f_back
+            counts.append(frame.f_locals["pairs"])
+            return combine(*args)
+
+        monkeypatch.setattr(polytope_module, "_combine", counting)
         moment_curve = [tuple(t**i for i in range(1, 7)) for t in range(40)]
-        assert comb(len(moment_curve), 6) > SUBSET_BUDGET
-        with pytest.raises(UnsupportedGeometryError, match=f"{comb(40, 6)} subsets"):
+        with pytest.raises(UnsupportedGeometryError) as refused:
             LatticePolytope.from_vertices(moment_curve)
-
-
-class TestDoubleDescriptionGuard:
-    """The subset budget is checked before the double description starts in
-    both directions; with the kernel patched out, a refusal that came after
-    it would fail with a TypeError instead."""
-
-    def test_vertices_over_budget_refused_before_the_kernel(self, monkeypatch):
-        monkeypatch.setattr("toricdegen.polytope._dd_extreme_rays", None)
-        rank = 8
-        hs = [(tuple(int(i == j) for j in range(rank)), 0) for i in range(rank)]
-        hs += [((-1, -t) + (-1,) * (rank - 2), 100 * t) for t in range(1, 23)]
-        with pytest.raises(UnsupportedGeometryError, match=f"{comb(30, 8)} subsets"):
-            LatticePolytope.from_halfspaces(hs, rank)
-
-    def test_facets_over_budget_refused_before_the_kernel(self, monkeypatch):
-        monkeypatch.setattr("toricdegen.polytope._dd_extreme_rays", None)
-        moment_curve = [tuple(t**i for i in range(1, 7)) for t in range(40)]
-        with pytest.raises(UnsupportedGeometryError, match=f"{comb(40, 6)} subsets"):
-            LatticePolytope.from_vertices(moment_curve)
+        found = re.fullmatch(r"double description over (\d+) candidate ray pairs", str(refused.value))
+        assert found and int(found.group(1)) > PAIR_BUDGET
+        assert counts and max(counts) <= PAIR_BUDGET
