@@ -54,8 +54,10 @@ def _list(value, where):
 
 
 def _int_option(options, key):
+    """An integer option, or None when it is absent; JSON ``null`` is no
+    integer."""
     value = options.get(key)
-    if value is not None and type(value) is not int:
+    if key in options and type(value) is not int:
         _fail_input("expected an integer", f"$.options.{key}")
     return value
 
@@ -67,8 +69,47 @@ def _bool_option(options, key):
     return value
 
 
+def _cap_option(options, rank):
+    """``compact_cap``: a ``(normal, offset)`` cap from an object, True from
+    ``true``, None when it is ``false`` or absent."""
+    cap_spec = options.get("compact_cap")
+    if isinstance(cap_spec, dict):
+        normal = _int_vector(cap_spec.get("normal"), "$.options.compact_cap.normal", rank)
+        if type(cap_spec.get("offset")) is not int:
+            _fail_input("cap offset must be an integer", "$.options.compact_cap.offset")
+        return normal, cap_spec["offset"]
+    return True if _bool_option(options, "compact_cap") else None
+
+
+def _spec_rank(poly_spec):
+    """The ambient rank a polytope spec fixes, as ``build_polytope`` reads it,
+    or None when the spec fixes none (``build_polytope`` then refuses it)."""
+    if "vertices" in poly_spec:
+        verts = poly_spec["vertices"]
+        if isinstance(verts, list) and verts and isinstance(verts[0], list):
+            return len(verts[0])
+        return None
+    rank = poly_spec.get("rank")
+    if rank is None:
+        halfspaces = poly_spec["halfspaces"]
+        head = halfspaces[0] if isinstance(halfspaces, list) and halfspaces else None
+        first = head.get("normal") if isinstance(head, dict) else None
+        rank = len(first) if isinstance(first, list) and first else None
+    return rank if type(rank) is int and rank >= 1 else None
+
+
+def _read_options(options, rank):
+    """Every option, checked before any geometry is built."""
+    return {
+        "multi_base": _bool_option(options, "multi_base"),
+        "compact_cap": _cap_option(options, rank),
+        "anchor_piece": _int_option(options, "anchor_piece"),
+        "coefficient_seed": _int_option(options, "coefficient_seed"),
+    }
+
+
 def load_job(text: str):
-    """Parse and validate a job description."""
+    """Parse and validate a job description; the options come back read."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -90,7 +131,7 @@ def load_job(text: str):
     options = data.get("options", {})
     if not isinstance(options, dict):
         _fail_input("options must be an object", "$.options")
-    return poly_spec, part_spec, options
+    return poly_spec, part_spec, _read_options(options, _spec_rank(poly_spec))
 
 
 def build_polytope(poly_spec):
@@ -169,7 +210,7 @@ def _hyperplane_cuts(part_spec, rank):
 def run_job(command, text, args):
     """Execute one command; returns (records, exit_code, diagrams)."""
     poly_spec, part_spec, options = load_job(text)
-    multi_base = _bool_option(options, "multi_base") or args.multi_base
+    multi_base = options["multi_base"] or args.multi_base
     if multi_base and command != "lift":
         _fail_input("multi_base is only available for the lift command", "$.options.multi_base")
     if multi_base and "hyperplanes" not in part_spec:
@@ -201,16 +242,9 @@ def run_job(command, text, args):
 
     lifting = lifting_function(partition)
     records.append(rpt.lifting_record(lifting))
-    cap_spec = options.get("compact_cap")
-    if isinstance(cap_spec, dict):
-        cap = (
-            _int_vector(cap_spec.get("normal"), "$.options.compact_cap.normal", ambient.ambient_rank),
-            cap_spec.get("offset"),
-        )
-        if type(cap[1]) is not int:
-            _fail_input("cap offset must be an integer", "$.options.compact_cap.offset")
-    else:
-        cap = True if (_bool_option(options, "compact_cap") or args.compact_cap) else None
+    cap = options["compact_cap"]
+    if cap is None and args.compact_cap:
+        cap = True
     lifted = lift_polytope(partition, lifting, compact_cap=cap)
     records.append(rpt.lifted_polytope_record(lifted))
     if command == "lift":
@@ -219,8 +253,8 @@ def run_job(command, text, args):
     deg = build_report(lifted)
     records.append(rpt.degeneration_record(deg))
     if ambient.is_compact:
-        anchor = args.anchor if args.anchor is not None else _int_option(options, "anchor_piece")
-        seed = args.seed if args.seed is not None else _int_option(options, "coefficient_seed")
+        anchor = args.anchor if args.anchor is not None else options["anchor_piece"]
+        seed = args.seed if args.seed is not None else options["coefficient_seed"]
         fam = family_equations(lifted, anchor=anchor, seed=seed)
         records.append(rpt.family_record(fam))
     if args.dot:

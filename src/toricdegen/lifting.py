@@ -106,7 +106,7 @@ def _wall_function_at(partition, wall, p, i, j, ambient_vertex=False):
     c = vdot(base, u)
     # the unique partition edge at p missed by piece i; it points into piece j
     if ambient_vertex:
-        edges = [e for e in partition.faces(1) if p in e.vertices]
+        edges = partition.edges_through(p)
         weight_of = lambda d: 1
     else:
         vf = partition.face_at(p)

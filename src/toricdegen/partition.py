@@ -160,6 +160,7 @@ class Partition:
         for f in self._faces:
             self._faces_by_dim.setdefault(f.dim, []).append(f)
         self._vertex_faces = {f.vertices[0]: f for f in self._faces_by_dim.get(0, ())}
+        self._vertex_edges = None
         self._classification = None
         self._weights = None
         self._dual = None
@@ -194,19 +195,24 @@ class Partition:
 
     # -- weight vectors ------------------------------------------------------
 
+    def edges_through(self, point):
+        """The partition edges with ``point`` as an endpoint, in face order,
+        read off an index of the edges by endpoint that is built once."""
+        if self._vertex_edges is None:
+            self._vertex_edges = {}
+            for f in self._faces_by_dim.get(1, ()):
+                for v in f.vertices:
+                    self._vertex_edges.setdefault(v, []).append(f)
+        return list(self._vertex_edges.get(tuple(point), ()))
+
     def edges_at_vertex_within_ambient_face(self, vertex_face: PartitionFace):
         """Edges of the restricted partition at a vertex.
 
         These are the partition edges through the vertex whose smallest
         containing ambient face agrees with the vertex's own.
         """
-        p = vertex_face.vertices[0]
         tau = vertex_face.ambient_face
-        out = []
-        for f in self.faces(1):
-            if p in f.vertices and f.ambient_face == tau:
-                out.append(f)
-        return out
+        return [f for f in self.edges_through(vertex_face.vertices[0]) if f.ambient_face == tau]
 
     def edge_direction(self, edge: PartitionFace, at):
         if len(edge.vertices) == 2:

@@ -18,10 +18,19 @@ extreme rays of the cone of valid homogeneous normals
 (``_dual_from_generators``); ``from_generators`` reads its vertices and
 extreme rays off that one run.  Either way the polyhedron keeps the
 generator-facet incidence as one bit set per facet, and its faces, their
-dimensions and their tight sets are read off those bit sets.  The kernel
-counts the candidate ray pairs it tests and refuses a run past
-``PAIR_BUDGET`` with ``UnsupportedGeometryError``; a polyhedron with a
-lineality space is refused before it runs.  ``lattice_equivalences``
+dimensions and their tight sets are read off those bit sets (Kaibel and
+Pfetsch, Comput. Geom. 23, 2002); a face's maximal proper intersections are
+found in one pass by popcount.  The transpose, one facet set per generator,
+is found once per polyhedron and answers the vertex-local queries without
+the face lattice: a vertex is simple when it lies on ``dim`` facets, and two
+generators span an edge when the facets through both cut out exactly the
+two of them.  Each point's set of tight facets is cached on the polyhedron,
+and the smallest face containing some points is cut out by the facets in
+all their sets.  The kernel counts the candidate ray pairs it tests and
+refuses a run past ``PAIR_BUDGET`` with ``UnsupportedGeometryError``.  A
+polyhedron with a lineality space is refused: from generators by a rank
+test of the facet normals, from halfspaces on the lines the kernel is left
+with, so an intersection runs no rank test.  ``lattice_equivalences``
 inverts the edge basis at one vertex once, as an integer matrix over its
 determinant, so each candidate map is an integer product and an exact
 division.
@@ -164,12 +173,15 @@ def _model_coords(basis, base, point):
     return normalize_point(t)
 
 
+_LINEALITY = "polyhedron has a nontrivial lineality space"
+
+
 def _refuse_lineality(halfspaces, equations, rank):
     """Refuse a polyhedron with a nontrivial lineality space: its normals do
     not span."""
     normals = [h.normal for h in halfspaces] + [e.normal for e in equations]
     if normals and echelon(normals, rank)[0] < rank:
-        raise UnsupportedGeometryError("polyhedron has a nontrivial lineality space")
+        raise UnsupportedGeometryError(_LINEALITY)
 
 
 def _whole_space_generators(rank):
@@ -292,15 +304,18 @@ def _enumerate_generators(halfspaces, equations, rank):
     ``Z^(rank+1)``: each constraint becomes its homogeneous row, and
     ``t >= 0`` is added last.  The extreme rays of that cone with ``t > 0``
     are the vertices, those with ``t = 0`` the recession rays; bit ``i`` of
-    a generator's mask is set when ``halfspaces[i]`` is tight on it.  A
-    polyhedron with a lineality space is refused before the kernel runs, and
-    the kernel refuses a run over ``PAIR_BUDGET`` candidate pairs.
+    a generator's mask is set when ``halfspaces[i]`` is tight on it.  The
+    kernel refuses a run over ``PAIR_BUDGET`` candidate pairs.  The lines it
+    is left with span the cone's lineality space, ``t = 0`` and every
+    constraint's normal orthogonal: a polyhedron with a lineality space is
+    refused on them, so no separate rank test of the normals runs.  With no
+    constraint at all they span the whole space.
     """
-    _refuse_lineality(halfspaces, equations, rank)
-
     ineqs = [_homogeneous_row(h) for h in halfspaces] + [(0,) * rank + (1,)]
     cone, lines = _dd_extreme_rays(ineqs, [_homogeneous_row(e) for e in equations], rank + 1)
     if lines:
+        if halfspaces or equations:
+            raise UnsupportedGeometryError(_LINEALITY)
         vertices, rays = _whole_space_generators(rank)
         return vertices, rays, [0] * len(rays)
     vertices = sorted((_vertex(z), mask) for z, mask in cone if z[-1])
@@ -317,20 +332,46 @@ def _vertex(z):
     return tuple(c // t if c % t == 0 else Fraction(c, t) for c in x)
 
 
-def _extreme(generators, incidence, first):
+def _bits(mask):
+    """The indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _transpose(masks, width):
+    """The ``width`` column masks of the row masks ``masks``: bit ``i`` of
+    column ``j`` is set when bit ``j`` of row ``i`` is."""
+    columns = [0] * width
+    for i, mask in enumerate(masks):
+        for j in _bits(mask):
+            columns[j] |= 1 << i
+    return columns
+
+
+def _maximal(sets):
+    """The distinct bit sets among ``sets`` that no other one strictly
+    contains, found in one pass by decreasing popcount: a set is maximal when
+    none of the maximal sets found before it contains it."""
+    kept = []
+    for s in sorted(set(sets), key=int.bit_count, reverse=True):
+        if not any(s & k == s for k in kept):
+            kept.append(s)
+    return kept
+
+
+def _extreme(generators, facet_sets):
     """The distinct generators whose sets of facets are maximal among them,
-    sorted, each with its bit: generator ``j`` is bit ``first + j`` of the
-    facet masks ``incidence``."""
-    facet_sets = {}
+    sorted, each with its index: ``facet_sets[j]`` is the facet mask of
+    generator ``j``."""
+    first = {}
     for j, g in enumerate(generators):
-        bit = 1 << (first + j)
-        facet_sets[g] = (sum(1 << f for f, mask in enumerate(incidence) if mask & bit), bit)
-    distinct = {fs for fs, _ in facet_sets.values()}
-    return sorted(
-        (g, bit)
-        for g, (fs, bit) in facet_sets.items()
-        if not any(fs & other == fs != other for other in distinct)
-    )
+        first.setdefault(g, j)
+    maximal = set(_maximal(facet_sets[j] for j in first.values()))
+    return sorted((g, j) for g, j in first.items() if facet_sets[j] in maximal)
 
 
 class LatticePolytope:
@@ -345,6 +386,8 @@ class LatticePolytope:
         "is_whole_space",
         "_dim",
         "_incidence",
+        "_facet_sets",
+        "_tight",
         "_faces",
         "_faces_by_dim",
         "_face_index",
@@ -365,11 +408,13 @@ class LatticePolytope:
         self.is_whole_space = whole
         self._dim = dim
         self._incidence = tuple(incidence)
+        self._facet_sets = None
+        self._tight = {}
         self._faces = None
         self._faces_by_dim = None
         self._face_index = None
         self._lattice_points = None
-        self._edges = None
+        self._edges = {}
 
     # -- construction ----------------------------------------------------
 
@@ -395,10 +440,12 @@ class LatticePolytope:
         if rank and not halfspaces and not equations:
             # the hull is the whole space: no vertex, so dimension -1
             return cls(rank, (), (), *_whole_space_generators(rank), -1, ())
-        vertices = _extreme(points, incidence, 0)
-        extreme = _extreme(rays, incidence, len(points))
-        kept = [bit for _, bit in vertices + extreme]
-        masks = [sum(1 << k for k, bit in enumerate(kept) if mask & bit) for mask in incidence]
+        facet_sets = _transpose(incidence, len(points) + len(rays))
+        vertices = _extreme(points, facet_sets)
+        extreme = _extreme(rays, facet_sets[len(points) :])
+        kept = [facet_sets[j] for _, j in vertices]
+        kept += [facet_sets[len(points) + j] for _, j in extreme]
+        masks = _transpose(kept, len(incidence))
         vertices = [v for v, _ in vertices]
         return cls(rank, halfspaces, equations, vertices, [r for r, _ in extreme], dim, masks)
 
@@ -425,17 +472,17 @@ class LatticePolytope:
         vertices, rays, masks = _enumerate_generators(halfspaces, equations, rank)
         if not vertices:
             raise EmptyPolyhedronError("empty polyhedron")
-        # per halfspace, the set of generators tight on it, as a bit set
-        tight = [
-            sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(len(halfspaces))
-        ]
+        # per halfspace, the set of generators tight on it, as a bit set; the
+        # last row is the kernel's ``t >= 0``
+        tight = _transpose(masks, len(halfspaces) + 1)[:-1]
         if equations or (1 << len(masks)) - 1 in tight:
             # lower-dimensional: normals are canonical only modulo the
             # affine hull, so rebuild them
             hs, eqs, incidence = _dual_from_generators(vertices, rays, rank)
             return cls(rank, hs, eqs, vertices, rays, rank - len(eqs), incidence)
         # the facets are the halfspaces whose tight generator sets are maximal
-        facets = [i for i, t in enumerate(tight) if not any(t & u == t != u for u in tight)]
+        maximal = set(_maximal(tight))
+        facets = [i for i, t in enumerate(tight) if t in maximal]
         hs = [halfspaces[i] for i in facets]
         return cls(rank, hs, (), vertices, rays, rank, [tight[i] for i in facets])
 
@@ -520,10 +567,12 @@ class LatticePolytope:
 
         A face is the top face or an intersection of facet masks that keeps
         a vertex.  Top down, the maximal proper such intersections within a
-        ``d``-face are its ``(d-1)``-faces, and every face is reached so.
+        ``d``-face are its ``(d-1)``-faces, and every face is reached so.  A
+        face's generators and tight facets are read off its set bits.
         """
+        gens = self.vertices + self.rays
         nv = len(self.vertices)
-        top = (1 << (nv + len(self.rays))) - 1
+        top = (1 << len(gens)) - 1
         if self.is_whole_space:
             return {top: Face((), (), self.ambient_rank, frozenset())}
         has_vertex = (1 << nv) - 1
@@ -535,17 +584,20 @@ class LatticePolytope:
             for face in level:
                 cuts = {face & m for m in self._incidence}
                 cuts = [c for c in cuts if c != face and c & has_vertex]
-                for c in cuts:
-                    if c not in dims and not any(c & o == c != o for o in cuts):
+                for c in _maximal(cuts):
+                    if c not in dims:
                         dims[c] = d
                         below.append(c)
             level = below
+        facet_sets = self._generator_facets()
+        all_facets = (1 << len(self._incidence)) - 1
         index = {}
         for mask, dim in dims.items():
-            verts = tuple(v for j, v in enumerate(self.vertices) if mask >> j & 1)
-            rays = tuple(r for j, r in enumerate(self.rays, nv) if mask >> j & 1)
-            tight = frozenset(i for i, m in enumerate(self._incidence) if mask & m == mask)
-            index[mask] = Face(verts, rays, dim, tight)
+            verts, rays, tight = [], [], all_facets
+            for j in _bits(mask):
+                (verts if j < nv else rays).append(gens[j])
+                tight &= facet_sets[j]
+            index[mask] = Face(tuple(verts), tuple(rays), dim, frozenset(_bits(tight)))
         return index
 
     def facets(self):
@@ -554,19 +606,49 @@ class LatticePolytope:
     def top_face(self):
         return self.faces(self.dim)[0]
 
+    def _generator_facets(self):
+        """Per generator, vertices first, the mask of the facets it lies on:
+        the transpose of the incidence, found once."""
+        if self._facet_sets is None:
+            self._facet_sets = _transpose(self._incidence, len(self.vertices) + len(self.rays))
+        return self._facet_sets
+
+    def _cut(self, facets):
+        """The generator mask of the face the facets in the mask ``facets``
+        cut out: the intersection of their incidence masks."""
+        mask = (1 << (len(self.vertices) + len(self.rays))) - 1
+        for i in _bits(facets):
+            mask &= self._incidence[i]
+        return mask
+
+    def _tight_facets(self, x, t):
+        """The mask of the facets ``<x, normal> + t * offset = 0`` holds on:
+        those through the point ``x`` for ``t = 1``, those parallel to the
+        direction ``x`` for ``t = 0``.  Cached per polytope."""
+        key = (tuple(x), t)
+        tight = self._tight.get(key)
+        if tight is None:
+            tight = 0
+            for i, h in enumerate(self.halfspaces):
+                if vdot(key[0], h.normal) == (-h.offset if t else 0):
+                    tight |= 1 << i
+            self._tight[key] = tight
+        return tight
+
     def smallest_face_containing(self, points, rays=()):
         """The smallest face containing the given points and ray directions:
-        the intersection of the facets tight on all of them."""
+        the intersection of the facets tight on all of them.  Their cached
+        facet masks are intersected first, then the generator masks of the
+        facets left."""
         if self.is_whole_space:
             return self.top_face()
-        mask = (1 << (len(self.vertices) + len(self.rays))) - 1
-        for h, facet in zip(self.halfspaces, self._incidence):
-            if all(vdot(p, h.normal) == -h.offset for p in points) and all(
-                vdot(r, h.normal) == 0 for r in rays
-            ):
-                mask &= facet
+        facets = (1 << len(self._incidence)) - 1
+        for p in points:
+            facets &= self._tight_facets(p, 1)
+        for r in rays:
+            facets &= self._tight_facets(r, 0)
         self.faces()
-        face = self._face_index.get(mask)
+        face = self._face_index.get(self._cut(facets))
         if face is None:
             raise GeometryError("generators do not lie on a common face")
         return face
@@ -576,25 +658,39 @@ class LatticePolytope:
     def edges_at(self, vertex):
         """Primitive edge directions at a vertex (bounded edges and rays).
 
-        Found for all vertices once and cached; each call returns a fresh
-        sorted list, empty for a point that is not a vertex.
+        Found once per vertex and cached; each call returns a fresh sorted
+        list, empty for a point that is not a vertex.  The vertex and a
+        second generator span an edge when the facets through both cut out
+        exactly the two of them; an edge lies on at least ``dim - 1`` facets,
+        so a generator sharing fewer with the vertex is skipped first.
         """
-        if self._edges is None:
-            edges = {v: [] for v in self.vertices}
-            for f in self.faces(1):
-                if len(f.vertices) == 2:
-                    a, b = f.vertices
-                    edges[a].append(rational_primitive(vsub(b, a))[0])
-                    edges[b].append(rational_primitive(vsub(a, b))[0])
-                elif len(f.vertices) == 1 and len(f.rays) == 1:
-                    edges[f.vertices[0]].append(f.rays[0])
-            self._edges = {v: tuple(sorted(dirs)) for v, dirs in edges.items()}
-        return list(self._edges.get(vertex, ()))
+        vertex = tuple(vertex)
+        if vertex not in self._edges:
+            dirs = []
+            if vertex in self.vertices:
+                a = self.vertices.index(vertex)
+                nv = len(self.vertices)
+                facet_sets = self._generator_facets()
+                for b, fb in enumerate(facet_sets):
+                    common = facet_sets[a] & fb
+                    if b == a or common.bit_count() < self._dim - 1:
+                        continue
+                    if self._cut(common) == (1 << a) | (1 << b):
+                        if b < nv:
+                            dirs.append(rational_primitive(vsub(self.vertices[b], vertex))[0])
+                        else:
+                            dirs.append(self.rays[b - nv])
+            self._edges[vertex] = tuple(sorted(dirs))
+        return list(self._edges[vertex])
 
     def is_simplicial(self) -> bool:
+        """Whether every vertex lies on exactly ``dim`` facets.  For a pointed
+        polyhedron that is every vertex having ``dim`` edges: the vertex
+        figure is a simplex exactly when it has ``dim`` facets."""
         if self.is_whole_space:
             return False
-        return all(len(self.edges_at(v)) == self.dim for v in self.vertices)
+        d = self._dim
+        return all(fs.bit_count() == d for fs in self._generator_facets()[: len(self.vertices)])
 
     def nonsingular_witness(self):
         """None when every vertex is unimodular, else an offending vertex."""

@@ -3,7 +3,11 @@
 Each report line is one JSON object with a ``record`` tag.  Integers beyond
 the signed 64-bit range are emitted as decimal strings, non-integer rationals
 as ``"p/q"`` strings, so exact values survive serialization; ``parse_report``
-reverses both encodings losslessly.
+reverses both encodings losslessly.  A record goes straight to the C JSON
+encoder, whose ``default`` encodes a ``Fraction`` as ``encode_value`` does.
+Every integer outside the 64-bit range prints a run of at least 19 digits,
+so only a line holding such a run is encoded again after the
+``encode_value`` walk.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ _INT64_MAX = 2**63 - 1
 _INT64_MIN = -(2**63)
 _INT_RE = re.compile(r"^-?\d+$")
 _FRAC_RE = re.compile(r"^-?\d+/\d+$")
+_LONG_DIGITS = re.compile(r"[0-9]{19}")
 
 
 def encode_value(x):
@@ -48,10 +53,22 @@ def decode_value(x):
     return x
 
 
+def _encode_fraction(x):
+    if isinstance(x, Fraction):
+        return encode_value(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_encode_fraction)
+
+
 def render_report(records) -> str:
     lines = []
     for record in records:
-        lines.append(json.dumps(encode_value(record), sort_keys=True, separators=(",", ":")))
+        line = _ENCODER.encode(record)
+        if _LONG_DIGITS.search(line):
+            line = _ENCODER.encode(encode_value(record))
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -7,14 +7,17 @@ second double description that found the extreme generators of a hull, the
 face closure by dot products with a rational rank per face, the
 tiling checks that intersect every piece pair and cut every region by every
 hyperplane, the volume certificate of a cover with its pulling
-triangulation, the per-call edge scan, the ``Fraction``-field affine
-functions with the per-point lifting scale, and the lattice-equivalence
-search with one rational solve per row of every candidate map.  Tests
-compare the fast paths against them; nothing in the package imports this
-module.
+triangulation, the per-call edge scan and the edge counts it gives each
+vertex, the scan of every partition edge for the edges at a vertex, the
+``Fraction``-field affine functions with the per-point lifting scale, the
+lattice-equivalence search with one rational solve per row of every
+candidate map, and the ``encode_value`` walk over every report record.
+Tests compare the fast paths against them; nothing in the package imports
+this module.
 """
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
@@ -36,6 +39,7 @@ from toricdegen.exactmath import (
     vsub,
 )
 from toricdegen.partition import _uncovered_point, build_partition
+from toricdegen.report import encode_value
 from toricdegen.polytope import (
     Face,
     LatticePolytope,
@@ -345,6 +349,30 @@ def edges_at(poly, vertex):
             elif len(f.vertices) == 1 and len(f.rays) == 1:
                 dirs.append(f.rays[0])
     return sorted(dirs)
+
+
+def is_simplicial(poly):
+    """Whether every vertex has ``dim`` edges, counted by the 1-face scan."""
+    if poly.is_whole_space:
+        return False
+    return all(len(edges_at(poly, v)) == poly.dim for v in poly.vertices)
+
+
+def edges_at_vertex_within_ambient_face(partition, vertex_face):
+    """The partition edges through a vertex whose smallest ambient face is
+    the vertex's own, by a scan of every edge."""
+    p = vertex_face.vertices[0]
+    return [
+        f
+        for f in partition.faces(1)
+        if p in f.vertices and f.ambient_face == vertex_face.ambient_face
+    ]
+
+
+def render_report(records):
+    """One line per record: the ``encode_value`` walk, then ``json.dumps``."""
+    lines = [json.dumps(encode_value(r), sort_keys=True, separators=(",", ":")) for r in records]
+    return "\n".join(lines) + "\n"
 
 
 def check_interior_disjoint(pieces, d):

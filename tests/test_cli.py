@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -6,13 +7,16 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricdegen import cli
-from toricdegen.report import parse_report
+from toricdegen.report import parse_report, render_report
+
+import oracles
 
 
 def write_spec(tmp_path, spec, name="job.json"):
@@ -497,6 +501,81 @@ class TestDegenerate:
         path = write_spec(tmp_path, CHAIN4)
         code, out, records = run(capsys, ["degenerate", path, "--multi-base"])
         assert code == 2
+        assert records[0]["message"] == (
+            "multi_base is only available for the lift command (at $.options.multi_base)"
+        )
+
+    def test_staircase_seven_verify(self, tmp_path, capsys):
+        # the rank-7 end-to-end check: eight pieces, each a combinatorial
+        # 7-cube; the digest is the stdout of the parent of the incidence reads
+        n = 7
+        rays = [[int(i == j) - int(i == j - 1) for i in range(n)] for j in range(n + 1)]
+        vertices = [[-1] * n] + [[(n + 1) * int(i == j) - 1 for i in range(n)] for j in range(n)]
+        spec = {"polytope": {"vertices": vertices}, "partition": {"fan_rays": rays}}
+        code, out, records = run(capsys, ["verify", write_spec(tmp_path, spec)])
+        assert code == 0
+        cls = records[1]
+        assert cls["pieces"] == 8
+        flags = ("semistable", "balanced", "nonsingular", "mildly_singular")
+        assert all(cls[flag] is True for flag in flags)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f903a643ff565aa52925cab63415f0d6bbf99b6a80337e8ae444599064ec27df"
+        )
+
+
+class TestOptionsBeforeGeometry:
+    """Every option is read in ``load_job``: a bad one exits 2 with its JSON
+    path before any polytope is built, whatever the command."""
+
+    @pytest.mark.parametrize(
+        "command, spec, options, message",
+        [
+            ("verify", OCTAGON, {"compact_cap": "junk"}, "expected a boolean (at $.options.compact_cap)"),
+            ("verify", OCTAGON, {"anchor_piece": "x"}, "expected an integer (at $.options.anchor_piece)"),
+            ("lift", OCTAGON, {"anchor_piece": "x"}, "expected an integer (at $.options.anchor_piece)"),
+            ("lift", CHAIN4, {"coefficient_seed": 1.5}, "expected an integer (at $.options.coefficient_seed)"),
+            ("degenerate", CHAIN4, {"anchor_piece": None}, "expected an integer (at $.options.anchor_piece)"),
+            ("verify", CHAIN4, {"coefficient_seed": None}, "expected an integer (at $.options.coefficient_seed)"),
+            ("verify", CHAIN4, {"multi_base": None}, "expected a boolean (at $.options.multi_base)"),
+            ("verify", CHAIN4, {"compact_cap": None}, "expected a boolean (at $.options.compact_cap)"),
+            (
+                "verify",
+                CHAIN4,
+                {"compact_cap": {"normal": [0, 1], "offset": 3}},
+                "expected a vector of length 3 (at $.options.compact_cap.normal)",
+            ),
+            (
+                "verify",
+                OCTAGON,
+                {"compact_cap": {"normal": [0, 1], "offset": "3"}},
+                "cap offset must be an integer (at $.options.compact_cap.offset)",
+            ),
+            ("verify", BAD_TRIPTYCH, {"anchor_piece": [0]}, "expected an integer (at $.options.anchor_piece)"),
+        ],
+    )
+    def test_bad_option_exits_two_before_the_polytope(self, capsys, command, spec, options, message):
+        text = json.dumps({**spec, "options": options})
+        with mock.patch.object(cli, "build_polytope", side_effect=AssertionError("geometry ran")):
+            code, out = _main_on_stdin([command, "-"], text)
+        assert code == 2
+        assert parse_report(out) == [
+            {"record": "error", "code": "input", "message": message, "witness": None}
+        ]
+
+    def test_flags_do_not_hide_a_bad_option(self, capsys):
+        text = json.dumps({**CHAIN4, "options": {"anchor_piece": "x", "coefficient_seed": "y"}})
+        code, out = _main_on_stdin(["degenerate", "-", "--anchor", "1", "--seed", "2"], text)
+        assert code == 2
+        assert "$.options.anchor_piece" in out
+
+    def test_cap_length_follows_the_halfspace_rank(self, capsys):
+        spec = {**CHAIN4, "polytope": {**CHAIN4["polytope"], "rank": 3}}
+        good = {"compact_cap": {"normal": [0, 0, 1], "offset": 9}}
+        code, _ = _main_on_stdin(["lift", "-"], json.dumps({**spec, "options": good}))
+        assert code == 0
+        bad = {"compact_cap": {"normal": [0, 0, 0, 1], "offset": 9}}
+        code, out = _main_on_stdin(["lift", "-"], json.dumps({**spec, "options": bad}))
+        assert code == 2 and "expected a vector of length 3" in out
 
 
 class TestDeterminismAndRoundTrip:
@@ -623,6 +702,49 @@ def _main_on_stdin(argv, text):
     return code, out.getvalue()
 
 
+def _bad_options(job):
+    """Whether a job's options break a rule ``load_job`` checks: integers
+    for ``anchor_piece`` and ``coefficient_seed``, a boolean ``multi_base``,
+    a boolean or a ``{normal, offset}`` object of integers ``compact_cap``."""
+    if not isinstance(job, dict) or "options" not in job:
+        return False
+    options = job["options"]
+    if not isinstance(options, dict):
+        return True
+    if any(k in options and type(options[k]) is not int for k in ("anchor_piece", "coefficient_seed")):
+        return True
+    if type(options.get("multi_base", False)) is not bool:
+        return True
+    cap = options.get("compact_cap", False)
+    if isinstance(cap, dict):
+        normal = cap.get("normal")
+        return not (isinstance(normal, list) and all(type(x) is int for x in normal)) or (
+            type(cap.get("offset")) is not int
+        )
+    return type(cap) is not bool
+
+
+@st.composite
+def option_fuzz_jobs(draw):
+    """Accepted jobs of rank 2 and 3 whose options take junk, JSON ``null``
+    included, in place of a valid value, or a cap object with junk entries."""
+    spec = draw(st.sampled_from([OCTAGON, CHAIN4, STAIRCASE3, BAD_TRIPTYCH]))
+    cap = st.fixed_dictionaries({}, optional={"normal": st.one_of(JUNK, st.just([0, 0, 1])), "offset": JUNK})
+    options = draw(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "anchor_piece": st.one_of(JUNK, st.integers(0, 2)),
+                "coefficient_seed": st.one_of(JUNK, st.integers(0, 2)),
+                "compact_cap": st.one_of(JUNK, cap),
+                "multi_base": JUNK,
+            },
+        )
+    )
+    argv = [draw(st.sampled_from(["verify", "lift", "degenerate"]))]
+    return argv, json.dumps({**spec, "options": options})
+
+
 class TestFrontDoorFuzz:
     @given(fuzz_jobs())
     @settings(max_examples=150, deadline=None)
@@ -639,6 +761,74 @@ class TestFrontDoorFuzz:
         job = json.loads(text)
         if isinstance(job, dict) and _holds_bool([job.get("polytope"), job.get("partition")]):
             assert code != 0
+        if _bad_options(job):
+            assert code == 2
+
+    @given(option_fuzz_jobs())
+    @settings(max_examples=150, deadline=None)
+    @example((["verify"], json.dumps({**OCTAGON, "options": {"compact_cap": "junk"}})))
+    @example((["lift"], json.dumps({**OCTAGON, "options": {"anchor_piece": None}})))
+    def test_bad_options_exit_two_before_any_geometry(self, job):
+        argv, text = job
+        if not _bad_options(json.loads(text)):
+            code, out = _main_on_stdin(argv + ["-"], text)
+            assert code in (0, 1, 2)
+            return
+        with mock.patch.object(cli, "build_polytope", side_effect=AssertionError("geometry ran")):
+            code, out = _main_on_stdin(argv + ["-"], text)
+        assert code == 2
+        [record] = parse_report(out)
+        assert record["code"] == "input" and "(at $.options." in record["message"]
+
+
+_EDGE_INTS = [2**63 - 1, 2**63, 2**64, 10**18, 10**19 - 1, 10**19, 10**40]
+_BIG_INTS = st.one_of(
+    st.integers(),
+    st.sampled_from(_EDGE_INTS + [-x for x in _EDGE_INTS]),
+    st.integers(2**62, 2**66),
+    st.integers(-(2**66), -(2**62)),
+)
+_REPORT_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    _BIG_INTS,
+    st.builds(Fraction, _BIG_INTS, _BIG_INTS.filter(bool)),
+    st.text(alphabet="0123456789/-x", max_size=24),
+)
+_REPORT_VALUES = st.recursive(
+    _REPORT_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(alphabet="abcr", max_size=3), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestRenderReportAgainstOracle:
+    """The C encoder with its long-digit fallback against the ``encode_value``
+    walk of every record."""
+
+    @given(st.lists(st.dictionaries(st.text(alphabet="abcr", max_size=3), _REPORT_VALUES, max_size=5), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_same_text_as_the_walk(self, records):
+        assert render_report(records) == oracles.render_report(records)
+
+    @pytest.mark.parametrize("x", _EDGE_INTS + [-x for x in _EDGE_INTS] + [-(2**63) - 1])
+    def test_integers_at_the_int64_edges(self, x):
+        for value in (x, Fraction(x), Fraction(x, 7), [x, {"k": (x,)}]):
+            record = {"record": "x", "value": value}
+            assert render_report([record]) == oracles.render_report([record])
+        inside = -(2**63) <= x <= 2**63 - 1
+        assert render_report([{"v": x}]) == (f'{{"v":{x}}}\n' if inside else f'{{"v":"{x}"}}\n')
+
+    def test_unknown_objects_are_refused_as_by_the_walk(self):
+        for records in ([{"v": object()}], [{"v": [1, {2, 3}]}]):
+            with pytest.raises(TypeError):
+                oracles.render_report(records)
+            with pytest.raises(TypeError):
+                render_report(records)
 
 
 def _holds_bool(node):

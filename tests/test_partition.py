@@ -259,6 +259,16 @@ class TestStructuralProperties:
             assert len(edges) == n + 1, (name, vf.vertices)
 
     @pytest.mark.parametrize("name,part", accepted_partitions())
+    def test_vertex_edge_index_matches_the_edge_scan(self, name, part):
+        for vf in part.faces(0):
+            got = part.edges_at_vertex_within_ambient_face(vf)
+            assert got == oracles.edges_at_vertex_within_ambient_face(part, vf), (name, vf.vertices)
+        for p in [vf.vertices[0] for vf in part.faces(0)] + list(part.ambient.vertices):
+            assert part.edges_through(p) == [f for f in part.faces(1) if p in f.vertices], (name, p)
+        for piece in part.pieces:
+            assert piece.is_simplicial() and oracles.is_simplicial(piece), name
+
+    @pytest.mark.parametrize("name,part", accepted_partitions())
     def test_edge_sum_vanishes_at_nonsingular_vertices(self, name, part):
         flags = part.classify()
         for vf in part.faces(0):

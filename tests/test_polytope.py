@@ -558,6 +558,97 @@ class TestEdgesAgainstOracle:
             assert None not in poly.edges_at(point)
 
 
+def _assert_vertex_reads_match_oracle(poly, queries=(), data=None):
+    """``is_simplicial`` against the oracle's edge counts, ``edges_at`` at
+    every vertex against the 1-face scan, and smallest faces, asked in turn
+    of the one polytope so later queries read cached tight sets: the given
+    ``(points, rays)`` queries, then four drawn ones when ``data`` is given."""
+    assert poly.is_simplicial() == oracles.is_simplicial(poly)
+    for v in poly.vertices:
+        got = poly.edges_at(v)
+        expected = oracles.edges_at(poly, v)
+        assert got == expected and repr(got) == repr(expected)
+    for points, rays in queries:
+        expected = oracles.smallest_face_containing(poly, points, rays)
+        assert poly.smallest_face_containing(points, rays) == expected
+    for _ in range(4 if data is not None else 0):
+        _assert_smallest_faces_match_oracle(poly, data)
+
+
+def _all_pair_queries(poly):
+    """Every pair of vertices, the midpoint of each pair, and each vertex
+    with each ray."""
+    queries = [([a, b], []) for a, b in itertools.combinations_with_replacement(poly.vertices, 2)]
+    queries += [([tuple(Fraction(x + y, 2) for x, y in zip(a, b))], []) for a, b in itertools.combinations(poly.vertices, 2)]
+    queries += [([v], [r]) for v in poly.vertices for r in poly.rays]
+    return queries
+
+
+class TestIncidenceReadsAgainstOracles:
+    """Vertex-local reads of the generator-facet incidence: simple and
+    non-simple polytopes, unbounded pointed polyhedra, lower-dimensional
+    polytopes and single points."""
+
+    @given(degenerate_h_systems(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cubes_cross_polytopes_and_pyramids(self, system, data):
+        halfspaces, rank = system
+        p = LatticePolytope.from_halfspaces(halfspaces, rank)
+        _assert_vertex_reads_match_oracle(p, data=data)
+
+    @given(generator_sets(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_hulls_of_any_dimension_with_rays(self, gens, data):
+        points, rays, _ = gens
+        try:
+            p = LatticePolytope.from_generators(points, rays)
+        except UnsupportedGeometryError:
+            return
+        _assert_vertex_reads_match_oracle(p, data=data)
+
+    @given(h_systems(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_halfspace_systems_with_equations(self, system, data):
+        halfspaces, equations, rank = system
+        try:
+            p = LatticePolytope.from_halfspaces(halfspaces, rank, equations)
+        except (EmptyPolyhedronError, UnsupportedGeometryError):
+            return
+        _assert_vertex_reads_match_oracle(p, data=data)
+
+    @pytest.mark.parametrize(
+        "points, rays, simplicial",
+        [
+            ([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)], [], False),  # pyramid
+            ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], [], False),
+            (list(itertools.product((0, 1), repeat=3)), [], True),  # cube
+            ([(3, 1, 4)], [], True),  # a single point
+            ([(0, 0, 0), (1, 2, 3)], [], True),  # a segment in rank 3
+            ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [], True),  # a triangle in rank 3
+            ([(0, 0)], [(1, 0), (0, 1)], True),  # the quadrant
+            ([(1,)], [(1,)], True),  # a half-line
+            ([(0, 0, 0)], [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], False),  # a square cone
+        ],
+    )
+    def test_fixed_shapes(self, points, rays, simplicial):
+        p = LatticePolytope.from_generators(points, rays)
+        assert p.is_simplicial() is simplicial
+        _assert_vertex_reads_match_oracle(p, _all_pair_queries(p))
+
+    def test_points_on_different_facets_span_the_whole_square(self):
+        # (1, 0) is on the bottom facet only and (0, 1) on the left one: no
+        # facet holds both, so their smallest face is the square; the meet of
+        # their faces would be the vertex (0, 0)
+        square = LatticePolytope.from_vertices([(0, 0), (2, 0), (0, 2), (2, 2)])
+        for points in ([(1, 0), (0, 1)], [(2, 0), (0, 2)], [(1, 0), (0, 1), (1, 0)]):
+            face = square.smallest_face_containing(points)
+            assert face == oracles.smallest_face_containing(square, points)
+            assert face.dim == 2 and face.tight == frozenset()
+        bottom = square.smallest_face_containing([(1, 0), (2, 0)])
+        assert bottom.vertices == ((0, 0), (2, 0)) and bottom.dim == 1
+        assert square.smallest_face_containing([(0, 0)]).vertices == ((0, 0),)
+
+
 class TestSupportFunctions:
     def test_zero_is_affine(self):
         fan = staircase_fan(2)
