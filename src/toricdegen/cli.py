@@ -186,13 +186,8 @@ def build_job_partition(ambient, part_spec):
         ]
         if not rays:
             _fail_input("expected a nonempty list", "$.partition.fan_rays")
-        return partition_from_fan_checked(ambient, rays)
+        return partition_from_fan(ambient, complete_fan_from_rays(rays))
     return partition_by_hyperplanes(ambient, _hyperplane_cuts(part_spec, rank))
-
-
-def partition_from_fan_checked(ambient, rays):
-    fan = complete_fan_from_rays(rays)
-    return partition_from_fan(ambient, fan)
 
 
 def _hyperplane_cuts(part_spec, rank):

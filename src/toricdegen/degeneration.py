@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GeometryError, LiftingError
-from .exactmath import determinant, solve_linear, vdot
+from .exactmath import is_lattice_basis, solve_linear, vdot
 from .lifting import LiftedPolytope
 from .partition import DualComplex
 from .polytope import lattice_equivalent, normal_fan
@@ -117,7 +117,7 @@ def local_charts(lifted: LiftedPolytope, strict=True):
             face_dim = base.ambient_rank
         else:
             face_dim = base.smallest_face_containing([shadow]).dim
-        if len(dirs) != rank:
+        if len(dirs) != poly.dim:
             skipped.append(v)
             continue
         rows = [[d[i] for d in dirs] for i in range(rank)]
@@ -135,11 +135,11 @@ def local_charts(lifted: LiftedPolytope, strict=True):
 def chart_transitions_unimodular(lifted: LiftedPolytope) -> bool:
     """Adjacent vertex charts differ by a unimodular change of basis."""
     poly = lifted.polytope
-    rank = poly.ambient_rank
+    rank, dim = poly.ambient_rank, poly.dim
     bases = {}
     for v in poly.vertices:
         dirs = poly.edges_at(v)
-        if len(dirs) == rank:
+        if len(dirs) == dim:
             bases[v] = dirs
     for edge in poly.faces(1):
         if len(edge.vertices) != 2:
@@ -154,8 +154,8 @@ def chart_transitions_unimodular(lifted: LiftedPolytope) -> bool:
             if status != "unique" or any(Fraction(c).denominator != 1 for c in sol):
                 return False
             cols.append(tuple(int(c) for c in sol))
-        transition = tuple(tuple(cols[j][i] for j in range(rank)) for i in range(rank))
-        if abs(determinant(transition)) != 1:
+        transition = tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
+        if not is_lattice_basis(transition, dim):
             return False
     return True
 
@@ -253,7 +253,7 @@ class FamilyEquations:
     anchor: int
 
 
-def family_equations(lifted: LiftedPolytope, coefficients=None, anchor=None, seed=None):
+def family_equations(lifted: LiftedPolytope, anchor=None, seed=None):
     """Exponents of the degeneration parameter across all lattice points.
 
     The lifting function is renormalized to vanish on the anchor piece
@@ -293,9 +293,7 @@ def family_equations(lifted: LiftedPolytope, coefficients=None, anchor=None, see
     exponents = tuple(exponents)
     if min(exponents) < 0:
         raise LiftingError("negative exponent: function not minimal on the anchor piece")
-    if coefficients is not None:
-        coeffs = tuple(coefficients[p] for p in points)
-    elif seed is not None:
+    if seed is not None:
         rng = random.Random(seed)
         coeffs = tuple(Fraction(rng.randint(1, 99), rng.randint(1, 9)) for _ in points)
     else:

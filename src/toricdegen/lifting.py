@@ -23,7 +23,6 @@ from math import gcd
 from .errors import GeometryError, LiftingError
 from .exactmath import (
     AffineFunction,
-    determinant,
     kernel_vector,
     primitive,
     rational_primitive,
@@ -111,7 +110,7 @@ def _wall_function_at(partition, wall, p, i, j, ambient_vertex=False):
     else:
         vf = partition.face_at(p)
         edges = partition.edges_at_vertex_within_ambient_face(vf)
-        weight_of = dict(partition.weight_vector(p).by_edge).__getitem__
+        weight_of = dict(partition.all_weight_vectors()[p].by_edge).__getitem__
     missed = [e for e in edges if i not in e.pieces]
     if len(missed) != 1:
         raise LiftingError("wall normalization edge is not unique", witness=p)
@@ -317,14 +316,14 @@ def minimal_integral_lifting(func: PiecewiseAffine) -> IntegralLifting:
     return IntegralLifting(func.scale(scale), scale, profile, unit)
 
 
-def lifting_function(partition: Partition, root=None) -> IntegralLifting:
+def lifting_function(partition: Partition) -> IntegralLifting:
     """Wall cochain, cocycle check, integration and minimal rescaling in one go."""
     alpha = wall_functions(partition)
     dual = partition.dual_complex()
     ok, witness = check_cocycle(alpha, dual)
     if not ok:
         raise LiftingError("wall cochain is not a cocycle", witness=witness)
-    return minimal_integral_lifting(integrate_cocycle(alpha, dual, partition, root=root))
+    return minimal_integral_lifting(integrate_cocycle(alpha, dual, partition))
 
 
 # -- the lifted polytope -------------------------------------------------------
@@ -450,13 +449,7 @@ def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=No
     lift_map = _verify_lifts(partition, lifted, piece_facets)
     _verify_projections(partition, lifted, piece_facets)
 
-    simplicial = lifted.is_simplicial()
-    singular = []
-    for v in lifted.vertices:
-        dirs = lifted.edges_at(v)
-        if len(dirs) != n + 1 or abs(determinant(dirs)) != 1:
-            singular.append(v)
-    nonsingular = simplicial and not singular
+    singular = lifted.singular_vertices()
     flags = partition.classify()
     # walls running into a vertex of the base polytope fall outside the
     # nonsingular-lift guarantee (the lift can acquire conifold-type points,
@@ -471,9 +464,8 @@ def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=No
         and base.is_nonsingular()
         and walls_clear
     )
-    if promised and not nonsingular:
-        witness = singular[0] if singular else None
-        raise LiftingError("lift of a nonsingular partition came out singular", witness=witness)
+    if promised and singular:
+        raise LiftingError("lift of a nonsingular partition came out singular", witness=singular[0])
     return LiftedPolytope(
         partition,
         lifting,
@@ -482,9 +474,9 @@ def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=No
         piece_facets,
         cap,
         cap_facet,
-        simplicial,
-        tuple(singular),
-        nonsingular,
+        lifted.is_simplicial(),
+        singular,
+        not singular,
     )
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from .errors import EmptyPolyhedronError, GeometryError, PartitionError
 from .exactmath import (
-    determinant,
     kernel_vector,
     normalize_coord,
     rational_primitive,
@@ -252,14 +251,7 @@ class Partition:
     def vertex_is_nonsingular(self, point) -> bool:
         """Unimodular edge basis in (any) one piece having the vertex."""
         vf = self.face_at(point)
-        piece = self.pieces[min(vf.pieces)]
-        dirs = piece.edges_at(vf.vertices[0])
-        if len(dirs) != piece.dim:
-            return False
-        if self.ambient.dim < self.ambient.ambient_rank:
-            chart = affine_lattice_chart(self.ambient)
-            dirs = [chart.direction(d) for d in dirs]
-        return abs(determinant(dirs)) == 1
+        return vf.vertices[0] not in self.pieces[min(vf.pieces)].singular_vertices()
 
     # -- classification ----------------------------------------------------------
 

@@ -30,10 +30,12 @@ all their sets.  The kernel counts the candidate ray pairs it tests and
 refuses a run past ``PAIR_BUDGET`` with ``UnsupportedGeometryError``.  A
 polyhedron with a lineality space is refused: from generators by a rank
 test of the facet normals, from halfspaces on the lines the kernel is left
-with, so an intersection runs no rank test.  ``lattice_equivalences``
-inverts the edge basis at one vertex once, as an integer matrix over its
-determinant, so each candidate map is an integer product and an exact
-division.
+with, so an intersection runs no rank test.  A vertex is nonsingular when
+its primitive edge directions are a basis of the polyhedron's own lattice
+(``is_lattice_basis``), with no chart; charts serve lattice equivalence
+only.  ``lattice_equivalences`` inverts the edge basis at one vertex once,
+as an integer matrix over its determinant, so each candidate map is an
+integer product and an exact division.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .exactmath import (
     determinant,
     echelon,
     gcd_all,
+    is_lattice_basis,
     kernel_basis,
     kernel_vector,
     normalize_coord,
@@ -393,6 +396,7 @@ class LatticePolytope:
         "_face_index",
         "_lattice_points",
         "_edges",
+        "_singular",
     )
 
     def __init__(
@@ -415,6 +419,7 @@ class LatticePolytope:
         self._face_index = None
         self._lattice_points = None
         self._edges = {}
+        self._singular = None
 
     # -- construction ----------------------------------------------------
 
@@ -692,25 +697,18 @@ class LatticePolytope:
         d = self._dim
         return all(fs.bit_count() == d for fs in self._generator_facets()[: len(self.vertices)])
 
-    def nonsingular_witness(self):
-        """None when every vertex is unimodular, else an offending vertex."""
-        if self.is_whole_space:
-            return None
-        chart = None
-        if self.dim < self.ambient_rank:
-            chart = affine_lattice_chart(self)
-        for v in self.vertices:
-            dirs = self.edges_at(v)
-            if len(dirs) != self.dim:
-                return v
-            if chart is not None:
-                dirs = [chart.direction(d) for d in dirs]
-            if abs(determinant(dirs)) != 1:
-                return v
-        return None
+    def singular_vertices(self):
+        """The vertices whose primitive edge directions are no basis of the
+        polyhedron's own lattice, the integer points of its direction space;
+        a vertex that is not simple is among them.  Found once and cached."""
+        if self._singular is None:
+            self._singular = tuple(
+                v for v in self.vertices if not is_lattice_basis(self.edges_at(v), self.dim)
+            )
+        return self._singular
 
     def is_nonsingular(self) -> bool:
-        return self.nonsingular_witness() is None
+        return not self.singular_vertices()
 
     # -- metric / point queries ---------------------------------------------
 
@@ -1088,7 +1086,8 @@ def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
     m = [col + tuple(int(r == c) for c in range(d)) for r, col in enumerate(zip(*rows))]
     _, _, det = echelon(m, d)
     inv_cols = list(zip(*(row[d:] for row in m)))
-    seen = set()
+    # a map is fixed by the image of p0 and the order of the edges at it, so
+    # no map is yielded twice
     for q0 in sorted(q_set):
         q_edges = q_edge_vectors[q0]
         if len(q_edges) != len(p_edges):
@@ -1096,16 +1095,14 @@ def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
         for perm in itertools.permutations(range(len(q_edges))):
             targets = [q_edges[perm[i]] for i in range(len(p_edges))]
             a = _linear_part([targets[i] for i in span_idx], inv_cols, det)
-            if a is None or abs(determinant(a)) != 1:
+            if a is None or not is_lattice_basis(a, d):
                 continue
             if any(_apply(a, p_edges[i]) != targets[i] for i in range(len(p_edges))):
                 continue
             t = vsub(q0, _apply(a, p0))
             image = {vadd(_apply(a, v), t) for v in p_set}
             if image == q_set:
-                if (a, t) not in seen:
-                    seen.add((a, t))
-                    yield a, t
+                yield a, t
 
 
 def _linear_part(targets, inv_cols, det):

@@ -256,9 +256,9 @@ def _plain(x):
 # -- diagrams ---------------------------------------------------------------------
 
 
-def dual_graph_dot(dual, name="dual_graph") -> str:
+def dual_graph_dot(dual) -> str:
     """Graphviz source: one node per piece, one edge per wall."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph dual_graph {"]
     for i in range(dual.n_vertices):
         lines.append(f'  p{i} [label="piece {i}"];')
     for a, b in dual.edges():
@@ -267,8 +267,9 @@ def dual_graph_dot(dual, name="dual_graph") -> str:
     return "\n".join(lines) + "\n"
 
 
-def partition_svg(partition, scale=40, pad=20) -> str:
+def partition_svg(partition) -> str:
     """An SVG drawing of a two-dimensional compact partition."""
+    scale, pad = 40, 20  # pixels per lattice unit, margin in pixels
     ambient = partition.ambient
     if ambient.ambient_rank != 2 or not ambient.is_compact:
         raise ValueError("SVG output is limited to compact two-dimensional bases")

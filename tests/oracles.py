@@ -8,10 +8,11 @@ face closure by dot products with a rational rank per face, the
 tiling checks that intersect every piece pair and cut every region by every
 hyperplane, the volume certificate of a cover with its pulling
 triangulation, the per-call edge scan and the edge counts it gives each
-vertex, the scan of every partition edge for the edges at a vertex, the
-``Fraction``-field affine functions with the per-point lifting scale, the
-lattice-equivalence search with one rational solve per row of every
-candidate map, and the ``encode_value`` walk over every report record.
+vertex, the vertex unimodularity test by a determinant in the polytope's
+affine lattice chart, the scan of every partition edge for the edges at a
+vertex, the ``Fraction``-field affine functions with the per-point lifting
+scale, the lattice-equivalence search with one rational solve per row of
+every candidate map, and the ``encode_value`` walk over every report record.
 Tests compare the fast paths against them; nothing in the package imports
 this module.
 """
@@ -356,6 +357,24 @@ def is_simplicial(poly):
     if poly.is_whole_space:
         return False
     return all(len(edges_at(poly, v)) == poly.dim for v in poly.vertices)
+
+
+def chart_is_unimodular(poly, dirs):
+    """Whether edge directions of a polytope have determinant +-1 in the
+    coordinates of its affine lattice chart, built afresh for every call."""
+    if len(dirs) != poly.dim:
+        return False
+    if poly.dim < poly.ambient_rank:
+        chart = affine_lattice_chart(poly)
+        dirs = [chart.direction(d) for d in dirs]
+    return abs(determinant(dirs)) == 1
+
+
+def singular_vertices(poly):
+    """The vertices whose edges at them fail the chart test, in vertex order."""
+    if poly.is_whole_space:
+        return ()
+    return tuple(v for v in poly.vertices if not chart_is_unimodular(poly, edges_at(poly, v)))
 
 
 def edges_at_vertex_within_ambient_face(partition, vertex_face):

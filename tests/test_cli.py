@@ -523,6 +523,43 @@ class TestDegenerate:
         )
 
 
+def _one_piece(vertices):
+    return {"polytope": {"vertices": vertices}, "partition": {"pieces": [vertices]}}
+
+
+class TestLowerDimensionalOnePiece:
+    """conv{0, 2e1, 2e2} as one piece, in rank 2 and at z = 0 in rank 3:
+    nonsingularity is measured in the triangle's own lattice either way."""
+
+    SPECS = [
+        _one_piece([[0, 0], [2, 0], [0, 2]]),
+        _one_piece([[0, 0, 0], [2, 0, 0], [0, 2, 0]]),
+    ]
+
+    def test_lift_is_nonsingular_in_both_ranks(self, tmp_path, capsys):
+        for spec in self.SPECS:
+            code, _, records = run(capsys, ["lift", write_spec(tmp_path, spec)])
+            assert code == 0
+            lifted = records[-1]
+            assert lifted["record"] == "lifted_polytope"
+            assert lifted["nonsingular"] is True and lifted["singular_vertices"] == []
+
+    def test_degenerate_agrees_across_ranks(self, tmp_path, capsys):
+        reports = []
+        for spec in self.SPECS:
+            code, _, records = run(capsys, ["degenerate", write_spec(tmp_path, spec)])
+            assert code == 0
+            reports.append({r["record"]: r for r in records})
+        low, high = reports
+        assert low["classification"] == high["classification"]
+        charts = [
+            [(c["monomial"], c["face_dim"]) for c in r["degeneration"]["charts"]] for r in reports
+        ]
+        assert charts[0] == charts[1] and len(charts[0]) == 3
+        for key in ("exponents", "supports"):
+            assert low["family"][key] == high["family"][key]
+
+
 class TestOptionsBeforeGeometry:
     """Every option is read in ``load_job``: a bad one exits 2 with its JSON
     path before any polytope is built, whatever the command."""

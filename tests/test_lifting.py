@@ -377,6 +377,24 @@ class TestIntegerLiftingAgainstOracles:
         with mock.patch.object(LatticePolytope, "bounding_box_polytope", side_effect=AssertionError):
             assert func.minimal_integral_scale() == expected
 
+    def test_ray_slopes_are_not_redundant_with_the_truncation(self):
+        # the wedge (1/2, 1/3) + cone((1, 0), (100, 1)) under f = 2y + 1: its
+        # one-step truncation holds only points at y = 1, with values in 3Z,
+        # but (168, 2) has value 5; only the slope 2 along (100, 1) brings the
+        # generator down to 1
+        wedge = LatticePolytope.from_generators(
+            [(Fraction(1, 2), Fraction(1, 3))], [(1, 0), (100, 1)]
+        )
+        part = build_partition(wedge, [wedge])
+        piece = part.pieces[0]
+        f = AffineFunction.make((0, 2), 1)
+        truncated = piece.intersect(piece.box_halfspaces(1)).lattice_points()
+        assert len(truncated) == 35 and {p[1] for p in truncated} == {1}
+        assert {f(p) for p in truncated} == {3}
+        assert wedge.contains((168, 2)) and f((168, 2)) == 5
+        assert sorted(f.directional(r) for r in piece.rays) == [0, 2]
+        assert PiecewiseAffine(part, (f,), 0).value_generator() == 1
+
     def test_zero_function(self):
         part = octagon_partition()
         zero = PiecewiseAffine(part, (AffineFunction.zero(2),) * len(part.pieces), 0)

@@ -208,6 +208,25 @@ class TestClassification:
             if flags["nonsingular"]:
                 assert flags["balanced"], name
 
+    def test_same_flags_at_height_zero_one_rank_up(self):
+        # nonsingularity is measured in the polytope's own lattice, so a
+        # compact fixture embedded at height 0 keeps every verify flag
+        def up(v):
+            return tuple(v) + (0,)
+
+        for name, part in accepted_partitions():
+            if not part.ambient.is_compact:
+                continue
+            ambient = LatticePolytope.from_vertices([up(v) for v in part.ambient.vertices])
+            pieces = [LatticePolytope.from_vertices([up(v) for v in p.vertices]) for p in part.pieces]
+            flags, up_flags = part.classify(), build_partition(ambient, pieces).classify()
+            for key in ("semistable", "balanced", "nonsingular", "mildly_singular"):
+                assert up_flags[key] == flags[key], (name, key)
+            assert up_flags["maximal_vertices"] == tuple(map(up, flags["maximal_vertices"])), name
+            assert up_flags["vertex_nonsingular"] == {
+                up(p): ok for p, ok in flags["vertex_nonsingular"].items()
+            }, name
+
     def test_vertex_nonsingularity_consistent_across_pieces(self):
         from toricdegen.exactmath import determinant
 

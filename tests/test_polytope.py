@@ -24,7 +24,7 @@ from toricdegen import (
 )
 from toricdegen import exactmath
 from toricdegen import polytope as polytope_module
-from toricdegen.exactmath import echelon, rational_primitive
+from toricdegen.exactmath import echelon, is_lattice_basis, rational_primitive
 from toricdegen.polytope import (
     PAIR_BUDGET,
     Fan,
@@ -522,7 +522,7 @@ class TestSimplicialNonsingular:
         wp = weighted_projective_simplex()
         assert wp.is_simplicial()
         assert not wp.is_nonsingular()
-        assert wp.nonsingular_witness() in set(wp.vertices)
+        assert wp.singular_vertices() and set(wp.singular_vertices()) <= set(wp.vertices)
 
     def test_unit_cube(self):
         cube = LatticePolytope.from_vertices(
@@ -535,6 +535,79 @@ class TestSimplicialNonsingular:
             [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
         )
         assert not pyr.is_simplicial()
+
+
+@st.composite
+def embedded_polytopes(draw):
+    """A lattice polytope of rank <= 3 pushed into rank <= 6 by an injective
+    integer map and a shift.  The map is either the inclusion followed by a
+    unimodular map, whose image is saturated, or any integer matrix of full
+    column rank, whose image is often a proper sublattice of its span."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 6))
+    pts = draw(point_sets(k, 6, bound=2))
+    if draw(st.booleans()):
+        ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+        matrix = [row[:k] for row in unimodular_matrix(n, draw(st.lists(ops, max_size=6)))]
+    else:
+        row = st.tuples(*[st.integers(-2, 2)] * k)
+        matrix = draw(st.lists(row, min_size=n, max_size=n))
+        assume(exactmath.rank_fraction(matrix) == k)
+    shift = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    return LatticePolytope.from_vertices([_image(matrix, shift, p) for p in pts])
+
+
+TRIANGLE = [(0, 0), (2, 0), (0, 2)]
+
+
+class TestVertexUnimodularityAgainstOracle:
+    """The coprime-minors predicate against the determinant in a chart."""
+
+    @given(embedded_polytopes())
+    @settings(max_examples=150, deadline=None)
+    def test_minors_agree_with_the_chart_determinant(self, poly):
+        for v in poly.vertices:
+            dirs = poly.edges_at(v)
+            assert is_lattice_basis(dirs, poly.dim) == oracles.chart_is_unimodular(poly, dirs)
+        assert poly.singular_vertices() == oracles.singular_vertices(poly)
+
+    @pytest.mark.parametrize(
+        "matrix, singular",
+        [
+            ([(1, 0), (0, 1), (0, 0)], []),
+            ([(1, 0), (0, 1), (3, -2), (1, 1)], []),
+            ([(2, 0), (0, 1), (0, 0)], [(0, 2, 0)]),
+            ([(1, 1), (1, -1), (0, 0)], [(0, 0, 0)]),
+            # a dilation keeps every edge primitive, so nothing turns singular
+            ([(2, 0), (0, 2), (0, 0)], []),
+        ],
+    )
+    def test_both_verdicts_on_the_embedded_triangle(self, matrix, singular):
+        shift = (0,) * len(matrix)
+        poly = LatticePolytope.from_vertices([_image(matrix, shift, v) for v in TRIANGLE])
+        assert poly.dim == 2 and set(poly.singular_vertices()) == set(singular)
+        assert poly.singular_vertices() == oracles.singular_vertices(poly)
+        assert poly.is_nonsingular() == (not singular)
+
+    @pytest.mark.parametrize(
+        "vectors, dim, expected",
+        [
+            ([], 0, True),
+            ([(1, 0, 0), (0, 1, 0)], 2, True),
+            ([(1, 2, 3), (0, 1, 5)], 2, True),
+            ([(2, 0, 0), (0, 1, 0)], 2, False),
+            ([(2, 3, 0), (1, 1, 2)], 2, True),
+            ([(1, 1, 0), (1, -1, 0)], 2, False),
+            ([(1, 0, 0), (2, 0, 0)], 2, False),
+            ([(1, 0, 0), (0, 1, 0)], 3, False),
+            ([(1, 0), (0, 1), (1, 1)], 3, False),
+            ([(1, 0), (1, 1)], 2, True),
+            ([(2, 1), (1, 1)], 2, True),
+            ([(2, 0), (0, 1)], 2, False),
+        ],
+    )
+    def test_predicate_on_fixed_vectors(self, vectors, dim, expected):
+        assert is_lattice_basis(vectors, dim) == expected
 
 
 class TestEdgesAgainstOracle:
