@@ -98,10 +98,13 @@ class LocalChart:
 
 
 def local_charts(lifted: LiftedPolytope, strict=True):
-    """One chart per vertex of the lifted polytope off the cap.
+    """One chart per nonsingular vertex of the lifted polytope off the cap.
 
-    Singular vertices (edge basis not unimodular, or parameter expansion not
-    zero-one) yield no chart; they are returned in the second component.
+    The verdict at a vertex is the polytope's own (``is_nonsingular_at``),
+    and its edges are read off the generator-facet incidence.  A singular
+    vertex yields no chart, nor does a nonsingular one where the parameter
+    expansion is not zero-one (a component of multiplicity above one passes
+    through it); both are returned in the second component.
     """
     poly = lifted.polytope
     rank = poly.ambient_rank
@@ -111,20 +114,21 @@ def local_charts(lifted: LiftedPolytope, strict=True):
     skipped = []
     base = lifted.base.ambient
     for v in sorted(set(poly.vertices) - cap_vertices):
+        if not poly.is_nonsingular_at(v):
+            skipped.append(v)
+            continue
         dirs = poly.edges_at(v)
+        # the vertical vector points into the polytope off the cap, so the
+        # lattice basis expands it uniquely
+        _, coeffs = solve_linear([[d[i] for d in dirs] for i in range(rank)], vertical)
+        if any(c not in (0, 1) for c in coeffs):
+            skipped.append(v)
+            continue
         shadow = v[:-1]
         if base.is_whole_space:
             face_dim = base.ambient_rank
         else:
             face_dim = base.smallest_face_containing([shadow]).dim
-        if len(dirs) != poly.dim:
-            skipped.append(v)
-            continue
-        rows = [[d[i] for d in dirs] for i in range(rank)]
-        status, coeffs = solve_linear(rows, vertical)
-        if status != "unique" or any(c not in (0, 1) for c in coeffs):
-            skipped.append(v)
-            continue
         monomial = tuple(i for i, c in enumerate(coeffs) if c == 1)
         charts.append(LocalChart(shadow, v, face_dim, tuple(dirs), monomial))
     if skipped and strict:
@@ -136,27 +140,26 @@ def chart_transitions_unimodular(lifted: LiftedPolytope) -> bool:
     """Adjacent vertex charts differ by a unimodular change of basis."""
     poly = lifted.polytope
     rank, dim = poly.ambient_rank, poly.dim
+    nv = len(poly.vertices)
     bases = {}
-    for v in poly.vertices:
+    for a, v in enumerate(poly.vertices):
         dirs = poly.edges_at(v)
         if len(dirs) == dim:
-            bases[v] = dirs
-    for edge in poly.faces(1):
-        if len(edge.vertices) != 2:
-            continue
-        a, b = edge.vertices
-        if a not in bases or b not in bases:
-            continue
-        rows = [[d[i] for d in bases[a]] for i in range(rank)]
-        cols = []
-        for target in bases[b]:
-            status, sol = solve_linear(rows, target)
-            if status != "unique" or any(Fraction(c).denominator != 1 for c in sol):
+            bases[a] = dirs
+    for a in bases:
+        for b in poly.neighbours(a):
+            if not a < b < nv or b not in bases:
+                continue
+            rows = [[d[i] for d in bases[a]] for i in range(rank)]
+            cols = []
+            for target in bases[b]:
+                status, sol = solve_linear(rows, target)
+                if status != "unique" or any(Fraction(c).denominator != 1 for c in sol):
+                    return False
+                cols.append(tuple(int(c) for c in sol))
+            transition = tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
+            if not is_lattice_basis(transition, dim):
                 return False
-            cols.append(tuple(int(c) for c in sol))
-        transition = tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
-        if not is_lattice_basis(transition, dim):
-            return False
     return True
 
 

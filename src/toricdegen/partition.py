@@ -25,7 +25,6 @@ from .polytope import (
     Face,
     Fan,
     LatticePolytope,
-    affine_lattice_chart,
     lattice_equivalences,
 )
 
@@ -249,9 +248,10 @@ class Partition:
     # -- vertex nonsingularity -------------------------------------------------
 
     def vertex_is_nonsingular(self, point) -> bool:
-        """Unimodular edge basis in (any) one piece having the vertex."""
+        """Unimodular edge basis in (any) one piece having the vertex, asked
+        of that vertex alone."""
         vf = self.face_at(point)
-        return vf.vertices[0] not in self.pieces[min(vf.pieces)].singular_vertices()
+        return self.pieces[min(vf.pieces)].is_nonsingular_at(vf.vertices[0])
 
     # -- classification ----------------------------------------------------------
 
@@ -522,11 +522,8 @@ def partitions_equivalent(a: Partition, b: Partition) -> bool:
         raise GeometryError("partition equivalence requires compact ambient polytopes")
 
     def model(partition):
-        amb = partition.ambient
-        if amb.dim == amb.ambient_rank:
-            return [set(map(tuple, piece.vertices)) for piece in partition.pieces]
-        chart = affine_lattice_chart(amb)
-        return [set(chart.point(v) for v in piece.vertices) for piece in partition.pieces]
+        coords = partition.ambient.lattice_coordinates
+        return [set(map(coords, piece.vertices)) for piece in partition.pieces]
 
     b_pieces = [frozenset(s) for s in model(b)]
     a_pieces = model(a)

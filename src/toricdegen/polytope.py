@@ -24,7 +24,9 @@ found in one pass by popcount.  The transpose, one facet set per generator,
 is found once per polyhedron and answers the vertex-local queries without
 the face lattice: a vertex is simple when it lies on ``dim`` facets, and two
 generators span an edge when the facets through both cut out exactly the
-two of them.  Each point's set of tight facets is cached on the polyhedron,
+two of them.  A vertex's neighbours are found so once and cached, and every
+edge the package reads comes from them.  Each point's set of tight facets
+is cached on the polyhedron,
 and the smallest face containing some points is cut out by the facets in
 all their sets.  The kernel counts the candidate ray pairs it tests and
 refuses a run past ``PAIR_BUDGET`` with ``UnsupportedGeometryError``.  A
@@ -32,10 +34,14 @@ polyhedron with a lineality space is refused: from generators by a rank
 test of the facet normals, from halfspaces on the lines the kernel is left
 with, so an intersection runs no rank test.  A vertex is nonsingular when
 its primitive edge directions are a basis of the polyhedron's own lattice
-(``is_lattice_basis``), with no chart; charts serve lattice equivalence
-only.  ``lattice_equivalences`` inverts the edge basis at one vertex once,
-as an integer matrix over its determinant, so each candidate map is an
-integer product and an exact division.
+(``is_lattice_basis``), decided once per vertex and cached.  Lattice
+coordinates come from one helper, ``lattice_coordinates``: the identity in
+full dimension, else coordinates along a basis of the integer points of the
+direction space.  ``lattice_equivalences`` maps the vertices through it and
+reads edge vectors off the neighbours, so it builds no second polytope; it
+inverts the edge basis at one vertex once, as an integer matrix over its
+determinant, so each candidate map is an integer product and an exact
+division.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ from typing import NamedTuple
 
 from .errors import EmptyPolyhedronError, GeometryError, UnsupportedGeometryError
 from .exactmath import (
-    determinant,
     echelon,
     gcd_all,
     is_lattice_basis,
@@ -395,8 +400,9 @@ class LatticePolytope:
         "_faces_by_dim",
         "_face_index",
         "_lattice_points",
-        "_edges",
-        "_singular",
+        "_neighbours",
+        "_nonsingular",
+        "_chart",
     )
 
     def __init__(
@@ -418,8 +424,9 @@ class LatticePolytope:
         self._faces_by_dim = None
         self._face_index = None
         self._lattice_points = None
-        self._edges = {}
-        self._singular = None
+        self._neighbours = {}
+        self._nonsingular = {}
+        self._chart = None
 
     # -- construction ----------------------------------------------------
 
@@ -660,33 +667,40 @@ class LatticePolytope:
 
     # -- vertex-local structure --------------------------------------------
 
-    def edges_at(self, vertex):
-        """Primitive edge directions at a vertex (bounded edges and rays).
+    def neighbours(self, a):
+        """The generators adjacent to the ``a``-th vertex, as ascending
+        indices into ``vertices + rays``.
 
-        Found once per vertex and cached; each call returns a fresh sorted
-        list, empty for a point that is not a vertex.  The vertex and a
-        second generator span an edge when the facets through both cut out
-        exactly the two of them; an edge lies on at least ``dim - 1`` facets,
-        so a generator sharing fewer with the vertex is skipped first.
+        The vertex and a second generator span an edge when the facets
+        through both cut out exactly the two of them; an edge lies on at
+        least ``dim - 1`` facets, so a generator sharing fewer with the
+        vertex is skipped first.  Found once per vertex and cached.
         """
+        found = self._neighbours.get(a)
+        if found is None:
+            facet_sets = self._generator_facets()
+            found = []
+            for b, fb in enumerate(facet_sets):
+                common = facet_sets[a] & fb
+                if b == a or common.bit_count() < self._dim - 1:
+                    continue
+                if self._cut(common) == (1 << a) | (1 << b):
+                    found.append(b)
+            found = self._neighbours[a] = tuple(found)
+        return found
+
+    def edges_at(self, vertex):
+        """Primitive edge directions at a vertex (bounded edges and rays),
+        read off its neighbours, as a fresh sorted list; empty for a point
+        that is not a vertex."""
         vertex = tuple(vertex)
-        if vertex not in self._edges:
-            dirs = []
-            if vertex in self.vertices:
-                a = self.vertices.index(vertex)
-                nv = len(self.vertices)
-                facet_sets = self._generator_facets()
-                for b, fb in enumerate(facet_sets):
-                    common = facet_sets[a] & fb
-                    if b == a or common.bit_count() < self._dim - 1:
-                        continue
-                    if self._cut(common) == (1 << a) | (1 << b):
-                        if b < nv:
-                            dirs.append(rational_primitive(vsub(self.vertices[b], vertex))[0])
-                        else:
-                            dirs.append(self.rays[b - nv])
-            self._edges[vertex] = tuple(sorted(dirs))
-        return list(self._edges[vertex])
+        if vertex not in self.vertices:
+            return []
+        nv = len(self.vertices)
+        return sorted(
+            rational_primitive(vsub(self.vertices[b], vertex))[0] if b < nv else self.rays[b - nv]
+            for b in self.neighbours(self.vertices.index(vertex))
+        )
 
     def is_simplicial(self) -> bool:
         """Whether every vertex lies on exactly ``dim`` facets.  For a pointed
@@ -697,18 +711,35 @@ class LatticePolytope:
         d = self._dim
         return all(fs.bit_count() == d for fs in self._generator_facets()[: len(self.vertices)])
 
+    def is_nonsingular_at(self, vertex) -> bool:
+        """Whether the primitive edge directions at a vertex are a basis of
+        the polyhedron's own lattice, the integer points of its direction
+        space; a vertex that is not simple is not.  Found once per vertex
+        and cached."""
+        vertex = tuple(vertex)
+        if vertex not in self._nonsingular:
+            self._nonsingular[vertex] = is_lattice_basis(self.edges_at(vertex), self._dim)
+        return self._nonsingular[vertex]
+
     def singular_vertices(self):
-        """The vertices whose primitive edge directions are no basis of the
-        polyhedron's own lattice, the integer points of its direction space;
-        a vertex that is not simple is among them.  Found once and cached."""
-        if self._singular is None:
-            self._singular = tuple(
-                v for v in self.vertices if not is_lattice_basis(self.edges_at(v), self.dim)
-            )
-        return self._singular
+        """The vertices that are not nonsingular, in vertex order."""
+        return tuple(v for v in self.vertices if not self.is_nonsingular_at(v))
 
     def is_nonsingular(self) -> bool:
-        return not self.singular_vertices()
+        return all(self.is_nonsingular_at(v) for v in self.vertices)
+
+    def lattice_coordinates(self, point):
+        """A point's coordinates in the polyhedron's own lattice: the point
+        itself when the polyhedron is full-dimensional, else its coordinates
+        from the first vertex along a basis of the integer points of the
+        direction space.  That basis is found once and cached."""
+        if self._dim == self.ambient_rank:
+            return tuple(point)
+        if self._chart is None:
+            base = self.vertices[0]
+            dirs = [vsub(v, base) for v in self.vertices[1:]] + list(self.rays)
+            self._chart = saturation([rational_primitive(d)[0] for d in dirs if any(d)])
+        return _model_coords(self._chart, self.vertices[0], point)
 
     # -- metric / point queries ---------------------------------------------
 
@@ -805,31 +836,6 @@ class LatticePolytope:
         return LatticePolytope._from_normalized(self.box_halfspaces(margin), self.ambient_rank, ())
 
 
-# -- affine lattice charts for lower-dimensional polytopes -------------------
-
-
-class AffineChart:
-    """Integer coordinates on the affine lattice spanned by a polytope."""
-
-    def __init__(self, base, basis):
-        self.base = base
-        self.basis = basis  # rows: lattice basis of the direction space
-
-    def point(self, p):
-        return _model_coords(self.basis, self.base, p)
-
-    def direction(self, d):
-        return _model_coords(self.basis, None, d)
-
-
-def affine_lattice_chart(poly: LatticePolytope) -> AffineChart:
-    base = poly.vertices[0]
-    dirs = [vsub(v, base) for v in poly.vertices[1:]] + list(poly.rays)
-    int_dirs = [rational_primitive(d)[0] for d in dirs if any(x != 0 for x in d)]
-    basis = saturation(int_dirs)
-    return AffineChart(base, basis)
-
-
 # -- fans ---------------------------------------------------------------------
 
 
@@ -907,9 +913,12 @@ def normal_fan(poly: LatticePolytope) -> Fan:
 def complete_fan_from_rays(rays):
     """The complete simplicial fan on n+1 rays in a single positive relation.
 
-    The rays must span and satisfy one relation with all-positive
-    coefficients; the maximal cones then drop one ray each (the combinatorics
-    of a projective space).
+    The rays must satisfy one relation, up to scaling, and it must have
+    all-positive coefficients; the maximal cones then drop one ray each (the
+    combinatorics of a projective space).  No chamber needs a further test:
+    n of the rays that were dependent would carry a relation with a zero
+    coefficient, so any n are a basis, and the chambers are those of the fan
+    of a weighted projective space, which is complete.
     """
     rays = [primitive(r) for r in rays]
     rank = len(rays[0])
@@ -924,18 +933,10 @@ def complete_fan_from_rays(rays):
         raise GeometryError("rays must satisfy a single positive relation")
     cones = set()
     for drop in range(rank + 1):
-        cone = frozenset(i for i in range(rank + 1) if i != drop)
-        if abs(determinant([rays[i] for i in sorted(cone)])) == 0:
-            raise GeometryError("rays do not span in every chamber")
-        cones.add(cone)
-        for sub in itertools.chain.from_iterable(
-            itertools.combinations(sorted(cone), k) for k in range(rank)
-        ):
-            cones.add(frozenset(sub))
-    fan = Fan(rank, rays, cones)
-    if not fan.is_complete():
-        raise GeometryError("rays do not generate a complete fan")
-    return fan
+        chamber = [i for i in range(rank + 1) if i != drop]
+        for k in range(rank + 1):
+            cones.update(map(frozenset, itertools.combinations(chamber, k)))
+    return Fan(rank, rays, cones)
 
 
 # -- support functions ---------------------------------------------------------
@@ -1016,42 +1017,30 @@ def support_function_of_polytope(poly: LatticePolytope) -> SupportFunction:
 # -- lattice equivalence --------------------------------------------------------
 
 
-def _full_dim_vertex_model(poly):
-    if poly.dim == poly.ambient_rank:
-        if not poly.is_lattice:
-            raise GeometryError("lattice equivalence requires lattice polytopes")
-        return poly, list(poly.vertices)
-    chart = affine_lattice_chart(poly)
-    verts = [chart.point(v) for v in poly.vertices]
+def _lattice_vertices(poly):
+    """The vertices of a lattice polytope in its own lattice coordinates,
+    in vertex order."""
+    verts = [poly.lattice_coordinates(v) for v in poly.vertices]
     if any(type(x) is not int for v in verts for x in v):
         raise GeometryError("lattice equivalence requires lattice polytopes")
-    model = LatticePolytope.from_vertices(verts)
-    return model, list(model.vertices)
-
-
-def _edge_vectors(model):
-    """Per vertex of a compact polytope, the sorted vectors to its neighbours."""
-    out = {v: [] for v in model.vertices}
-    for f in model.faces(1):
-        a, b = f.vertices
-        out[a].append(vsub(b, a))
-        out[b].append(vsub(a, b))
-    return {v: sorted(edges) for v, edges in out.items()}
+    return verts
 
 
 def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
     """Yield all affine-unimodular maps with ``psi(P) = Q``.
 
     Maps are returned as ``(matrix_rows, translation)`` acting by
-    ``x -> A x + t`` in the intrinsic lattice coordinates of the polytopes
-    (ambient coordinates when both are full-dimensional).  A candidate sends
-    a vertex ``p0`` of P to a vertex of Q and the edge vectors at ``p0`` to
-    those at the image in some order.  The edge vectors of a spanning subset
-    are the rows of ``E``, those of their images the rows of ``T``, so
-    ``A = T^T (E^T)^-1``.  One fraction-free elimination of ``[E^T | I]``
-    gives ``det * (E^T)^-1`` in integers, and each candidate's ``A`` is an
-    integer product divided exactly by ``det``; a product that ``det`` does
-    not divide is no lattice map.
+    ``x -> A x + t`` in the polytopes' own lattice coordinates
+    (``lattice_coordinates``, ambient ones in full dimension).  A candidate
+    sends the least vertex ``p0`` of P to a vertex of Q and the edge vectors
+    at ``p0``, read off its neighbours, to those at the image in some order.
+    The edge vectors of a spanning subset are the rows of ``E``, those of
+    their images the rows of ``T``, so ``A = T^T (E^T)^-1``.  One
+    fraction-free elimination of ``[E^T | I]`` gives ``det * (E^T)^-1`` in
+    integers, and each candidate's ``A`` is an integer product divided
+    exactly by ``det``; a product that ``det`` does not divide is no lattice
+    map.  A surviving candidate is checked vertex by vertex up to the first
+    image that is no vertex of Q.
     """
     if not (p.is_compact and q.is_compact):
         raise GeometryError("lattice equivalence requires compact polytopes")
@@ -1061,16 +1050,18 @@ def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
     if d == 0:
         yield tuple(), tuple()
         return
-    pm, p_verts = _full_dim_vertex_model(p)
-    qm, q_verts = _full_dim_vertex_model(q)
+    p_verts = _lattice_vertices(p)
+    q_verts = _lattice_vertices(q)
     if len(p_verts) != len(q_verts):
         return
-    p_set = set(p_verts)
     q_set = set(q_verts)
-    q_edge_vectors = _edge_vectors(qm)
 
-    p0 = min(p_verts)
-    p_edges = _edge_vectors(pm)[p0]
+    def edge_vectors(poly, verts, a):
+        return sorted(vsub(verts[b], verts[a]) for b in poly.neighbours(a))
+
+    a0 = min(range(len(p_verts)), key=p_verts.__getitem__)
+    p0 = p_verts[a0]
+    p_edges = edge_vectors(p, p_verts, a0)
     if len(p_edges) > 8:
         raise UnsupportedGeometryError("vertex valence too high for exhaustive matching")
     # a spanning subset of edge vectors determines the linear part
@@ -1088,8 +1079,8 @@ def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
     inv_cols = list(zip(*(row[d:] for row in m)))
     # a map is fixed by the image of p0 and the order of the edges at it, so
     # no map is yielded twice
-    for q0 in sorted(q_set):
-        q_edges = q_edge_vectors[q0]
+    for b0 in sorted(range(len(q_verts)), key=q_verts.__getitem__):
+        q_edges = edge_vectors(q, q_verts, b0)
         if len(q_edges) != len(p_edges):
             continue
         for perm in itertools.permutations(range(len(q_edges))):
@@ -1099,9 +1090,9 @@ def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
                 continue
             if any(_apply(a, p_edges[i]) != targets[i] for i in range(len(p_edges))):
                 continue
-            t = vsub(q0, _apply(a, p0))
-            image = {vadd(_apply(a, v), t) for v in p_set}
-            if image == q_set:
+            t = vsub(q_verts[b0], _apply(a, p0))
+            # as many vertices on both sides: the images are all of Q
+            if all(vadd(_apply(a, v), t) in q_set for v in p_verts):
                 yield a, t
 
 

@@ -150,16 +150,17 @@ def lifting_record(lifting):
 
 
 def lifted_polytope_record(lifted):
+    poly = lifted.polytope
     record = {"record": "lifted_polytope"}
-    record.update(polytope_record(lifted.polytope))
-    vertex_index = {v: i for i, v in enumerate(lifted.polytope.vertices)}
+    record.update(polytope_record(poly))
+    nv = len(poly.vertices)
     edges = []
-    for face in lifted.polytope.faces(1):
-        if len(face.vertices) == 2:
-            a, b = sorted(vertex_index[v] for v in face.vertices)
-            edges.append([a, b])
-        elif len(face.vertices) == 1 and len(face.rays) == 1:
-            edges.append([vertex_index[face.vertices[0]], list(face.rays[0])])
+    for a in range(nv):
+        for b in poly.neighbours(a):
+            if b >= nv:
+                edges.append([a, list(poly.rays[b - nv])])
+            elif a < b:
+                edges.append([a, b])
     record["edges"] = sorted(edges, key=repr)
     record["nonsingular"] = lifted.nonsingular
     record["simplicial"] = lifted.simplicial

@@ -9,10 +9,12 @@ tiling checks that intersect every piece pair and cut every region by every
 hyperplane, the volume certificate of a cover with its pulling
 triangulation, the per-call edge scan and the edge counts it gives each
 vertex, the vertex unimodularity test by a determinant in the polytope's
-affine lattice chart, the scan of every partition edge for the edges at a
-vertex, the ``Fraction``-field affine functions with the per-point lifting
-scale, the lattice-equivalence search with one rational solve per row of
-every candidate map, and the ``encode_value`` walk over every report record.
+lattice chart, the scan of every partition edge for the edges at a vertex,
+the ``Fraction``-field affine functions with the per-point lifting scale,
+the lattice-equivalence search on a full-dimensional model polytope (a
+second double description for a lower-dimensional one) with its edges from
+the 1-faces and one rational solve per row of every candidate map, and the
+``encode_value`` walk over every report record.
 Tests compare the fast paths against them; nothing in the package imports
 this module.
 """
@@ -47,9 +49,7 @@ from toricdegen.polytope import (
     _apply,
     _dual_from_generators,
     _enumerate_generators,
-    _full_dim_vertex_model,
     _normalize_halfspace,
-    affine_lattice_chart,
 )
 
 
@@ -309,15 +309,12 @@ def check_cover(ambient, pieces):
     gap, with the polyhedral difference's witness in those coordinates."""
     if ambient.dim == 0:
         return
-    chart = None
-    if ambient.dim < ambient.ambient_rank and not ambient.is_whole_space:
-        chart = affine_lattice_chart(ambient)
-
     def model(poly):
-        if chart is None:
+        if ambient.is_whole_space or ambient.dim == ambient.ambient_rank:
             return poly
         return LatticePolytope.from_generators(
-            [chart.point(v) for v in poly.vertices], [chart.direction(r) for r in poly.rays]
+            [ambient.lattice_coordinates(v) for v in poly.vertices],
+            [_lattice_direction(ambient, r) for r in poly.rays],
         )
 
     ambient_m = ambient if ambient.is_whole_space else model(ambient)
@@ -359,15 +356,19 @@ def is_simplicial(poly):
     return all(len(edges_at(poly, v)) == poly.dim for v in poly.vertices)
 
 
+def _lattice_direction(poly, d):
+    """A direction's coordinates in the polytope's own lattice: those of the
+    step along it from the first vertex."""
+    base = poly.vertices[0]
+    return vsub(poly.lattice_coordinates(vadd(base, d)), poly.lattice_coordinates(base))
+
+
 def chart_is_unimodular(poly, dirs):
     """Whether edge directions of a polytope have determinant +-1 in the
-    coordinates of its affine lattice chart, built afresh for every call."""
+    coordinates of its own lattice."""
     if len(dirs) != poly.dim:
         return False
-    if poly.dim < poly.ambient_rank:
-        chart = affine_lattice_chart(poly)
-        dirs = [chart.direction(d) for d in dirs]
-    return abs(determinant(dirs)) == 1
+    return abs(determinant([_lattice_direction(poly, d) for d in dirs])) == 1
 
 
 def singular_vertices(poly):
@@ -556,10 +557,26 @@ def family_exponents(func, anchor):
     return tuple(out)
 
 
+def _full_dim_vertex_model(poly):
+    """A lattice polytope as a full-dimensional one, with its vertices: in
+    its lattice chart, hulled again by a second double description when it
+    is lower-dimensional."""
+    if poly.dim == poly.ambient_rank:
+        if not poly.is_lattice:
+            raise GeometryError("lattice equivalence requires lattice polytopes")
+        return poly, list(poly.vertices)
+    verts = [poly.lattice_coordinates(v) for v in poly.vertices]
+    if any(type(x) is not int for v in verts for x in v):
+        raise GeometryError("lattice equivalence requires lattice polytopes")
+    model = LatticePolytope.from_vertices(verts)
+    return model, list(model.vertices)
+
+
 def lattice_equivalences(p, q):
-    """Every affine-unimodular map taking P onto Q: for each vertex of Q and
-    each permutation of its edge vectors, one rational solve per row of the
-    linear part."""
+    """Every affine-unimodular map taking P onto Q: on full-dimensional
+    models of both, for each vertex of Q and each permutation of its edge
+    vectors, read off the 1-faces, one rational solve per row of the linear
+    part."""
     if not (p.is_compact and q.is_compact):
         raise GeometryError("lattice equivalence requires compact polytopes")
     if p.dim != q.dim:

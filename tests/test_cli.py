@@ -560,6 +560,17 @@ class TestLowerDimensionalOnePiece:
             assert low["family"][key] == high["family"][key]
 
 
+def test_degenerate_refuses_a_singular_vertex_with_a_zero_one_expansion(tmp_path, capsys):
+    # the lifted vertex (0, 1, 0) of the one-piece triangle is singular; the
+    # vertical vector being one of its edges gives it no chart
+    spec = _one_piece([[0, 0], [2, 0], [0, 1]])
+    code, _, records = run(capsys, ["degenerate", write_spec(tmp_path, spec)])
+    assert code == 1
+    assert records[-1]["record"] == "error"
+    assert records[-1]["message"] == "singular vertex has no monomial chart"
+    assert records[-1]["witness"] == [0, 1, 0]
+
+
 class TestOptionsBeforeGeometry:
     """Every option is read in ``load_job``: a bad one exits 2 with its JSON
     path before any polytope is built, whatever the command."""

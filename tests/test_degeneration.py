@@ -8,6 +8,7 @@ from toricdegen import (
     GeometryError,
     LatticePolytope,
     LiftingError,
+    build_partition,
     build_report,
     build_sequences,
     family_equations,
@@ -164,6 +165,20 @@ class TestLocalCharts:
         charts, skipped = local_charts(lifted, strict=False)
         assert (2, 0, 0) in skipped
         assert all(c.vertex != (2, 0) for c in charts)
+
+    def test_singular_vertex_with_a_zero_one_expansion_is_skipped(self):
+        # (0, 1, 0) has edges (0, -1, 0), (2, -1, 0), (0, 0, 1) of index 2,
+        # though the vertical vector is one of them
+        triangle = LatticePolytope.from_vertices([(0, 0), (2, 0), (0, 1)])
+        part = build_partition(triangle, [triangle])
+        lifted = lift_polytope(part, lifting_function(part))
+        assert lifted.singular_vertices == ((0, 1, 0),)
+        charts, skipped = local_charts(lifted, strict=False)
+        assert skipped == ((0, 1, 0),)
+        assert sorted(c.lifted_vertex for c in charts) == [(0, 0, 0), (2, 0, 0)]
+        with pytest.raises(LiftingError, match="singular vertex has no monomial chart") as err:
+            local_charts(lifted)
+        assert err.value.witness == (0, 1, 0)
 
     def test_chart_transitions(self):
         for name in ("staircase-2", "chain-4", "octagon"):

@@ -538,22 +538,33 @@ class TestSimplicialNonsingular:
 
 
 @st.composite
-def embedded_polytopes(draw):
-    """A lattice polytope of rank <= 3 pushed into rank <= 6 by an injective
-    integer map and a shift.  The map is either the inclusion followed by a
-    unimodular map, whose image is saturated, or any integer matrix of full
-    column rank, whose image is often a proper sublattice of its span."""
-    k = draw(st.integers(1, 3))
-    n = draw(st.integers(k, 6))
-    pts = draw(point_sets(k, 6, bound=2))
+def injective_maps(draw, k, n):
+    """An injective integer map from rank ``k`` to rank ``n`` with a shift,
+    and whether its image is known to be saturated.  The map is either the
+    inclusion followed by a unimodular map, whose image is saturated, or any
+    integer matrix of full column rank, whose image is often a proper
+    sublattice of its span."""
     if draw(st.booleans()):
         ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
         matrix = [row[:k] for row in unimodular_matrix(n, draw(st.lists(ops, max_size=6)))]
+        saturated = True
     else:
         row = st.tuples(*[st.integers(-2, 2)] * k)
         matrix = draw(st.lists(row, min_size=n, max_size=n))
         assume(exactmath.rank_fraction(matrix) == k)
+        saturated = False
     shift = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    return matrix, shift, saturated
+
+
+@st.composite
+def embedded_polytopes(draw):
+    """A lattice polytope of rank <= 3 pushed into rank <= 6 by an injective
+    integer map and a shift."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 6))
+    pts = draw(point_sets(k, 6, bound=2))
+    matrix, shift, _ = draw(injective_maps(k, n))
     return LatticePolytope.from_vertices([_image(matrix, shift, p) for p in pts])
 
 
@@ -962,11 +973,16 @@ def _image(matrix, shift, v):
 
 
 @st.composite
-def equivalence_pairs(draw):
+def equivalence_pairs(draw, embed=False):
     """A full-dimensional lattice polygon or 3-polytope and either its image
     under a unimodular map plus a translation, or the image of a copy with
     one edge stretched by a lattice step or one coordinate doubled (as many
-    vertices, rarely equivalent)."""
+    vertices, rarely equivalent).
+
+    With ``embed`` both are then pushed into rank + 1 or + 2, each by its
+    own injective integer map and shift, so they are lower-dimensional.  An
+    image stays an ``image`` only when both maps are known to be saturated;
+    otherwise its kind is ``sublattice``, with no verdict expected."""
     rank = draw(st.integers(2, 3))
     pts = draw(point_sets(rank, 7 if rank == 2 else 6, bound=2))
     try:
@@ -987,6 +1003,16 @@ def equivalence_pairs(draw):
     shift = draw(st.tuples(*[st.integers(-3, 3)] * rank))
     q = LatticePolytope.from_vertices([_image(matrix, shift, v) for v in verts])
     assume(len(q.vertices) == len(p.vertices))
+    if embed:
+        n = rank + draw(st.integers(1, 2))
+        embedded = []
+        for poly in (p, q):
+            matrix, shift, saturated = draw(injective_maps(rank, n))
+            image = [_image(matrix, shift, v) for v in poly.vertices]
+            embedded.append(LatticePolytope.from_vertices(image))
+            if kind == "image" and not saturated:
+                kind = "sublattice"
+        p, q = embedded
     return p, q, kind
 
 
@@ -1007,6 +1033,36 @@ class TestLatticeEquivalenceAgainstOracle:
         pieces = staircase_partition(3).pieces
         for p, q in itertools.combinations(pieces, 2):
             assert lattice_equivalent(p, q) == next(oracles.lattice_equivalences(p, q))
+
+
+class TestLatticeEquivalenceInTheChart:
+    """Lower-dimensional pairs: vertices and neighbours mapped through the
+    lattice chart against the oracle's full-dimensional model polytopes."""
+
+    @given(equivalence_pairs(embed=True))
+    @settings(max_examples=60, deadline=None)
+    def test_same_maps_in_the_same_order_as_the_models(self, pair):
+        p, q, kind = pair
+        assert p.dim < p.ambient_rank
+        got = list(lattice_equivalences(p, q))
+        expected = list(oracles.lattice_equivalences(p, q))
+        assert got == expected and repr(got) == repr(expected)
+        if kind == "image":
+            assert got
+        target = set(map(q.lattice_coordinates, q.vertices))
+        for matrix, shift in got:
+            assert {_image(matrix, shift, p.lattice_coordinates(v)) for v in p.vertices} == target
+
+    def test_no_model_polytope_is_built(self):
+        a = LatticePolytope.from_vertices([(0, 0, 5), (2, 0, 5), (0, 1, 5)])
+        b = LatticePolytope.from_vertices([(1, 1, 1), (1, 3, 3), (2, 1, 2)])
+        with mock.patch.object(
+            LatticePolytope, "from_generators", side_effect=AssertionError("model built")
+        ), mock.patch.object(
+            LatticePolytope, "_from_normalized", side_effect=AssertionError("model built")
+        ):
+            maps = list(lattice_equivalences(a, b))
+        assert maps == list(oracles.lattice_equivalences(a, b)) and maps
 
 
 def assert_integral_values_are_ints(poly):
@@ -1136,7 +1192,36 @@ class TestVolume:
         assert oracles.volume(sq) == 4
 
 
+@st.composite
+def fan_ray_sets(draw):
+    """n + 1 integer rays in rank n <= 4: n drawn vectors and minus a
+    positive combination of them, inserted anywhere, or n + 1 drawn vectors
+    (mostly rejected)."""
+    n = draw(st.integers(1, 4))
+    vectors = st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n, max_size=n + 1)
+    rays = draw(vectors)
+    if len(rays) == n:
+        weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        last = tuple(-sum(w * r[i] for w, r in zip(weights, rays)) for i in range(n))
+        rays.insert(draw(st.integers(0, n)), last)
+    return rays
+
+
 class TestCompleteFanFromRays:
+    @given(fan_ray_sets())
+    @settings(max_examples=150, deadline=None)
+    @example([(1,), (-2,)])
+    @example([(1, 0), (0, 1), (-1, -2)])
+    def test_relation_checks_imply_a_complete_fan(self, rays):
+        try:
+            fan = complete_fan_from_rays(rays)
+        except GeometryError:
+            return
+        assert fan.is_complete()
+        assert len(fan.maximal_cones) == fan.rank + 1
+        for cone in fan.maximal_cones:
+            assert exactmath.determinant([fan.rays[i] for i in sorted(cone)]) != 0
+
     def test_rejects_bad_relation(self):
         with pytest.raises(GeometryError):
             complete_fan_from_rays([(1, 0), (0, 1), (1, 1)])
