@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GeometryError, LiftingError
-from .exactmath import is_lattice_basis, solve_linear, vdot
+from .exactmath import solve_linear, vdot
 from .lifting import LiftedPolytope
 from .partition import DualComplex
-from .polytope import lattice_equivalent, normal_fan
+from .polytope import lattice_equivalent
 
 
 @dataclass(frozen=True)
@@ -134,33 +134,6 @@ def local_charts(lifted: LiftedPolytope, strict=True):
     if skipped and strict:
         raise LiftingError("singular vertex has no monomial chart", witness=skipped[0])
     return charts, tuple(skipped)
-
-
-def chart_transitions_unimodular(lifted: LiftedPolytope) -> bool:
-    """Adjacent vertex charts differ by a unimodular change of basis."""
-    poly = lifted.polytope
-    rank, dim = poly.ambient_rank, poly.dim
-    nv = len(poly.vertices)
-    bases = {}
-    for a, v in enumerate(poly.vertices):
-        dirs = poly.edges_at(v)
-        if len(dirs) == dim:
-            bases[a] = dirs
-    for a in bases:
-        for b in poly.neighbours(a):
-            if not a < b < nv or b not in bases:
-                continue
-            rows = [[d[i] for d in bases[a]] for i in range(rank)]
-            cols = []
-            for target in bases[b]:
-                status, sol = solve_linear(rows, target)
-                if status != "unique" or any(Fraction(c).denominator != 1 for c in sol):
-                    return False
-                cols.append(tuple(int(c) for c in sol))
-            transition = tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
-            if not is_lattice_basis(transition, dim):
-                return False
-    return True
 
 
 @dataclass
@@ -302,51 +275,3 @@ def family_equations(lifted: LiftedPolytope, anchor=None, seed=None):
     else:
         coeffs = tuple(f"a{j + 1}" for j in range(len(points)))
     return FamilyEquations(points, exponents, coeffs, supports, anchor)
-
-
-# -- fan-level invariants -----------------------------------------------------
-
-
-def base_fan_is_subfan(lifted: LiftedPolytope) -> bool:
-    """The base normal fan, embedded at height zero, sits inside the lifted fan;
-    all other cones live strictly in the upper half space."""
-    base_fan = normal_fan(lifted.base.ambient)
-    lifted_fan = normal_fan(lifted.polytope)
-    lifted_cones = {
-        frozenset(lifted_fan.rays[i] for i in cone) for cone in lifted_fan.cones
-    }
-    for cone in base_fan.cones:
-        embedded = frozenset(base_fan.rays[i] + (0,) for i in cone)
-        if embedded not in lifted_cones:
-            return False
-    for cone in lifted_fan.cones:
-        rays = [lifted_fan.rays[i] for i in cone]
-        if any(r[-1] < 0 for r in rays) and lifted.cap is None:
-            return False
-    return True
-
-
-def fan_support_is_upper_halfspace(lifted: LiftedPolytope) -> bool:
-    """For the open lift of a compact base: every ray sits at height >= 0,
-    the height-zero boundary is the base fan, and every interior wall bounds
-    exactly two chambers."""
-    if lifted.cap is not None or not lifted.base.ambient.is_compact:
-        raise GeometryError("support check applies to open lifts of compact bases")
-    fan = normal_fan(lifted.polytope)
-    rank = fan.rank
-    if any(r[-1] < 0 for r in fan.rays):
-        return False
-    maxes = [c for c in fan.maximal_cones if fan.cone_dim(c) == rank]
-    if len(maxes) != len(fan.maximal_cones):
-        return False
-    wall_count = {}
-    for cone in maxes:
-        for wall in fan.cone_facets(cone):
-            wall_count[frozenset(wall)] = wall_count.get(frozenset(wall), 0) + 1
-    for wall, count in wall_count.items():
-        boundary = all(fan.rays[i][-1] == 0 for i in wall)
-        if boundary and count != 1:
-            return False
-        if not boundary and count != 2:
-            return False
-    return True

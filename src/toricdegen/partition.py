@@ -423,16 +423,22 @@ def _uncovered_point(ambient, pieces):
     for piece in pieces:
         new_regions = []
         for region in regions:
-            prefix = []
-            for h in piece.halfspaces:
+            # ``rest`` is the region on the inner side of the facets before
+            # the k-th; the k-th chunk is its part beyond the k-th facet
+            rest = region
+            for k, h in enumerate(piece.halfspaces):
+                if k:
+                    try:
+                        rest = rest.intersect([piece.halfspaces[k - 1]])
+                    except EmptyPolyhedronError:
+                        break
                 flipped = (tuple(-x for x in h.normal), -h.offset)
                 try:
-                    chunk = region.intersect(prefix + [flipped])
+                    chunk = rest.intersect([flipped])
                 except EmptyPolyhedronError:
                     chunk = None
                 if chunk is not None and chunk.dim == d:
                     new_regions.append(chunk)
-                prefix.append((h.normal, h.offset))
         regions = new_regions
         if not regions:
             return None
@@ -463,14 +469,15 @@ def _collect_faces(ambient, pieces):
 
 
 def partition_from_fan(ambient: LatticePolytope, fan: Fan) -> Partition:
-    """Pieces cut out by the maximal cones of a complete fan."""
+    """Pieces cut out by the maximal cones of a complete fan.  Each piece is
+    its cone cut by the ambient polytope's constraints, so its double
+    description continues from the cone's one vertex and few rays."""
     if not fan.is_complete():
         raise PartitionError("fan partition requires a complete fan")
-    pieces = []
-    for cone in sorted(fan.maximal_cones, key=sorted):
-        cone_poly = fan.cone_polyhedron(cone)
-        piece = ambient.intersect(cone_poly.halfspaces, cone_poly.equations)
-        pieces.append(piece)
+    pieces = [
+        fan.cone_polyhedron(cone).intersect_polyhedron(ambient)
+        for cone in sorted(fan.maximal_cones, key=sorted)
+    ]
     return build_partition(ambient, pieces)
 
 

@@ -6,13 +6,17 @@ primitive integer normals; offsets are exact rationals (they stay integral
 for lattice polytopes).  Unbounded polyhedra carry explicit recession rays.
 Every step is exact, and an integral coordinate or offset is always a plain
 ``int``: a ``Fraction`` appears only for a value that is not an integer, so a
-lattice polytope is one whose vertex coordinates are all ints.  ``intersect``
-normalizes only the constraints it adds.  Both directions between the
-descriptions run one integer double description kernel
-(``_dd_extreme_rays``).  Vertices and rays of a halfspace system are the
-extreme rays of the cone over it; for a full-dimensional system
-``from_halfspaces`` keeps the input halfspaces whose tight rays are maximal,
-read off the kernel's tight sets.  Facets of a polyhedron given by
+lattice polytope is one whose vertex coordinates are all ints.  Both
+directions between the descriptions run one integer double description
+kernel (``_dd_extreme_rays``).  Vertices and rays of a halfspace system are
+the extreme rays of the cone over it.  ``intersect`` normalizes only the
+constraints it adds, and continues the region's double description instead
+of restarting it: the kernel starts from the cone over the region, its
+vertices and rays with their cached facet sets, and processes only the rows
+the region does not satisfy yet; a run from scratch is the start with no
+rays.  For a full-dimensional system ``from_halfspaces`` keeps the input
+halfspaces whose tight rays are maximal, read off the kernel's tight sets.
+Facets of a polyhedron given by
 generators, or of a lower-dimensional system in its lattice chart, are the
 extreme rays of the cone of valid homogeneous normals
 (``_dual_from_generators``); ``from_generators`` reads its vertices and
@@ -203,34 +207,45 @@ def _whole_space_generators(rank):
 PAIR_BUDGET = 10**6
 
 
-def _dd_extreme_rays(ineqs, eqs, width):
+def _dd_extreme_rays(ineqs, eqs, width, start=None):
     """Double description of ``{z : <a, z> >= 0 for a in ineqs, <e, z> = 0
     for e in eqs}`` in ``Z^width`` (Motzkin et al. 1953; Fukuda and Prodon
     1996).
 
     Returns ``(rays, lines)``: the extreme rays as ``(z, mask)`` pairs, ``z``
     a primitive integer vector and bit ``i`` of ``mask`` set when ``ineqs[i]``
-    is tight on ``z``, and a primitive basis of the lineality space.  The
-    lines start as the kernel basis of the equations.  Each inequality either
-    turns a line it is not orthogonal to into a ray, tight on every earlier
-    inequality, and reduces the other lines and the rays onto its hyperplane,
-    or it splits the rays by sign and adds the positive combination of each
-    adjacent pair across it.  Two rays are adjacent when no third ray's tight
-    set contains the intersection of theirs; a pair sharing fewer tight
-    inequalities than the lines turned into rays so far, minus two, spans no
-    edge and skips that test.  Every step is integer.
+    is tight on ``z``, and a primitive basis of the lineality space.
+
+    A run from scratch starts with no rays, and its lines are the kernel
+    basis of the equations.  A run may instead continue a known pointed
+    cone, ``start = (rays, dim, done)``: the cone's extreme rays as ``(z,
+    mask)`` pairs, its dimension, and the mask of the rows it already
+    satisfies, which the masks cover and which describe it within its span.
+    Such a run has no lines, does not read ``eqs``, and processes only the
+    rows outside ``done``.  Each row either turns a line it is not
+    orthogonal to into a ray, tight on every earlier row, and reduces the
+    other lines and the rays onto its hyperplane, or it splits the rays by
+    sign and adds the positive combination of each adjacent pair across it.
+    Two rays are adjacent when no third ray's tight set contains the
+    intersection of theirs; a pair sharing fewer tight rows than the cone's
+    dimension, less the lines left and two, spans no edge and skips that
+    test.  Every step is integer.
 
     The work is bounded by the candidate pairs, ``len(pos) * len(neg)``
     summed over the splits; a split that would take the sum past
     ``PAIR_BUDGET`` is refused before its pairs are tested.  A split adds at
     most one ray per pair, so the sum also bounds the rays the splits add.
     """
-    lines = kernel_basis(eqs, width)
-    free_dim = len(lines)
-    rays = []
+    if start is None:
+        lines = kernel_basis(eqs, width)
+        rays, dim, done = [], len(lines), 0
+    else:
+        (rays, dim, done), lines = start, []
     pairs = 0
     for i, a in enumerate(ineqs):
         bit = 1 << i
+        if done & bit:
+            continue
         dots = [vdot(a, line) for line in lines]
         k = next((k for k, s in enumerate(dots) if s), None)
         if k is not None:
@@ -261,7 +276,7 @@ def _dd_extreme_rays(ineqs, eqs, width):
                     f"double description over {pairs} candidate ray pairs"
                 )
             masks = [mask for _, mask in rays]
-            least = free_dim - len(lines) - 2
+            least = dim - len(lines) - 2
             for zp, mp, sp in pos:
                 for zn, mn, sn in neg:
                     common = mp & mn
@@ -304,7 +319,7 @@ def _homogeneous_row(constraint):
     return tuple(x * q for x in normal) + (offset.numerator,)
 
 
-def _enumerate_generators(halfspaces, equations, rank):
+def _enumerate_generators(halfspaces, equations, rank, region=None):
     """Vertices and extreme rays of a pointed H-representation, sorted, and
     their tight masks in that order, vertices first.
 
@@ -318,9 +333,22 @@ def _enumerate_generators(halfspaces, equations, rank):
     constraint's normal orthogonal: a polyhedron with a lineality space is
     refused on them, so no separate rank test of the normals runs.  With no
     constraint at all they span the whole space.
+
+    A ``region`` whose constraints the system holds, each facet as itself
+    or under a tighter parallel halfspace, is cut rather than rebuilt: the
+    run continues the cone over it (``_region_start``), so only the rows it
+    does not satisfy yet are processed, and it has no lines.
     """
     ineqs = [_homogeneous_row(h) for h in halfspaces] + [(0,) * rank + (1,)]
-    cone, lines = _dd_extreme_rays(ineqs, [_homogeneous_row(e) for e in equations], rank + 1)
+    if region is None or not region.vertices:
+        cone, lines = _dd_extreme_rays(ineqs, [_homogeneous_row(e) for e in equations], rank + 1)
+    else:
+        extra, start = _region_start(region, halfspaces, equations)
+        cone, lines = _dd_extreme_rays(ineqs + extra, (), rank + 1, start)
+        if extra:
+            # the extra rows' bits are not the caller's
+            keep = (1 << len(ineqs)) - 1
+            cone = [(z, mask & keep) for z, mask in cone]
     if lines:
         if halfspaces or equations:
             raise UnsupportedGeometryError(_LINEALITY)
@@ -329,6 +357,50 @@ def _enumerate_generators(halfspaces, equations, rank):
     vertices = sorted((_vertex(z), mask) for z, mask in cone if z[-1])
     rays = sorted((z[:-1], mask) for z, mask in cone if not z[-1])
     return [v for v, _ in vertices], [r for r, _ in rays], [m for _, m in vertices + rays]
+
+
+def _region_start(region, halfspaces, equations):
+    """The cone over a nonempty pointed ``region`` as the start of the
+    double description of its cut by the system ``halfspaces`` (sorted and
+    deduplicated, then ``t >= 0``) and ``equations``, with the extra rows
+    that start needs after ``t >= 0``.
+
+    The cone's extreme rays are ``(v, 1)`` for a vertex ``v``, made
+    primitive when ``v`` is rational, and ``(r, 0)`` for a ray ``r``, which
+    is tight on ``t >= 0``.  Each mask is the generator's cached facet set,
+    its bits moved to the facets' rows in the system.  A facet the system
+    holds only under a tighter parallel halfspace keeps an extra row, so the
+    masks still describe the cone, and each equation the region does not
+    already hold becomes two opposite extra rows.  The rows the start has
+    done are its facets' and ``t >= 0``.
+    """
+    index = {h: i for i, h in enumerate(halfspaces)}
+    t_bit = 1 << len(halfspaces)
+    extra, moved = [], []
+    for h in region.halfspaces:
+        i = index.get(h)
+        if i is None:
+            i = len(halfspaces) + 1 + len(extra)
+            extra.append(_homogeneous_row(h))
+        moved.append(1 << i)
+    done = t_bit | sum(moved)
+    for e in equations:
+        if e not in region.equations:
+            row = _homogeneous_row(e)
+            extra += [row, tuple(-x for x in row)]
+    nv = len(region.vertices)
+    seeds = []
+    for j, facets in enumerate(region._generator_facets()):
+        mask = 0 if j < nv else t_bit
+        for k in _bits(facets):
+            mask |= moved[k]
+        if j >= nv:
+            z = region.rays[j - nv] + (0,)
+        else:
+            v = region.vertices[j]
+            z = v + (1,) if all(type(x) is int for x in v) else rational_primitive(v + (1,))[0]
+        seeds.append((z, mask))
+    return extra, (seeds, region.dim + 1, done)
 
 
 def _vertex(z):
@@ -471,8 +543,13 @@ class LatticePolytope:
         )
 
     @classmethod
-    def _from_normalized(cls, halfspaces, rank, equations):
-        """``from_halfspaces`` for constraints already in normal form."""
+    def _from_normalized(cls, halfspaces, rank, equations, region=None):
+        """``from_halfspaces`` for constraints already in normal form; with a
+        ``region``, of the region cut by them, continuing its double
+        description."""
+        if region is not None:
+            halfspaces = [*region.halfspaces, *halfspaces]
+            equations = [*region.equations, *equations]
         if not halfspaces and not equations:
             return cls(rank, (), (), (), (), rank, (), whole=True)
         dedup = {}
@@ -481,7 +558,7 @@ class LatticePolytope:
             if prev is None or h.offset < prev:
                 dedup[h.normal] = h.offset
         halfspaces = [Halfspace(n, o) for n, o in sorted(dedup.items())]
-        vertices, rays, masks = _enumerate_generators(halfspaces, equations, rank)
+        vertices, rays, masks = _enumerate_generators(halfspaces, equations, rank, region)
         if not vertices:
             raise EmptyPolyhedronError("empty polyhedron")
         # per halfspace, the set of generators tight on it, as a bit set; the
@@ -810,15 +887,19 @@ class LatticePolytope:
 
     def intersect(self, halfspaces=(), equations=()):
         """Intersection with further constraints; raises on emptiness.  Only
-        the new constraints are normalized: the polyhedron's own already are."""
-        hs = [*self.halfspaces, *(_normalize_halfspace(n, o) for n, o in halfspaces)]
-        eqs = [*self.equations, *(_normalize_equation(n, o) for n, o in equations)]
-        return LatticePolytope._from_normalized(hs, self.ambient_rank, eqs)
+        the new constraints are normalized: the polyhedron's own already are.
+        The double description continues from this polyhedron's generators
+        and incidence, so only the rows it does not satisfy are processed."""
+        hs = [_normalize_halfspace(n, o) for n, o in halfspaces]
+        eqs = [_normalize_equation(n, o) for n, o in equations]
+        return LatticePolytope._from_normalized(hs, self.ambient_rank, eqs, self)
 
     def intersect_polyhedron(self, other: "LatticePolytope"):
-        hs = [*self.halfspaces, *other.halfspaces]
-        eqs = [*self.equations, *other.equations]
-        return LatticePolytope._from_normalized(hs, self.ambient_rank, eqs)
+        """Intersection with another polyhedron, cut from this one as
+        ``intersect`` does."""
+        return LatticePolytope._from_normalized(
+            other.halfspaces, self.ambient_rank, other.equations, self
+        )
 
     def box_halfspaces(self, margin=1):
         """Halfspaces of the axis box strictly containing all vertices, one

@@ -16,7 +16,9 @@ second double description for a lower-dimensional one) with its edges from
 the 1-faces and one rational solve per row of every candidate map, and the
 ``encode_value`` walk over every report record.
 Tests compare the fast paths against them; nothing in the package imports
-this module.
+this module.  It also holds the degeneration invariants that only tests
+check: unimodular chart transitions, and the base fan inside the lifted
+fan with its support in the upper half space.
 """
 
 import itertools
@@ -33,10 +35,12 @@ from toricdegen.errors import (
 )
 from toricdegen.exactmath import (
     determinant,
+    is_lattice_basis,
     normalize_point,
     primitive,
     rational_primitive,
     right_kernel,
+    solve_linear,
     vadd,
     vdot,
     vsub,
@@ -50,6 +54,7 @@ from toricdegen.polytope import (
     _dual_from_generators,
     _enumerate_generators,
     _normalize_halfspace,
+    normal_fan,
 )
 
 
@@ -642,3 +647,78 @@ def lattice_equivalences(p, q):
                 if image == q_set and (a, t) not in seen:
                     seen.add((a, t))
                     yield a, t
+
+
+# -- degeneration invariants -------------------------------------------------
+
+
+def chart_transitions_unimodular(lifted) -> bool:
+    """Adjacent vertex charts differ by a unimodular change of basis."""
+    poly = lifted.polytope
+    rank, dim = poly.ambient_rank, poly.dim
+    nv = len(poly.vertices)
+    bases = {}
+    for a, v in enumerate(poly.vertices):
+        dirs = poly.edges_at(v)
+        if len(dirs) == dim:
+            bases[a] = dirs
+    for a in bases:
+        for b in poly.neighbours(a):
+            if not a < b < nv or b not in bases:
+                continue
+            rows = [[d[i] for d in bases[a]] for i in range(rank)]
+            cols = []
+            for target in bases[b]:
+                status, sol = solve_linear(rows, target)
+                if status != "unique" or any(Fraction(c).denominator != 1 for c in sol):
+                    return False
+                cols.append(tuple(int(c) for c in sol))
+            transition = tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
+            if not is_lattice_basis(transition, dim):
+                return False
+    return True
+
+
+def base_fan_is_subfan(lifted) -> bool:
+    """The base normal fan, embedded at height zero, sits inside the lifted fan;
+    all other cones live strictly in the upper half space."""
+    base_fan = normal_fan(lifted.base.ambient)
+    lifted_fan = normal_fan(lifted.polytope)
+    lifted_cones = {
+        frozenset(lifted_fan.rays[i] for i in cone) for cone in lifted_fan.cones
+    }
+    for cone in base_fan.cones:
+        embedded = frozenset(base_fan.rays[i] + (0,) for i in cone)
+        if embedded not in lifted_cones:
+            return False
+    for cone in lifted_fan.cones:
+        rays = [lifted_fan.rays[i] for i in cone]
+        if any(r[-1] < 0 for r in rays) and lifted.cap is None:
+            return False
+    return True
+
+
+def fan_support_is_upper_halfspace(lifted) -> bool:
+    """For the open lift of a compact base: every ray sits at height >= 0,
+    the height-zero boundary is the base fan, and every interior wall bounds
+    exactly two chambers."""
+    if lifted.cap is not None or not lifted.base.ambient.is_compact:
+        raise GeometryError("support check applies to open lifts of compact bases")
+    fan = normal_fan(lifted.polytope)
+    rank = fan.rank
+    if any(r[-1] < 0 for r in fan.rays):
+        return False
+    maxes = [c for c in fan.maximal_cones if fan.cone_dim(c) == rank]
+    if len(maxes) != len(fan.maximal_cones):
+        return False
+    wall_count = {}
+    for cone in maxes:
+        for wall in fan.cone_facets(cone):
+            wall_count[frozenset(wall)] = wall_count.get(frozenset(wall), 0) + 1
+    for wall, count in wall_count.items():
+        boundary = all(fan.rays[i][-1] == 0 for i in wall)
+        if boundary and count != 1:
+            return False
+        if not boundary and count != 2:
+            return False
+    return True

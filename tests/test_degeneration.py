@@ -16,12 +16,6 @@ from toricdegen import (
     lifting_function,
     local_charts,
 )
-from toricdegen.degeneration import (
-    base_fan_is_subfan,
-    chart_transitions_unimodular,
-    fan_support_is_upper_halfspace,
-)
-
 from corpus import (
     chain_partition,
     expanded_degeneration_partition,
@@ -31,6 +25,11 @@ from corpus import (
     segment_partition,
     staircase_partition,
     torus_fan_partition,
+)
+from oracles import (
+    base_fan_is_subfan,
+    chart_transitions_unimodular,
+    fan_support_is_upper_halfspace,
 )
 
 LIFTED = {name: (part, lifting, lifted) for name, part, lifting, lifted in liftable_partitions()}

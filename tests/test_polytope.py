@@ -24,7 +24,7 @@ from toricdegen import (
 )
 from toricdegen import exactmath
 from toricdegen import polytope as polytope_module
-from toricdegen.exactmath import echelon, is_lattice_basis, rational_primitive
+from toricdegen.exactmath import echelon, is_lattice_basis, rational_primitive, vdot
 from toricdegen.polytope import (
     PAIR_BUDGET,
     Fan,
@@ -1180,6 +1180,198 @@ class TestIntegralDataStaysInt:
         for piece in part.pieces:
             assert piece.is_lattice
             assert_integral_values_are_ints(piece)
+
+
+def _constraints(poly):
+    """A polyhedron's own halfspaces and equations as plain pairs."""
+    return [tuple(h) for h in poly.halfspaces], [tuple(e) for e in poly.equations]
+
+
+def _assert_same_as_from_scratch(got, expected):
+    assert got.halfspaces == expected.halfspaces and got.equations == expected.equations
+    assert got.vertices == expected.vertices and got.rays == expected.rays
+    assert got._incidence == expected._incidence and got.dim == expected.dim
+    assert got.is_whole_space == expected.is_whole_space
+    assert repr((got.halfspaces, got.vertices, got.rays)) == repr(
+        (expected.halfspaces, expected.vertices, expected.rays)
+    )
+
+
+def _assert_cut_matches_from_scratch(region, new_hs, new_eqs=()):
+    """``region.intersect`` against ``from_halfspaces`` of all the
+    constraints: every field the same, or the same refusal."""
+    own_hs, own_eqs = _constraints(region)
+    try:
+        expected = LatticePolytope.from_halfspaces(
+            own_hs + list(new_hs), region.ambient_rank, own_eqs + list(new_eqs)
+        )
+    except (EmptyPolyhedronError, UnsupportedGeometryError) as exc:
+        with pytest.raises(type(exc)):
+            region.intersect(new_hs, new_eqs)
+        return
+    _assert_same_as_from_scratch(region.intersect(new_hs, new_eqs), expected)
+
+
+def _assert_meet_matches_from_scratch(p, q):
+    """``p.intersect_polyhedron(q)`` against ``from_halfspaces`` of both
+    constraint lists: every field the same, or the same refusal."""
+    p_hs, p_eqs = _constraints(p)
+    q_hs, q_eqs = _constraints(q)
+    try:
+        expected = LatticePolytope.from_halfspaces(p_hs + q_hs, p.ambient_rank, p_eqs + q_eqs)
+    except (EmptyPolyhedronError, UnsupportedGeometryError) as exc:
+        with pytest.raises(type(exc)):
+            p.intersect_polyhedron(q)
+        return
+    _assert_same_as_from_scratch(p.intersect_polyhedron(q), expected)
+
+
+@st.composite
+def region_cuts(draw, region):
+    """Halfspaces and equations to cut ``region`` with: parallel to one of
+    its facets (tighter, looser or the same), through one of its vertices,
+    or anywhere."""
+    rank = region.ambient_rank
+    normal = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
+    offset = st.one_of(
+        st.integers(-4, 6), st.builds(Fraction, st.integers(-8, 12), st.integers(1, 3))
+    )
+    kinds = ["anywhere"]
+    if region.halfspaces:
+        kinds.append("parallel")
+    if region.vertices:
+        kinds.append("vertex")
+
+    def row():
+        kind = draw(st.sampled_from(kinds))
+        if kind == "parallel":
+            h = draw(st.sampled_from(region.halfspaces))
+            shift = draw(st.sampled_from([-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2]))
+            return h.normal, h.offset + shift
+        n = draw(normal)
+        if kind == "vertex":
+            v = draw(st.sampled_from(region.vertices))
+            return n, -vdot(v, n)
+        return n, draw(offset)
+
+    new_hs = [row() for _ in range(draw(st.integers(0, 3)))]
+    new_eqs = [row() for _ in range(draw(st.integers(0, 1)))]
+    return new_hs, new_eqs
+
+
+class TestSeededIntersection:
+    """An intersection continues its region's double description.  It must
+    give what the double description from scratch over all the constraints
+    gives, field by field, or the same refusal."""
+
+    @given(raw_h_systems(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_intersect_matches_the_run_from_scratch(self, system, data):
+        hs, eqs, rank, _, _ = system
+        try:
+            region = LatticePolytope.from_halfspaces(hs, rank, eqs)
+        except (EmptyPolyhedronError, UnsupportedGeometryError):
+            return
+        new_hs, new_eqs = data.draw(region_cuts(region))
+        _assert_cut_matches_from_scratch(region, new_hs, new_eqs)
+
+    @given(raw_h_systems(), raw_h_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_intersect_polyhedron_matches_the_run_from_scratch(self, first, second):
+        rank = first[2]
+        assume(second[2] == rank)
+        try:
+            p = LatticePolytope.from_halfspaces(first[0], rank, first[1])
+            q = LatticePolytope.from_halfspaces(second[0], rank, second[1])
+        except (EmptyPolyhedronError, UnsupportedGeometryError):
+            return
+        _assert_meet_matches_from_scratch(p, q)
+
+    SQUARE = [((1, 0), 0), ((0, 1), 0), ((-1, 0), 2), ((0, -1), 2)]
+    QUADRANT = [((1, 0), 0), ((0, 1), 0)]
+    # conv{(0, 0), (3/2, 0), (0, 1/2)}: rational vertices
+    RATIONAL = [((1, 0), 0), ((0, 1), 0), ((-1, -3), Fraction(3, 2))]
+    # the segment from (0, 0, 1) to (2, 2, 1)
+    SEGMENT = ([((1, 0, 0), 0), ((-1, 0, 0), 2)], [((1, -1, 0), 0), ((0, 0, 1), -1)])
+
+    @pytest.mark.parametrize(
+        "halfspaces, equations, rank, new_hs, new_eqs",
+        [
+            (SQUARE, [], 2, [((-1, 0), 1)], []),  # parallel, tighter: a facet is dropped
+            (SQUARE, [], 2, [((-1, 0), 3)], []),  # parallel, looser
+            (SQUARE, [], 2, [((-1, 0), 2)], []),  # a facet again
+            (SQUARE, [], 2, [((-1, -1), 2)], []),  # through two vertices
+            (SQUARE, [], 2, [((-1, 1), 0)], []),  # through two vertices, splitting the square
+            (SQUARE, [], 2, [], [((1, -1), 0)]),  # a new equation: the diagonal
+            (SQUARE, [], 2, [((1, 1), -1)], [((1, -1), 0)]),  # half the diagonal
+            (SQUARE, [], 2, [((-1, 0), 0)], []),  # the left edge: lower-dimensional
+            (SQUARE, [], 2, [((-1, -1), 0)], []),  # the corner: a point
+            (SQUARE, [], 2, [((1, 0), -5)], []),  # empty
+            (SQUARE, [], 2, [], [((1, 0), -5)]),  # empty through an equation
+            (SQUARE, [], 2, [((-1, 0), 1), ((1, 0), -1)], []),  # x = 1 by two halfspaces
+            (QUADRANT, [], 2, [((-1, -1), 3)], []),  # unbounded to compact
+            (QUADRANT, [], 2, [((1, -1), 1)], []),  # unbounded, one ray dropped
+            (QUADRANT, [], 2, [((0, -1), 0)], []),  # a ray of the quadrant
+            (QUADRANT, [], 2, [((0, 1), -1)], []),  # parallel to a facet, tighter
+            (QUADRANT, [], 2, [], [((1, -2), 1)]),  # a ray from an equation
+            (RATIONAL, [], 2, [((-2, 0), 1)], []),  # a rational cut
+            (RATIONAL, [], 2, [((-1, -3), Fraction(5, 4))], []),  # parallel, tighter, rational
+            (RATIONAL, [], 2, [((1, 2), -1)], []),  # through the rational vertex (0, 1/2)
+            (*SEGMENT, 3, [((-1, -1, 0), 2)], []),  # lower-dimensional, cut in half
+            (*SEGMENT, 3, [((-1, 0, 0), 1)], []),  # lower-dimensional, parallel and tighter
+            (*SEGMENT, 3, [((0, 1, 0), -2)], []),  # lower-dimensional, to an end point
+            (*SEGMENT, 3, [], [((1, 0, 0), -1)]),  # lower-dimensional, an equation
+            (*SEGMENT, 3, [], [((0, 0, 1), -1)]),  # its own equation again
+            ([], [], 2, [((1, 0), 0), ((0, 1), 0)], []),  # the whole space
+            ([], [], 2, [((1, 1), 0)], [((1, -1), 0)]),  # the whole space to a ray
+            ([], [], 1, [], []),  # the whole space, nothing added
+            (SQUARE, [], 2, [], []),  # nothing added
+        ],
+    )
+    def test_cuts_of_fixed_regions(self, halfspaces, equations, rank, new_hs, new_eqs):
+        region = LatticePolytope.from_halfspaces(halfspaces, rank, equations)
+        _assert_cut_matches_from_scratch(region, new_hs, new_eqs)
+        try:
+            other = LatticePolytope.from_halfspaces(new_hs, rank, new_eqs)
+        except (EmptyPolyhedronError, UnsupportedGeometryError):
+            return
+        _assert_meet_matches_from_scratch(region, other)
+
+    def test_one_cut_processes_only_the_new_row(self, kernel_runs):
+        region = reflexive_simplex(3)
+        cut = ((1, 1, 0), 1)
+        before = len(kernel_runs)
+        piece = region.intersect([cut])
+        assert len(kernel_runs) == before + 1
+        ineqs, eqs, width, start = kernel_runs[-1]
+        rays, dim, done = start
+        assert (eqs, width, dim) == ((), 4, 4)
+        assert sorted(z for z, _ in rays) == sorted(v + (1,) for v in region.vertices)
+        todo = [i for i in range(len(ineqs)) if not done >> i & 1]
+        assert [ineqs[i] for i in todo] == [(1, 1, 0, 1)]
+        assert len(ineqs) == len(region.halfspaces) + 2
+        _assert_same_as_from_scratch(
+            piece, LatticePolytope.from_halfspaces(_constraints(region)[0] + [cut], 3)
+        )
+
+    def test_whole_space_cut_runs_from_scratch(self, kernel_runs):
+        LatticePolytope.from_halfspaces([], 2).intersect([((1, 0), 0), ((0, 1), 0)])
+        assert len(kernel_runs) == 1 and len(kernel_runs[0]) == 3
+
+    def test_seeded_run_past_the_budget_is_refused_with_the_count(self, kernel_runs):
+        # the rank-11 unit cube cut by sum(x) <= 11/2 splits its 2048
+        # vertices 1024 against 1024: 1,048,576 pairs in the one split
+        n = 11
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        cube = LatticePolytope.from_halfspaces(
+            [(e, 0) for e in units] + [(tuple(-x for x in e), 1) for e in units], n
+        )
+        assert len(cube.vertices) == 2048
+        with pytest.raises(UnsupportedGeometryError) as refused:
+            cube.intersect([((-1,) * n, Fraction(11, 2))])
+        assert str(refused.value) == "double description over 1048576 candidate ray pairs"
+        assert 1048576 > PAIR_BUDGET
+        assert len(kernel_runs[-1]) == 4  # the refused run was seeded
 
 
 class TestVolume:
