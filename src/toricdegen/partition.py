@@ -1,15 +1,19 @@
 """Partitions of a polytope into simplicial subpolytopes.
 
 A partition is stored with its full face poset: every face of every piece is
-a face of the partition, merged across pieces by exact polyhedron equality.
-Vertices of the ambient polytope are *not* counted as 0-faces of the
-partition.  The semi-stability condition counts, for each partition face and
-the smallest ambient face containing it, how many pieces share it.
+a face of the partition.  The poset is closed once over all pieces, on bit
+masks over generator ids the pieces share, so faces merge across pieces by
+mask; no piece builds a face lattice.  Vertices of the ambient polytope are
+*not* counted as 0-faces of the partition.  The semi-stability condition
+counts, for each partition face and the smallest ambient face containing
+it, how many pieces share it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .errors import EmptyPolyhedronError, GeometryError, PartitionError
@@ -25,6 +29,7 @@ from .polytope import (
     Face,
     Fan,
     LatticePolytope,
+    _bits,
     lattice_equivalences,
 )
 
@@ -446,22 +451,70 @@ def _uncovered_point(ambient, pieces):
 
 
 def _collect_faces(ambient, pieces):
-    ambient.faces()
-    piece_sets = {}
-    dims = {}
+    """The partition's faces, keyed by their vertex and ray tuples.
+
+    One closure over all pieces, on int masks over shared generator ids: the
+    union of the pieces' vertices in sorted order, then of their rays.  Each
+    piece's facets are masks over those ids, so a face is the AND of the
+    facets through it and faces merge across pieces by mask.  A piece is
+    simple (every vertex lies on exactly ``dim`` facets), so every
+    intersection of ``k`` of its facets that holds a vertex is a face of
+    codimension ``k``, and those ``k`` are all the facets through it: at one
+    of its vertices they are ``k`` of the vertex's ``dim`` independent
+    facets.  So the walk from the top face that ANDs in only facets of
+    higher index reaches each face once, by its facets in ascending order,
+    with its dimension known.  The smallest ambient face holding a face is
+    cut out by the ambient facets tight on all its generators.  Faces come
+    in the order of ``(first piece, dim, vertices, rays)``: the ids are
+    sorted, so id tuples order as the coordinate tuples do.  Ambient
+    vertices are not 0-faces of the partition.
+    """
+    gens = sorted({v for p in pieces for v in p.vertices})
+    nv = len(gens)
+    gens += sorted({r for p in pieces for r in p.rays})
+    # a ray may have the coordinates of a vertex, so ids are kept per kind
+    vertex_ids = {g: i for i, g in enumerate(gens[:nv])}
+    ray_ids = {g: i for i, g in enumerate(gens[nv:], nv)}
+    has_vertex = (1 << nv) - 1
+    found = {}  # mask -> (dim, owner list)
     for idx, piece in enumerate(pieces):
-        for f in piece.faces():
-            key = f.key
-            piece_sets.setdefault(key, set()).add(idx)
-            dims[key] = f.dim
-    ambient_vertices = set(ambient.vertices)
+        local = [1 << vertex_ids[v] for v in piece.vertices]
+        local += [1 << ray_ids[r] for r in piece.rays]
+        facets = [sum(local[j] for j in _bits(m)) for m in piece._incidence]
+        stack = [(sum(local), 0, piece.dim)]
+        while stack:
+            mask, first, dim = stack.pop()
+            entry = found.get(mask)
+            if entry is None:
+                found[mask] = (dim, [idx])
+            else:
+                entry[1].append(idx)
+            if dim:
+                for i in range(first, len(facets)):
+                    cut = mask & facets[i]
+                    if cut & has_vertex:
+                        stack.append((cut, i + 1, dim - 1))
+    tight = [ambient._tight_facets(g, int(j < nv)) for j, g in enumerate(gens)]
+    all_facets = (1 << len(ambient.halfspaces)) - 1
+    ambient_vertices = {vertex_ids[v] for v in ambient.vertices if v in vertex_ids}
+    faces = []
+    for mask, (dim, owners) in found.items():
+        bits = _bits(mask)
+        if dim == 0 and bits[0] in ambient_vertices:
+            continue
+        k = (mask & has_vertex).bit_count()
+        faces.append((owners[0], dim, tuple(bits[:k]), tuple(bits[k:]), bits, owners))
+    faces.sort(key=lambda f: f[:4])
     out = {}
-    for key, owners in piece_sets.items():
-        verts, rays = key
-        if dims[key] == 0 and verts[0] in ambient_vertices:
-            continue  # ambient vertices are not 0-faces of the partition
-        amb_face = ambient.smallest_face_containing(verts, rays)
-        out[key] = PartitionFace(verts, rays, dims[key], frozenset(owners), amb_face)
+    ambient_faces = {}  # facet mask -> ambient face
+    for _, dim, vids, rids, bits, owners in faces:
+        facets = functools.reduce(operator.and_, map(tight.__getitem__, bits), all_facets)
+        face = ambient_faces.get(facets)
+        if face is None:
+            face = ambient_faces[facets] = ambient._face_cut_by(facets)
+        verts = tuple(map(gens.__getitem__, vids))
+        rays = tuple(map(gens.__getitem__, rids))
+        out[(verts, rays)] = PartitionFace(verts, rays, dim, frozenset(owners), face)
     return out
 
 

@@ -724,23 +724,27 @@ class LatticePolytope:
             self._tight[key] = tight
         return tight
 
-    def smallest_face_containing(self, points, rays=()):
-        """The smallest face containing the given points and ray directions:
-        the intersection of the facets tight on all of them.  Their cached
-        facet masks are intersected first, then the generator masks of the
-        facets left."""
-        if self.is_whole_space:
-            return self.top_face()
-        facets = (1 << len(self._incidence)) - 1
-        for p in points:
-            facets &= self._tight_facets(p, 1)
-        for r in rays:
-            facets &= self._tight_facets(r, 0)
+    def _face_cut_by(self, facets):
+        """The face that the facets in the mask ``facets`` cut out, looked up
+        in the face index; a cut that is no face (it holds no vertex) raises
+        ``GeometryError``."""
         self.faces()
         face = self._face_index.get(self._cut(facets))
         if face is None:
             raise GeometryError("generators do not lie on a common face")
         return face
+
+    def smallest_face_containing(self, points, rays=()):
+        """The smallest face containing the given points and ray directions:
+        the intersection of the facets tight on all of them.  Their cached
+        facet masks are intersected first, then the generator masks of the
+        facets left."""
+        facets = (1 << len(self._incidence)) - 1
+        for p in points:
+            facets &= self._tight_facets(p, 1)
+        for r in rays:
+            facets &= self._tight_facets(r, 0)
+        return self._face_cut_by(facets)
 
     # -- vertex-local structure --------------------------------------------
 

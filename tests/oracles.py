@@ -4,7 +4,8 @@ These are the rational Gaussian eliminations that the integer
 (fraction-free) code replaced, the vertex and facet enumerations over every
 constraint or generator subset that the double description replaced, the
 second double description that found the extreme generators of a hull, the
-face closure by dot products with a rational rank per face, the
+face closure by dot products with a rational rank per face, the partition
+face poset merged from every piece's face lattice by coordinate key, the
 tiling checks that intersect every piece pair and cut every region by every
 hyperplane, the volume certificate of a cover with its pulling
 triangulation, the per-call edge scan and the edge counts it gives each
@@ -45,7 +46,7 @@ from toricdegen.exactmath import (
     vdot,
     vsub,
 )
-from toricdegen.partition import _uncovered_point, build_partition
+from toricdegen.partition import PartitionFace, _uncovered_point, build_partition
 from toricdegen.report import encode_value
 from toricdegen.polytope import (
     Face,
@@ -282,6 +283,30 @@ def smallest_face_containing(poly, points, rays=()):
     vs = tuple(v for v in poly.vertices if all(vdot(v, h.normal) == -h.offset for h in tight))
     rs = tuple(r for r in poly.rays if all(vdot(r, h.normal) == 0 for h in tight))
     return next(f for f in faces(poly) if f.key == (vs, rs))
+
+
+def collect_faces(ambient, pieces):
+    """The partition faces: every piece's face lattice from ``faces()``,
+    merged by coordinate key, each with the smallest ambient face containing
+    it; ambient vertices are not 0-faces.  Keys come in the order of the
+    pieces, then of each piece's faces."""
+    ambient.faces()
+    piece_sets = {}
+    dims = {}
+    for idx, piece in enumerate(pieces):
+        for f in piece.faces():
+            key = f.key
+            piece_sets.setdefault(key, set()).add(idx)
+            dims[key] = f.dim
+    ambient_vertices = set(ambient.vertices)
+    out = {}
+    for key, owners in piece_sets.items():
+        verts, rays = key
+        if dims[key] == 0 and verts[0] in ambient_vertices:
+            continue  # ambient vertices are not 0-faces of the partition
+        amb_face = ambient.smallest_face_containing(verts, rays)
+        out[key] = PartitionFace(verts, rays, dims[key], frozenset(owners), amb_face)
+    return out
 
 
 def volume(poly):

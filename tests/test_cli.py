@@ -522,6 +522,24 @@ class TestDegenerate:
             "f903a643ff565aa52925cab63415f0d6bbf99b6a80337e8ae444599064ec27df"
         )
 
+    def test_staircase_eight_verify(self, tmp_path, capsys):
+        # the rank-8 end-to-end check: nine pieces, each a combinatorial
+        # 8-cube with 3^8 faces; the digest is the stdout of the parent of
+        # the face closure over shared generator ids
+        n = 8
+        rays = [[int(i == j) - int(i == j - 1) for i in range(n)] for j in range(n + 1)]
+        vertices = [[-1] * n] + [[(n + 1) * int(i == j) - 1 for i in range(n)] for j in range(n)]
+        spec = {"polytope": {"vertices": vertices}, "partition": {"fan_rays": rays}}
+        code, out, records = run(capsys, ["verify", write_spec(tmp_path, spec)])
+        assert code == 0
+        cls = records[1]
+        assert cls["pieces"] == 9
+        flags = ("semistable", "balanced", "nonsingular", "mildly_singular")
+        assert all(cls[flag] is True for flag in flags)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a3a3ef63154fff5963907427baae50ad8057d352a296ba9bfcf70ff792f47112"
+        )
+
 
 def _one_piece(vertices):
     return {"polytope": {"vertices": vertices}, "partition": {"pieces": [vertices]}}

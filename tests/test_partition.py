@@ -18,7 +18,7 @@ from toricdegen import (
 )
 from toricdegen import partition as partition_module
 from toricdegen.exactmath import vdot
-from toricdegen.partition import _check_interior_disjoint, partitions_equivalent
+from toricdegen.partition import Partition, _check_interior_disjoint, partitions_equivalent
 
 from corpus import (
     accepted_partitions,
@@ -828,3 +828,128 @@ class TestCoverCertificateAgainstVolumes:
         with pytest.raises(PartitionError, match="gap") as err:
             build_partition(ambient, pieces[:2])
         assert err.value.witness == (Fraction(3, 2), Fraction(3, 2))
+
+
+# -- the face closure over shared generator ids against the per-piece merge -------
+
+
+def _assert_faces_match_oracle(part):
+    """Every partition face, field by field and in ``face_index`` order, and
+    ``faces()``, as the oracle's merge of the pieces' face lattices gives
+    them."""
+    expected = oracles.collect_faces(part.ambient, part.pieces)
+    _assert_same(list(part.face_index.items()), list(expected.items()))
+    _assert_same(part.faces(), Partition(part.ambient, part.pieces, expected).faces())
+
+
+@st.composite
+def face_cut_problems(draw):
+    """A simplex of rank 1-3 or the octagon, cut by 1-3 random hyperplanes
+    or by a chain of parallel ones, the whole possibly embedded at z = 0 in
+    one rank more."""
+    if draw(st.booleans()):
+        rank = draw(st.integers(1, 3))
+        vertices = dilated_simplex(draw(st.integers(1, 4)), rank).vertices
+    else:
+        rank = 2
+        vertices = octagon_partition().ambient.vertices
+    normal = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
+    if draw(st.booleans()):
+        n, start = draw(normal), draw(st.integers(-2, 4))
+        cuts = [(n, start + j) for j in range(draw(st.integers(1, 3)))]
+    else:
+        cuts = draw(st.lists(st.tuples(normal, st.integers(-2, 5)), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        vertices = [v + (0,) for v in vertices]
+        cuts = [(n + (draw(st.integers(-1, 1)),), c) for n, c in cuts]
+    return LatticePolytope.from_vertices(vertices), cuts
+
+
+def _fresh(poly):
+    """The same polyhedron without the caches of earlier tests."""
+    if poly.is_whole_space:
+        return LatticePolytope.from_halfspaces([], poly.ambient_rank)
+    return LatticePolytope.from_generators(poly.vertices, poly.rays)
+
+
+def _one_piece(vertices):
+    poly = LatticePolytope.from_vertices(vertices)
+    return build_partition(poly, [poly])
+
+
+class TestFaceClosureAgainstOracle:
+    @given(face_cut_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_cuts_of_simplices_octagons_and_chains(self, problem):
+        ambient, cuts = problem
+        try:
+            part = partition_by_hyperplanes(ambient, cuts)
+        except GeometryError:
+            assume(False)
+        _assert_faces_match_oracle(part)
+
+    @given(cut_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_cuts_of_any_ambient(self, problem):
+        # hulls of any dimension, polygons on a plane in rank 3, unbounded
+        # halfspace systems and the whole space
+        ambient, cuts = problem
+        try:
+            part = partition_by_hyperplanes(ambient, cuts)
+        except GeometryError:
+            assume(False)
+        _assert_faces_match_oracle(part)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            *[lambda n=n: staircase_partition(n) for n in range(2, 6)],
+            lambda: torus_fan_partition(2),
+            lambda: torus_fan_partition(3),
+            lambda: expanded_degeneration_partition(3),
+            lambda: chain_partition(4, k=2),
+            lambda: _one_piece([(0, 0), (2, 0), (0, 2)]),
+            lambda: _one_piece([(0, 0, 0), (2, 0, 0), (0, 2, 0)]),
+            lambda: _one_piece([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]),
+            lambda: _one_piece([(1,), (4,)]),
+            lambda: _one_piece([(1, 2)]),
+            lambda: segment_partition(0, 4, (1, 3)),
+        ],
+        ids=[
+            *[f"staircase-{n}" for n in range(2, 6)],
+            "torus-fan-2",
+            "torus-fan-3",
+            "expanded-line",
+            "chain-4-k2",
+            "one-triangle",
+            "one-triangle-at-z-0",
+            "one-simplex",
+            "one-segment",
+            "one-point",
+            "segment-cuts",
+        ],
+    )
+    def test_fixed_partitions(self, make):
+        _assert_faces_match_oracle(make())
+
+    @pytest.mark.parametrize("name,part", accepted_partitions())
+    def test_restrictions(self, name, part):
+        for face in part.ambient.faces():
+            if face.dim < part.ambient.dim:
+                _assert_faces_match_oracle(part.restrict(face))
+
+    @pytest.mark.parametrize(
+        "name,cached", [*accepted_partitions(), ("torus-fan-2", torus_fan_partition(2))]
+    )
+    def test_no_piece_face_lattice_is_built(self, name, cached):
+        # fresh polytopes: the corpus partitions carry the caches of earlier
+        # tests; only the ambient's face lattice is closed, once
+        ambient = _fresh(cached.ambient)
+        pieces = [_fresh(p) for p in cached.pieces]
+        faces_by_mask = LatticePolytope._faces_by_mask
+        with mock.patch.object(
+            LatticePolytope, "_faces_by_mask", autospec=True, side_effect=faces_by_mask
+        ) as wrapped:
+            build_partition(ambient, pieces)
+        seen = [call.args[0] for call in wrapped.call_args_list]
+        assert len(seen) == 1 and seen[0] is ambient, name
