@@ -235,6 +235,10 @@ def run_job(command, text, args):
     if command == "verify":
         return records, 0, diagrams
 
+    if command == "degenerate" and ambient.is_compact:
+        # the family needs the base's lattice points, cached on it: a base
+        # past the enumeration budget is refused before any lifting
+        ambient.lattice_points()
     lifting = lifting_function(partition)
     records.append(rpt.lifting_record(lifting))
     cap = options["compact_cap"]

@@ -15,7 +15,9 @@ gcd with an integer scale.  An inverse is integral too: ``echelon`` run on
 ``[A | I]`` gives ``det * A^-1`` in integers, which is how lattice
 equivalence inverts an edge basis once per search.  ``is_lattice_basis``
 is the one unimodularity test: ``k`` integer vectors are a basis of the
-integer points of their span when their ``k x k`` minors are coprime.
+integer points of their span when their ``k x k`` minors are coprime.  The
+vector kernels are ``map`` over ``operator`` functions and gcds one
+``math.gcd`` call, so their per-entry loops run in C builtins.
 """
 
 from __future__ import annotations
@@ -24,27 +26,30 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from operator import add, mul, sub
 
 from .errors import GeometryError
 
 
 def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vdot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def gcd_all(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, abs(int(v)))
-    return g
+    """The gcd of a sequence, ``0`` for none or all zero; a non-``int`` entry
+    counts by its integer part."""
+    try:
+        return gcd(*values)
+    except TypeError:
+        return gcd(*map(int, values))
 
 
 def lcm_all(values) -> int:
@@ -61,10 +66,10 @@ def primitive(v):
 
     Direction is preserved; the zero vector is rejected.
     """
-    if all(x == 0 for x in v):
-        raise GeometryErrorZero()
     g = gcd_all(v)
-    return tuple(x // g for x in v)
+    if not g:
+        raise GeometryErrorZero()
+    return tuple([x // g for x in v])
 
 
 class GeometryErrorZero(GeometryError):
@@ -78,19 +83,20 @@ def rational_primitive(v):
     Returns ``(w, s)`` with ``w`` primitive integer and ``v = s * w`` for a
     positive rational ``s``, an ``int`` when every entry of ``v`` is one.
     """
-    if all(type(x) is int for x in v):
-        g = gcd_all(v)
-        if not g:
-            raise GeometryErrorZero()
-        return tuple(x // g for x in v), g
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
+    try:
+        scale = g = gcd(*v)
+    except TypeError:
+        fracs = [Fraction(x) for x in v]
+        denom = lcm_all(x.denominator for x in fracs)
+        v = [x.numerator * (denom // x.denominator) for x in fracs]
+        g = gcd(*v)
+        scale = Fraction(g, denom)
+    if not g:
         raise GeometryErrorZero()
-    denom = lcm_all(x.denominator for x in fracs)
-    ints = [int(x * denom) for x in fracs]
-    g = gcd_all(ints)
-    w = tuple(x // g for x in ints)
-    return w, Fraction(g, denom)
+    return tuple([x // g for x in v]), scale
+
+
+_INT = frozenset((int,))
 
 
 def _as_int(x):
@@ -100,6 +106,12 @@ def _as_int(x):
     return i
 
 
+def _int_rows(rows):
+    """The rows as fresh lists of ``int``: an all-``int`` row is copied, and
+    in any other row each entry must be integral."""
+    return [list(r) if _INT.issuperset(map(type, r)) else [_as_int(x) for x in r] for r in rows]
+
+
 def determinant(rows) -> int:
     """Determinant of a square integer matrix by fraction-free Bareiss."""
     n = len(rows)
@@ -107,7 +119,7 @@ def determinant(rows) -> int:
         return 1
     if any(len(r) != n for r in rows):
         raise ValueError("determinant requires a square matrix")
-    m = [[_as_int(x) for x in row] for row in rows]
+    m = _int_rows(rows)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -163,7 +175,7 @@ def _hnf_with_transform(rows):
     the integer row span (pivots positive, entries above a pivot reduced into
     ``[0, pivot)``) and ``U`` a unimodular transform with ``U*A = H``.
     """
-    m = [[_as_int(x) for x in r] for r in rows]
+    m = _int_rows(rows)
     nrows = len(m)
     width = len(m[0]) if nrows else 0
     u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
@@ -243,7 +255,7 @@ def echelon(m, ncols):
     augmented system is ``m[i][ncols] / det``.
     """
     for i, row in enumerate(m):
-        if any(type(x) is not int for x in row):
+        if not _INT.issuperset(map(type, row)):
             q = lcm_all(Fraction(x).denominator for x in row)
             m[i] = [int(x * q) for x in row]
     nrows = len(m)
@@ -342,7 +354,7 @@ def normalize_coord(x):
 
 
 def normalize_point(p):
-    return tuple(normalize_coord(x) for x in p)
+    return tuple([normalize_coord(x) for x in p])
 
 
 @dataclass(frozen=True)
@@ -362,7 +374,7 @@ class AffineFunction:
     @staticmethod
     def _reduced(a, b, d):
         g = gcd(*a, b, d)
-        return AffineFunction(tuple(x // g for x in a), b // g, d // g)
+        return AffineFunction(tuple([x // g for x in a]), b // g, d // g)
 
     @staticmethod
     def make(linear, constant=0):

@@ -28,15 +28,16 @@ found in one pass by popcount.  The transpose, one facet set per generator,
 is found once per polyhedron and answers the vertex-local queries without
 the face lattice: a vertex is simple when it lies on ``dim`` facets, and two
 generators span an edge when the facets through both cut out exactly the
-two of them.  A vertex's neighbours are found so once and cached, and every
-edge the package reads comes from them.  Each point's set of tight facets
-is cached on the polyhedron,
-and the smallest face containing some points is cut out by the facets in
-all their sets.  The kernel counts the candidate ray pairs it tests and
-refuses a run past ``PAIR_BUDGET`` with ``UnsupportedGeometryError``.  A
-polyhedron with a lineality space is refused: from generators by a rank
-test of the facet normals, from halfspaces on the lines the kernel is left
-with, so an intersection runs no rank test.  A vertex is nonsingular when
+two of them.  At a simple vertex the edges are the cuts of its facet set
+less one facet each.  A vertex's neighbours are found so once and cached,
+and every edge the package reads comes from them.  Each point's set of
+tight facets is cached on the polyhedron, and the smallest face containing
+some points is cut out by the facets in all their sets.  The kernel
+counts the candidate ray pairs it tests and refuses a run past
+``PAIR_BUDGET`` with ``UnsupportedGeometryError``.  A polyhedron with a
+lineality space is refused: from generators by a rank test of the facet
+normals, from halfspaces on the lines the kernel is left with, so an
+intersection runs no rank test.  A vertex is nonsingular when
 its primitive edge directions are a basis of the polyhedron's own lattice
 (``is_lattice_basis``), decided once per vertex and cached.  Lattice
 coordinates come from one helper, ``lattice_coordinates``: the identity in
@@ -101,17 +102,17 @@ def _divide(offset, g):
 
 
 def _normalize_halfspace(normal, offset):
-    normal = tuple(int(x) for x in normal)
+    normal = tuple(map(int, normal))
     g = gcd_all(normal)
     if not g:
         raise GeometryError("halfspace normal must be nonzero")
-    return Halfspace(tuple(x // g for x in normal), _divide(offset, g))
+    return Halfspace(tuple([x // g for x in normal]), _divide(offset, g))
 
 
 def _normalize_equation(normal, offset):
-    normal = tuple(int(x) for x in normal)
+    normal = tuple(map(int, normal))
     g = gcd_all(normal)
-    normal = tuple(x // g for x in normal)
+    normal = tuple([x // g for x in normal])
     offset = _divide(offset, g)
     lead = next(x for x in normal if x != 0)
     if lead < 0:
@@ -292,7 +293,7 @@ def _dd_extreme_rays(ineqs, eqs, width, start=None):
 
 def _combine(c, u, d, v):
     """The primitive vector along ``c * u + d * v``."""
-    return primitive(tuple(c * x + d * y for x, y in zip(u, v)))
+    return primitive([c * x + d * y for x, y in zip(u, v)])
 
 
 def _full_dim_facets(points, rays, rank):
@@ -409,7 +410,7 @@ def _vertex(z):
     *x, t = z
     if t == 1:
         return tuple(x)
-    return tuple(c // t if c % t == 0 else Fraction(c, t) for c in x)
+    return tuple([c // t if c % t == 0 else Fraction(c, t) for c in x])
 
 
 def _bits(mask):
@@ -692,9 +693,6 @@ class LatticePolytope:
     def facets(self):
         return self.faces(self.dim - 1)
 
-    def top_face(self):
-        return self.faces(self.dim)[0]
-
     def _generator_facets(self):
         """Per generator, vertices first, the mask of the facets it lies on:
         the transpose of the incidence, found once."""
@@ -752,21 +750,30 @@ class LatticePolytope:
         """The generators adjacent to the ``a``-th vertex, as ascending
         indices into ``vertices + rays``.
 
-        The vertex and a second generator span an edge when the facets
-        through both cut out exactly the two of them; an edge lies on at
-        least ``dim - 1`` facets, so a generator sharing fewer with the
-        vertex is skipped first.  Found once per vertex and cached.
+        At a simple vertex, on ``dim`` facets, the vertex figure is a
+        simplex: all of the vertex's facets but one cut out an edge, the
+        vertex and one more generator.  At any other vertex every generator
+        is tried: it spans an edge with the vertex when the facets through
+        both cut out exactly the two of them, and an edge lies on at least
+        ``dim - 1`` facets, so a generator sharing fewer with the vertex is
+        skipped first.  Found once per vertex and cached.
         """
         found = self._neighbours.get(a)
         if found is None:
             facet_sets = self._generator_facets()
-            found = []
-            for b, fb in enumerate(facet_sets):
-                common = facet_sets[a] & fb
-                if b == a or common.bit_count() < self._dim - 1:
-                    continue
-                if self._cut(common) == (1 << a) | (1 << b):
-                    found.append(b)
+            own, vertex = facet_sets[a], 1 << a
+            if own.bit_count() == self._dim:
+                found = sorted(
+                    (self._cut(own ^ (1 << i)) ^ vertex).bit_length() - 1 for i in _bits(own)
+                )
+            else:
+                found = []
+                for b, fb in enumerate(facet_sets):
+                    common = own & fb
+                    if b == a or common.bit_count() < self._dim - 1:
+                        continue
+                    if self._cut(common) == vertex | (1 << b):
+                        found.append(b)
             found = self._neighbours[a] = tuple(found)
         return found
 
@@ -864,7 +871,7 @@ class LatticePolytope:
             (bounding if last else flat).append((head, last, -h.offset))
         points = []
         for prefix in itertools.product(*[range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1])]):
-            if not all(vdot(prefix, head) >= rhs for head, _, rhs in flat):
+            if flat and not all(vdot(prefix, head) >= rhs for head, _, rhs in flat):
                 continue
             a, b = lo[-1], hi[-1]
             # last * x >= rest: ceil or floor of rest / last, by exact floor division
@@ -874,6 +881,9 @@ class LatticePolytope:
                     a = max(a, -(-rest // last))
                 else:
                     b = min(b, rest // last)
+            if not self.equations:
+                points += [prefix + (x,) for x in range(a, b + 1)]
+                continue
             for x in range(a, b + 1):
                 p = prefix + (x,)
                 if all(vdot(p, e.normal) == -e.offset for e in self.equations):
@@ -958,11 +968,15 @@ class Fan:
         return self._cone_face_cache[cone]
 
     def cone_facets(self, cone):
-        """Ray-index sets of the codimension-one faces of a cone."""
+        """Ray-index sets of the codimension-one faces of a cone, one per
+        facet of its polyhedron in halfspace order: the cone's rays among the
+        extreme rays in that facet's incidence mask."""
         poly = self.cone_polyhedron(cone)
+        nv = len(poly.vertices)
         out = []
-        for f in poly.facets():
-            out.append(frozenset(i for i in cone if self.rays[i] in set(f.rays)))
+        for mask in poly._incidence:
+            rays = {poly.rays[j] for j in _bits(mask >> nv)}
+            out.append(frozenset(i for i in cone if self.rays[i] in rays))
         return out
 
     def is_complete(self) -> bool:
@@ -1197,7 +1211,7 @@ def _linear_part(targets, inv_cols, det):
 
 
 def _apply(matrix_rows, vector):
-    return tuple(vdot(row, vector) for row in matrix_rows)
+    return tuple([vdot(row, vector) for row in matrix_rows])
 
 
 def lattice_equivalent(p: LatticePolytope, q: LatticePolytope):

@@ -1,21 +1,24 @@
 """Brute-force versions of fast paths in ``toricdegen``, kept as test oracles.
 
-These are the rational Gaussian eliminations that the integer
-(fraction-free) code replaced, the vertex and facet enumerations over every
-constraint or generator subset that the double description replaced, the
-second double description that found the extreme generators of a hull, the
-face closure by dot products with a rational rank per face, the partition
-face poset merged from every piece's face lattice by coordinate key, the
-tiling checks that intersect every piece pair and cut every region by every
-hyperplane, the volume certificate of a cover with its pulling
-triangulation, the per-call edge scan and the edge counts it gives each
-vertex, the vertex unimodularity test by a determinant in the polytope's
-lattice chart, the scan of every partition edge for the edges at a vertex,
-the ``Fraction``-field affine functions with the per-point lifting scale,
-the lattice-equivalence search on a full-dimensional model polytope (a
-second double description for a lower-dimensional one) with its edges from
-the 1-faces and one rational solve per row of every candidate map, and the
-``encode_value`` walk over every report record.
+These are the generator-expression forms of the vector and gcd kernels that
+``map`` and one ``math.gcd`` call replaced, the rational Gaussian
+eliminations that the integer (fraction-free) code replaced, the vertex and
+facet enumerations over every constraint or generator subset that the
+double description replaced, the second double description that found the
+extreme generators of a hull, the face closure by dot products with a
+rational rank per face, the partition face poset merged from every piece's
+face lattice by coordinate key, the tiling checks that intersect every
+piece pair and cut every region by every hyperplane, the volume certificate
+of a cover with its pulling triangulation, the box filter for lattice
+points, the per-call edge scan and the edge counts it gives each vertex,
+the 1-face scan for a vertex's neighbours, a cone's facets read off its
+face lattice, the vertex unimodularity test by a determinant in the
+polytope's lattice chart, the scan of every partition edge for the edges at
+a vertex, the ``Fraction``-field affine functions with the per-point
+lifting scale, the lattice-equivalence search on a full-dimensional model
+polytope (a second double description for a lower-dimensional one) with its
+edges from the 1-faces and one rational solve per row of every candidate
+map, and the ``encode_value`` walk over every report record.
 Tests compare the fast paths against them; nothing in the package imports
 this module.  It also holds the degeneration invariants that only tests
 check: unimodular chart transitions, and the base fan inside the lifted
@@ -35,16 +38,13 @@ from toricdegen.errors import (
     UnsupportedGeometryError,
 )
 from toricdegen.exactmath import (
+    GeometryErrorZero,
     determinant,
     is_lattice_basis,
+    lcm_all,
     normalize_point,
-    primitive,
-    rational_primitive,
     right_kernel,
     solve_linear,
-    vadd,
-    vdot,
-    vsub,
 )
 from toricdegen.partition import PartitionFace, _uncovered_point, build_partition
 from toricdegen.report import encode_value
@@ -57,6 +57,52 @@ from toricdegen.polytope import (
     _normalize_halfspace,
     normal_fan,
 )
+
+
+def vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vdot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def gcd_all(values):
+    g = 0
+    for v in values:
+        g = gcd(g, abs(int(v)))
+    return g
+
+
+def primitive(v):
+    """An integer vector over the gcd of its entries, the zero vector
+    rejected by a pass of its own."""
+    if all(x == 0 for x in v):
+        raise GeometryErrorZero()
+    g = gcd_all(v)
+    return tuple(x // g for x in v)
+
+
+def rational_primitive(v):
+    """``(w, s)`` with ``w`` primitive and ``v = s * w``: an all-``int``
+    vector, told by the type of every entry, over its gcd with an ``int``
+    scale, any other one cleared of denominators first."""
+    if all(type(x) is int for x in v):
+        g = gcd_all(v)
+        if not g:
+            raise GeometryErrorZero()
+        return tuple(x // g for x in v), g
+    fracs = [Fraction(x) for x in v]
+    if all(x == 0 for x in fracs):
+        raise GeometryErrorZero()
+    denom = lcm_all(x.denominator for x in fracs)
+    ints = [int(x * denom) for x in fracs]
+    g = gcd_all(ints)
+    return tuple(x // g for x in ints), Fraction(g, denom)
 
 
 def determinant_fraction(rows):
@@ -364,6 +410,37 @@ def check_cover(ambient, pieces):
     if not ok:
         witness = _uncovered_point(ambient_m, pieces_m)
         raise PartitionError("gap: pieces do not cover the ambient polytope", witness=witness)
+
+
+def lattice_points(poly):
+    """Every lattice point of the vertex bounding box that the polytope
+    contains, in lexicographic order."""
+    ranges = []
+    for i in range(poly.ambient_rank):
+        coords = [Fraction(v[i]) for v in poly.vertices]
+        ranges.append(range(min(coords).__ceil__(), max(coords).__floor__() + 1))
+    return [p for p in itertools.product(*ranges) if poly.contains(p)]
+
+
+def neighbours(poly, a):
+    """The generators adjacent to the ``a``-th vertex, as ascending indices
+    into ``vertices + rays``, by a scan of every 1-face."""
+    vertex, nv = poly.vertices[a], len(poly.vertices)
+    found = []
+    for f in faces(poly):
+        if f.dim == 1 and vertex in f.vertices:
+            found += [poly.vertices.index(v) for v in f.vertices if v != vertex]
+            found += [nv + poly.rays.index(r) for r in f.rays]
+    return tuple(sorted(found))
+
+
+def cone_facets(fan, cone):
+    """Ray-index sets of a cone's facets, read off the face lattice of its
+    polyhedron."""
+    return [
+        frozenset(i for i in cone if fan.rays[i] in set(f.rays))
+        for f in fan.cone_polyhedron(cone).facets()
+    ]
 
 
 def edges_at(poly, vertex):

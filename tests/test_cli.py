@@ -540,6 +540,27 @@ class TestDegenerate:
             "a3a3ef63154fff5963907427baae50ad8057d352a296ba9bfcf70ff792f47112"
         )
 
+    def test_staircase_eight_degenerate_is_refused_before_lifting(self, tmp_path, capsys):
+        # the base simplex's vertex box holds 10^8 points, past the lattice
+        # point budget: the job fails on that before the lifting function
+        n = 8
+        rays = [[int(i == j) - int(i == j - 1) for i in range(n)] for j in range(n + 1)]
+        vertices = [[-1] * n] + [[(n + 1) * int(i == j) - 1 for i in range(n)] for j in range(n)]
+        spec = {"polytope": {"vertices": vertices}, "partition": {"fan_rays": rays}}
+        path = write_spec(tmp_path, spec)
+        with mock.patch.object(cli, "lifting_function", side_effect=AssertionError) as lifting:
+            code, out, records = run(capsys, ["degenerate", path])
+        assert code == 1
+        assert records == [
+            {
+                "record": "error",
+                "code": "UnsupportedGeometryError",
+                "message": "lattice point enumeration over a box of 100000000 points",
+                "witness": None,
+            }
+        ]
+        lifting.assert_not_called()
+
 
 def _one_piece(vertices):
     return {"polytope": {"vertices": vertices}, "partition": {"pieces": [vertices]}}

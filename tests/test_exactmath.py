@@ -8,19 +8,25 @@ from hypothesis import strategies as st
 
 from toricdegen.exactmath import (
     AffineFunction,
+    GeometryErrorZero,
     _hnf_with_transform,
     determinant,
     determinant_fraction,
     echelon,
+    gcd_all,
     kernel_basis,
     kernel_vector,
     left_kernel,
     primitive,
     rank_fraction,
+    rational_primitive,
     right_kernel,
     saturation,
     solve_linear,
     solve_particular,
+    vadd,
+    vdot,
+    vsub,
 )
 from toricdegen.errors import GeometryError
 
@@ -174,11 +180,100 @@ class TestPrimitive:
         assert primitive(once) == once
 
 
+SMALL = st.integers(-30, 30)
+FRACTIONS = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+ENTRIES_ANY = st.one_of(SMALL, st.integers(-(10**30), 10**30), FRACTIONS)
+
+
+def _same_outcome(new, old, v):
+    """``new(v)`` and ``old(v)`` give equal values of equal types, or both
+    reject ``v`` as the zero vector."""
+    try:
+        expected = old(v)
+    except GeometryErrorZero:
+        with pytest.raises(GeometryErrorZero):
+            new(v)
+        return None
+    got = new(v)
+    assert got == expected and repr(got) == repr(expected)
+    return got
+
+
+class TestKernelsAgainstOracles:
+    """``map`` over ``operator`` functions and one ``math.gcd`` call against
+    the generator forms they replaced: equal values of equal types."""
+
+    @given(st.lists(ENTRIES_ANY, max_size=5), st.lists(ENTRIES_ANY, max_size=5))
+    @settings(max_examples=150)
+    @example([], [])
+    @example([1, 2, 3], [4, 5])
+    def test_vector_arithmetic(self, a, b):
+        # vectors of unequal length: both forms stop at the shorter one
+        a, b = tuple(a), tuple(b)
+        for new, old in ((vadd, oracles.vadd), (vsub, oracles.vsub), (vdot, oracles.vdot)):
+            got, expected = new(a, b), old(a, b)
+            assert got == expected and repr(got) == repr(expected)
+
+    @given(st.lists(st.one_of(SMALL, st.just(0), FRACTIONS), max_size=5))
+    @settings(max_examples=150)
+    @example([])
+    @example([0, 0])
+    @example([-4, 6])
+    @example([Fraction(7, 2), -3])
+    @example([Fraction(-1, 2), 0])
+    def test_gcd_all_on_negative_zero_and_fraction_entries(self, values):
+        for seq in (values, tuple(values)):
+            got = gcd_all(seq)
+            assert got == oracles.gcd_all(seq) and type(got) is int
+
+    @given(st.lists(st.one_of(SMALL, SMALL.map(Fraction)), min_size=1, max_size=5))
+    @settings(max_examples=150)
+    @example([0, 0, 0])
+    @example([Fraction(0), 0])
+    @example([Fraction(4), -6])
+    def test_primitive(self, v):
+        got = _same_outcome(primitive, oracles.primitive, tuple(v))
+        assert got is None or all(type(x) is int for x in got)
+
+    @given(
+        st.one_of(
+            st.lists(SMALL, min_size=1, max_size=5),
+            st.lists(FRACTIONS, min_size=1, max_size=5),
+            st.lists(st.one_of(SMALL, FRACTIONS), min_size=1, max_size=5),
+        )
+    )
+    @settings(max_examples=200)
+    @example([0, 0])
+    @example([Fraction(0), 0])
+    @example([6, -4])
+    @example([Fraction(6), Fraction(-4)])
+    @example([Fraction(1, 2), 3])
+    def test_rational_primitive_on_int_fraction_and_mixed_vectors(self, v):
+        v = tuple(v)
+        got = _same_outcome(rational_primitive, oracles.rational_primitive, v)
+        if got is not None:
+            w, scale = got
+            assert all(type(x) is int for x in w)
+            # the scale keeps its type: an int exactly for an all-int vector
+            assert (type(scale) is int) == all(type(x) is int for x in v)
+
+
 class TestDeterminant:
     @given(square_matrices())
     @settings(max_examples=60)
     def test_bareiss_matches_rational_elimination(self, rows):
         assert determinant(rows) == oracles.determinant_fraction(rows)
+
+    @given(square_matrices(3, bound=5))
+    @settings(max_examples=40)
+    def test_integral_fraction_entries_count_as_ints(self, rows):
+        as_fractions = [[Fraction(x) for x in row] for row in rows]
+        got = determinant(as_fractions)
+        assert got == determinant(rows) and type(got) is int
+
+    def test_non_integral_entry_rejected(self):
+        with pytest.raises(ValueError):
+            determinant([[1, 0], [0, Fraction(1, 2)]])
 
     def test_bareiss_avoids_fraction_blowup(self):
         rows = [[i * j + (i == j) * 7 for j in range(6)] for i in range(6)]

@@ -733,6 +733,53 @@ class TestIncidenceReadsAgainstOracles:
         assert square.smallest_face_containing([(0, 0)]).vertices == ((0, 0),)
 
 
+def _assert_neighbours_match_oracle(poly):
+    for a in range(len(poly.vertices)):
+        assert poly.neighbours(a) == oracles.neighbours(poly, a)
+
+
+class TestNeighboursAgainstOracle:
+    """``neighbours`` against the 1-face scan: at a simple vertex by
+    dropping one facet at a time, at any other by the generator scan; with
+    rays among the neighbours of an unbounded polyhedron."""
+
+    @given(degenerate_h_systems())
+    @settings(max_examples=40, deadline=None)
+    def test_cubes_cross_polytopes_and_pyramids(self, system):
+        halfspaces, rank = system
+        _assert_neighbours_match_oracle(LatticePolytope.from_halfspaces(halfspaces, rank))
+
+    @given(generator_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_hulls_of_any_dimension_with_rays(self, gens):
+        points, rays, _ = gens
+        try:
+            poly = LatticePolytope.from_generators(points, rays)
+        except UnsupportedGeometryError:
+            return
+        _assert_neighbours_match_oracle(poly)
+
+    @pytest.mark.parametrize(
+        "points, rays, non_simple",
+        [
+            ([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)], [], 1),  # pyramid
+            ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], [], 6),
+            ([(0, 0)], [(1, 0), (0, 1)], 0),  # the quadrant
+            ([(0, 0), (1, 0)], [(0, 1)], 0),  # a half-strip
+            ([(1,)], [(1,)], 0),  # a half-line
+            ([(3, 1, 4)], [], 0),  # a single point
+            ([(0, 0, 0)], [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 1),  # a square cone
+            # a square by a half-line
+            ([(0, 0, 1), (2, 0, 1), (0, 2, 1), (2, 2, 1)], [(0, 0, 1)], 0),
+        ],
+    )
+    def test_fixed_shapes(self, points, rays, non_simple):
+        poly = LatticePolytope.from_generators(points, rays)
+        facet_sets = poly._generator_facets()[: len(poly.vertices)]
+        assert sum(fs.bit_count() != poly.dim for fs in facet_sets) == non_simple
+        _assert_neighbours_match_oracle(poly)
+
+
 class TestSupportFunctions:
     def test_zero_is_affine(self):
         fan = staircase_fan(2)
@@ -797,19 +844,27 @@ class TestSupportFunctions:
             assert support_function_of_polytope(poly).classify() == "strictly-convex"
 
 
-def box_scan_lattice_points(poly):
-    """Oracle: every lattice point of the vertex bounding box that the
-    polytope contains, in lexicographic order."""
-    ranges = []
-    for i in range(poly.ambient_rank):
-        coords = [Fraction(v[i]) for v in poly.vertices]
-        ranges.append(range(min(coords).__ceil__(), max(coords).__floor__() + 1))
-    return [p for p in itertools.product(*ranges) if poly.contains(p)]
-
-
 def rational_points(rank, count):
     coord = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 3))
     return st.lists(st.tuples(*[coord] * rank), min_size=count, max_size=count)
+
+
+@st.composite
+def slanted_polytopes(draw):
+    """Thin, slanted and lower-dimensional polytopes in rank 1-3: the hull of
+    small combinations of ``k <= rank`` drawn directions from a rational
+    base point.  For ``k < rank`` or dependent directions the hull has
+    equations, and its vertex box is far larger than its point set."""
+    rank = draw(st.integers(1, 3))
+    k = draw(st.integers(1, rank))
+    dirs = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * rank), min_size=k, max_size=k))
+    combos = draw(st.lists(st.tuples(*[st.integers(0, 2)] * k), min_size=1, max_size=5))
+    coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2]))
+    base = draw(st.tuples(*[coord] * rank))
+    return [
+        tuple(b + sum(c * d[i] for c, d in zip(cs, dirs)) for i, b in enumerate(base))
+        for cs in combos
+    ]
 
 
 class TestLatticePoints:
@@ -821,7 +876,7 @@ class TestLatticePoints:
         points = data.draw(rational_points(rank, rank + 1 + extra))
         poly = LatticePolytope.from_vertices(points)
         assume(poly.dim == rank)
-        assert poly.lattice_points() == box_scan_lattice_points(poly)
+        assert poly.lattice_points() == oracles.lattice_points(poly)
 
     @given(rational_points(2, 2))
     @settings(max_examples=40, deadline=None)
@@ -829,7 +884,7 @@ class TestLatticePoints:
         poly = LatticePolytope.from_vertices(points)
         if poly.dim == 1:
             assert poly.equations
-        assert poly.lattice_points() == box_scan_lattice_points(poly)
+        assert poly.lattice_points() == oracles.lattice_points(poly)
 
     @given(rational_points(3, 3))
     @settings(max_examples=40, deadline=None)
@@ -837,7 +892,7 @@ class TestLatticePoints:
         poly = LatticePolytope.from_vertices(points)
         if poly.dim == 2:
             assert len(poly.equations) == 1
-        assert poly.lattice_points() == box_scan_lattice_points(poly)
+        assert poly.lattice_points() == oracles.lattice_points(poly)
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -858,11 +913,21 @@ class TestLatticePoints:
             offset = data.draw(st.builds(Fraction, st.integers(0, 12), st.integers(1, 3)))
             hs.append((normal, offset))
         poly = LatticePolytope.from_halfspaces(hs, rank)
-        assert poly.lattice_points() == box_scan_lattice_points(poly)
+        assert poly.lattice_points() == oracles.lattice_points(poly)
+
+    @given(slanted_polytopes())
+    @settings(max_examples=60, deadline=None)
+    @example([(0, 0), (1, 4), (1, 5)])
+    @example([(Fraction(1, 2), 0, 0), (Fraction(9, 2), 2, 6)])
+    def test_column_scan_matches_box_filter_thin_slanted_and_flat(self, points):
+        poly = LatticePolytope.from_vertices(points)
+        if poly.dim < poly.ambient_rank:
+            assert poly.equations
+        assert poly.lattice_points() == oracles.lattice_points(poly)
 
     def test_rank_zero_point(self):
         poly = LatticePolytope.from_vertices([()])
-        assert poly.lattice_points() == box_scan_lattice_points(poly) == [()]
+        assert poly.lattice_points() == oracles.lattice_points(poly) == [()]
 
     def test_cached_result_is_a_fresh_list(self):
         t = LatticePolytope.from_vertices([(0, 0), (3, 0), (0, 3)])
@@ -1421,6 +1486,43 @@ class TestCompleteFanFromRays:
     def test_staircase_fans_complete(self):
         for n in (1, 2, 3, 4):
             assert staircase_fan(n).is_complete()
+
+
+def _assert_cone_facets_match_oracle(fan):
+    for cone in fan.cones:
+        got = fan.cone_facets(cone)
+        expected = oracles.cone_facets(fan, cone)
+        assert len(got) == len(expected) and set(got) == set(expected)
+
+
+class TestConeFacetsAgainstOracle:
+    """Cone facets read off the incidence against the face-lattice read, on
+    every cone of random complete fans: simplicial ones from ``n + 1`` rays,
+    and normal fans of cubes, cross-polytopes and pyramids, whose cones need
+    not be simplicial."""
+
+    @given(fan_ray_sets())
+    @settings(max_examples=80, deadline=None)
+    @example([(1, 0), (0, 1), (-1, -2)])
+    def test_complete_simplicial_fans(self, rays):
+        try:
+            fan = complete_fan_from_rays(rays)
+        except GeometryError:
+            return
+        _assert_cone_facets_match_oracle(fan)
+
+    @given(degenerate_h_systems())
+    @settings(max_examples=30, deadline=None)
+    def test_normal_fans(self, system):
+        halfspaces, rank = system
+        fan = normal_fan(LatticePolytope.from_halfspaces(halfspaces, rank))
+        _assert_cone_facets_match_oracle(fan)
+
+    def test_staircase_and_whole_line_fans(self):
+        _assert_cone_facets_match_oracle(staircase_fan(3))
+        line = Fan(1, [(1,), (-1,)], [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})])
+        assert line.cone_facets(frozenset({0, 1})) == []
+        _assert_cone_facets_match_oracle(line)
 
 
 class TestSupportFunctionRoundTrip:
