@@ -56,10 +56,8 @@ from .lifting import (
 from .degeneration import (
     DegenerationReport,
     FamilyEquations,
-    LatticeSequence,
     LocalChart,
     build_report,
-    build_sequences,
     family_equations,
     local_charts,
 )

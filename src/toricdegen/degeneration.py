@@ -21,62 +21,6 @@ from .polytope import lattice_equivalent
 
 
 @dataclass(frozen=True)
-class LatticeSequence:
-    """The two exact sequences relating the base and lifted lattices.
-
-    ``include`` embeds the base lattice into the lifted one (extra coordinate
-    last), ``project_height`` is the quotient onto that coordinate;
-    ``include_height`` and ``project_base`` are the dual pair.
-    """
-
-    rank: int
-    include: tuple  # (rank+1) x rank
-    project_height: tuple  # 1 x (rank+1)
-    include_height: tuple  # (rank+1) x 1
-    project_base: tuple  # rank x (rank+1)
-
-    def check_exact(self):
-        """Return True, or raise ``GeometryError`` naming the first failed check."""
-        if _matmul(self.project_height, self.include) != _zero(1, self.rank):
-            raise GeometryError("height projection does not vanish on the base lattice")
-        if _matmul(self.project_base, self.include_height) != _zero(self.rank, 1):
-            raise GeometryError("base projection does not vanish on the height axis")
-        if self.project_height[0][-1] != 1:
-            raise GeometryError("height projection is not surjective")
-        # the base projection hits every basis vector
-        if any(self.project_base[i][i] != 1 for i in range(self.rank)):
-            raise GeometryError("base projection is not surjective")
-        return True
-
-
-def _matmul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
-def _zero(r, c):
-    return tuple(tuple(0 for _ in range(c)) for _ in range(r))
-
-
-def build_sequences(rank: int) -> LatticeSequence:
-    if rank < 1:
-        raise GeometryError("rank must be positive")
-    include = tuple(
-        tuple(int(i == j) for j in range(rank)) for i in range(rank)
-    ) + (tuple(0 for _ in range(rank)),)
-    project_height = (tuple(0 for _ in range(rank)) + (1,),)
-    include_height = tuple((0,) for _ in range(rank)) + ((1,),)
-    project_base = tuple(
-        tuple(int(i == j) for j in range(rank + 1)) for i in range(rank)
-    )
-    seq = LatticeSequence(rank, include, project_height, include_height, project_base)
-    seq.check_exact()
-    return seq
-
-
-@dataclass(frozen=True)
 class LocalChart:
     """Monomial chart at a vertex of the lifted polytope.
 
@@ -168,8 +112,13 @@ def build_report(lifted: LiftedPolytope) -> DegenerationReport:
     charts, skipped = local_charts(lifted, strict=not weak)
 
     classes = _equivalence_classes(partition.pieces)
+    # nonsingularity is a lattice invariant, so each class asks its first piece
+    nonsingular = {}
+    for i, piece in enumerate(partition.pieces):
+        if classes[i] not in nonsingular:
+            nonsingular[classes[i]] = piece.is_nonsingular()
     components = tuple(
-        (i, piece, piece.is_nonsingular(), classes[i])
+        (i, piece, nonsingular[classes[i]], classes[i])
         for i, piece in enumerate(partition.pieces)
     )
     dual = partition.dual_complex()

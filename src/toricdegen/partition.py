@@ -1,10 +1,9 @@
 """Partitions of a polytope into simplicial subpolytopes.
 
 A partition is stored with its full face poset: every face of every piece is
-a face of the partition.  The poset is closed once over all pieces, on bit
-masks over generator ids the pieces share, so faces merge across pieces by
-mask; no piece builds a face lattice.  Vertices of the ambient polytope are
-*not* counted as 0-faces of the partition.  The semi-stability condition
+a face of the partition, found by the polyhedron face walk over generator
+ids the pieces share (``_collect_faces``).  Vertices of the ambient polytope
+are *not* counted as 0-faces of the partition.  The semi-stability condition
 counts, for each partition face and the smallest ambient face containing
 it, how many pieces share it.
 """
@@ -30,6 +29,7 @@ from .polytope import (
     Fan,
     LatticePolytope,
     _bits,
+    _face_walk,
     lattice_equivalences,
 )
 
@@ -100,23 +100,6 @@ class DualComplex:
 
     def edges(self):
         return sorted(tuple(sorted(s)) for s in self.simplices if len(s) == 2)
-
-    def is_connected(self):
-        if self.n_vertices == 0:
-            return True
-        seen = {0}
-        frontier = [0]
-        adj = {i: set() for i in range(self.n_vertices)}
-        for a, b in self.edges():
-            adj[a].add(b)
-            adj[b].add(a)
-        while frontier:
-            i = frontier.pop()
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-        return len(seen) == self.n_vertices
 
     def hypersurface_complex(self):
         """Dual complex of a generic hypersurface family in the degeneration.
@@ -453,21 +436,14 @@ def _uncovered_point(ambient, pieces):
 def _collect_faces(ambient, pieces):
     """The partition's faces, keyed by their vertex and ray tuples.
 
-    One closure over all pieces, on int masks over shared generator ids: the
-    union of the pieces' vertices in sorted order, then of their rays.  Each
-    piece's facets are masks over those ids, so a face is the AND of the
-    facets through it and faces merge across pieces by mask.  A piece is
-    simple (every vertex lies on exactly ``dim`` facets), so every
-    intersection of ``k`` of its facets that holds a vertex is a face of
-    codimension ``k``, and those ``k`` are all the facets through it: at one
-    of its vertices they are ``k`` of the vertex's ``dim`` independent
-    facets.  So the walk from the top face that ANDs in only facets of
-    higher index reaches each face once, by its facets in ascending order,
-    with its dimension known.  The smallest ambient face holding a face is
-    cut out by the ambient facets tight on all its generators.  Faces come
-    in the order of ``(first piece, dim, vertices, rays)``: the ids are
-    sorted, so id tuples order as the coordinate tuples do.  Ambient
-    vertices are not 0-faces of the partition.
+    Each piece is walked by ``_face_walk`` on its facet masks over generator
+    ids the pieces share (the union of their vertices in sorted order, then
+    of their rays), so faces merge across pieces by mask.  The smallest
+    ambient face holding a face is cut out by the ambient facets tight on
+    all its generators.  Faces come in the order of ``(first piece, dim,
+    vertices, rays)``: the ids are sorted, so id tuples order as the
+    coordinate tuples do.  Ambient vertices are not 0-faces of the
+    partition.
     """
     gens = sorted({v for p in pieces for v in p.vertices})
     nv = len(gens)
@@ -478,22 +454,17 @@ def _collect_faces(ambient, pieces):
     has_vertex = (1 << nv) - 1
     found = {}  # mask -> (dim, owner list)
     for idx, piece in enumerate(pieces):
-        local = [1 << vertex_ids[v] for v in piece.vertices]
-        local += [1 << ray_ids[r] for r in piece.rays]
+        ids = [vertex_ids[v] for v in piece.vertices] + [ray_ids[r] for r in piece.rays]
+        local = [1 << j for j in ids]
         facets = [sum(local[j] for j in _bits(m)) for m in piece._incidence]
-        stack = [(sum(local), 0, piece.dim)]
-        while stack:
-            mask, first, dim = stack.pop()
+        # each vertex's facet mask, keyed by its shared id
+        through = dict(zip(ids, piece._generator_facets()))
+        for mask, dim, _ in _face_walk(facets, sum(local), piece.dim, through, gens, nv):
             entry = found.get(mask)
             if entry is None:
                 found[mask] = (dim, [idx])
             else:
                 entry[1].append(idx)
-            if dim:
-                for i in range(first, len(facets)):
-                    cut = mask & facets[i]
-                    if cut & has_vertex:
-                        stack.append((cut, i + 1, dim - 1))
     tight = [ambient._tight_facets(g, int(j < nv)) for j, g in enumerate(gens)]
     all_facets = (1 << len(ambient.halfspaces)) - 1
     ambient_vertices = {vertex_ids[v] for v in ambient.vertices if v in vertex_ids}

@@ -22,9 +22,12 @@ extreme rays of the cone of valid homogeneous normals
 (``_dual_from_generators``); ``from_generators`` reads its vertices and
 extreme rays off that one run.  Either way the polyhedron keeps the
 generator-facet incidence as one bit set per facet, and its faces, their
-dimensions and their tight sets are read off those bit sets (Kaibel and
-Pfetsch, Comput. Geom. 23, 2002); a face's maximal proper intersections are
-found in one pass by popcount.  The transpose, one facet set per generator,
+dimensions and their tight sets come from one Close-by-One walk over those
+bit sets (``_face_walk``; Kaibel and Pfetsch, Comput. Geom. 23, 2002): a
+face ANDs in the facets of higher index, a cut at a simple vertex is a face
+one dimension down, and any other cut is closed by the facets through its
+lowest vertex and kept only when that adds no facet of lower index, so each
+face is reached once.  The transpose, one facet set per generator,
 is found once per polyhedron and answers the vertex-local queries without
 the face lattice: a vertex is simple when it lies on ``dim`` facets, and two
 generators span an edge when the facets through both cut out exactly the
@@ -433,6 +436,60 @@ def _transpose(masks, width):
     return columns
 
 
+def _face_walk(facets, top, dim, through, gens, nv):
+    """Every face of a pointed polyhedron as ``(mask, dim, tight)``: its
+    generator mask, dimension and facet mask.  ``facets`` are the facet
+    masks over generator ids, the ``nv`` vertices first, ``top`` is the
+    polyhedron's generator mask, and the vertex with id ``j`` lies on the
+    facets in ``through[j]`` at ``gens[j]``; no facet holds the whole.
+
+    Close-by-One (Kuznetsov; Ganter's NextClosure; Kaibel and Pfetsch,
+    Comput. Geom. 23, 2002): a face reached by facet ``i - 1`` ANDs in each
+    facet from ``i`` on that it does not lie on, and keeps a cut that holds
+    a vertex.  At a simple lowest vertex, on ``dim`` facets, the faces
+    through it match the subsets of its facets, so the cut lies on the
+    parent's facets and the new one, one dimension down.  Otherwise the cut
+    is closed by the facets through that vertex containing it and dropped
+    when that adds a facet of lower index, so each face is reached once.  A
+    closure adding only the new facet is a facet of the parent (a cut
+    strictly inside one would lie on the facet cutting that one out); any
+    other takes its dimension from a rank.
+    """
+    has_vertex = (1 << nv) - 1
+    found = [(top, dim, 0)]
+    stack = [(top, 0, 0, dim)]
+    while stack:
+        mask, tight, first, d = stack.pop()
+        for i in range(first, len(facets)):
+            bit = 1 << i
+            cut = mask & facets[i]
+            if tight & bit or not cut & has_vertex:
+                continue
+            own = through[(cut & -cut).bit_length() - 1]
+            closed = tight | bit
+            cut_dim = d - 1
+            if own.bit_count() != dim:
+                for j in _bits(own & ~closed):
+                    if cut & facets[j] == cut:
+                        closed |= 1 << j
+                if (closed ^ tight) & (bit - 1):
+                    continue
+                if closed != tight | bit:
+                    verts, rays = _generators(cut, gens, nv)
+                    cut_dim = rank_fraction([vsub(v, verts[0]) for v in verts[1:]] + list(rays))
+            found.append((cut, cut_dim, closed))
+            if cut_dim:  # a vertex has no proper face
+                stack.append((cut, closed, i + 1, cut_dim))
+    return found
+
+
+def _generators(mask, gens, nv):
+    """The vertices and the rays among ``gens`` whose ids are in ``mask``."""
+    ids = _bits(mask)
+    k = (mask & ((1 << nv) - 1)).bit_count()
+    return tuple([gens[j] for j in ids[:k]]), tuple([gens[j] for j in ids[k:]])
+
+
 def _maximal(sets):
     """The distinct bit sets among ``sets`` that no other one strictly
     contains, found in one pass by decreasing popcount: a set is maximal when
@@ -653,42 +710,17 @@ class LatticePolytope:
         return self._faces_by_dim.get(dim, ())
 
     def _faces_by_mask(self):
-        """Each face keyed by its generator mask, read off the facet masks.
-
-        A face is the top face or an intersection of facet masks that keeps
-        a vertex.  Top down, the maximal proper such intersections within a
-        ``d``-face are its ``(d-1)``-faces, and every face is reached so.  A
-        face's generators and tight facets are read off its set bits.
-        """
+        """Each face keyed by its generator mask, from one ``_face_walk``."""
         gens = self.vertices + self.rays
         nv = len(self.vertices)
         top = (1 << len(gens)) - 1
         if self.is_whole_space:
             return {top: Face((), (), self.ambient_rank, frozenset())}
-        has_vertex = (1 << nv) - 1
-        dims = {top: self._dim}
-        level, d = [top], self._dim
-        while level:
-            d -= 1
-            below = []
-            for face in level:
-                cuts = {face & m for m in self._incidence}
-                cuts = [c for c in cuts if c != face and c & has_vertex]
-                for c in _maximal(cuts):
-                    if c not in dims:
-                        dims[c] = d
-                        below.append(c)
-            level = below
-        facet_sets = self._generator_facets()
-        all_facets = (1 << len(self._incidence)) - 1
-        index = {}
-        for mask, dim in dims.items():
-            verts, rays, tight = [], [], all_facets
-            for j in _bits(mask):
-                (verts if j < nv else rays).append(gens[j])
-                tight &= facet_sets[j]
-            index[mask] = Face(tuple(verts), tuple(rays), dim, frozenset(_bits(tight)))
-        return index
+        walk = _face_walk(self._incidence, top, self._dim, self._generator_facets(), gens, nv)
+        return {
+            mask: Face(*_generators(mask, gens, nv), dim, frozenset(_bits(tight)))
+            for mask, dim, tight in walk
+        }
 
     def facets(self):
         return self.faces(self.dim - 1)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +10,6 @@ from toricdegen import (
     LiftingError,
     build_partition,
     build_report,
-    build_sequences,
     family_equations,
     lift_polytope,
     lifting_function,
@@ -31,6 +30,63 @@ from oracles import (
     chart_transitions_unimodular,
     fan_support_is_upper_halfspace,
 )
+
+
+@dataclass(frozen=True)
+class LatticeSequence:
+    """The two exact sequences relating the base and lifted lattices.
+
+    ``include`` embeds the base lattice into the lifted one (extra coordinate
+    last), ``project_height`` is the quotient onto that coordinate;
+    ``include_height`` and ``project_base`` are the dual pair.
+    """
+
+    rank: int
+    include: tuple  # (rank+1) x rank
+    project_height: tuple  # 1 x (rank+1)
+    include_height: tuple  # (rank+1) x 1
+    project_base: tuple  # rank x (rank+1)
+
+    def check_exact(self):
+        """Return True, or raise ``GeometryError`` naming the first failed check."""
+        if _matmul(self.project_height, self.include) != _zero(1, self.rank):
+            raise GeometryError("height projection does not vanish on the base lattice")
+        if _matmul(self.project_base, self.include_height) != _zero(self.rank, 1):
+            raise GeometryError("base projection does not vanish on the height axis")
+        if self.project_height[0][-1] != 1:
+            raise GeometryError("height projection is not surjective")
+        # the base projection hits every basis vector
+        if any(self.project_base[i][i] != 1 for i in range(self.rank)):
+            raise GeometryError("base projection is not surjective")
+        return True
+
+
+def _matmul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def _zero(r, c):
+    return tuple(tuple(0 for _ in range(c)) for _ in range(r))
+
+
+def build_sequences(rank: int) -> LatticeSequence:
+    if rank < 1:
+        raise GeometryError("rank must be positive")
+    include = tuple(
+        tuple(int(i == j) for j in range(rank)) for i in range(rank)
+    ) + (tuple(0 for _ in range(rank)),)
+    project_height = (tuple(0 for _ in range(rank)) + (1,),)
+    include_height = tuple((0,) for _ in range(rank)) + ((1,),)
+    project_base = tuple(
+        tuple(int(i == j) for j in range(rank + 1)) for i in range(rank)
+    )
+    seq = LatticeSequence(rank, include, project_height, include_height, project_base)
+    seq.check_exact()
+    return seq
+
 
 LIFTED = {name: (part, lifting, lifted) for name, part, lifting, lifted in liftable_partitions()}
 

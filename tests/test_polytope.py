@@ -30,6 +30,7 @@ from toricdegen.polytope import (
     Fan,
     _dual_from_generators,
     _enumerate_generators,
+    _face_walk,
     _full_dim_facets,
     _normalize_equation,
     _normalize_halfspace,
@@ -41,6 +42,7 @@ import oracles
 from corpus import (
     chain_partition,
     dilated_simplex,
+    liftable_partitions,
     reflexive_simplex,
     segment,
     staircase_fan,
@@ -320,6 +322,12 @@ def _assert_faces_match_oracle(poly):
     expected = oracles.faces(poly)
     got = poly.faces()
     assert got == expected and repr(got) == repr(expected)
+    # the walk reaches each face once
+    gens = poly.vertices + poly.rays
+    facet_sets = poly._generator_facets()
+    top, nv = (1 << len(gens)) - 1, len(poly.vertices)
+    walk = _face_walk(poly._incidence, top, poly.dim, facet_sets, gens, nv)
+    assert len(walk) == len(got)
     if not poly.is_whole_space:
         assert poly.dim == oracles.face_dim(poly.vertices, poly.rays)
 
@@ -479,6 +487,63 @@ class TestIncidenceAgainstOracles:
         p = LatticePolytope.from_generators(points, rays)
         assert len(kernel_runs) == 1
         assert (list(p.vertices), list(p.rays)) == oracles.from_generators(points, rays)
+
+
+def _cube(rank):
+    return LatticePolytope.from_vertices(list(itertools.product((0, 1), repeat=rank)))
+
+
+def _fresh(poly):
+    """The same polytope without the caches of earlier tests."""
+    return LatticePolytope.from_vertices(poly.vertices)
+
+
+def _square_pyramid():
+    return LatticePolytope.from_vertices([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)])
+
+
+def _cross(rank):
+    halfspaces = [(s, 1) for s in itertools.product((-1, 1), repeat=rank)]
+    return LatticePolytope.from_halfspaces(halfspaces, rank)
+
+
+class TestFaceWalkAgainstOracle:
+    """The Close-by-One face walk against the dot-product closure, on
+    polytopes whose vertices lie on more than ``dim`` facets, where cuts
+    are closed and dropped, and on the corpus's lifted polytopes."""
+
+    @pytest.mark.parametrize("ts", [range(7), range(8), range(9), (-3, -1, 0, 2, 3, 5, 8)])
+    def test_cyclic_polytopes_in_rank_4(self, ts):
+        poly = LatticePolytope.from_vertices([(t, t**2, t**3, t**4) for t in ts])
+        assert not poly.is_simplicial()
+        _assert_faces_match_oracle(poly)
+
+    def test_lifted_polytopes_of_the_corpus(self):
+        for _, _, _, lifted in liftable_partitions():
+            _assert_faces_match_oracle(lifted.polytope)
+
+    @pytest.mark.parametrize(
+        "make, ranked",
+        [
+            (lambda: [_cube(5)], False),
+            (lambda: [_fresh(p) for p in staircase_partition(4).pieces], False),
+            (lambda: [_cross(3)], True),
+            (lambda: [_square_pyramid()], True),
+        ],
+        ids=["cube-5", "staircase-4-pieces", "octahedron", "square-pyramid"],
+    )
+    def test_rank_only_off_simple_vertices(self, make, ranked):
+        # at a simple vertex a cut's facets and dimension need no test; only
+        # a closure that adds more than one facet asks for a rank
+        polys = make()
+        with mock.patch.object(
+            polytope_module, "rank_fraction", side_effect=exactmath.rank_fraction
+        ) as rank:
+            for poly in polys:
+                poly.faces()
+        assert rank.called == ranked
+        for poly in polys:
+            _assert_faces_match_oracle(poly)
 
 
 class TestNormalFan:
