@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GeometryError, LiftingError
-from .exactmath import solve_linear, vdot
+from .exactmath import vdot
 from .lifting import LiftedPolytope
 from .partition import DualComplex
 from .polytope import lattice_equivalent
@@ -45,8 +45,9 @@ def local_charts(lifted: LiftedPolytope, strict=True):
     """One chart per nonsingular vertex of the lifted polytope off the cap.
 
     The verdict at a vertex is the polytope's own (``is_nonsingular_at``),
-    and its edges are read off the generator-facet incidence.  A singular
-    vertex yields no chart, nor does a nonsingular one where the parameter
+    and the vertical vector's coefficients in the edge basis are read off
+    the facet each edge leaves (``edge_expansion``).  A singular vertex
+    yields no chart, nor does a nonsingular one where the parameter
     expansion is not zero-one (a component of multiplicity above one passes
     through it); both are returned in the second component.
     """
@@ -61,10 +62,9 @@ def local_charts(lifted: LiftedPolytope, strict=True):
         if not poly.is_nonsingular_at(v):
             skipped.append(v)
             continue
-        dirs = poly.edges_at(v)
         # the vertical vector points into the polytope off the cap, so the
         # lattice basis expands it uniquely
-        _, coeffs = solve_linear([[d[i] for d in dirs] for i in range(rank)], vertical)
+        dirs, coeffs = zip(*poly.edge_expansion(v, vertical))
         if any(c not in (0, 1) for c in coeffs):
             skipped.append(v)
             continue
@@ -74,7 +74,7 @@ def local_charts(lifted: LiftedPolytope, strict=True):
         else:
             face_dim = base.smallest_face_containing([shadow]).dim
         monomial = tuple(i for i, c in enumerate(coeffs) if c == 1)
-        charts.append(LocalChart(shadow, v, face_dim, tuple(dirs), monomial))
+        charts.append(LocalChart(shadow, v, face_dim, dirs, monomial))
     if skipped and strict:
         raise LiftingError("singular vertex has no monomial chart", witness=skipped[0])
     return charts, tuple(skipped)
@@ -134,25 +134,25 @@ def build_report(lifted: LiftedPolytope) -> DegenerationReport:
 
 
 def _equivalence_classes(pieces):
+    """A class id per piece, numbered by first appearance.  A compact piece
+    joins the first representative it is lattice-equivalent to, and only
+    one of its dimension and vertex-key multiset can be; any other piece
+    joins an equal one."""
     classes = {}
+    buckets = {}
     next_class = 0
-    representatives = []
     for i, piece in enumerate(pieces):
-        if not piece.is_compact:
-            matched = None
-            for cls, rep in representatives:
-                if rep == piece:
-                    matched = cls
-                    break
+        if piece.is_compact:
+            bucket = buckets.setdefault((piece.dim, tuple(sorted(piece.vertex_keys()))), [])
+            matched = next(
+                (c for c, rep in bucket if lattice_equivalent(piece, rep) is not None), None
+            )
         else:
-            matched = None
-            for cls, rep in representatives:
-                if rep.is_compact and lattice_equivalent(piece, rep) is not None:
-                    matched = cls
-                    break
+            bucket = buckets.setdefault(None, [])
+            matched = next((c for c, rep in bucket if rep == piece), None)
         if matched is None:
             matched = next_class
-            representatives.append((matched, piece))
+            bucket.append((matched, piece))
             next_class += 1
         classes[i] = matched
     return classes

@@ -13,16 +13,13 @@ never an integral ``Fraction``: ``normalize_coord`` returns an ``int``
 unchanged, and ``rational_primitive`` of an all-``int`` vector divides by the
 gcd with an integer scale.  An inverse is integral too: ``echelon`` run on
 ``[A | I]`` gives ``det * A^-1`` in integers, which is how lattice
-equivalence inverts an edge basis once per search.  ``is_lattice_basis``
-is the one unimodularity test: ``k`` integer vectors are a basis of the
-integer points of their span when their ``k x k`` minors are coprime.  The
-vector kernels are ``map`` over ``operator`` functions and gcds one
-``math.gcd`` call, so their per-entry loops run in C builtins.
+equivalence inverts an edge basis once per search.  The vector kernels
+are ``map`` over ``operator`` functions and gcds one ``math.gcd`` call, so
+their per-entry loops run in C builtins.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
@@ -137,22 +134,6 @@ def determinant(rows) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def is_lattice_basis(vectors, dim) -> bool:
-    """Whether ``dim`` integer vectors form a basis of the integer points of
-    their span: there are ``dim`` of them and their maximal minors are
-    coprime.  In full dimension that is one determinant equal to +-1."""
-    if len(vectors) != dim:
-        return False
-    if dim == 0:
-        return True
-    g = 0
-    for cols in itertools.combinations(range(len(vectors[0])), dim):
-        g = gcd(g, determinant([[v[c] for c in cols] for v in vectors]))
-        if g == 1:
-            return True
-    return False
 
 
 def determinant_fraction(rows) -> Fraction:

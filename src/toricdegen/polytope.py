@@ -40,31 +40,42 @@ counts the candidate ray pairs it tests and refuses a run past
 ``PAIR_BUDGET`` with ``UnsupportedGeometryError``.  A polyhedron with a
 lineality space is refused: from generators by a rank test of the facet
 normals, from halfspaces on the lines the kernel is left with, so an
-intersection runs no rank test.  A vertex is nonsingular when
-its primitive edge directions are a basis of the polyhedron's own lattice
-(``is_lattice_basis``), decided once per vertex and cached.  Lattice
-coordinates come from one helper, ``lattice_coordinates``: the identity in
-full dimension, else coordinates along a basis of the integer points of the
-direction space.  ``lattice_equivalences`` maps the vertices through it and
-reads edge vectors off the neighbours, so it builds no second polytope; it
-inverts the edge basis at one vertex once, as an integer matrix over its
-determinant, so each candidate map is an integer product and an exact
-division.
+intersection runs no rank test.  Lattice coordinates come from one
+helper, ``lattice_coordinates``: the identity in full dimension, else
+coordinates along a basis of the integer points of the direction space.
+Each facet normal restricted to that basis and divided by its gcd is the
+facet's normal in the polyhedron's own lattice (the stored normal in full
+dimension), and three vertex-local reads come from those normals alone.  A
+vertex is nonsingular when it lies on ``dim`` facets whose normals have
+determinant +-1, one determinant per vertex, cached.  At such a vertex the
+normals are the dual basis of the primitive edges, each edge paired with
+the facet it leaves, so ``edge_expansion`` reads a vector's coefficients
+in the edge basis off them with no solve.  A vertex's key is its row of the
+vertex-facet pairing matrix, the sorted lattice distances to the facets.
+``lattice_equivalences`` compares the key multisets first, sends a vertex
+of the rarest key only to vertices of the same key, and permutes its edges
+only among those whose far ends share a key; it maps the vertices through
+``lattice_coordinates`` and reads edge vectors off the neighbours, so it
+builds no second polytope.  It inverts the edge basis at one vertex once,
+as an integer matrix over its determinant, so each candidate map is an
+integer product and an exact division, and it counts its candidates and
+refuses past ``CANDIDATE_BUDGET``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import EmptyPolyhedronError, GeometryError, UnsupportedGeometryError
 from .exactmath import (
+    determinant,
     echelon,
     gcd_all,
-    is_lattice_basis,
     kernel_basis,
     kernel_vector,
     normalize_coord,
@@ -533,6 +544,9 @@ class LatticePolytope:
         "_neighbours",
         "_nonsingular",
         "_chart",
+        "_vertex_ids",
+        "_normals",
+        "_keys",
     )
 
     def __init__(
@@ -557,6 +571,9 @@ class LatticePolytope:
         self._neighbours = {}
         self._nonsingular = {}
         self._chart = None
+        self._vertex_ids = None
+        self._normals = None
+        self._keys = None
 
     # -- construction ----------------------------------------------------
 
@@ -658,13 +675,22 @@ class LatticePolytope:
         )
 
     def contains_polyhedron(self, other: "LatticePolytope") -> bool:
+        """Whether ``other`` lies in this polyhedron: every vertex and ray of
+        it satisfies each constraint, except a constraint ``other`` stores
+        among its own, which holds on it already."""
         if self.is_whole_space:
             return True
         if other.is_whole_space:
             return False
-        return all(self.contains(v) for v in other.vertices) and all(
-            vdot(r, h.normal) >= 0 for r in other.rays for h in self.halfspaces
-        ) and all(vdot(r, e.normal) == 0 for r in other.rays for e in self.equations)
+        own_hs, own_eqs = set(other.halfspaces), set(other.equations)
+        hs = [h for h in self.halfspaces if h not in own_hs]
+        eqs = [e for e in self.equations if e not in own_eqs]
+        return (
+            all(vdot(v, h.normal) >= -h.offset for h in hs for v in other.vertices)
+            and all(vdot(r, h.normal) >= 0 for h in hs for r in other.rays)
+            and all(vdot(v, e.normal) == -e.offset for e in eqs for v in other.vertices)
+            and all(vdot(r, e.normal) == 0 for e in eqs for r in other.rays)
+        )
 
     def __eq__(self, other):
         return (
@@ -778,6 +804,13 @@ class LatticePolytope:
 
     # -- vertex-local structure --------------------------------------------
 
+    def _vertex_id(self, vertex):
+        """The index of a vertex in ``vertices``, or None for a point that
+        is not one, from a dict built once."""
+        if self._vertex_ids is None:
+            self._vertex_ids = {v: a for a, v in enumerate(self.vertices)}
+        return self._vertex_ids.get(tuple(vertex))
+
     def neighbours(self, a):
         """The generators adjacent to the ``a``-th vertex, as ascending
         indices into ``vertices + rays``.
@@ -809,18 +842,21 @@ class LatticePolytope:
             found = self._neighbours[a] = tuple(found)
         return found
 
+    def _edge_direction(self, a, b):
+        """The primitive direction from the ``a``-th vertex to generator ``b``."""
+        nv = len(self.vertices)
+        if b < nv:
+            return rational_primitive(vsub(self.vertices[b], self.vertices[a]))[0]
+        return self.rays[b - nv]
+
     def edges_at(self, vertex):
         """Primitive edge directions at a vertex (bounded edges and rays),
         read off its neighbours, as a fresh sorted list; empty for a point
         that is not a vertex."""
-        vertex = tuple(vertex)
-        if vertex not in self.vertices:
+        a = self._vertex_id(vertex)
+        if a is None:
             return []
-        nv = len(self.vertices)
-        return sorted(
-            rational_primitive(vsub(self.vertices[b], vertex))[0] if b < nv else self.rays[b - nv]
-            for b in self.neighbours(self.vertices.index(vertex))
-        )
+        return sorted(self._edge_direction(a, b) for b in self.neighbours(a))
 
     def is_simplicial(self) -> bool:
         """Whether every vertex lies on exactly ``dim`` facets.  For a pointed
@@ -831,15 +867,41 @@ class LatticePolytope:
         d = self._dim
         return all(fs.bit_count() == d for fs in self._generator_facets()[: len(self.vertices)])
 
+    def _lattice_normals(self):
+        """Per facet, its inward normal in the polyhedron's own lattice and
+        the gcd it was divided by: the stored normal restricted to the
+        direction basis of ``lattice_coordinates``, made primitive.  In full
+        dimension that basis is the identity, so the normal is the stored
+        one and the gcd 1.  Found once."""
+        if self._normals is None:
+            basis = self._direction_basis()
+            self._normals = []
+            for h in self.halfspaces:
+                r = [vdot(h.normal, b) for b in basis]
+                g = gcd_all(r)
+                self._normals.append((tuple([x // g for x in r]), g))
+        return self._normals
+
     def is_nonsingular_at(self, vertex) -> bool:
-        """Whether the primitive edge directions at a vertex are a basis of
-        the polyhedron's own lattice, the integer points of its direction
-        space; a vertex that is not simple is not.  Found once per vertex
-        and cached."""
+        """Whether the polyhedron is smooth at a vertex: the vertex lies on
+        ``dim`` facets and their normals in the polyhedron's own lattice
+        (``_lattice_normals``) have determinant +-1.  The tangent cone is
+        then smooth, so its primitive edge directions are a lattice basis
+        too (Cox, Little and Schenck, Toric Varieties, 2.4).  A vertex on
+        any other number of facets is not, nor is a point that is no vertex.
+        Found once per vertex and cached."""
         vertex = tuple(vertex)
-        if vertex not in self._nonsingular:
-            self._nonsingular[vertex] = is_lattice_basis(self.edges_at(vertex), self._dim)
-        return self._nonsingular[vertex]
+        found = self._nonsingular.get(vertex)
+        if found is None:
+            a = self._vertex_id(vertex)
+            found = False
+            if a is not None:
+                own, normals = self._generator_facets()[a], self._lattice_normals()
+                found = own.bit_count() == self._dim and (
+                    abs(determinant([normals[i][0] for i in _bits(own)])) == 1
+                )
+            self._nonsingular[vertex] = found
+        return found
 
     def singular_vertices(self):
         """The vertices that are not nonsingular, in vertex order."""
@@ -848,18 +910,60 @@ class LatticePolytope:
     def is_nonsingular(self) -> bool:
         return all(self.is_nonsingular_at(v) for v in self.vertices)
 
+    def edge_expansion(self, vertex, vector):
+        """The primitive edge directions at a nonsingular vertex, sorted, each
+        with the coefficient of ``vector`` in that basis; ``vector`` lies in
+        the direction space.  The vertex is simple, so each edge lies on all
+        of its facets but one, the facet that the far end is not on.  The
+        facet normals are the dual basis of the edges, so a coefficient is
+        ``<n, vector> / g`` for that facet's stored normal ``n`` and its gcd
+        ``g`` in ``_lattice_normals``."""
+        a = self._vertex_id(vertex)
+        facet_sets, normals = self._generator_facets(), self._lattice_normals()
+        out = []
+        for b in self.neighbours(a):
+            i = (facet_sets[a] & ~facet_sets[b]).bit_length() - 1
+            coeff = _divide(vdot(self.halfspaces[i].normal, vector), normals[i][1])
+            out.append((self._edge_direction(a, b), coeff))
+        return sorted(out)
+
+    def _direction_basis(self):
+        """A basis of the integer points of the direction space: the unit
+        vectors in full dimension, else the saturation of the directions
+        from the first vertex.  Found once."""
+        if self._chart is None:
+            n = self.ambient_rank
+            if self._dim == n:
+                self._chart = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            else:
+                base = self.vertices[0]
+                dirs = [vsub(v, base) for v in self.vertices[1:]] + list(self.rays)
+                self._chart = saturation([rational_primitive(d)[0] for d in dirs if any(d)])
+        return self._chart
+
     def lattice_coordinates(self, point):
         """A point's coordinates in the polyhedron's own lattice: the point
         itself when the polyhedron is full-dimensional, else its coordinates
-        from the first vertex along a basis of the integer points of the
-        direction space.  That basis is found once and cached."""
+        from the first vertex along ``_direction_basis``."""
         if self._dim == self.ambient_rank:
             return tuple(point)
-        if self._chart is None:
-            base = self.vertices[0]
-            dirs = [vsub(v, base) for v in self.vertices[1:]] + list(self.rays)
-            self._chart = saturation([rational_primitive(d)[0] for d in dirs if any(d)])
-        return _model_coords(self._chart, self.vertices[0], point)
+        return _model_coords(self._direction_basis(), self.vertices[0], point)
+
+    def vertex_keys(self):
+        """Per vertex, in vertex order, its row of the vertex-facet pairing
+        matrix, sorted: the lattice distances ``(<n, v> + offset) / g`` to
+        the facets, with the gcd ``g`` of ``_lattice_normals``, so they are
+        measured in the polyhedron's own lattice.  An affine-unimodular map
+        keeps them (Kreuzer and Skarke, Comput. Phys. Commun. 157, 2004).
+        Found once."""
+        if self._keys is None:
+            gcds = [g for _, g in self._lattice_normals()]
+            rows = [(h.normal, h.offset, g) for h, g in zip(self.halfspaces, gcds)]
+            self._keys = tuple(
+                tuple(sorted([_divide(vdot(v, n) + c, g) for n, c, g in rows]))
+                for v in self.vertices
+            )
+        return self._keys
 
     # -- metric / point queries ---------------------------------------------
 
@@ -1157,21 +1261,28 @@ def _lattice_vertices(poly):
     return verts
 
 
+CANDIDATE_BUDGET = 10**5
+
+
 def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
     """Yield all affine-unimodular maps with ``psi(P) = Q``.
 
     Maps are returned as ``(matrix_rows, translation)`` acting by
     ``x -> A x + t`` in the polytopes' own lattice coordinates
-    (``lattice_coordinates``, ambient ones in full dimension).  A candidate
-    sends the least vertex ``p0`` of P to a vertex of Q and the edge vectors
-    at ``p0``, read off its neighbours, to those at the image in some order.
-    The edge vectors of a spanning subset are the rows of ``E``, those of
-    their images the rows of ``T``, so ``A = T^T (E^T)^-1``.  One
-    fraction-free elimination of ``[E^T | I]`` gives ``det * (E^T)^-1`` in
-    integers, and each candidate's ``A`` is an integer product divided
-    exactly by ``det``; a product that ``det`` does not divide is no lattice
-    map.  A surviving candidate is checked vertex by vertex up to the first
-    image that is no vertex of Q.
+    (``lattice_coordinates``, ambient ones in full dimension).  A map keeps
+    each vertex's key (``vertex_keys``), so P and Q with different key
+    multisets are told apart at once.  A candidate sends a vertex ``p0`` of
+    P of the rarest key to a vertex of Q of the same key, and the edge
+    vectors at ``p0``, read off its neighbours, to those at the image, each
+    to one whose far end has the same key as its own.  The edge vectors of a
+    spanning subset are the rows of ``E``, those of their images the rows of
+    ``T``, so ``A = T^T (E^T)^-1``.  One fraction-free elimination of
+    ``[E^T | I]`` gives ``det * (E^T)^-1`` in integers, and each candidate's
+    ``A`` is an integer product divided exactly by ``det``; a product that
+    ``det`` does not divide is no lattice map.  A surviving candidate is
+    checked vertex by vertex up to the first image that is no vertex of Q.
+    The search counts its candidates and refuses to go past
+    ``CANDIDATE_BUDGET`` with ``UnsupportedGeometryError``.
     """
     if not (p.is_compact and q.is_compact):
         raise GeometryError("lattice equivalence requires compact polytopes")
@@ -1183,18 +1294,22 @@ def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
         return
     p_verts = _lattice_vertices(p)
     q_verts = _lattice_vertices(q)
-    if len(p_verts) != len(q_verts):
+    p_keys, q_keys = p.vertex_keys(), q.vertex_keys()
+    if sorted(p_keys) != sorted(q_keys):
         return
     q_set = set(q_verts)
 
-    def edge_vectors(poly, verts, a):
-        return sorted(vsub(verts[b], verts[a]) for b in poly.neighbours(a))
+    def edge_vectors(poly, verts, keys, a):
+        """The edge vectors at the ``a``-th vertex, each after the key of
+        its far end, sorted."""
+        return sorted((keys[b], vsub(verts[b], verts[a])) for b in poly.neighbours(a))
 
-    a0 = min(range(len(p_verts)), key=p_verts.__getitem__)
+    count = Counter(p_keys)
+    a0 = min(range(len(p_verts)), key=lambda a: (count[p_keys[a]], p_verts[a]))
     p0 = p_verts[a0]
-    p_edges = edge_vectors(p, p_verts, a0)
-    if len(p_edges) > 8:
-        raise UnsupportedGeometryError("vertex valence too high for exhaustive matching")
+    p_sorted = edge_vectors(p, p_verts, p_keys, a0)
+    p_far = [k for k, _ in p_sorted]
+    p_edges = [e for _, e in p_sorted]
     # a spanning subset of edge vectors determines the linear part
     span_idx = []
     rows = []
@@ -1208,16 +1323,24 @@ def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
     m = [col + tuple(int(r == c) for c in range(d)) for r, col in enumerate(zip(*rows))]
     _, _, det = echelon(m, d)
     inv_cols = list(zip(*(row[d:] for row in m)))
+    candidates = 0
     # a map is fixed by the image of p0 and the order of the edges at it, so
     # no map is yielded twice
-    for b0 in sorted(range(len(q_verts)), key=q_verts.__getitem__):
-        q_edges = edge_vectors(q, q_verts, b0)
-        if len(q_edges) != len(p_edges):
+    starts = [b for b in range(len(q_verts)) if q_keys[b] == p_keys[a0]]
+    for b0 in sorted(starts, key=q_verts.__getitem__):
+        q_sorted = edge_vectors(q, q_verts, q_keys, b0)
+        if [k for k, _ in q_sorted] != p_far:
             continue
-        for perm in itertools.permutations(range(len(q_edges))):
-            targets = [q_edges[perm[i]] for i in range(len(p_edges))]
+        groups = [[e for _, e in run] for _, run in itertools.groupby(q_sorted, key=lambda x: x[0])]
+        for choice in itertools.product(*map(itertools.permutations, groups)):
+            candidates += 1
+            if candidates > CANDIDATE_BUDGET:
+                raise UnsupportedGeometryError(
+                    f"lattice equivalence over {candidates} candidate maps"
+                )
+            targets = [e for group in choice for e in group]
             a = _linear_part([targets[i] for i in span_idx], inv_cols, det)
-            if a is None or not is_lattice_basis(a, d):
+            if a is None or abs(determinant(a)) != 1:
                 continue
             if any(_apply(a, p_edges[i]) != targets[i] for i in range(len(p_edges))):
                 continue

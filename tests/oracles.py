@@ -10,12 +10,14 @@ rational rank per face, the partition face poset merged from every piece's
 face lattice by coordinate key, the tiling checks that intersect every
 piece pair and cut every region by every hyperplane, the volume certificate
 of a cover with its pulling triangulation, the box filter for lattice
-points, the per-call edge scan and the edge counts it gives each vertex,
+points, containment tested against every constraint, the per-call edge scan and the edge counts it gives each vertex,
 the 1-face scan for a vertex's neighbours, a cone's facets read off its
-face lattice, the vertex unimodularity test by a determinant in the
-polytope's lattice chart, the scan of every partition edge for the edges at
-a vertex, the ``Fraction``-field affine functions with the per-point
-lifting scale, the lattice-equivalence search on a full-dimensional model
+face lattice, the vertex unimodularity test by a determinant of the edge
+directions in the polytope's lattice chart, a vertex chart's coefficients
+by one rational solve in its edge basis, the scan of every partition edge
+for the edges at a vertex, the ``Fraction``-field affine functions with the
+per-point lifting scale, the exhaustive lattice-equivalence search (every
+vertex of Q, every permutation of its edges) on a full-dimensional model
 polytope (a second double description for a lower-dimensional one) with its
 edges from the 1-faces and one rational solve per row of every candidate
 map, and the ``encode_value`` walk over every report record.
@@ -40,7 +42,6 @@ from toricdegen.errors import (
 from toricdegen.exactmath import (
     GeometryErrorZero,
     determinant,
-    is_lattice_basis,
     lcm_all,
     normalize_point,
     right_kernel,
@@ -422,6 +423,20 @@ def lattice_points(poly):
     return [p for p in itertools.product(*ranges) if poly.contains(p)]
 
 
+def contains_polyhedron(outer, inner):
+    """Whether every vertex and ray of ``inner`` satisfies every constraint
+    of ``outer``, each one tested."""
+    if outer.is_whole_space:
+        return True
+    if inner.is_whole_space:
+        return False
+    return (
+        all(outer.contains(v) for v in inner.vertices)
+        and all(vdot(r, h.normal) >= 0 for r in inner.rays for h in outer.halfspaces)
+        and all(vdot(r, e.normal) == 0 for r in inner.rays for e in outer.equations)
+    )
+
+
 def neighbours(poly, a):
     """The generators adjacent to the ``a``-th vertex, as ascending indices
     into ``vertices + rays``, by a scan of every 1-face."""
@@ -463,6 +478,22 @@ def is_simplicial(poly):
     return all(len(edges_at(poly, v)) == poly.dim for v in poly.vertices)
 
 
+def is_lattice_basis(vectors, dim) -> bool:
+    """Whether ``dim`` integer vectors form a basis of the integer points of
+    their span: there are ``dim`` of them and their maximal minors are
+    coprime.  In full dimension that is one determinant equal to +-1."""
+    if len(vectors) != dim:
+        return False
+    if dim == 0:
+        return True
+    g = 0
+    for cols in itertools.combinations(range(len(vectors[0])), dim):
+        g = gcd(g, determinant([[v[c] for c in cols] for v in vectors]))
+        if g == 1:
+            return True
+    return False
+
+
 def _lattice_direction(poly, d):
     """A direction's coordinates in the polytope's own lattice: those of the
     step along it from the first vertex."""
@@ -483,6 +514,17 @@ def singular_vertices(poly):
     if poly.is_whole_space:
         return ()
     return tuple(v for v in poly.vertices if not chart_is_unimodular(poly, edges_at(poly, v)))
+
+
+def edge_expansion(poly, vertex, vector):
+    """The primitive edge directions at a vertex, sorted, each with the
+    coefficient of ``vector`` in that basis: one rational solve of the
+    edge-direction system, or None when it has no unique solution."""
+    dirs = edges_at(poly, vertex)
+    status, coeffs = solve_linear([[d[i] for d in dirs] for i in range(len(vector))], vector)
+    if status != "unique":
+        return None
+    return list(zip(dirs, normalize_point(coeffs)))
 
 
 def edges_at_vertex_within_ambient_face(partition, vertex_face):

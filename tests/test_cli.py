@@ -505,6 +505,22 @@ class TestDegenerate:
             "multi_base is only available for the lift command (at $.options.multi_base)"
         )
 
+    def test_staircase_six_degenerate(self, tmp_path, capsys):
+        # the rank-6 end-to-end check of lift, charts and component classes:
+        # seven pieces, each a combinatorial 6-cube, all in one class; the
+        # digest is the stdout of the parent of the normal-based vertex reads
+        n = 6
+        rays = [[int(i == j) - int(i == j - 1) for i in range(n)] for j in range(n + 1)]
+        vertices = [[-1] * n] + [[(n + 1) * int(i == j) - 1 for i in range(n)] for j in range(n)]
+        spec = {"polytope": {"vertices": vertices}, "partition": {"fan_rays": rays}}
+        code, out, records = run(capsys, ["degenerate", write_spec(tmp_path, spec)])
+        assert code == 0
+        deg = next(r for r in records if r["record"] == "degeneration")
+        assert [c["class"] for c in deg["components"]] == [0] * 7
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e3ec389783c7bbf7d146a371e9abf1608cf95028d444446e1caeda983917f937"
+        )
+
     def test_staircase_seven_verify(self, tmp_path, capsys):
         # the rank-7 end-to-end check: eight pieces, each a combinatorial
         # 7-cube; the digest is the stdout of the parent of the incidence reads

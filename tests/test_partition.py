@@ -227,21 +227,23 @@ class TestClassification:
                 up(p): ok for p, ok in flags["vertex_nonsingular"].items()
             }, name
 
-    def test_edges_read_only_at_partition_vertices(self):
+    def test_nonsingularity_asked_only_at_partition_vertices(self):
         # each partition vertex is asked of one piece, once; the ambient
-        # vertices, which the flags do not depend on, are never read
-        edges_at = LatticePolytope.edges_at
+        # vertices, which the flags do not depend on, are never asked
+        is_nonsingular_at = LatticePolytope.is_nonsingular_at
         for name, cached in accepted_partitions():
             # fresh pieces: the corpus partitions carry the caches of earlier tests
             pieces = [LatticePolytope.from_generators(p.vertices, p.rays) for p in cached.pieces]
             part = build_partition(cached.ambient, pieces)
             partition_vertices = {f.vertices[0] for f in part.faces(0)}
             with mock.patch.object(
-                LatticePolytope, "edges_at", autospec=True, side_effect=edges_at
+                LatticePolytope, "is_nonsingular_at", autospec=True, side_effect=is_nonsingular_at
             ) as wrapped:
                 part.classify()
             asked = [tuple(call.args[1]) for call in wrapped.call_args_list]
             assert sorted(asked) == sorted(partition_vertices), name
+            askers = [call.args[0] for call in wrapped.call_args_list]
+            assert all(any(p is piece for piece in pieces) for p in askers), name
 
     def test_vertex_nonsingularity_consistent_across_pieces(self):
         from toricdegen.exactmath import determinant

@@ -24,7 +24,7 @@ from toricdegen import (
 )
 from toricdegen import exactmath
 from toricdegen import polytope as polytope_module
-from toricdegen.exactmath import echelon, is_lattice_basis, rational_primitive, vdot
+from toricdegen.exactmath import echelon, rational_primitive, vdot
 from toricdegen.polytope import (
     PAIR_BUDGET,
     Fan,
@@ -644,8 +644,47 @@ class TestVertexUnimodularityAgainstOracle:
     def test_minors_agree_with_the_chart_determinant(self, poly):
         for v in poly.vertices:
             dirs = poly.edges_at(v)
-            assert is_lattice_basis(dirs, poly.dim) == oracles.chart_is_unimodular(poly, dirs)
+            expected = oracles.chart_is_unimodular(poly, dirs)
+            assert oracles.is_lattice_basis(dirs, poly.dim) == expected
         assert poly.singular_vertices() == oracles.singular_vertices(poly)
+
+    @given(generator_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_normal_verdict_on_hulls_with_rays_and_rational_vertices(self, gens):
+        points, rays, _ = gens
+        try:
+            poly = LatticePolytope.from_generators(points, rays)
+        except UnsupportedGeometryError:
+            return
+        assert poly.singular_vertices() == oracles.singular_vertices(poly)
+
+    @given(h_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_normal_verdict_on_halfspace_systems(self, system):
+        halfspaces, equations, rank = system
+        try:
+            poly = LatticePolytope.from_halfspaces(halfspaces, rank, equations)
+        except (EmptyPolyhedronError, UnsupportedGeometryError):
+            return
+        assert poly.singular_vertices() == oracles.singular_vertices(poly)
+        assert not poly.is_nonsingular_at(poly.relative_interior_point()) or poly.dim == 0
+
+    @given(degenerate_h_systems())
+    @settings(max_examples=40, deadline=None)
+    def test_normal_verdict_at_vertices_on_more_than_dim_facets(self, system):
+        halfspaces, rank = system
+        poly = LatticePolytope.from_halfspaces(halfspaces, rank)
+        assert poly.singular_vertices() == oracles.singular_vertices(poly)
+
+    def test_no_edge_is_read(self):
+        # the verdict reads the tight facet normals alone
+        poly = _fresh(staircase_partition(4).pieces[0])
+        with mock.patch.object(
+            LatticePolytope, "edges_at", side_effect=AssertionError("edges read")
+        ), mock.patch.object(
+            LatticePolytope, "neighbours", side_effect=AssertionError("edges read")
+        ):
+            assert poly.is_nonsingular()
 
     @pytest.mark.parametrize(
         "matrix, singular",
@@ -683,7 +722,68 @@ class TestVertexUnimodularityAgainstOracle:
         ],
     )
     def test_predicate_on_fixed_vectors(self, vectors, dim, expected):
-        assert is_lattice_basis(vectors, dim) == expected
+        assert oracles.is_lattice_basis(vectors, dim) == expected
+
+
+class TestContainmentAgainstOracle:
+    """Containment that skips the constraints the inner polyhedron stores,
+    against testing every one, on hulls and on cuts of them, which share
+    constraints with the hull."""
+
+    @given(generator_sets(), generator_sets(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_hulls_and_their_cuts(self, gens, other, data):
+        try:
+            p = LatticePolytope.from_generators(*gens[:2])
+            q = LatticePolytope.from_generators(*other[:2])
+        except UnsupportedGeometryError:
+            return
+        pairs = [(p, q), (q, p), (p, p)]
+        if p.ambient_rank and not p.is_whole_space:
+            normal = data.draw(st.tuples(*[st.integers(-2, 2)] * p.ambient_rank).filter(any))
+            offset = -vdot(normal, p.relative_interior_point())
+            cut = p.intersect([(normal, offset)])
+            pairs += [(p, cut), (cut, p)]
+        for outer, inner in pairs:
+            if outer.ambient_rank == inner.ambient_rank:
+                expected = oracles.contains_polyhedron(outer, inner)
+                assert outer.contains_polyhedron(inner) == expected
+
+    def test_a_stored_halfspace_does_not_stand_for_an_equation(self):
+        # the square stores x_2 >= 0, a tuple equal to the segment's x_2 = 0
+        segment = LatticePolytope.from_vertices([(0, 0), (1, 0)])
+        square = LatticePolytope.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+        assert set(segment.equations) & set(square.halfspaces)
+        assert not segment.contains_polyhedron(square)
+        assert square.contains_polyhedron(segment)
+
+
+class TestEdgeExpansionAgainstOracle:
+    """A chart's coefficients read off the facet each edge leaves, against
+    one rational solve in the edge basis."""
+
+    def test_vertical_vector_on_the_corpus_lifts(self):
+        for _, _, _, lifted in liftable_partitions():
+            poly = lifted.polytope
+            vertical = (0,) * (poly.ambient_rank - 1) + (1,)
+            for v in poly.vertices:
+                if poly.is_nonsingular_at(v):
+                    got = poly.edge_expansion(v, vertical)
+                    assert got == oracles.edge_expansion(poly, v, vertical)
+                    assert [d for d, _ in got] == poly.edges_at(v)
+
+    @given(embedded_polytopes(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_lattice_vectors_of_the_direction_space(self, poly, data):
+        # any integer combination of edge directions lies in the lattice
+        for v in poly.vertices:
+            if not poly.is_nonsingular_at(v):
+                continue
+            dirs = poly.edges_at(v)
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(dirs), max_size=len(dirs)))
+            vector = tuple(sum(c * d[i] for c, d in zip(coeffs, dirs)) for i in range(len(v)))
+            got = poly.edge_expansion(v, vector)
+            assert got == oracles.edge_expansion(poly, v, vector) == list(zip(dirs, coeffs))
 
 
 class TestEdgesAgainstOracle:
@@ -1098,6 +1198,29 @@ class TestLatticeEquivalence:
         assert local.call_count == 0 and shared.call_count == 0
 
 
+class TestLatticeEquivalenceBudget:
+    """The search counts its candidate maps and refuses past the budget."""
+
+    def test_refusal_names_the_count(self, monkeypatch):
+        # every vertex of the cube has one key, so each of its 8 images
+        # takes all 3! orders of the edges: 48 candidates, all of them maps
+        cube = _cube(3)
+        monkeypatch.setattr(polytope_module, "CANDIDATE_BUDGET", 48)
+        assert len(set(lattice_equivalences(cube, cube))) == 48
+        monkeypatch.setattr(polytope_module, "CANDIDATE_BUDGET", 47)
+        message = "^lattice equivalence over 48 candidate maps$"
+        with pytest.raises(UnsupportedGeometryError, match=message):
+            list(lattice_equivalences(cube, cube))
+
+    def test_first_map_of_a_high_valence_cube_is_within_the_budget(self):
+        # valence 9, past the old refusal: the first candidate is a map
+        cube = _cube(9)
+        assert lattice_equivalent(cube, cube) == (
+            tuple(tuple(int(i == j) for j in range(9)) for i in range(9)),
+            (0,) * 9,
+        )
+
+
 def _image(matrix, shift, v):
     return tuple(sum(a * x for a, x in zip(row, v)) + t for row, t in zip(matrix, shift))
 
@@ -1146,23 +1269,70 @@ def equivalence_pairs(draw, embed=False):
     return p, q, kind
 
 
+def _assert_same_maps(got, expected):
+    """The same maps as the oracle, each once; the order is the search's."""
+    assert len(set(got)) == len(got) and set(got) == set(expected)
+    assert repr(sorted(got)) == repr(sorted(expected))
+
+
+# lattice polygons with the same vertex keys that are not lattice-equivalent:
+# the keys see the lattice distances to the facets, not the edge lengths
+KEY_TWINS = [
+    ([(0, 0), (0, 3), (3, 0)], [(0, 0), (0, 1), (3, 2)]),
+    ([(0, 0), (0, 4), (2, 0)], [(0, 0), (0, 2), (2, 1)]),
+    ([(0, 0), (0, 2), (2, 0), (2, 2)], [(0, 0), (0, 1), (2, 1), (2, 2)]),
+]
+
+
 class TestLatticeEquivalenceAgainstOracle:
     @given(equivalence_pairs())
     @settings(max_examples=60, deadline=None)
-    def test_same_maps_in_the_same_order(self, pair):
+    def test_same_maps_as_the_oracle(self, pair):
         p, q, kind = pair
         got = list(lattice_equivalences(p, q))
-        expected = list(oracles.lattice_equivalences(p, q))
-        assert got == expected and repr(got) == repr(expected)
+        _assert_same_maps(got, list(oracles.lattice_equivalences(p, q)))
         if kind == "image":
-            assert got
+            assert got and sorted(p.vertex_keys()) == sorted(q.vertex_keys())
         for matrix, shift in got:
             assert {_image(matrix, shift, v) for v in p.vertices} == set(q.vertices)
 
-    def test_first_map_of_the_staircase_pieces(self):
+    def test_first_map_of_the_staircase_pieces_is_valid(self):
         pieces = staircase_partition(3).pieces
         for p, q in itertools.combinations(pieces, 2):
-            assert lattice_equivalent(p, q) == next(oracles.lattice_equivalences(p, q))
+            found = lattice_equivalent(p, q)
+            assert found in set(oracles.lattice_equivalences(p, q))
+            matrix, shift = found
+            assert {_image(matrix, shift, v) for v in p.vertices} == set(q.vertices)
+
+    @given(
+        st.sampled_from(KEY_TWINS),
+        st.booleans(),
+        st.integers(0, 1),
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2)), max_size=4),
+        st.tuples(*[st.integers(-3, 3)] * 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equal_keys_that_are_not_equivalent(self, twins, swap, prism, ops, shift):
+        # each twin is moved by its own unimodular map, and a prism over both
+        # keeps their keys equal one rank up
+        rank = 2 + prism
+        polys = []
+        for k, verts in enumerate(twins):
+            if prism:
+                verts = [v + (h,) for v in verts for h in (0, 1)]
+            matrix = unimodular_matrix(rank, [(i % rank, j % rank, c) for i, j, c in ops[k::2]])
+            polys.append(LatticePolytope.from_vertices([_image(matrix, shift, v) for v in verts]))
+        p, q = polys[::-1] if swap else polys
+        assert sorted(p.vertex_keys()) == sorted(q.vertex_keys())
+        assert list(oracles.lattice_equivalences(p, q)) == []
+        assert list(lattice_equivalences(p, q)) == []
+
+    def test_different_keys_are_told_apart_before_any_candidate(self):
+        a = LatticePolytope.from_vertices([(0, 0), (1, 0), (0, 1)])
+        b = LatticePolytope.from_vertices([(0, 0), (2, 0), (0, 1)])
+        assert sorted(a.vertex_keys()) != sorted(b.vertex_keys())
+        with mock.patch.object(polytope_module, "_linear_part", side_effect=AssertionError):
+            assert list(lattice_equivalences(a, b)) == []
 
 
 class TestLatticeEquivalenceInTheChart:
@@ -1171,14 +1341,13 @@ class TestLatticeEquivalenceInTheChart:
 
     @given(equivalence_pairs(embed=True))
     @settings(max_examples=60, deadline=None)
-    def test_same_maps_in_the_same_order_as_the_models(self, pair):
+    def test_same_maps_as_the_models(self, pair):
         p, q, kind = pair
         assert p.dim < p.ambient_rank
         got = list(lattice_equivalences(p, q))
-        expected = list(oracles.lattice_equivalences(p, q))
-        assert got == expected and repr(got) == repr(expected)
+        _assert_same_maps(got, list(oracles.lattice_equivalences(p, q)))
         if kind == "image":
-            assert got
+            assert got and sorted(p.vertex_keys()) == sorted(q.vertex_keys())
         target = set(map(q.lattice_coordinates, q.vertices))
         for matrix, shift in got:
             assert {_image(matrix, shift, p.lattice_coordinates(v)) for v in p.vertices} == target
@@ -1192,7 +1361,8 @@ class TestLatticeEquivalenceInTheChart:
             LatticePolytope, "_from_normalized", side_effect=AssertionError("model built")
         ):
             maps = list(lattice_equivalences(a, b))
-        assert maps == list(oracles.lattice_equivalences(a, b)) and maps
+        _assert_same_maps(maps, list(oracles.lattice_equivalences(a, b)))
+        assert maps
 
 
 def assert_integral_values_are_ints(poly):
