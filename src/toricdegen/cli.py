@@ -236,9 +236,9 @@ def run_job(command, text, args):
         return records, 0, diagrams
 
     if command == "degenerate" and ambient.is_compact:
-        # the family needs the base's lattice points, cached on it: a base
+        # the family needs the base's lattice runs, cached on it: a base
         # past the enumeration budget is refused before any lifting
-        ambient.lattice_points()
+        ambient.lattice_runs()
     lifting = lifting_function(partition)
     records.append(rpt.lifting_record(lifting))
     cap = options["compact_cap"]

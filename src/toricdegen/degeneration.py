@@ -184,10 +184,14 @@ def family_equations(lifted: LiftedPolytope, anchor=None, seed=None):
     The lifting function is renormalized to vanish on the anchor piece
     (default: the integration root), so exponents are nonnegative and vanish
     exactly on the anchor's lattice points.  Supports and exponents are read
-    off each piece's cached lattice points, matched to the base points by
-    index; a point on a wall takes its exponent, ``(<a, p> + b) / d`` by
-    integer division, from the first piece holding it.  Coefficients default
-    to formal symbols ``a1..aN``; a seed draws deterministic rational values.
+    off the column runs of each piece (``lattice_runs``), each aligned by its
+    prefix with the base's run holding it, so a run is one index range.  On
+    a run ``f = (<a, p> + b) / d`` is an arithmetic progression with step
+    ``a_n / d``, integral exactly when its first value and, on a longer run,
+    the step are.  Pieces are written last to first, so a point on a wall
+    keeps the value of the first piece holding it; the function is
+    continuous, so the pieces agree there.  Coefficients default to formal
+    symbols ``a1..aN``; a seed draws deterministic rational values.
     """
     base = lifted.base.ambient
     if not base.is_compact:
@@ -198,21 +202,29 @@ def family_equations(lifted: LiftedPolytope, anchor=None, seed=None):
     if not 0 <= anchor < len(lifted.base.pieces):
         raise GeometryError(f"anchor piece {anchor} out of range")
     shifted = func.subtract_affine(func.piece_function(anchor))
-    points = tuple(base.lattice_points())
-    index = {p: j for j, p in enumerate(points)}
-    # both point lists are sorted, so each support comes out increasing
-    supports = tuple(
-        tuple(index[p] for p in piece.lattice_points()) for piece in lifted.base.pieces
-    )
-    # as in PiecewiseAffine.value: the first piece holding a point gives its value
+    points = tuple(base.iter_lattice_points())
+    # a point prefix + (x,) of the base has index offset[prefix] + x
+    offset, j = {}, 0
+    for prefix, lo, hi in base.lattice_runs():
+        offset[prefix] = j - lo
+        j += hi - lo + 1
     exponents = [None] * len(points)
-    for support, f in zip(supports, shifted.per_piece):
-        for j in support:
-            if exponents[j] is None:
-                value, rest = divmod(vdot(f.a, points[j]) + f.b, f.d)
-                if rest:
-                    raise LiftingError("anchor renormalization is not integral", witness=anchor)
-                exponents[j] = value
+    supports = []
+    for piece, f in zip(reversed(lifted.base.pieces), reversed(shifted.per_piece)):
+        support = []
+        for prefix, lo, hi in piece.lattice_runs():
+            start = offset[prefix] + lo
+            stop = start + hi - lo + 1
+            support += range(start, stop)
+            value, rest = divmod(vdot(f.a, points[start]) + f.b, f.d)
+            step, step_rest = divmod(f.a[-1], f.d) if hi > lo else (0, 0)
+            if rest or step_rest:
+                raise LiftingError("anchor renormalization is not integral", witness=anchor)
+            if step:
+                exponents[start:stop] = range(value, value + step * (stop - start), step)
+            else:
+                exponents[start:stop] = [value] * (stop - start)
+        supports.append(tuple(support))
     if None in exponents:
         raise GeometryError("point outside the partitioned polytope")
     exponents = tuple(exponents)
@@ -223,4 +235,4 @@ def family_equations(lifted: LiftedPolytope, anchor=None, seed=None):
         coeffs = tuple(Fraction(rng.randint(1, 99), rng.randint(1, 9)) for _ in points)
     else:
         coeffs = tuple(f"a{j + 1}" for j in range(len(points)))
-    return FamilyEquations(points, exponents, coeffs, supports, anchor)
+    return FamilyEquations(points, exponents, coeffs, tuple(reversed(supports)), anchor)

@@ -187,15 +187,16 @@ class PiecewiseAffine:
         truncation, and of the slopes ``<a, r>`` along its rays).  Every term
         is an integer combination of ``a_1 .. a_n`` and ``<a, p0> + b`` for the
         first point ``p0``, so ``G`` is a multiple of their gcd: the running gcd
-        stops once it equals that floor, usually after a few points.  ``g`` is
+        stops once it equals that floor, usually after a few points, so the
+        points are expanded from the piece's runs lazily.  ``g`` is
         the rational gcd over the pieces."""
         g = Fraction(0)
         for piece, f in zip(self.partition.pieces, self.per_piece):
             a, b, rays = f.a, f.b, ()
             if piece.is_compact:
-                pts = piece.lattice_points()
+                pts = piece.iter_lattice_points()
             else:
-                pts = piece.intersect(piece.box_halfspaces(1)).lattice_points()
+                pts = piece.intersect(piece.box_halfspaces(1)).iter_lattice_points()
                 rays = piece.rays
             total, floor = 0, None
             for t in itertools.chain((vdot(a, p) + b for p in pts), (vdot(a, r) for r in rays)):

@@ -59,7 +59,13 @@ only among those whose far ends share a key; it maps the vertices through
 builds no second polytope.  It inverts the edge basis at one vertex once,
 as an integer matrix over its determinant, so each candidate map is an
 integer product and an exact division, and it counts its candidates and
-refuses past ``CANDIDATE_BUDGET``.
+the vertex images that surviving ones test and refuses past
+``CANDIDATE_BUDGET``.  Lattice points come as column runs ``(prefix, lo,
+hi)``, the points ``prefix + (x,)`` for ``lo <= x <= hi``, scanned once per
+polytope by project and lift: every prefix lies in the projection of the
+polytope, the middle coordinates are bounded by the hulls of the projected
+vertices and the last by the polytope's own constraints, and the scan
+refuses past ``POINT_BUDGET`` prefixes and points.
 """
 
 from __future__ import annotations
@@ -523,6 +529,29 @@ def _extreme(generators, facet_sets):
     return sorted((g, j) for g, j in first.items() if facet_sets[j] in maximal)
 
 
+# prefixes visited plus lattice points listed by one scan
+POINT_BUDGET = 10**7
+
+
+def _column_bounds(poly):
+    """The constraints of ``poly`` on its last coordinate given the others,
+    as ``(head, step, rhs)`` for ``<head, prefix> + step * x >= rhs`` (or
+    ``=``): the halfspaces with a positive and with a negative last entry,
+    and the first equation with a nonzero one, or None.  ``poly`` None has
+    none."""
+    lower, upper, fix = [], [], None
+    if poly is not None:
+        for h in poly.halfspaces:
+            step = h.normal[-1]
+            if step:
+                (lower if step > 0 else upper).append((h.normal[:-1], step, -h.offset))
+        for e in poly.equations:
+            if e.normal[-1]:
+                fix = (e.normal[:-1], e.normal[-1], -e.offset)
+                break
+    return lower, upper, fix
+
+
 class LatticePolytope:
     """A rational polyhedron with cached dual description and face lattice."""
 
@@ -540,7 +569,7 @@ class LatticePolytope:
         "_faces",
         "_faces_by_dim",
         "_face_index",
-        "_lattice_points",
+        "_lattice_runs",
         "_neighbours",
         "_nonsingular",
         "_chart",
@@ -567,7 +596,7 @@ class LatticePolytope:
         self._faces = None
         self._faces_by_dim = None
         self._face_index = None
-        self._lattice_points = None
+        self._lattice_runs = None
         self._neighbours = {}
         self._nonsingular = {}
         self._chart = None
@@ -849,15 +878,6 @@ class LatticePolytope:
             return rational_primitive(vsub(self.vertices[b], self.vertices[a]))[0]
         return self.rays[b - nv]
 
-    def edges_at(self, vertex):
-        """Primitive edge directions at a vertex (bounded edges and rays),
-        read off its neighbours, as a fresh sorted list; empty for a point
-        that is not a vertex."""
-        a = self._vertex_id(vertex)
-        if a is None:
-            return []
-        return sorted(self._edge_direction(a, b) for b in self.neighbours(a))
-
     def is_simplicial(self) -> bool:
         """Whether every vertex lies on exactly ``dim`` facets.  For a pointed
         polyhedron that is every vertex having ``dim`` edges: the vertex
@@ -967,64 +987,80 @@ class LatticePolytope:
 
     # -- metric / point queries ---------------------------------------------
 
-    def lattice_points(self):
-        """All lattice points of a compact polytope, sorted.
-
-        A column scan: the first ``n - 1`` coordinates run over the bounding
-        box of the vertices, and for each such prefix the halfspaces with a
-        nonzero last normal entry give the exact integer range of the last
-        coordinate.  The result is cached per polytope; each call returns a
-        fresh list.
-        """
+    def lattice_runs(self):
+        """The lattice points of a compact polytope as runs ``(prefix, lo,
+        hi)``, the points ``prefix + (x,)`` for ``lo <= x <= hi``, in
+        lexicographic order: one run per prefix of the first ``n - 1``
+        coordinates whose column holds a point.  In rank 0 the one point
+        ``()`` has no column; it is the run ``((), 0, 0)``.  Found once by
+        ``_scan_runs``."""
         if not self.is_compact:
             raise GeometryError("lattice point enumeration requires a compact polytope")
-        if self._lattice_points is None:
-            self._lattice_points = self._scan_lattice_points()
-        return list(self._lattice_points)
+        if self._lattice_runs is None:
+            self._lattice_runs = self._scan_runs()
+        return self._lattice_runs
 
-    def _scan_lattice_points(self):
+    def iter_lattice_points(self):
+        """The lattice points, lazily, in lexicographic order: the runs
+        expanded."""
+        runs = self.lattice_runs()
+        if not self.ambient_rank:
+            return iter([()])
+        return (prefix + (x,) for prefix, lo, hi in runs for x in range(lo, hi + 1))
+
+    def lattice_points(self):
+        """All lattice points of a compact polytope, sorted, as a fresh list."""
+        return list(self.iter_lattice_points())
+
+    def _scan_runs(self):
+        """Project and lift, as Normaliz enumerates lattice points.  Each
+        prefix lies in the projection onto its coordinates, so its fiber in
+        the hull bounding the next coordinate is a nonempty interval, cut
+        out by the constraints with a nonzero last entry; an equation fixes
+        the coordinate, and a branch ends where it is no integer.  Prefixes
+        and points are counted, and a range that would take the count past
+        ``POINT_BUDGET`` is refused before it is expanded."""
         n = self.ambient_rank
-        lo = []
-        hi = []
-        for i in range(n):
-            coords = [v[i] for v in self.vertices]
-            lo.append(math.ceil(min(coords)))
-            hi.append(math.floor(max(coords)))
-        box = 1
-        for a, b in zip(lo, hi):
-            box *= max(b - a + 1, 0)
-        if box > 10**7:
-            raise UnsupportedGeometryError(
-                f"lattice point enumeration over a box of {box} points"
-            )
-        if n == 0:
-            return [()]
-        # <prefix, head> + last * x >= -offset, split by the sign of last
-        flat = []
-        bounding = []
-        for h in self.halfspaces:
-            head, last = h.normal[:-1], h.normal[-1]
-            (bounding if last else flat).append((head, last, -h.offset))
-        points = []
-        for prefix in itertools.product(*[range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1])]):
-            if flat and not all(vdot(prefix, head) >= rhs for head, _, rhs in flat):
-                continue
-            a, b = lo[-1], hi[-1]
-            # last * x >= rest: ceil or floor of rest / last, by exact floor division
-            for head, last, rhs in bounding:
-                rest = rhs - vdot(prefix, head)
-                if last > 0:
-                    a = max(a, -(-rest // last))
+        if not n:
+            return (((), 0, 0),)
+        # the hull bounding coordinate k, the last of its coordinates
+        hulls = {n - 1: self}
+        for k in range(n - 2, 0, -1):
+            hulls[k] = LatticePolytope.from_vertices([v[: k + 1] for v in hulls[k + 1].vertices])
+        prefixes, runs, count = [()], [], 0
+        for k in range(n):
+            coords = [v[k] for v in self.vertices]
+            least, most = math.ceil(min(coords)), math.floor(max(coords))
+            lower, upper, fix = _column_bounds(hulls.get(k))
+            last = k == n - 1
+            lifted = []
+            for prefix in prefixes:
+                if fix is not None:
+                    head, step, rhs = fix
+                    a, rest = divmod(rhs - vdot(head, prefix), step)
+                    if rest:
+                        continue
+                    b = a
                 else:
-                    b = min(b, rest // last)
-            if not self.equations:
-                points += [prefix + (x,) for x in range(a, b + 1)]
-                continue
-            for x in range(a, b + 1):
-                p = prefix + (x,)
-                if all(vdot(p, e.normal) == -e.offset for e in self.equations):
-                    points.append(p)
-        return points
+                    a, b = least, most
+                    # step * x >= rest: ceil or floor of rest / step
+                    for head, step, rhs in lower:
+                        a = max(a, -((vdot(head, prefix) - rhs) // step))
+                    for head, step, rhs in upper:
+                        b = min(b, (rhs - vdot(head, prefix)) // step)
+                    if a > b:
+                        continue
+                count += b - a + 1
+                if count > POINT_BUDGET:
+                    raise UnsupportedGeometryError(
+                        f"lattice point enumeration past {POINT_BUDGET} prefixes and points"
+                    )
+                if last:
+                    runs.append((prefix, a, b))
+                else:
+                    lifted += [prefix + (x,) for x in range(a, b + 1)]
+            prefixes = lifted
+        return tuple(runs)
 
     def relative_interior_point(self):
         if self.is_whole_space:
@@ -1261,7 +1297,8 @@ def _lattice_vertices(poly):
     return verts
 
 
-CANDIDATE_BUDGET = 10**5
+# candidate maps plus the vertex images they test, in one search
+CANDIDATE_BUDGET = 2 * 10**5
 
 
 def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
@@ -1281,8 +1318,8 @@ def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
     ``A`` is an integer product divided exactly by ``det``; a product that
     ``det`` does not divide is no lattice map.  A surviving candidate is
     checked vertex by vertex up to the first image that is no vertex of Q.
-    The search counts its candidates and refuses to go past
-    ``CANDIDATE_BUDGET`` with ``UnsupportedGeometryError``.
+    The search counts its candidates and the vertex images it tests, and
+    refuses to go past ``CANDIDATE_BUDGET`` with ``UnsupportedGeometryError``.
     """
     if not (p.is_compact and q.is_compact):
         raise GeometryError("lattice equivalence requires compact polytopes")
@@ -1323,7 +1360,7 @@ def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
     m = [col + tuple(int(r == c) for c in range(d)) for r, col in enumerate(zip(*rows))]
     _, _, det = echelon(m, d)
     inv_cols = list(zip(*(row[d:] for row in m)))
-    candidates = 0
+    work = 0
     # a map is fixed by the image of p0 and the order of the edges at it, so
     # no map is yielded twice
     starts = [b for b in range(len(q_verts)) if q_keys[b] == p_keys[a0]]
@@ -1333,11 +1370,7 @@ def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
             continue
         groups = [[e for _, e in run] for _, run in itertools.groupby(q_sorted, key=lambda x: x[0])]
         for choice in itertools.product(*map(itertools.permutations, groups)):
-            candidates += 1
-            if candidates > CANDIDATE_BUDGET:
-                raise UnsupportedGeometryError(
-                    f"lattice equivalence over {candidates} candidate maps"
-                )
+            work = _spend(work, 1)
             targets = [e for group in choice for e in group]
             a = _linear_part([targets[i] for i in span_idx], inv_cols, det)
             if a is None or abs(determinant(a)) != 1:
@@ -1346,8 +1379,22 @@ def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
                 continue
             t = vsub(q_verts[b0], _apply(a, p0))
             # as many vertices on both sides: the images are all of Q
-            if all(vadd(_apply(a, v), t) in q_set for v in p_verts):
+            missed = next(
+                (k for k, v in enumerate(p_verts) if vadd(_apply(a, v), t) not in q_set), None
+            )
+            work = _spend(work, len(p_verts) if missed is None else missed + 1)
+            if missed is None:
                 yield a, t
+
+
+def _spend(work, units):
+    """``work + units``, refused past ``CANDIDATE_BUDGET``."""
+    work += units
+    if work > CANDIDATE_BUDGET:
+        raise UnsupportedGeometryError(
+            f"lattice equivalence over {work} candidate maps and vertex images"
+        )
+    return work
 
 
 def _linear_part(targets, inv_cols, det):

@@ -228,10 +228,11 @@ def family_record(fam):
     return {
         "record": "family",
         "anchor": fam.anchor,
-        "points": [list(p) for p in fam.points],
-        "exponents": list(fam.exponents),
-        "coefficients": list(fam.coefficients),
-        "supports": [list(s) for s in fam.supports],
+        # tuples are written as arrays, so the family's own are passed on
+        "points": fam.points,
+        "exponents": fam.exponents,
+        "coefficients": fam.coefficients,
+        "supports": fam.supports,
     }
 
 

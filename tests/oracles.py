@@ -16,7 +16,8 @@ face lattice, the vertex unimodularity test by a determinant of the edge
 directions in the polytope's lattice chart, a vertex chart's coefficients
 by one rational solve in its edge basis, the scan of every partition edge
 for the edges at a vertex, the ``Fraction``-field affine functions with the
-per-point lifting scale, the exhaustive lattice-equivalence search (every
+per-point lifting scale and family (one index lookup and one ``divmod`` per
+lattice point), the exhaustive lattice-equivalence search (every
 vertex of Q, every permutation of its edges) on a full-dimensional model
 polytope (a second double description for a lower-dimensional one) with its
 edges from the 1-faces and one rational solve per row of every candidate
@@ -24,18 +25,23 @@ map, and the ``encode_value`` walk over every report record.
 Tests compare the fast paths against them; nothing in the package imports
 this module.  It also holds the degeneration invariants that only tests
 check: unimodular chart transitions, and the base fan inside the lifted
-fan with its support in the upper half space.
+fan with its support in the upper half space.  ``edge_directions`` reads a
+vertex's edge directions off the polytope's own neighbours for the tests
+that need them.
 """
 
 import itertools
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
+from toricdegen.degeneration import FamilyEquations
 from toricdegen.errors import (
     EmptyPolyhedronError,
     GeometryError,
+    LiftingError,
     PartitionError,
     UnsupportedGeometryError,
 )
@@ -471,6 +477,16 @@ def edges_at(poly, vertex):
     return sorted(dirs)
 
 
+def edge_directions(poly, vertex):
+    """Primitive edge directions at a vertex (bounded edges and rays), read
+    off the polytope's own neighbours, sorted; empty for a point that is not
+    a vertex."""
+    a = poly._vertex_id(vertex)
+    if a is None:
+        return []
+    return sorted(poly._edge_direction(a, b) for b in poly.neighbours(a))
+
+
 def is_simplicial(poly):
     """Whether every vertex has ``dim`` edges, counted by the 1-face scan."""
     if poly.is_whole_space:
@@ -706,6 +722,45 @@ def family_exponents(func, anchor):
     return tuple(out)
 
 
+def family_equations(lifted, anchor=None, seed=None):
+    """The family by one index lookup and one ``divmod`` per point: each
+    piece's support is the base index of each of its lattice points, and a
+    point on a wall takes its exponent from the first piece holding it."""
+    base = lifted.base.ambient
+    if not base.is_compact:
+        raise GeometryError("family equations require a compact base polytope")
+    func = lifted.lifting.function
+    if anchor is None:
+        anchor = func.root if func.root is not None else 0
+    if not 0 <= anchor < len(lifted.base.pieces):
+        raise GeometryError(f"anchor piece {anchor} out of range")
+    shifted = func.subtract_affine(func.piece_function(anchor))
+    points = tuple(base.lattice_points())
+    index = {p: j for j, p in enumerate(points)}
+    supports = tuple(
+        tuple(index[p] for p in piece.lattice_points()) for piece in lifted.base.pieces
+    )
+    exponents = [None] * len(points)
+    for support, f in zip(supports, shifted.per_piece):
+        for j in support:
+            if exponents[j] is None:
+                value, rest = divmod(vdot(f.a, points[j]) + f.b, f.d)
+                if rest:
+                    raise LiftingError("anchor renormalization is not integral", witness=anchor)
+                exponents[j] = value
+    if None in exponents:
+        raise GeometryError("point outside the partitioned polytope")
+    exponents = tuple(exponents)
+    if min(exponents) < 0:
+        raise LiftingError("negative exponent: function not minimal on the anchor piece")
+    if seed is not None:
+        rng = random.Random(seed)
+        coeffs = tuple(Fraction(rng.randint(1, 99), rng.randint(1, 9)) for _ in points)
+    else:
+        coeffs = tuple(f"a{j + 1}" for j in range(len(points)))
+    return FamilyEquations(points, exponents, coeffs, supports, anchor)
+
+
 def _full_dim_vertex_model(poly):
     """A lattice polytope as a full-dimensional one, with its vertices: in
     its lattice chart, hulled again by a second double description when it
@@ -803,7 +858,7 @@ def chart_transitions_unimodular(lifted) -> bool:
     nv = len(poly.vertices)
     bases = {}
     for a, v in enumerate(poly.vertices):
-        dirs = poly.edges_at(v)
+        dirs = edge_directions(poly, v)
         if len(dirs) == dim:
             bases[a] = dirs
     for a in bases:

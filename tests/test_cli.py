@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from unittest import mock
 
@@ -556,26 +557,30 @@ class TestDegenerate:
             "a3a3ef63154fff5963907427baae50ad8057d352a296ba9bfcf70ff792f47112"
         )
 
-    def test_staircase_eight_degenerate_is_refused_before_lifting(self, tmp_path, capsys):
-        # the base simplex's vertex box holds 10^8 points, past the lattice
-        # point budget: the job fails on that before the lifting function
+    def test_staircase_eight_degenerate(self, tmp_path, capsys):
+        # the rank-8 end-to-end check of the family: nine pieces, each a
+        # combinatorial 8-cube, all in one class, and the C(17, 8) lattice
+        # points of the base simplex (its vertex box holds 10^8); the digest
+        # is the stdout of two identical runs at the change to column runs
         n = 8
         rays = [[int(i == j) - int(i == j - 1) for i in range(n)] for j in range(n + 1)]
         vertices = [[-1] * n] + [[(n + 1) * int(i == j) - 1 for i in range(n)] for j in range(n)]
         spec = {"polytope": {"vertices": vertices}, "partition": {"fan_rays": rays}}
         path = write_spec(tmp_path, spec)
-        with mock.patch.object(cli, "lifting_function", side_effect=AssertionError) as lifting:
+        with mock.patch.object(cli, "family_equations", wraps=cli.family_equations) as family:
             code, out, records = run(capsys, ["degenerate", path])
-        assert code == 1
-        assert records == [
-            {
-                "record": "error",
-                "code": "UnsupportedGeometryError",
-                "message": "lattice point enumeration over a box of 100000000 points",
-                "witness": None,
-            }
-        ]
-        lifting.assert_not_called()
+        assert code == 0
+        deg = next(r for r in records if r["record"] == "degeneration")
+        assert [c["class"] for c in deg["components"]] == [0] * 9
+        fam = next(r for r in records if r["record"] == "family")
+        assert len(fam["points"]) == comb(17, 8) == 24310
+        expected = oracles.family_equations(*family.call_args.args, **family.call_args.kwargs)
+        assert fam["points"] == [list(p) for p in expected.points]
+        assert fam["exponents"] == list(expected.exponents)
+        assert fam["supports"] == [list(s) for s in expected.supports]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a84ddd29bdb08fc446badbbcf9d0cdbd49f8464547760e2a0a2709e1fde2cd79"
+        )
 
 
 def _one_piece(vertices):

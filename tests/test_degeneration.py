@@ -1,7 +1,10 @@
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toricdegen import (
     DualComplex,
@@ -14,9 +17,11 @@ from toricdegen import (
     lift_polytope,
     lifting_function,
     local_charts,
+    partition_by_hyperplanes,
 )
 from corpus import (
     chain_partition,
+    dilated_simplex,
     expanded_degeneration_partition,
     liftable_partitions,
     mildly_singular_triangle,
@@ -25,6 +30,7 @@ from corpus import (
     staircase_partition,
     torus_fan_partition,
 )
+import oracles
 from oracles import (
     base_fan_is_subfan,
     chart_transitions_unimodular,
@@ -326,6 +332,114 @@ class TestFamilyEquations:
         lifted = lift_polytope(part, lifting_function(part))
         with pytest.raises(GeometryError, match="compact"):
             family_equations(lifted)
+
+
+OCTAGON = [(0, 2), (1, 1), (3, 1), (4, 2), (4, 3), (3, 4), (1, 4), (0, 3)]
+
+
+@lru_cache(maxsize=None)
+def _cut_partition(vertices, cuts):
+    """The hull of ``vertices`` cut by ``cuts``, or None when they give no
+    partition."""
+    try:
+        return partition_by_hyperplanes(LatticePolytope.from_vertices(vertices), list(cuts))
+    except GeometryError:
+        return None
+
+
+@lru_cache(maxsize=None)
+def _lifted(part):
+    """The lifted polytope of a partition, or None when it has none."""
+    try:
+        return lift_polytope(part, lifting_function(part))
+    except GeometryError:
+        return None
+
+
+@st.composite
+def family_partitions(draw):
+    """Partitions whose family the runs read: dilated triangles and octagons
+    under parallel cuts, among them cuts x = c whose walls are parallel to
+    the last axis (a whole run lies on the wall), rank-3 chains, staircases
+    2 to 4, and lower-dimensional one-piece bases."""
+    kind = draw(st.sampled_from(["triangle", "octagon", "chain", "staircase", "flat"]))
+    if kind == "staircase":
+        return staircase_partition(draw(st.integers(2, 4)))
+    if kind == "chain":
+        d = draw(st.integers(2, 4))
+        normal = draw(st.sampled_from([(1, 1, 1), (1, 0, 0), (1, 1, 0), (0, 0, 1)]))
+        levels = draw(st.sets(st.integers(1, d - 1), min_size=1))
+        return partition_by_hyperplanes(dilated_simplex(d), [(normal, c) for c in sorted(levels)])
+    if kind == "flat":
+        k = draw(st.integers(1, 3))
+        verts = draw(
+            st.sampled_from(
+                [
+                    [(0, 0, 0), (k, 0, 0), (0, k, 0)],
+                    [(0, 0, 0), (k, 0, k), (0, k, 0)],
+                    [(0, 0), (k, k)],
+                    [(1, 0), (1, k)],
+                ]
+            )
+        )
+        piece = LatticePolytope.from_vertices(verts)
+        return build_partition(piece, [piece])
+    if kind == "triangle":
+        k = draw(st.integers(2, 5))
+        verts = ((0, 0), (k, 0), (0, k))
+    else:
+        verts = tuple(OCTAGON)
+    normal = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]))
+    levels = draw(st.sets(st.integers(-1, 5), min_size=1, max_size=3))
+    return _cut_partition(verts, tuple((normal, c) for c in sorted(levels)))
+
+
+def _outcome(make):
+    """A family, or the class, message and witness of the error it raises."""
+    try:
+        return make()
+    except (GeometryError, LiftingError) as err:
+        return type(err), str(err), getattr(err, "witness", None)
+
+
+class TestFamilyAgainstPerPointOracle:
+    """The family read off the runs against one index lookup and one
+    ``divmod`` per point: points, exponents, supports, coefficients and
+    errors, for every anchor, with and without a seed, also for the lifting
+    function scaled by 1/2 or 1/3, whose renormalization may not be
+    integral."""
+
+    @given(family_partitions(), st.sampled_from([1, Fraction(1, 2), Fraction(1, 3)]))
+    @settings(max_examples=80, deadline=None)
+    @example(staircase_partition(3), 1)
+    @example(_cut_partition(((0, 0), (4, 0), (0, 4)), (((1, 0), 1), ((1, 0), 2))), 1)
+    @example(_cut_partition(((0, 0), (4, 0), (0, 4)), (((1, 0), 1), ((1, 0), 2))), Fraction(1, 2))
+    def test_same_family_for_every_anchor(self, part, k):
+        if part is None:
+            return
+        lifted = _lifted(part)
+        if lifted is None:
+            return
+        lifting = lifted.lifting
+        lifted = replace(lifted, lifting=replace(lifting, function=lifting.function.scale(k)))
+        for anchor in range(-1, len(part.pieces) + 1):
+            for seed in (None, 5):
+                got = _outcome(lambda: family_equations(lifted, anchor=anchor, seed=seed))
+                expected = _outcome(
+                    lambda: oracles.family_equations(lifted, anchor=anchor, seed=seed)
+                )
+                assert got == expected, (anchor, seed)
+
+    def test_a_whole_run_on_a_wall(self):
+        # the cut x = 1 of the triangle: the column over x = 1 lies on the
+        # wall, and the first piece holding it gives its exponents
+        part = _cut_partition(((0, 0), (3, 0), (0, 3)), (((1, 0), 1),))
+        lifted = _lifted(part)
+        fam = family_equations(lifted)
+        assert fam == oracles.family_equations(lifted)
+        wall = [j for j, p in enumerate(fam.points) if p[0] == 1]
+        assert len(wall) == 3
+        assert all(j in fam.supports[0] and j in fam.supports[1] for j in wall)
 
 
 class TestFanInvariants:

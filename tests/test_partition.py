@@ -254,7 +254,7 @@ class TestClassification:
             for vf in part.faces(0):
                 answers = set()
                 for idx in vf.pieces:
-                    dirs = part.pieces[idx].edges_at(vf.vertices[0])
+                    dirs = oracles.edge_directions(part.pieces[idx], vf.vertices[0])
                     answers.add(len(dirs) == part.dim and abs(determinant(dirs)) == 1)
                 assert len(answers) == 1, (name, vf.vertices)
 

@@ -1,6 +1,7 @@
 import itertools
 import re
 import sys
+import time
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -27,6 +28,7 @@ from toricdegen import polytope as polytope_module
 from toricdegen.exactmath import echelon, rational_primitive, vdot
 from toricdegen.polytope import (
     PAIR_BUDGET,
+    POINT_BUDGET,
     Fan,
     _dual_from_generators,
     _enumerate_generators,
@@ -643,7 +645,7 @@ class TestVertexUnimodularityAgainstOracle:
     @settings(max_examples=150, deadline=None)
     def test_minors_agree_with_the_chart_determinant(self, poly):
         for v in poly.vertices:
-            dirs = poly.edges_at(v)
+            dirs = oracles.edge_directions(poly, v)
             expected = oracles.chart_is_unimodular(poly, dirs)
             assert oracles.is_lattice_basis(dirs, poly.dim) == expected
         assert poly.singular_vertices() == oracles.singular_vertices(poly)
@@ -680,7 +682,7 @@ class TestVertexUnimodularityAgainstOracle:
         # the verdict reads the tight facet normals alone
         poly = _fresh(staircase_partition(4).pieces[0])
         with mock.patch.object(
-            LatticePolytope, "edges_at", side_effect=AssertionError("edges read")
+            LatticePolytope, "_edge_direction", side_effect=AssertionError("edges read")
         ), mock.patch.object(
             LatticePolytope, "neighbours", side_effect=AssertionError("edges read")
         ):
@@ -770,7 +772,7 @@ class TestEdgeExpansionAgainstOracle:
                 if poly.is_nonsingular_at(v):
                     got = poly.edge_expansion(v, vertical)
                     assert got == oracles.edge_expansion(poly, v, vertical)
-                    assert [d for d, _ in got] == poly.edges_at(v)
+                    assert [d for d, _ in got] == oracles.edge_directions(poly, v)
 
     @given(embedded_polytopes(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -779,7 +781,7 @@ class TestEdgeExpansionAgainstOracle:
         for v in poly.vertices:
             if not poly.is_nonsingular_at(v):
                 continue
-            dirs = poly.edges_at(v)
+            dirs = oracles.edge_directions(poly, v)
             coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(dirs), max_size=len(dirs)))
             vector = tuple(sum(c * d[i] for c, d in zip(coeffs, dirs)) for i in range(len(v)))
             got = poly.edge_expansion(v, vector)
@@ -799,22 +801,21 @@ class TestEdgesAgainstOracle:
             return
         probes = list(poly.vertices) + [poly.relative_interior_point(), (7,) * rank]
         for point in probes:
-            got = poly.edges_at(point)
+            got = oracles.edge_directions(poly, point)
             assert got == oracles.edges_at(poly, point) and repr(got) == repr(
                 oracles.edges_at(poly, point)
             )
-            got.append(None)  # the caller owns the list it gets
-            assert None not in poly.edges_at(point)
 
 
 def _assert_vertex_reads_match_oracle(poly, queries=(), data=None):
-    """``is_simplicial`` against the oracle's edge counts, ``edges_at`` at
-    every vertex against the 1-face scan, and smallest faces, asked in turn
-    of the one polytope so later queries read cached tight sets: the given
-    ``(points, rays)`` queries, then four drawn ones when ``data`` is given."""
+    """``is_simplicial`` against the oracle's edge counts, the edge
+    directions read off the neighbours at every vertex against the 1-face
+    scan, and smallest faces, asked in turn of the one polytope so later
+    queries read cached tight sets: the given ``(points, rays)`` queries,
+    then four drawn ones when ``data`` is given."""
     assert poly.is_simplicial() == oracles.is_simplicial(poly)
     for v in poly.vertices:
-        got = poly.edges_at(v)
+        got = oracles.edge_directions(poly, v)
         expected = oracles.edges_at(poly, v)
         assert got == expected and repr(got) == repr(expected)
     for points, rays in queries:
@@ -1032,7 +1033,39 @@ def slanted_polytopes(draw):
     ]
 
 
+@st.composite
+def run_polytopes(draw):
+    """Polytopes in rank 1-4 for the run scan: the hull of sums of up to
+    ``rank`` drawn directions, each taken 0 or 1 times (or a random hull of
+    rational points), from a rational base point, so thin, slanted,
+    lower-dimensional and rational-vertex ones all come up and the vertex
+    box stays small enough for the box filter."""
+    rank = draw(st.integers(1, 4))
+    coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+    if draw(st.booleans()):
+        return draw(st.lists(st.tuples(*[coord] * rank), min_size=1, max_size=rank + 3))
+    k = draw(st.integers(1, rank))
+    dirs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * rank), min_size=k, max_size=k))
+    base = draw(st.tuples(*[coord] * rank))
+    return [
+        tuple(b + sum(c * d[i] for c, d in zip(cs, dirs)) for i, b in enumerate(base))
+        for cs in itertools.product((0, 1), repeat=k)
+    ]
+
+
 class TestLatticePoints:
+    @given(run_polytopes())
+    @settings(max_examples=120, deadline=None)
+    @example([(0, 0, 0, 0), (3, 1, 2, 3)])
+    @example([(Fraction(1, 2), 0, 0, 0), (0, Fraction(1, 3), 0, 0), (0, 0, 1, 0), (0, 0, 0, 2)])
+    def test_expanded_runs_match_box_filter_up_to_rank_four(self, points):
+        poly = LatticePolytope.from_vertices(points)
+        runs = poly.lattice_runs()
+        assert poly.lattice_points() == oracles.lattice_points(poly)
+        assert all(len(prefix) == poly.ambient_rank - 1 and lo <= hi for prefix, lo, hi in runs)
+        assert [prefix for prefix, _, _ in runs] == sorted({prefix for prefix, _, _ in runs})
+        assert poly.lattice_runs() is runs
+
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_column_scan_matches_box_scan_full_dim(self, data):
@@ -1199,18 +1232,29 @@ class TestLatticeEquivalence:
 
 
 class TestLatticeEquivalenceBudget:
-    """The search counts its candidate maps and refuses past the budget."""
+    """The search counts its candidate maps and the vertex images that the
+    surviving ones test, and refuses past the budget."""
 
     def test_refusal_names_the_count(self, monkeypatch):
         # every vertex of the cube has one key, so each of its 8 images
-        # takes all 3! orders of the edges: 48 candidates, all of them maps
+        # takes all 3! orders of the edges: 48 candidates, all of them maps,
+        # each testing the images of the 8 vertices
         cube = _cube(3)
-        monkeypatch.setattr(polytope_module, "CANDIDATE_BUDGET", 48)
+        monkeypatch.setattr(polytope_module, "CANDIDATE_BUDGET", 48 * 9)
         assert len(set(lattice_equivalences(cube, cube))) == 48
-        monkeypatch.setattr(polytope_module, "CANDIDATE_BUDGET", 47)
-        message = "^lattice equivalence over 48 candidate maps$"
+        monkeypatch.setattr(polytope_module, "CANDIDATE_BUDGET", 48 * 9 - 1)
+        message = "^lattice equivalence over 432 candidate maps and vertex images$"
         with pytest.raises(UnsupportedGeometryError, match=message):
             list(lattice_equivalences(cube, cube))
+
+    def test_automorphisms_of_the_eight_cube_are_refused_quickly(self):
+        # 2^8 * 8! maps, each checked on 256 vertices: the vertex checks
+        # count, so the refusal comes within seconds
+        cube = _cube(8)
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedGeometryError, match="vertex images$"):
+            list(lattice_equivalences(cube, cube))
+        assert time.perf_counter() - start < 30
 
     def test_first_map_of_a_high_valence_cube_is_within_the_budget(self):
         # valence 9, past the old refusal: the first candidate is a map
@@ -1247,7 +1291,7 @@ def equivalence_pairs(draw, embed=False):
     verts = list(p.vertices)
     if kind == "stretched":
         k = draw(st.integers(0, len(verts) - 1))
-        edge = draw(st.sampled_from(p.edges_at(verts[k])))
+        edge = draw(st.sampled_from(oracles.edge_directions(p, verts[k])))
         verts[k] = tuple(x - e for x, e in zip(verts[k], edge))
     elif kind == "doubled":
         verts = [(2 * v[0],) + v[1:] for v in verts]
@@ -1811,12 +1855,40 @@ class TestFanValidity:
 
 
 class TestEnumerationGuard:
+    """The scan counts the prefixes it visits and the points it lists, and
+    refuses past ``POINT_BUDGET`` before a range is expanded."""
+
     def test_oversized_boxes_rejected_cleanly(self):
         from toricdegen import UnsupportedGeometryError
 
         long_segment = segment(0, 10**12)
         with pytest.raises(UnsupportedGeometryError, match="enumeration"):
             long_segment.lattice_points()
+
+    def test_long_run_refused_from_its_length(self):
+        # the one run of 10^12 + 1 points is refused before any is listed
+        long_segment = LatticePolytope.from_vertices([(0,), (10**12,)])
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedGeometryError, match="enumeration past 10000000"):
+            long_segment.lattice_runs()
+        assert time.perf_counter() - start < 1
+
+    def test_diagonal_segment_with_a_huge_box_is_listed(self):
+        # the vertex box holds 10001^3 > 10^12 points, the segment 10,001
+        n = 10**4
+        diagonal = LatticePolytope.from_vertices([(0, 0, 0), (n, n, n)])
+        points = diagonal.lattice_points()
+        assert len(points) == n + 1
+        assert points == [(x, x, x) for x in range(n + 1)]
+
+    def test_many_points_refused_by_the_count(self):
+        # the rank-3 simplex dilated by 400 holds C(403, 3) > 10^7 points
+        simplex = dilated_simplex(400)
+        assert comb(403, 3) > POINT_BUDGET
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedGeometryError, match="enumeration past 10000000"):
+            simplex.lattice_runs()
+        assert time.perf_counter() - start < 1
 
 
 class TestPairBudget:
