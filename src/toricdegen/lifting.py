@@ -15,6 +15,7 @@ functions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .exactmath import (
     vsub,
 )
 from .partition import DualComplex, Partition, partition_by_hyperplanes
-from .polytope import LatticePolytope, SupportFunction, _normalize_halfspace, normal_fan
+from .polytope import LatticePolytope, SupportFunction, _generators, _normalize_halfspace, normal_fan
 
 
 @dataclass(frozen=True)
@@ -335,13 +336,13 @@ class LiftedPolytope:
     """``{(x, y) : x in base, y >= F(x)}`` with verification artifacts.
 
     The extra coordinate is last.  ``lift_map`` sends each partition face key
-    to the face of the lifted polytope lying on the graph of ``F`` over it.
+    to the face of the lifted polytope lying on the graph of ``F`` over it;
+    it walks the lifted face lattice on first read.
     """
 
     base: Partition
     lifting: IntegralLifting
     polytope: LatticePolytope
-    lift_map: dict
     piece_facets: dict  # piece index -> halfspace index in self.polytope
     cap: tuple  # None or (a, b) for the extra face  y <= <a, x> + b
     cap_facet: int
@@ -353,9 +354,9 @@ class LiftedPolytope:
     def rank(self):
         return self.polytope.ambient_rank
 
-    def graph_faces(self):
-        piece_idx = set(self.piece_facets.values())
-        return [f for f in self.polytope.faces() if f.tight & piece_idx]
+    @functools.cached_property
+    def lift_map(self):
+        return _verify_lifts(self.base, self.polytope, self.piece_facets)
 
     def cap_vertices(self):
         if self.cap is None:
@@ -392,10 +393,13 @@ def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=No
 
     ``compact_cap`` may be ``True`` (default cap: horizontal, one above the
     maximum of the function on the base vertices) or a pair ``(a, b)`` for
-    the halfspace ``y <= <a, x> + b``.  Verification: integrality, exactly
-    one lift of every partition face, projection of every face onto a face of
-    the base polytope or of the partition, and nonsingularity whenever the
-    input data promises it.
+    the halfspace ``y <= <a, x> + b``.  Verification: integrality, each
+    piece's graph facet projecting onto that piece (``_graph_facet_mismatch``,
+    which proves that every partition face has exactly one lift and every
+    face projects onto a face of the base polytope or of the partition), and
+    nonsingularity whenever the input data promises it.  Only when a graph
+    facet fails is the lifted face lattice walked, for the failing face and
+    its witness.
     """
     func = lifting.function
     base = partition.ambient
@@ -447,8 +451,11 @@ def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=No
         if cap_facet < 0:
             raise LiftingError("cap does not contribute a facet; choose a larger bound")
 
-    lift_map = _verify_lifts(partition, lifted, piece_facets)
-    _verify_projections(partition, lifted, piece_facets)
+    bad = _graph_facet_mismatch(partition, lifted, piece_facets)
+    if bad is not None:
+        _verify_lifts(partition, lifted, piece_facets)
+        _verify_projections(partition, lifted, piece_facets)
+        raise LiftingError("graph facet does not project onto its piece", witness=bad)
 
     singular = lifted.singular_vertices()
     flags = partition.classify()
@@ -471,7 +478,6 @@ def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=No
         partition,
         lifting,
         lifted,
-        lift_map,
         piece_facets,
         cap,
         cap_facet,
@@ -481,8 +487,46 @@ def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=No
     )
 
 
+def _graph_facet_mismatch(partition, lifted, piece_facets):
+    """The first piece whose graph facet does not project onto it, or None.
+
+    The generators on piece ``i``'s graph facet are read off its incidence
+    mask; dropping the last coordinate must give exactly the piece's
+    vertices and, compared raw as the face keys are, its rays.  This implies
+    what ``_verify_lifts`` and ``_verify_projections`` check:
+
+    - The facet lies in the hyperplane ``y = f_i(x)``, and projection is
+      injective there, so the facet is the graph of ``f_i`` over piece
+      ``i``.  The lifted polytope lies above every ``f_j``, so
+      ``F = max f_j`` and ``F`` is convex.
+    - Every graph face is a face of some graph facet, so it projects onto a
+      face of a piece: a partition face, or an ambient vertex, which is a
+      base face.  Projection is injective on the lower boundary, so every
+      partition face has exactly one lift.
+    - A face tight on no piece row is cut out by base rows, plus possibly
+      the cap row.  Its shadow is the base face of those rows, because the
+      cap lies on or above ``F``: ``F`` is convex, and every base vertex is a
+      piece vertex whose lift, a vertex of the lifted polytope, survived the
+      check.
+
+    The walk does not imply this check: it accepts per-piece functions
+    permuted among the pieces, which this check rejects.
+    """
+    gens = lifted.vertices + lifted.rays
+    nv = len(lifted.vertices)
+    for i, piece in enumerate(partition.pieces):
+        verts, rays = _generators(lifted._incidence[piece_facets[i]], gens, nv)
+        shadow = ({v[:-1] for v in verts}, {r[:-1] for r in rays})
+        if shadow != (set(piece.vertices), set(piece.rays)):
+            return i
+    return None
+
+
 def _verify_lifts(partition, lifted, piece_facets):
-    """Each partition face must appear exactly once among the graph faces."""
+    """Each partition face must appear exactly once among the graph faces.
+
+    This walks the lifted face lattice: ``lift_polytope`` runs it only when
+    ``_graph_facet_mismatch`` fails, for its error record and witness."""
     piece_idx = frozenset(piece_facets.values())
     found = {}
     for face in lifted.faces():
@@ -525,7 +569,8 @@ def _shadow_is_base_face(base, face):
 
 
 def _verify_projections(partition, lifted, piece_facets):
-    """Every face of the lifted polytope projects onto a base or partition face."""
+    """Every face of the lifted polytope projects onto a base or partition
+    face; like ``_verify_lifts``, a witness path of ``lift_polytope``."""
     base = partition.ambient
     if base.is_whole_space:
         return

@@ -1162,13 +1162,6 @@ class Fan:
                 wall_count[w] = wall_count.get(w, 0) + 1
         return all(v == 2 for v in wall_count.values())
 
-    def ray_index(self, ray):
-        ray = tuple(ray)
-        for i, r in enumerate(self.rays):
-            if r == ray:
-                return i
-        raise GeometryError("vector is not a ray of the fan")
-
 
 def normal_fan(poly: LatticePolytope) -> Fan:
     """One cone per face, spanned by the inward normals of incident facets."""

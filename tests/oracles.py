@@ -27,7 +27,8 @@ this module.  It also holds the degeneration invariants that only tests
 check: unimodular chart transitions, and the base fan inside the lifted
 fan with its support in the upper half space.  ``edge_directions`` reads a
 vertex's edge directions off the polytope's own neighbours for the tests
-that need them.
+that need them; ``graph_faces`` and ``ray_index`` are lookups only tests
+make.
 """
 
 import itertools
@@ -453,6 +454,21 @@ def neighbours(poly, a):
             found += [poly.vertices.index(v) for v in f.vertices if v != vertex]
             found += [nv + poly.rays.index(r) for r in f.rays]
     return tuple(sorted(found))
+
+
+def ray_index(fan, ray):
+    """The index of ``ray`` among the fan's rays."""
+    ray = tuple(ray)
+    for i, r in enumerate(fan.rays):
+        if r == ray:
+            return i
+    raise GeometryError("vector is not a ray of the fan")
+
+
+def graph_faces(lifted):
+    """The faces of a lifted polytope that lie on a piece's graph facet."""
+    piece_idx = set(lifted.piece_facets.values())
+    return [f for f in lifted.polytope.faces() if f.tight & piece_idx]
 
 
 def cone_facets(fan, cone):

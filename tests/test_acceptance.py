@@ -31,6 +31,8 @@ from toricdegen import (
     check_cocycle,
 )
 
+import oracles
+
 from corpus import (
     accepted_partitions,
     chain_partition,
@@ -250,7 +252,7 @@ def test_criterion_09_multi_base_and_extension():
         ext = extend_support_function(phi, capped)
         assert ext.classify() in ("convex", "strictly-convex")
         for ray, value in zip(base_fan.rays, phi.values):
-            assert ext.values[ext.fan.ray_index(ray + (0,))] == value
+            assert ext.values[oracles.ray_index(ext.fan, ray + (0,))] == value
         for ray, value in zip(ext.fan.rays, ext.values):
             if ray[-1] > 0:
                 assert value == 0

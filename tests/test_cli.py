@@ -364,6 +364,29 @@ class TestLift:
             [4, 3, 2, 1],
         ]
 
+    _CUT_TRIANGLE = {
+        "polytope": {"vertices": [[0, 0], [6, 0], [0, 6]]},
+        "partition": {"hyperplanes": [{"normal": [1, 0], "offset": c} for c in (2, 4)]},
+    }
+
+    def test_crossing_cap_prints_the_face_without_one_lift(self, tmp_path, capsys):
+        # the cap y <= x - 1 crosses the graph of F = max(0, x - 2, 2x - 6), so
+        # the lift of the edge x = 0 is cut away; the face lattice walk names it
+        spec = {**self._CUT_TRIANGLE, "options": {"compact_cap": {"normal": [1, 0], "offset": -1}}}
+        code, out, _ = run(capsys, ["lift", write_spec(tmp_path, spec)])
+        assert code == 1
+        assert out == (
+            '{"code":"LiftingError","message":"partition face does not have exactly one lift",'
+            '"record":"error","witness":[[[[0,0],[0,6]],[]],0]}\n'
+        )
+
+    def test_default_cap_lift_of_the_cut_triangle(self, tmp_path, capsys):
+        code, out, _ = run(capsys, ["lift", write_spec(tmp_path, self._CUT_TRIANGLE), "--compact-cap"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3c70f920dc203880d903faeb3bcebaa2ed6ab097de9b8f9c42c978d82c2c389f"
+        )
+
     def test_multi_base_needs_hyperplanes(self, tmp_path, capsys):
         path = write_spec(tmp_path, STAIRCASE3)
         code, out, records = run(capsys, ["lift", path, "--multi-base"])
@@ -889,7 +912,7 @@ class TestFrontDoorFuzz:
         assert record["code"] == "input" and "(at $.options." in record["message"]
 
 
-_EDGE_INTS = [2**63 - 1, 2**63, 2**64, 10**18, 10**19 - 1, 10**19, 10**40]
+_EDGE_INTS = [2**63 - 1, 2**63, 2**64, 10**17, 10**18 - 1, 10**18, 10**19 - 1, 10**19, 10**40]
 _BIG_INTS = st.one_of(
     st.integers(),
     st.sampled_from(_EDGE_INTS + [-x for x in _EDGE_INTS]),
@@ -930,6 +953,15 @@ class TestRenderReportAgainstOracle:
             assert render_report([record]) == oracles.render_report([record])
         inside = -(2**63) <= x <= 2**63 - 1
         assert render_report([{"v": x}]) == (f'{{"v":{x}}}\n' if inside else f'{{"v":"{x}"}}\n')
+
+    @pytest.mark.parametrize(
+        "text", ["1234567890123456789", "id-10000000000000000000-x", "9223372036854775808/7"]
+    )
+    def test_digit_runs_inside_strings(self, text):
+        # a string with a 19-digit run takes the walk too and prints the same
+        for record in ({"v": text}, {"record": "x", "v": [text, 10**18, Fraction(1, 3)]}):
+            assert render_report([record]) == oracles.render_report([record])
+        assert render_report([{"v": text}]) == f'{{"v":"{text}"}}\n'
 
     def test_unknown_objects_are_refused_as_by_the_walk(self):
         for records in ([{"v": object()}], [{"v": [1, {2, 3}]}]):

@@ -3,7 +3,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from toricdegen import (
@@ -28,7 +28,17 @@ from toricdegen import (
     wall_functions,
     SupportFunction,
 )
-from toricdegen.lifting import WallCochain, _shadow_is_base_face, _verify_projections
+from toricdegen import IntegralLifting
+from toricdegen import lifting as lifting_module
+from toricdegen import polytope as polytope_module
+from toricdegen.exactmath import vdot
+from toricdegen.lifting import (
+    WallCochain,
+    _graph_facet_mismatch,
+    _shadow_is_base_face,
+    _verify_lifts,
+    _verify_projections,
+)
 
 import oracles
 
@@ -418,7 +428,7 @@ class TestLiftPolytope:
         for name, (part, lifting, lifted) in LIFTED.items():
             piece_count = len(part.pieces)
             graph_facets = [
-                f for f in lifted.graph_faces() if f.dim == lifted.rank - 1
+                f for f in oracles.graph_faces(lifted) if f.dim == lifted.rank - 1
             ]
             assert len(graph_facets) == piece_count, name
 
@@ -430,10 +440,10 @@ class TestLiftPolytope:
             assert len(images) == len(keys), name
             base_vertex_lifts = {
                 f.key
-                for f in lifted.graph_faces()
+                for f in oracles.graph_faces(lifted)
                 if f.dim == 0 and f.vertices[0][:-1] in set(part.ambient.vertices)
             }
-            all_graph = {f.key for f in lifted.graph_faces()}
+            all_graph = {f.key for f in oracles.graph_faces(lifted)}
             assert images | base_vertex_lifts == all_graph, name
 
     def test_edge_sums_hit_the_vertical_unit(self):
@@ -531,6 +541,181 @@ class TestVerifyProjections:
         assert exc.value.witness == expected
 
 
+def _lift_verdicts(part, lifting, cap):
+    """``(certificate, walk, raised)`` for one lift: the piece the graph
+    facet check fails on (None when it passes), the walk's error record
+    (None when it passes) and the record ``lift_polytope`` raised (None when
+    it returned); None when ``lift_polytope`` stops before the check."""
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return _graph_facet_mismatch(*args)
+
+    raised = None
+    with mock.patch.object(lifting_module, "_graph_facet_mismatch", spy):
+        try:
+            lift_polytope(part, lifting, cap)
+        except LiftingError as exc:
+            raised = (str(exc), exc.witness)
+        except GeometryError:
+            pass
+    if not seen:
+        return None
+    try:
+        _verify_lifts(*seen[0])
+        _verify_projections(*seen[0])
+        walk = None
+    except LiftingError as exc:
+        walk = (str(exc), exc.witness)
+    return _graph_facet_mismatch(*seen[0]), walk, raised
+
+
+def _assert_same_verdict(verdicts):
+    certificate, walk, raised = verdicts
+    assert (certificate is None) == (walk is None)
+    if walk is not None:
+        assert raised == walk
+
+
+_OCTAGON = [(0, 2), (1, 1), (3, 1), (4, 2), (4, 3), (3, 4), (1, 4), (0, 3)]
+_QUADRANT = LatticePolytope.from_halfspaces([((1, 0), 0), ((0, 1), 0)], 2)
+
+
+@st.composite
+def _lift_problems(draw):
+    """A partition with its lifting function and a cap: a dilated triangle
+    or octagon under parallel cuts, a rank-3 chain, the quadrant under cuts
+    or a one-piece lower-dimensional base; no cap, the default one, or a
+    cap ``y <= <a, x> + b`` lying above, touching or crossing the graph,
+    among them one piece's own function raised by a constant."""
+    kind = draw(st.sampled_from(["triangle", "octagon", "chain", "quadrant", "flat"]))
+    if kind == "chain":
+        part = chain_partition(draw(st.integers(2, 4)), draw(st.integers(1, 3)))
+    elif kind == "flat":
+        a, b = draw(st.sampled_from([((2, 0, 1), (0, 3, 1)), ((1, 1, 1), (3, 3, 3)), ((1, 2, 0), (2, 1, 1))]))
+        flat = LatticePolytope.from_vertices([(0, 0, 0), a, b])
+        part = build_partition(flat, [flat])
+    else:
+        normal = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1)]))
+        if kind == "triangle":
+            k = draw(st.integers(2, 7))
+            base, top = LatticePolytope.from_vertices([(0, 0), (k, 0), (0, k)]), k
+        elif kind == "octagon":
+            k = draw(st.integers(1, 2))
+            base, top = LatticePolytope.from_vertices([(k * x, k * y) for x, y in _OCTAGON]), 4 * k
+        else:
+            base, top = _QUADRANT, 5
+        cuts = draw(st.lists(st.integers(1, top * sum(normal) - 1), min_size=1, max_size=3, unique=True))
+        try:
+            part = partition_by_hyperplanes(base, [(normal, c) for c in sorted(cuts)])
+        except GeometryError:
+            assume(False)
+    try:
+        lifting = lifting_function(part)
+    except GeometryError:
+        assume(False)
+    cap = None
+    if part.ambient.is_compact:
+        cap = draw(st.sampled_from([None, True, "user", "parallel"]))
+    func = lifting.function
+    if cap == "user":
+        n = part.ambient.ambient_rank
+        a = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        top = max(func.value(v) - vdot(a, v) for v in part.ambient.vertices)
+        cap = (a, -(-top.numerator // top.denominator) + draw(st.integers(-2, 1)))
+    elif cap == "parallel":
+        # one piece's graph raised by 0, 1 or 2: it touches or crosses F
+        f = draw(st.sampled_from(func.per_piece))
+        assume(f.d == 1)
+        cap = (f.a, f.b + draw(st.integers(0, 2)))
+    return part, lifting, cap
+
+
+class TestGraphFacetCertificate:
+    """The graph facet check of ``lift_polytope`` against the walk of the
+    lifted face lattice it replaced, which stays as its witness path."""
+
+    @given(_lift_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_same_verdict_and_record_as_the_walk(self, problem):
+        verdicts = _lift_verdicts(*problem)
+        assume(verdicts is not None)
+        event("rejected" if verdicts[1] else "accepted")
+        _assert_same_verdict(verdicts)
+
+    @pytest.mark.parametrize("name", sorted(LIFTED))
+    def test_corpus_lifts_with_every_cap(self, name):
+        part, lifting, _ = LIFTED[name]
+        caps = [None]
+        if part.ambient.is_compact:
+            n = part.ambient.ambient_rank
+            top = max(lifting.function.value(v) for v in part.ambient.vertices)
+            top = -(-top.numerator // top.denominator)
+            caps += [True] + [((0,) * n, top + d) for d in (-1, 0, 1)]
+        reached = 0
+        for cap in caps:
+            verdicts = _lift_verdicts(part, lifting, cap)
+            if verdicts is not None:
+                _assert_same_verdict(verdicts)
+                reached += 1
+        assert reached >= 1
+
+    @staticmethod
+    def _fabricated(part, functions):
+        # positive concavities, so the lift reaches the graph facet check
+        concavities = {v.vertices[0]: Fraction(1) for v in part.faces(0)}
+        return IntegralLifting(PiecewiseAffine(part, tuple(functions), 0), Fraction(1), concavities, False)
+
+    @pytest.mark.parametrize("name", sorted(LIFTED))
+    def test_swapped_functions_pass_the_walk_only(self, name):
+        part, lifting, _ = LIFTED[name]
+        functions = list(lifting.function.per_piece)
+        functions[0], functions[1] = functions[1], functions[0]
+        certificate, walk, raised = _lift_verdicts(part, self._fabricated(part, functions), None)
+        assert walk is None and certificate == 0
+        assert raised == ("graph facet does not project onto its piece", 0)
+
+    def test_one_perturbed_function_fails_both_with_the_walks_record(self):
+        reached = set()
+        for name, (part, lifting, _) in sorted(LIFTED.items()):
+            n = part.ambient.ambient_rank
+            for i, f in enumerate(lifting.function.per_piece):
+                functions = list(lifting.function.per_piece)
+                functions[i] = f + AffineFunction.make((0,) * n, 1)
+                verdicts = _lift_verdicts(part, self._fabricated(part, functions), None)
+                if verdicts is None:
+                    continue  # the raised graph no longer touches that piece
+                certificate, walk, raised = verdicts
+                assert certificate is not None and walk is not None, (name, i)
+                assert raised == walk and walk[0] == "partition face does not have exactly one lift"
+                reached.add(name)
+        assert {"octagon", "triangle-corner-cut", "mildly-singular-triangle"} <= reached
+
+    def test_half_slope_along_a_ray_fails_both_with_the_walks_record(self):
+        # F = x / 2 on the quadrant lifts the ray (1, 0) to (2, 0, 1), whose
+        # shadow (2, 0) is no ray of the piece, though the vertices match
+        part = build_partition(_QUADRANT, [_QUADRANT])
+        half = self._fabricated(part, [AffineFunction.make((Fraction(1, 2), 0))])
+        certificate, walk, raised = _lift_verdicts(part, half, None)
+        assert certificate == 0
+        assert raised == walk == (
+            "partition face does not have exactly one lift",
+            ((((0, 0),), ((1, 0),)), 0),
+        )
+
+    @pytest.mark.parametrize("name", sorted(LIFTED))
+    def test_success_path_walks_no_face_lattice(self, name):
+        part, lifting, lifted = LIFTED[name]
+        walked = AssertionError("face lattice walked")
+        with mock.patch.object(polytope_module, "_face_walk", side_effect=walked), mock.patch.object(
+            LatticePolytope, "faces", side_effect=walked
+        ):
+            again = lift_polytope(part, lifting)
+        assert again.polytope.key == lifted.polytope.key
+        assert again.piece_facets == lifted.piece_facets
+
+
 class TestIteratedLift:
     def test_single_cut_matches_plain_lift(self):
         base = segment(0, 3)
@@ -596,7 +781,7 @@ class TestExtendSupportFunction:
         phi = SupportFunction(base_fan, [-1] * len(base_fan.rays))
         ext = extend_support_function(phi, lifted)
         for ray, val in zip(base_fan.rays, phi.values):
-            assert ext.values[ext.fan.ray_index(ray + (0,))] == val
+            assert ext.values[oracles.ray_index(ext.fan, ray + (0,))] == val
 
     def test_nonconvex_input_rejected(self):
         part, lifted = self._compact_unit_cut()

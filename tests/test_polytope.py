@@ -1841,7 +1841,7 @@ class TestFanValidity:
             for b in cones:
                 pa, pb = fan.cone_polyhedron(a), fan.cone_polyhedron(b)
                 meet = pa.intersect_polyhedron(pb)
-                rays = frozenset(fan.ray_index(r) for r in meet.rays)
+                rays = frozenset(oracles.ray_index(fan, r) for r in meet.rays)
                 assert rays in fan.cones
                 assert meet == fan.cone_polyhedron(rays)
                 assert rays <= a and rays <= b
