@@ -25,7 +25,6 @@ from .polytope import (
     lattice_equivalent,
     lattice_equivalences,
     normal_fan,
-    support_function_of_polytope,
 )
 from .partition import (
     DualComplex,
@@ -34,7 +33,6 @@ from .partition import (
     build_partition,
     partition_by_hyperplanes,
     partition_from_fan,
-    partitions_equivalent,
 )
 from .lifting import (
     IntegralLifting,

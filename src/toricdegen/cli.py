@@ -300,9 +300,15 @@ def main(argv=None) -> int:
             try:
                 with open(args.spec, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise InputError(f"cannot read spec file: {exc}")
         records, code, diagrams = run_job(args.command, text, args)
+        for path, content in diagrams.items():
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(content)
+            except OSError as exc:
+                raise InputError(f"cannot write diagram file: {exc}")
     except InputError as exc:
         sys.stdout.write(rpt.render_report([rpt.error_record("input", str(exc))]))
         return 2
@@ -315,9 +321,6 @@ def main(argv=None) -> int:
         )
         return 1
     sys.stdout.write(rpt.render_report(records))
-    for path, content in diagrams.items():
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
     return code
 
 

@@ -57,7 +57,7 @@ def local_charts(lifted: LiftedPolytope, strict=True):
     vertical = tuple(0 for _ in range(rank - 1)) + (1,)
     charts = []
     skipped = []
-    base = lifted.base.ambient
+    partition = lifted.base
     for v in sorted(set(poly.vertices) - cap_vertices):
         if not poly.is_nonsingular_at(v):
             skipped.append(v)
@@ -68,11 +68,10 @@ def local_charts(lifted: LiftedPolytope, strict=True):
         if any(c not in (0, 1) for c in coeffs):
             skipped.append(v)
             continue
+        # a shadow that is no partition 0-face is a vertex of the base
         shadow = v[:-1]
-        if base.is_whole_space:
-            face_dim = base.ambient_rank
-        else:
-            face_dim = base.smallest_face_containing([shadow]).dim
+        face = partition.face_at(shadow)
+        face_dim = face.ambient_face.dim if face else 0
         monomial = tuple(i for i, c in enumerate(coeffs) if c == 1)
         charts.append(LocalChart(shadow, v, face_dim, dirs, monomial))
     if skipped and strict:

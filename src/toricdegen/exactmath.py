@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import add, mul, sub
 
 from .errors import GeometryError
@@ -47,15 +47,6 @@ def gcd_all(values) -> int:
         return gcd(*values)
     except TypeError:
         return gcd(*map(int, values))
-
-
-def lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        v = abs(int(v))
-        if v:
-            out = out * v // gcd(out, v)
-    return out
 
 
 def primitive(v):
@@ -84,7 +75,7 @@ def rational_primitive(v):
         scale = g = gcd(*v)
     except TypeError:
         fracs = [Fraction(x) for x in v]
-        denom = lcm_all(x.denominator for x in fracs)
+        denom = lcm(*[x.denominator for x in fracs])
         v = [x.numerator * (denom // x.denominator) for x in fracs]
         g = gcd(*v)
         scale = Fraction(g, denom)
@@ -139,7 +130,7 @@ def determinant(rows) -> int:
 def determinant_fraction(rows) -> Fraction:
     """Determinant over the rationals: Bareiss on the rows cleared of
     denominators, divided by the product of the row scales."""
-    scales = [lcm_all(Fraction(x).denominator for x in row) for row in rows]
+    scales = [lcm(*[Fraction(x).denominator for x in row]) for row in rows]
     scaled = [[int(x * q) for x in row] for row, q in zip(rows, scales)]
     return Fraction(determinant(scaled), prod(scales))
 
@@ -209,18 +200,6 @@ def right_kernel(rows):
     return left_kernel(transpose(rows))
 
 
-def saturation(rows):
-    """Basis of the saturated lattice ``span_Q(rows) ∩ Z^n``."""
-    rows = [tuple(r) for r in rows if any(r)]
-    if not rows:
-        return []
-    n = len(rows[0])
-    ker = right_kernel(rows)
-    if not ker:
-        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return right_kernel(ker)
-
-
 def echelon(m, ncols):
     """Fraction-free Gauss-Jordan elimination (Bareiss) of the rows ``m``.
 
@@ -237,7 +216,7 @@ def echelon(m, ncols):
     """
     for i, row in enumerate(m):
         if not _INT.issuperset(map(type, row)):
-            q = lcm_all(Fraction(x).denominator for x in row)
+            q = lcm(*[Fraction(x).denominator for x in row])
             m[i] = [int(x * q) for x in row]
     nrows = len(m)
     pivots = []
@@ -361,7 +340,7 @@ class AffineFunction:
     def make(linear, constant=0):
         """The function ``x -> <linear, x> + constant`` for rational data."""
         fracs = [Fraction(c) for c in (*linear, constant)]
-        d = lcm_all(c.denominator for c in fracs)
+        d = lcm(*[c.denominator for c in fracs])
         *a, b = (c.numerator * (d // c.denominator) for c in fracs)
         return AffineFunction._reduced(a, b, d)
 

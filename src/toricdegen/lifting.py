@@ -611,7 +611,8 @@ def iterated_lift(base: LatticePolytope, normal, offsets) -> MultiLifting:
     if sorted(set(offsets)) != offsets:
         raise LiftingError("cut offsets must be strictly increasing")
     for c in offsets:
-        if not _cuts_interior(base, normal, c):
+        sides = [vdot(v, normal) - c for v in base.vertices] + [vdot(r, normal) for r in base.rays]
+        if not (base.is_whole_space or min(sides) < 0 < max(sides)):
             raise LiftingError("cut misses the interior of the base polytope", witness=c)
     n = base.ambient_rank
     l = len(offsets)
@@ -654,22 +655,6 @@ def iterated_lift(base: LatticePolytope, normal, offsets) -> MultiLifting:
                 fns.append(AffineFunction.zero(n))
         components.append(tuple(fns))
     return MultiLifting(oneshot, partition, tuple(components), tuple(lifts))
-
-
-def _cuts_interior(poly, normal, value):
-    lo = min(vdot(v, normal) for v in poly.vertices) if poly.vertices else None
-    hi = max(vdot(v, normal) for v in poly.vertices) if poly.vertices else None
-    if poly.is_whole_space:
-        return True
-    for r in poly.rays:
-        s = vdot(r, normal)
-        if s < 0:
-            lo = None
-        if s > 0:
-            hi = None
-    below = lo is None or lo < value
-    above = hi is None or hi > value
-    return below and above
 
 
 # -- extending a support function over a single-cut compact lift -----------------

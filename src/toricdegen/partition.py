@@ -15,7 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .errors import EmptyPolyhedronError, GeometryError, PartitionError
+from .errors import EmptyPolyhedronError, PartitionError
 from .exactmath import (
     kernel_vector,
     normalize_coord,
@@ -30,7 +30,6 @@ from .polytope import (
     LatticePolytope,
     _bits,
     _face_walk,
-    lattice_equivalences,
 )
 
 
@@ -295,23 +294,6 @@ class Partition:
                 out.append(f)
         return out
 
-    # -- restriction -------------------------------------------------------------
-
-    def restrict(self, face: Face) -> "Partition":
-        """The induced partition of a proper ambient face."""
-        if face.dim >= self.ambient.dim:
-            raise GeometryError("restriction requires a proper face")
-        target = LatticePolytope.from_generators(face.vertices, face.rays)
-        pieces = []
-        for piece in self.pieces:
-            try:
-                cut = piece.intersect_polyhedron(target)
-            except EmptyPolyhedronError:
-                continue
-            if cut.dim == target.dim:
-                pieces.append(cut)
-        return build_partition(target, pieces)
-
 
 # -- construction and validation ------------------------------------------------
 
@@ -542,30 +524,3 @@ def partition_by_hyperplanes(ambient: LatticePolytope, cuts) -> Partition:
 
     regions.sort(key=sort_key)
     return build_partition(ambient, regions)
-
-
-def partitions_equivalent(a: Partition, b: Partition) -> bool:
-    """Whether one affine-unimodular map carries one tiling onto the other."""
-    if len(a.pieces) != len(b.pieces):
-        return False
-    pa, pb = a.ambient, b.ambient
-    if pa.is_whole_space or pb.is_whole_space:
-        raise GeometryError("partition equivalence requires compact ambient polytopes")
-
-    def model(partition):
-        coords = partition.ambient.lattice_coordinates
-        return [set(map(coords, piece.vertices)) for piece in partition.pieces]
-
-    b_pieces = [frozenset(s) for s in model(b)]
-    a_pieces = model(a)
-    for matrix, shift in lattice_equivalences(pa, pb):
-
-        def image(v):
-            if not matrix:
-                return v
-            return tuple(vdot(row, v) + s for row, s in zip(matrix, shift))
-
-        mapped = [frozenset(image(v) for v in piece) for piece in a_pieces]
-        if sorted(mapped, key=sorted) == sorted(b_pieces, key=sorted):
-            return True
-    return False

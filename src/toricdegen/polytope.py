@@ -42,7 +42,8 @@ lineality space is refused: from generators by a rank test of the facet
 normals, from halfspaces on the lines the kernel is left with, so an
 intersection runs no rank test.  Lattice coordinates come from one
 helper, ``lattice_coordinates``: the identity in full dimension, else
-coordinates along a basis of the integer points of the direction space.
+coordinates along the basis of the integer points of the direction space
+that the facets were found in, kept from ``_dual_from_generators``.
 Each facet normal restricted to that basis and divided by its gcd is the
 facet's normal in the polyhedron's own lattice (the stored normal in full
 dimension), and three vertex-local reads come from those normals alone.  A
@@ -90,7 +91,6 @@ from .exactmath import (
     rank_fraction,
     rational_primitive,
     right_kernel,
-    saturation,
     solve_linear,
     solve_particular,
     transpose,
@@ -156,34 +156,29 @@ class Face:
 
 
 def _dual_from_generators(points, rays, rank):
-    """Facet halfspaces, affine-hull equations and incidence of conv(points)
-    + cone(rays): bit ``i`` of a facet's mask is set when the ``i``-th
-    generator, points first, lies on it.  The equations are a kernel basis,
-    so the hull has dimension ``rank - len(equations)``."""
+    """Facet halfspaces, affine-hull equations, incidence and direction basis
+    of conv(points) + cone(rays): bit ``i`` of a facet's mask is set when the
+    ``i``-th generator, points first, lies on it.  The equations are a kernel
+    basis, so the hull has dimension ``rank - len(equations)``.  The facets
+    are found in a basis of the integer points of the direction space: the
+    unit vectors in full dimension, returned as None, else the kernel of the
+    equations' kernel."""
     base = points[0]
     dirs = [vsub(p, base) for p in points[1:]] + list(rays)
-    int_dirs = []
-    for d in dirs:
-        if any(x != 0 for x in d):
-            int_dirs.append(rational_primitive(d)[0])
+    int_dirs = [rational_primitive(d)[0] for d in dirs if any(d)]
     d = rank_fraction(int_dirs) if int_dirs else 0
 
-    equations = []
-    if d < rank:
-        if int_dirs:
-            for u in right_kernel(int_dirs):
-                equations.append(_normalize_equation(u, -vdot(base, u)))
-        else:
-            for i in range(rank):
-                u = tuple(int(i == j) for j in range(rank))
-                equations.append(_normalize_equation(u, -base[i]))
     if d == 0:
-        return (), tuple(sorted(equations)), ()
-
+        units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        equations = [_normalize_equation(u, -x) for u, x in zip(units, base)]
+        return (), tuple(sorted(equations)), (), []
     if d == rank:
+        equations, basis = [], None
         facets = _full_dim_facets(points, rays, rank)
     else:
-        basis = saturation(int_dirs)
+        kernel = right_kernel(int_dirs)
+        equations = [_normalize_equation(u, -vdot(base, u)) for u in kernel]
+        basis = right_kernel(kernel)
         model_pts = [_model_coords(basis, base, p) for p in points]
         model_rays = [_model_coords(basis, None, r) for r in rays]
         facets = []
@@ -194,7 +189,7 @@ def _dual_from_generators(points, rays, rank):
             off = (Fraction(hs.offset) - vdot(base, w)) / s
             facets.append((_normalize_halfspace(scale_w, off), mask))
     facets = sorted(set(facets))
-    return tuple(h for h, _ in facets), tuple(sorted(equations)), tuple(m for _, m in facets)
+    return tuple(h for h, _ in facets), tuple(sorted(equations)), tuple(m for _, m in facets), basis
 
 
 def _model_coords(basis, base, point):
@@ -579,10 +574,13 @@ class LatticePolytope:
     )
 
     def __init__(
-        self, ambient_rank, halfspaces, equations, vertices, rays, dim, incidence, whole=False
+        self, ambient_rank, halfspaces, equations, vertices, rays, dim, incidence, whole=False,
+        chart=None,
     ):
         """``incidence`` holds one mask per halfspace: bit ``j`` is set when
-        the ``j``-th generator, vertices first, lies on it."""
+        the ``j``-th generator, vertices first, lies on it.  ``chart`` is the
+        direction basis ``_dual_from_generators`` found the facets in, None
+        in full dimension."""
         self.ambient_rank = ambient_rank
         self.halfspaces = tuple(halfspaces)
         self.equations = tuple(equations)
@@ -599,7 +597,7 @@ class LatticePolytope:
         self._lattice_runs = None
         self._neighbours = {}
         self._nonsingular = {}
-        self._chart = None
+        self._chart = chart
         self._vertex_ids = None
         self._normals = None
         self._keys = None
@@ -622,7 +620,7 @@ class LatticePolytope:
             raise GeometryError("at least one point is required")
         rank = len(points[0])
         rays = [primitive(r) for r in rays]
-        halfspaces, equations, incidence = _dual_from_generators(points, rays, rank)
+        halfspaces, equations, incidence, chart = _dual_from_generators(points, rays, rank)
         dim = rank - len(equations)
         _refuse_lineality(halfspaces, equations, rank)
         if rank and not halfspaces and not equations:
@@ -635,7 +633,8 @@ class LatticePolytope:
         kept += [facet_sets[len(points) + j] for _, j in extreme]
         masks = _transpose(kept, len(incidence))
         vertices = [v for v, _ in vertices]
-        return cls(rank, halfspaces, equations, vertices, [r for r, _ in extreme], dim, masks)
+        rays = [r for r, _ in extreme]
+        return cls(rank, halfspaces, equations, vertices, rays, dim, masks, chart=chart)
 
     @classmethod
     def from_halfspaces(cls, halfspaces, rank, equations=()):
@@ -671,8 +670,8 @@ class LatticePolytope:
         if equations or (1 << len(masks)) - 1 in tight:
             # lower-dimensional: normals are canonical only modulo the
             # affine hull, so rebuild them
-            hs, eqs, incidence = _dual_from_generators(vertices, rays, rank)
-            return cls(rank, hs, eqs, vertices, rays, rank - len(eqs), incidence)
+            hs, eqs, incidence, chart = _dual_from_generators(vertices, rays, rank)
+            return cls(rank, hs, eqs, vertices, rays, rank - len(eqs), incidence, chart=chart)
         # the facets are the halfspaces whose tight generator sets are maximal
         maximal = set(_maximal(tight))
         facets = [i for i, t in enumerate(tight) if t in maximal]
@@ -948,17 +947,12 @@ class LatticePolytope:
         return sorted(out)
 
     def _direction_basis(self):
-        """A basis of the integer points of the direction space: the unit
-        vectors in full dimension, else the saturation of the directions
-        from the first vertex.  Found once."""
+        """A basis of the integer points of the direction space: the one the
+        facets were found in, else the unit vectors of a full-dimensional
+        system."""
         if self._chart is None:
             n = self.ambient_rank
-            if self._dim == n:
-                self._chart = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-            else:
-                base = self.vertices[0]
-                dirs = [vsub(v, base) for v in self.vertices[1:]] + list(self.rays)
-                self._chart = saturation([rational_primitive(d)[0] for d in dirs if any(d)])
+            self._chart = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         return self._chart
 
     def lattice_coordinates(self, point):
@@ -1267,15 +1261,6 @@ class SupportFunction:
             raise GeometryError("divisor polytope requires a convex support function")
         hs = [(ray, -v) for ray, v in zip(self.fan.rays, self.values)]
         return LatticePolytope.from_halfspaces(hs, self.fan.rank)
-
-
-def support_function_of_polytope(poly: LatticePolytope) -> SupportFunction:
-    """The support function of the ample divisor a compact polytope defines."""
-    if not poly.is_compact:
-        raise GeometryError("support function requires a compact polytope")
-    fan = normal_fan(poly)
-    values = [-Fraction(h.offset) for h in poly.halfspaces]
-    return SupportFunction(fan, values)
 
 
 # -- lattice equivalence --------------------------------------------------------

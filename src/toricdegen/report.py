@@ -2,8 +2,8 @@
 
 Each report line is one JSON object with a ``record`` tag.  Integers beyond
 the signed 64-bit range are emitted as decimal strings, non-integer rationals
-as ``"p/q"`` strings, so exact values survive serialization; ``parse_report``
-reverses both encodings losslessly.  A record goes straight to the C JSON
+as ``"p/q"`` strings, so exact values survive serialization and a reader can
+reverse both encodings losslessly.  A record goes straight to the C JSON
 encoder, whose ``default`` encodes a ``Fraction`` as ``encode_value`` does.
 Every integer outside the 64-bit range prints a run of at least 19 digits,
 so only a line holding such a run is encoded again after the
@@ -14,13 +14,10 @@ skips its cycle check.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 
 _INT64_MAX = 2**63 - 1
 _INT64_MIN = -(2**63)
-_INT_RE = re.compile(r"^-?\d+$")
-_FRAC_RE = re.compile(r"^-?\d+/\d+$")
 _DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
 _LONG_DIGITS = "0" * 19
 
@@ -38,20 +35,6 @@ def encode_value(x):
         return [encode_value(v) for v in x]
     if isinstance(x, dict):
         return {k: encode_value(v) for k, v in x.items()}
-    return x
-
-
-def decode_value(x):
-    if isinstance(x, str):
-        if _INT_RE.match(x):
-            return int(x)
-        if _FRAC_RE.match(x):
-            return Fraction(x)
-        return x
-    if isinstance(x, list):
-        return [decode_value(v) for v in x]
-    if isinstance(x, dict):
-        return {k: decode_value(v) for k, v in x.items()}
     return x
 
 
@@ -74,15 +57,6 @@ def render_report(records) -> str:
             line = _ENCODER.encode(encode_value(record))
         lines.append(line)
     return "\n".join(lines) + "\n"
-
-
-def parse_report(text: str):
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            out.append(decode_value(json.loads(line)))
-    return out
 
 
 # -- record builders -------------------------------------------------------------

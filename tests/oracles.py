@@ -28,15 +28,17 @@ check: unimodular chart transitions, and the base fan inside the lifted
 fan with its support in the upper half space.  ``edge_directions`` reads a
 vertex's edge directions off the polytope's own neighbours for the tests
 that need them; ``graph_faces`` and ``ray_index`` are lookups only tests
-make.
+make, and ``parse_report`` reads a report back, reversing the encodings of
+``encode_value``.
 """
 
 import itertools
 import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from toricdegen.degeneration import FamilyEquations
 from toricdegen.errors import (
@@ -49,7 +51,6 @@ from toricdegen.errors import (
 from toricdegen.exactmath import (
     GeometryErrorZero,
     determinant,
-    lcm_all,
     normalize_point,
     right_kernel,
     solve_linear,
@@ -107,7 +108,7 @@ def rational_primitive(v):
     fracs = [Fraction(x) for x in v]
     if all(x == 0 for x in fracs):
         raise GeometryErrorZero()
-    denom = lcm_all(x.denominator for x in fracs)
+    denom = lcm(*[x.denominator for x in fracs])
     ints = [int(x * denom) for x in fracs]
     g = gcd_all(ints)
     return tuple(x // g for x in ints), Fraction(g, denom)
@@ -275,7 +276,7 @@ def from_generators(points, rays):
     double description: the vertices of the facet system the first found."""
     points = [normalize_point(p) for p in points]
     rank = len(points[0])
-    halfspaces, equations, _ = _dual_from_generators(points, [primitive(r) for r in rays], rank)
+    halfspaces, equations = _dual_from_generators(points, [primitive(r) for r in rays], rank)[:2]
     return _enumerate_generators(halfspaces, equations, rank)[:2]
 
 
@@ -937,3 +938,28 @@ def fan_support_is_upper_halfspace(lifted) -> bool:
         if not boundary and count != 2:
             return False
     return True
+
+
+_INT_RE = re.compile(r"^-?\d+$")
+_FRAC_RE = re.compile(r"^-?\d+/\d+$")
+
+
+def decode_value(x):
+    """Reverse ``encode_value``: decimal strings become ``int``, ``"p/q"``
+    strings ``Fraction``."""
+    if isinstance(x, str):
+        if _INT_RE.match(x):
+            return int(x)
+        if _FRAC_RE.match(x):
+            return Fraction(x)
+        return x
+    if isinstance(x, list):
+        return [decode_value(v) for v in x]
+    if isinstance(x, dict):
+        return {k: decode_value(v) for k, v in x.items()}
+    return x
+
+
+def parse_report(text):
+    """The records of a rendered report, one per nonblank line, decoded."""
+    return [decode_value(json.loads(line)) for line in text.splitlines() if line.strip()]

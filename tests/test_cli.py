@@ -15,9 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricdegen import cli
-from toricdegen.report import parse_report, render_report
+from toricdegen.report import render_report
 
 import oracles
+from oracles import parse_report
 
 
 def write_spec(tmp_path, spec, name="job.json"):
@@ -264,6 +265,15 @@ class TestVerify:
         code, out, records = run(capsys, ["verify", "/nonexistent/path.json"])
         assert code == 2
 
+    def test_spec_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, records = run(capsys, ["verify", str(path)])
+        assert code == 2
+        [record] = records
+        assert record["code"] == "input"
+        assert record["message"].startswith("cannot read spec file: ")
+
 
 class TestLift:
     def test_lift_report_records(self, tmp_path, capsys):
@@ -473,6 +483,24 @@ class TestDegenerate:
         assert cls["pieces"] == 6
         deg = next(r for r in records if r["record"] == "degeneration")
         assert [c["class"] for c in deg["components"]] == [deg["components"][0]["class"]] * 6
+
+    @pytest.mark.parametrize("flag, spec", [("--dot", CHAIN4), ("--svg", OCTAGON)])
+    def test_unwritable_diagram_path(self, tmp_path, capsys, flag, spec):
+        path = write_spec(tmp_path, spec)
+        target = tmp_path / "missing" / "diagram"
+        code, out, records = run(capsys, ["degenerate", path, flag, str(target)])
+        assert code == 2
+        [record] = records
+        assert record["code"] == "input"
+        assert record["message"].startswith("cannot write diagram file: ")
+
+    @pytest.mark.parametrize("flag, spec", [("--dot", CHAIN4), ("--svg", OCTAGON)])
+    def test_diagram_file_leaves_stdout_alone(self, tmp_path, capsys, flag, spec):
+        path = write_spec(tmp_path, spec)
+        _, plain, _ = run(capsys, ["degenerate", path])
+        code, out, _ = run(capsys, ["degenerate", path, flag, str(tmp_path / "diagram")])
+        assert code == 0 and out == plain
+        assert (tmp_path / "diagram").stat().st_size > 0
 
     def test_octagon_svg(self, tmp_path, capsys):
         path = write_spec(tmp_path, OCTAGON)
@@ -724,10 +752,10 @@ class TestDeterminismAndRoundTrip:
         assert render_report([encode_value(r) for r in records]) == out
 
     def test_big_integers_survive(self):
-        from toricdegen.report import decode_value, encode_value
+        from toricdegen.report import encode_value
 
         big = 2**80 + 1
-        assert decode_value(encode_value(big)) == big
+        assert oracles.decode_value(encode_value(big)) == big
         assert isinstance(encode_value(big), str)
 
 

@@ -21,7 +21,6 @@ from toricdegen.exactmath import (
     rank_fraction,
     rational_primitive,
     right_kernel,
-    saturation,
     solve_linear,
     solve_particular,
     vadd,
@@ -124,15 +123,6 @@ class TestKernels:
         assert len(kernel) == 2
         for v in kernel:
             assert sum(v) == 0
-
-    def test_saturation_recovers_primitive_span(self):
-        sat = saturation([(2, 4)])
-        assert sat == [(1, 2)]
-
-    def test_saturation_of_full_rank(self):
-        sat = saturation([(1, 1), (1, -1)])
-        # the rational span is everything, so the saturation is Z^2
-        assert abs(determinant(sat)) == 1
 
 
 class TestUnimodular:

@@ -753,6 +753,33 @@ class TestIteratedLift:
         with pytest.raises(LiftingError, match="interior"):
             iterated_lift(segment(0, 3), (1,), [5])
 
+    @pytest.mark.parametrize(
+        "base, normal, cut",
+        [
+            (segment(0, 3), (1,), 0),  # at an end
+            (segment(0, 3), (1,), 3),
+            (LatticePolytope.from_vertices([(0, 0), (6, 0), (0, 6)]), (1, 0), 6),  # vertex level
+            (LatticePolytope.from_vertices([(0, 0), (6, 0), (0, 6)]), (1, 1), -1),  # beyond
+        ],
+    )
+    def test_cut_through_no_interior_point_is_refused(self, base, normal, cut):
+        with pytest.raises(LiftingError, match="interior") as raised:
+            iterated_lift(base, normal, [cut])
+        assert raised.value.witness == cut
+
+    @pytest.mark.parametrize(
+        "halfspaces, rank, normal, cuts",
+        [
+            ([((1,), 0)], 1, (1,), [7]),  # past the only vertex, along the ray
+            ([((-1,), 5)], 1, (1,), [-3]),
+            ([((1, 0), 0), ((0, 1), 0), ((0, -1), 3)], 2, (1, 0), [2, 9]),
+        ],
+    )
+    def test_ray_keeps_every_cut_interior(self, halfspaces, rank, normal, cuts):
+        base = LatticePolytope.from_halfspaces(halfspaces, rank)
+        multi = iterated_lift(base, normal, cuts)
+        assert len(multi.partition.pieces) == len(cuts) + 1
+
 
 class TestExtendSupportFunction:
     def _compact_unit_cut(self):
@@ -868,10 +895,11 @@ class TestBigIntegerExactness:
         lifted = lift_polytope(part, lifting)
         assert (3 * big, 3 * big) in set(lifted.polytope.vertices)
         assert lifted.nonsingular
-        from toricdegen.report import decode_value, encode_value, lifted_polytope_record
+        from toricdegen.report import encode_value, lifted_polytope_record
 
         record = lifted_polytope_record(lifted)
-        assert decode_value(encode_value(record)) == decode_value(encode_value(record))
+        decode = oracles.decode_value
+        assert decode(encode_value(record)) == decode(encode_value(record))
         assert any(
             isinstance(x, str) for v in encode_value(record)["vertices"] for x in v
         )
