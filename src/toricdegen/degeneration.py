@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GeometryError, LiftingError
-from .exactmath import vdot
-from .lifting import LiftedPolytope
+from .lifting import LiftedPolytope, run_values
 from .partition import DualComplex
 from .polytope import lattice_equivalent
 
@@ -186,11 +185,12 @@ def family_equations(lifted: LiftedPolytope, anchor=None, seed=None):
     off the column runs of each piece (``lattice_runs``), each aligned by its
     prefix with the base's run holding it, so a run is one index range.  On
     a run ``f = (<a, p> + b) / d`` is an arithmetic progression with step
-    ``a_n / d``, integral exactly when its first value and, on a longer run,
-    the step are.  Pieces are written last to first, so a point on a wall
-    keeps the value of the first piece holding it; the function is
-    continuous, so the pieces agree there.  Coefficients default to formal
-    symbols ``a1..aN``; a seed draws deterministic rational values.
+    ``a_n / d`` (``run_values``), integral exactly when its first value
+    and, on a longer run, the step are.  Pieces are written last to first,
+    so a point on a wall keeps the value of the first piece holding it; the
+    function is continuous, so the pieces agree there.  Coefficients default
+    to formal symbols ``a1..aN``; a seed draws deterministic rational
+    values.
     """
     base = lifted.base.ambient
     if not base.is_compact:
@@ -201,7 +201,7 @@ def family_equations(lifted: LiftedPolytope, anchor=None, seed=None):
     if not 0 <= anchor < len(lifted.base.pieces):
         raise GeometryError(f"anchor piece {anchor} out of range")
     shifted = func.subtract_affine(func.piece_function(anchor))
-    points = tuple(base.iter_lattice_points())
+    points = tuple(base.lattice_points())
     # a point prefix + (x,) of the base has index offset[prefix] + x
     offset, j = {}, 0
     for prefix, lo, hi in base.lattice_runs():
@@ -215,8 +215,8 @@ def family_equations(lifted: LiftedPolytope, anchor=None, seed=None):
             start = offset[prefix] + lo
             stop = start + hi - lo + 1
             support += range(start, stop)
-            value, rest = divmod(vdot(f.a, points[start]) + f.b, f.d)
-            step, step_rest = divmod(f.a[-1], f.d) if hi > lo else (0, 0)
+            value, step = run_values(f, prefix, lo, hi)
+            (value, rest), (step, step_rest) = divmod(value, f.d), divmod(step, f.d)
             if rest or step_rest:
                 raise LiftingError("anchor renormalization is not integral", witness=anchor)
             if step:

@@ -4,7 +4,7 @@ The pipeline: wall cochain from the interior codimension-one faces, cocycle
 check over triples, integration over a spanning tree of the dual complex,
 concavity profile, minimal integral rescaling, then the lifted polytope
 ``{(x, y) : x in base, y >= F(x)}`` with the extra coordinate *last*.  The
-rescaling is an integer gcd with a floor (``PiecewiseAffine.value_generator``).
+rescaling is an integer gcd over column runs (``PiecewiseAffine.value_generator``).
 
 Sign convention (followed verbatim from the toric-degeneration literature):
 the concavity ``C(F, p)`` sums the increments of ``F`` along the partition
@@ -16,7 +16,6 @@ functions.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -185,27 +184,19 @@ class PiecewiseAffine:
 
         A piece with ``f = (<a, x> + b) / d`` gives ``G / d``, ``G`` the gcd of
         ``<a, p> + b`` over its lattice points (unbounded: over a one-step
-        truncation, and of the slopes ``<a, r>`` along its rays).  Every term
-        is an integer combination of ``a_1 .. a_n`` and ``<a, p0> + b`` for the
-        first point ``p0``, so ``G`` is a multiple of their gcd: the running gcd
-        stops once it equals that floor, usually after a few points, so the
-        points are expanded from the piece's runs lazily.  ``g`` is
-        the rational gcd over the pieces."""
+        truncation, and of the slopes ``<a, r>`` along its rays).  On a column
+        run the values are a progression, so their gcd is that of the run's
+        first value and step (``run_values``).  ``g`` is the rational gcd over
+        the pieces."""
         g = Fraction(0)
         for piece, f in zip(self.partition.pieces, self.per_piece):
-            a, b, rays = f.a, f.b, ()
             if piece.is_compact:
-                pts = piece.iter_lattice_points()
+                total, runs = 0, piece.lattice_runs()
             else:
-                pts = piece.intersect(piece.box_halfspaces(1)).iter_lattice_points()
-                rays = piece.rays
-            total, floor = 0, None
-            for t in itertools.chain((vdot(a, p) + b for p in pts), (vdot(a, r) for r in rays)):
-                if floor is None:
-                    floor = gcd(*a, t)
-                total = gcd(total, t)
-                if total == floor:
-                    break
+                total = gcd(*[vdot(f.a, r) for r in piece.rays])
+                runs = piece.intersect(piece.box_halfspaces(1)).lattice_runs()
+            for prefix, lo, hi in runs:
+                total = gcd(total, *run_values(f, prefix, lo, hi))
             if total:
                 g = Fraction(gcd(g.numerator * f.d, total * g.denominator), g.denominator * f.d)
         return g
@@ -326,6 +317,13 @@ def lifting_function(partition: Partition) -> IntegralLifting:
     if not ok:
         raise LiftingError("wall cochain is not a cocycle", witness=witness)
     return minimal_integral_lifting(integrate_cocycle(alpha, dual, partition))
+
+
+def run_values(f, prefix, lo, hi):
+    """For ``f = (<a, x> + b) / d`` on the column run ``(prefix, lo, hi)``:
+    ``<a, p> + b`` at its first point ``p = prefix + (lo,)``, and the step
+    ``a_n`` from one point to the next, 0 on a one-point run."""
+    return vdot(f.a, prefix + (lo,)) + f.b, f.a[-1] if hi > lo else 0
 
 
 # -- the lifted polytope -------------------------------------------------------

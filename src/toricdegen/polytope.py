@@ -16,13 +16,17 @@ vertices and rays with their cached facet sets, and processes only the rows
 the region does not satisfy yet; a run from scratch is the start with no
 rays.  For a full-dimensional system ``from_halfspaces`` keeps the input
 halfspaces whose tight rays are maximal, read off the kernel's tight sets.
-Facets of a polyhedron given by
-generators, or of a lower-dimensional system in its lattice chart, are the
-extreme rays of the cone of valid homogeneous normals
-(``_dual_from_generators``); ``from_generators`` reads its vertices and
-extreme rays off that one run.  Either way the polyhedron keeps the
-generator-facet incidence as one bit set per facet, and its faces, their
-dimensions and their tight sets come from one Close-by-One walk over those
+Facets of a polyhedron given by generators, or of a lower-dimensional
+system, are the extreme rays of the cone of valid homogeneous normals, found
+by one path in every dimension (``_dual_from_generators``): the hull
+projects one to one onto the pivot columns of its directions, and each
+normal found there is written back with zeros off the pivots.
+``from_generators`` reads its vertices and extreme rays off that one run.
+A polyhedron derives its dimension, the rank less its number of equations,
+and is the whole space exactly when it has no vertex.  Every polyhedron
+keeps the generator-facet incidence as one bit set per facet, and its
+faces, their dimensions and their tight sets come from one Close-by-One
+walk over those
 bit sets (``_face_walk``; Kaibel and Pfetsch, Comput. Geom. 23, 2002): a
 face ANDs in the facets of higher index, a cut at a simple vertex is a face
 one dimension down, and any other cut is closed by the facets through its
@@ -158,47 +162,33 @@ class Face:
 def _dual_from_generators(points, rays, rank):
     """Facet halfspaces, affine-hull equations, incidence and direction basis
     of conv(points) + cone(rays): bit ``i`` of a facet's mask is set when the
-    ``i``-th generator, points first, lies on it.  The equations are a kernel
-    basis, so the hull has dimension ``rank - len(equations)``.  The facets
-    are found in a basis of the integer points of the direction space: the
-    unit vectors in full dimension, returned as None, else the kernel of the
-    equations' kernel."""
+    ``i``-th generator, points first, lies on it.  ``echelon`` gives the
+    rank ``d`` of the directions and ``d`` pivot columns, onto which the
+    direction space projects one to one.  So the facets are found once, in
+    the projection onto the pivots (none when ``d = 0``), and each normal is
+    written back with zeros off the pivots: the one normal of the facet that
+    vanishes there.  Below full dimension the equations are a lattice basis
+    of the normals of the directions, ``rank - d`` of them, and the
+    direction basis is their kernel, a basis of the integer points of the
+    direction space; in full dimension there are none, and it is None."""
     base = points[0]
     dirs = [vsub(p, base) for p in points[1:]] + list(rays)
     int_dirs = [rational_primitive(d)[0] for d in dirs if any(d)]
-    d = rank_fraction(int_dirs) if int_dirs else 0
-
-    if d == 0:
-        units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-        equations = [_normalize_equation(u, -x) for u, x in zip(units, base)]
-        return (), tuple(sorted(equations)), (), []
-    if d == rank:
-        equations, basis = [], None
-        facets = _full_dim_facets(points, rays, rank)
-    else:
-        kernel = right_kernel(int_dirs)
+    d, pivots, _ = echelon(list(int_dirs), rank)
+    equations, basis = [], None
+    if d < rank:
+        kernel = right_kernel(int_dirs or [(0,) * rank])
         equations = [_normalize_equation(u, -vdot(base, u)) for u in kernel]
         basis = right_kernel(kernel)
-        model_pts = [_model_coords(basis, base, p) for p in points]
-        model_rays = [_model_coords(basis, None, r) for r in rays]
-        facets = []
-        for hs, mask in _full_dim_facets(model_pts, model_rays, d):
-            w = solve_particular(list(basis), hs.normal)
-            scale_w, s = rational_primitive(w)
-            # <x - base, w> >= -offset  in ambient coordinates
-            off = (Fraction(hs.offset) - vdot(base, w)) / s
-            facets.append((_normalize_halfspace(scale_w, off), mask))
-    facets = sorted(set(facets))
+    projected = [[p[i] for i in pivots] for p in points], [[r[i] for i in pivots] for r in rays]
+    facets = set()
+    for hs, mask in _full_dim_facets(*projected, d) if d else ():
+        normal = [0] * rank
+        for i, x in zip(pivots, hs.normal):
+            normal[i] = x
+        facets.add((Halfspace(tuple(normal), hs.offset), mask))
+    facets = sorted(facets)
     return tuple(h for h, _ in facets), tuple(sorted(equations)), tuple(m for _, m in facets), basis
-
-
-def _model_coords(basis, base, point):
-    target = vsub(point, base) if base is not None else point
-    rows = [[b[i] for b in basis] for i in range(len(target))]
-    status, t = solve_linear(rows, target)
-    if status != "unique":
-        raise GeometryError("point outside the affine hull chart")
-    return normalize_point(t)
 
 
 _LINEALITY = "polyhedron has a nontrivial lineality space"
@@ -557,7 +547,7 @@ class LatticePolytope:
         "vertices",
         "rays",
         "is_whole_space",
-        "_dim",
+        "dim",
         "_incidence",
         "_facet_sets",
         "_tight",
@@ -573,21 +563,20 @@ class LatticePolytope:
         "_keys",
     )
 
-    def __init__(
-        self, ambient_rank, halfspaces, equations, vertices, rays, dim, incidence, whole=False,
-        chart=None,
-    ):
+    def __init__(self, ambient_rank, halfspaces, equations, vertices, rays, incidence, chart=None):
         """``incidence`` holds one mask per halfspace: bit ``j`` is set when
         the ``j``-th generator, vertices first, lies on it.  ``chart`` is the
-        direction basis ``_dual_from_generators`` found the facets in, None
-        in full dimension."""
+        direction basis ``_dual_from_generators`` kept, None in full
+        dimension.  The equations are independent, so the dimension is the
+        rank less their number, and a nonempty pointed polyhedron has a
+        vertex, so one without is the whole space."""
         self.ambient_rank = ambient_rank
         self.halfspaces = tuple(halfspaces)
         self.equations = tuple(equations)
         self.vertices = tuple(vertices)
         self.rays = tuple(rays)
-        self.is_whole_space = whole
-        self._dim = dim
+        self.is_whole_space = not self.vertices
+        self.dim = ambient_rank - len(self.equations)
         self._incidence = tuple(incidence)
         self._facet_sets = None
         self._tight = {}
@@ -621,11 +610,10 @@ class LatticePolytope:
         rank = len(points[0])
         rays = [primitive(r) for r in rays]
         halfspaces, equations, incidence, chart = _dual_from_generators(points, rays, rank)
-        dim = rank - len(equations)
         _refuse_lineality(halfspaces, equations, rank)
         if rank and not halfspaces and not equations:
-            # the hull is the whole space: no vertex, so dimension -1
-            return cls(rank, (), (), *_whole_space_generators(rank), -1, ())
+            # the hull is the whole space, which has no vertex
+            return cls(rank, (), (), *_whole_space_generators(rank), ())
         facet_sets = _transpose(incidence, len(points) + len(rays))
         vertices = _extreme(points, facet_sets)
         extreme = _extreme(rays, facet_sets[len(points) :])
@@ -634,7 +622,7 @@ class LatticePolytope:
         masks = _transpose(kept, len(incidence))
         vertices = [v for v, _ in vertices]
         rays = [r for r, _ in extreme]
-        return cls(rank, halfspaces, equations, vertices, rays, dim, masks, chart=chart)
+        return cls(rank, halfspaces, equations, vertices, rays, masks, chart)
 
     @classmethod
     def from_halfspaces(cls, halfspaces, rank, equations=()):
@@ -654,7 +642,7 @@ class LatticePolytope:
             halfspaces = [*region.halfspaces, *halfspaces]
             equations = [*region.equations, *equations]
         if not halfspaces and not equations:
-            return cls(rank, (), (), (), (), rank, (), whole=True)
+            return cls(rank, (), (), (), (), ())
         dedup = {}
         for h in halfspaces:
             prev = dedup.get(h.normal)
@@ -671,18 +659,14 @@ class LatticePolytope:
             # lower-dimensional: normals are canonical only modulo the
             # affine hull, so rebuild them
             hs, eqs, incidence, chart = _dual_from_generators(vertices, rays, rank)
-            return cls(rank, hs, eqs, vertices, rays, rank - len(eqs), incidence, chart=chart)
+            return cls(rank, hs, eqs, vertices, rays, incidence, chart)
         # the facets are the halfspaces whose tight generator sets are maximal
         maximal = set(_maximal(tight))
         facets = [i for i, t in enumerate(tight) if t in maximal]
         hs = [halfspaces[i] for i in facets]
-        return cls(rank, hs, (), vertices, rays, rank, [tight[i] for i in facets])
+        return cls(rank, hs, (), vertices, rays, [tight[i] for i in facets])
 
     # -- basic queries ----------------------------------------------------
-
-    @property
-    def dim(self):
-        return self._dim
 
     @property
     def is_compact(self):
@@ -770,7 +754,7 @@ class LatticePolytope:
         top = (1 << len(gens)) - 1
         if self.is_whole_space:
             return {top: Face((), (), self.ambient_rank, frozenset())}
-        walk = _face_walk(self._incidence, top, self._dim, self._generator_facets(), gens, nv)
+        walk = _face_walk(self._incidence, top, self.dim, self._generator_facets(), gens, nv)
         return {
             mask: Face(*_generators(mask, gens, nv), dim, frozenset(_bits(tight)))
             for mask, dim, tight in walk
@@ -855,7 +839,7 @@ class LatticePolytope:
         if found is None:
             facet_sets = self._generator_facets()
             own, vertex = facet_sets[a], 1 << a
-            if own.bit_count() == self._dim:
+            if own.bit_count() == self.dim:
                 found = sorted(
                     (self._cut(own ^ (1 << i)) ^ vertex).bit_length() - 1 for i in _bits(own)
                 )
@@ -863,7 +847,7 @@ class LatticePolytope:
                 found = []
                 for b, fb in enumerate(facet_sets):
                     common = own & fb
-                    if b == a or common.bit_count() < self._dim - 1:
+                    if b == a or common.bit_count() < self.dim - 1:
                         continue
                     if self._cut(common) == vertex | (1 << b):
                         found.append(b)
@@ -883,7 +867,7 @@ class LatticePolytope:
         figure is a simplex exactly when it has ``dim`` facets."""
         if self.is_whole_space:
             return False
-        d = self._dim
+        d = self.dim
         return all(fs.bit_count() == d for fs in self._generator_facets()[: len(self.vertices)])
 
     def _lattice_normals(self):
@@ -916,7 +900,7 @@ class LatticePolytope:
             found = False
             if a is not None:
                 own, normals = self._generator_facets()[a], self._lattice_normals()
-                found = own.bit_count() == self._dim and (
+                found = own.bit_count() == self.dim and (
                     abs(determinant([normals[i][0] for i in _bits(own)])) == 1
                 )
             self._nonsingular[vertex] = found
@@ -947,9 +931,9 @@ class LatticePolytope:
         return sorted(out)
 
     def _direction_basis(self):
-        """A basis of the integer points of the direction space: the one the
-        facets were found in, else the unit vectors of a full-dimensional
-        system."""
+        """A basis of the integer points of the direction space: the one
+        ``_dual_from_generators`` kept, else the unit vectors of a
+        full-dimensional system."""
         if self._chart is None:
             n = self.ambient_rank
             self._chart = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -959,9 +943,14 @@ class LatticePolytope:
         """A point's coordinates in the polyhedron's own lattice: the point
         itself when the polyhedron is full-dimensional, else its coordinates
         from the first vertex along ``_direction_basis``."""
-        if self._dim == self.ambient_rank:
+        if self.dim == self.ambient_rank:
             return tuple(point)
-        return _model_coords(self._direction_basis(), self.vertices[0], point)
+        basis = self._direction_basis()
+        target = vsub(point, self.vertices[0])
+        status, t = solve_linear([[b[i] for b in basis] for i in range(len(target))], target)
+        if status != "unique":
+            raise GeometryError("point outside the affine hull chart")
+        return normalize_point(t)
 
     def vertex_keys(self):
         """Per vertex, in vertex order, its row of the vertex-facet pairing
@@ -994,17 +983,13 @@ class LatticePolytope:
             self._lattice_runs = self._scan_runs()
         return self._lattice_runs
 
-    def iter_lattice_points(self):
-        """The lattice points, lazily, in lexicographic order: the runs
-        expanded."""
+    def lattice_points(self):
+        """All lattice points of a compact polytope in lexicographic order, as
+        a fresh list: the runs expanded."""
         runs = self.lattice_runs()
         if not self.ambient_rank:
-            return iter([()])
-        return (prefix + (x,) for prefix, lo, hi in runs for x in range(lo, hi + 1))
-
-    def lattice_points(self):
-        """All lattice points of a compact polytope, sorted, as a fresh list."""
-        return list(self.iter_lattice_points())
+            return [()]
+        return [prefix + (x,) for prefix, lo, hi in runs for x in range(lo, hi + 1)]
 
     def _scan_runs(self):
         """Project and lift, as Normaliz enumerates lattice points.  Each

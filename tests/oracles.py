@@ -21,7 +21,9 @@ lattice point), the exhaustive lattice-equivalence search (every
 vertex of Q, every permutation of its edges) on a full-dimensional model
 polytope (a second double description for a lower-dimensional one) with its
 edges from the 1-faces and one rational solve per row of every candidate
-map, and the ``encode_value`` walk over every report record.
+map, the ``encode_value`` walk over every report record, and the facets of a
+lower-dimensional hull found in a saturated chart, one solve per generator
+and per facet.
 Tests compare the fast paths against them; nothing in the package imports
 this module.  It also holds the degeneration invariants that only tests
 check: unimodular chart transitions, and the base fan inside the lifted
@@ -63,6 +65,8 @@ from toricdegen.polytope import (
     _apply,
     _dual_from_generators,
     _enumerate_generators,
+    _full_dim_facets,
+    _normalize_equation,
     _normalize_halfspace,
     normal_fan,
 )
@@ -269,6 +273,46 @@ def full_dim_facets(points, rays, rank):
             mask = sum(1 << i for i, x in enumerate(dots) if x == 0)
             found.add((_normalize_halfspace(w[:-1], w[-1]), mask))
     return list(found)
+
+
+def dual_from_generators(points, rays, rank):
+    """``_dual_from_generators`` in a saturated chart: each generator's
+    coordinates along a basis of the integer points of the direction space
+    by one rational solve, the facets of that full-dimensional model, and
+    each model normal pulled back by one particular solve, made primitive
+    and translated back from the first point.  The facets of the model come
+    from the package's ``_full_dim_facets``, so only the chart is tested."""
+    base = points[0]
+    dirs = [vsub(p, base) for p in points[1:]] + list(rays)
+    int_dirs = [rational_primitive(d)[0] for d in dirs if any(d)]
+    d = rank_fraction(int_dirs) if int_dirs else 0
+    if d == 0:
+        units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        equations = [_normalize_equation(u, -x) for u, x in zip(units, base)]
+        return (), tuple(sorted(equations)), (), []
+    if d == rank:
+        equations, basis = [], None
+        facets = _full_dim_facets(points, rays, rank)
+    else:
+        kernel = right_kernel(int_dirs)
+        equations = [_normalize_equation(u, -vdot(base, u)) for u in kernel]
+        basis = right_kernel(kernel)
+
+        def model(target):
+            status, t = solve_linear([[b[i] for b in basis] for i in range(rank)], target)
+            assert status == "unique", "generator outside the affine hull chart"
+            return normalize_point(t)
+
+        facets = []
+        model_pts = [model(vsub(p, base)) for p in points]
+        for hs, mask in _full_dim_facets(model_pts, [model(r) for r in rays], d):
+            w = solve_particular(list(basis), hs.normal)
+            scaled, s = rational_primitive(w)
+            # <x - base, w> >= -offset in ambient coordinates
+            offset = (Fraction(hs.offset) - vdot(base, w)) / s
+            facets.append((_normalize_halfspace(scaled, offset), mask))
+    facets = sorted(set(facets))
+    return tuple(h for h, _ in facets), tuple(sorted(equations)), tuple(m for _, m in facets), basis
 
 
 def from_generators(points, rays):

@@ -895,11 +895,11 @@ class TestBigIntegerExactness:
         lifted = lift_polytope(part, lifting)
         assert (3 * big, 3 * big) in set(lifted.polytope.vertices)
         assert lifted.nonsingular
-        from toricdegen.report import encode_value, lifted_polytope_record
+        from toricdegen.report import encode_value, lifted_polytope_record, render_report
 
         record = lifted_polytope_record(lifted)
-        decode = oracles.decode_value
-        assert decode(encode_value(record)) == decode(encode_value(record))
+        assert oracles.decode_value(encode_value(record)) == record
+        assert oracles.parse_report(render_report([record]))[0] == record
         assert any(
             isinstance(x, str) for v in encode_value(record)["vertices"] for x in v
         )

@@ -465,14 +465,23 @@ class TestIncidenceAgainstOracles:
 
     def test_whole_line_keeps_its_two_rays(self):
         p = LatticePolytope.from_generators([(3,), (0,)], [(1,), (-2,)])
-        assert (p.vertices, p.rays, p.dim) == ((), ((-1,), (1,)), -1)
+        assert (p.vertices, p.rays, p.dim, p.is_whole_space) == ((), ((-1,), (1,)), 1, True)
         assert oracles.from_generators([(3,), (0,)], [(1,), (-2,)]) == ([], [(-1,), (1,)])
         _assert_faces_match_oracle(p)
 
     def test_whole_plane_has_no_generators(self):
         p = LatticePolytope.from_generators([(1, 1)], [(1, 0), (-1, 0), (0, 1), (0, -1)])
-        assert (p.vertices, p.rays, p.dim) == ((), (), -1)
+        assert (p.vertices, p.rays, p.dim, p.is_whole_space) == ((), (), 2, True)
         assert oracles.from_generators([(1, 1)], [(1, 0), (-1, 0), (0, 1), (0, -1)]) == ([], [])
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_whole_space_hull_is_the_whole_space(self, rank):
+        units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        rays = units + [tuple(-x for x in u) for u in units]
+        p = LatticePolytope.from_generators([(1,) * rank], rays)
+        assert p.is_whole_space and p.dim == rank and not p.is_compact
+        if rank >= 2:
+            assert p == LatticePolytope.from_halfspaces([], rank)
 
     @pytest.mark.parametrize(
         "points, rays",
@@ -632,6 +641,57 @@ def embedded_polytopes(draw):
     pts = draw(point_sets(k, 6, bound=2))
     matrix, shift, _ = draw(injective_maps(k, n))
     return LatticePolytope.from_vertices([_image(matrix, shift, p) for p in pts])
+
+
+@st.composite
+def embedded_hulls(draw):
+    """Half-integral points and integer rays in rank ``k <= n`` pushed into
+    rank ``n <= 5`` by an injective integer map, the points with a shift:
+    hulls of every dimension from 0 to ``n``."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    half = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2]))
+    pts = draw(st.lists(st.tuples(*[half] * k), min_size=1, max_size=k + 3))
+    local_rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k).filter(any), max_size=2)) if k else []
+    matrix, shift, _ = draw(injective_maps(k, n))
+    points = [exactmath.normalize_point(_image(matrix, shift, p)) for p in pts]
+    rays = [exactmath.primitive(_image(matrix, (0,) * n, r)) for r in local_rays]
+    return points, rays, n
+
+
+class TestPivotChartAgainstSolvedChart:
+    """The facets found in the projection onto the pivot columns against
+    those found in a saturated chart with one solve per generator and
+    facet."""
+
+    @given(embedded_hulls())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_solved_chart(self, hull):
+        got = _dual_from_generators(*hull)
+        expected = oracles.dual_from_generators(*hull)
+        assert got == expected and repr(got) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "points, rays",
+        [
+            ([(1, 2, 3)], []),
+            ([(0, 0, 0), (2, 4, 6)], []),
+            ([(0, 0, 0, 0), (Fraction(1, 2), 1, 0, 3), (2, 0, 1, 1)], []),
+            ([(1, 1, 0, 0)], [(1, 2, 0, 0), (0, 1, 1, 0)]),
+            ([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)], [(1, 1, 1)]),
+        ],
+    )
+    def test_runs_no_solve(self, monkeypatch, points, rays):
+        def refuse(*args):
+            raise AssertionError("solve called")
+
+        for module in (polytope_module, exactmath):
+            monkeypatch.setattr(module, "solve_linear", refuse)
+            monkeypatch.setattr(module, "solve_particular", refuse)
+        rank = len(points[0])
+        got = _dual_from_generators(points, rays, rank)
+        monkeypatch.undo()
+        assert got == oracles.dual_from_generators(points, rays, rank)
 
 
 TRIANGLE = [(0, 0), (2, 0), (0, 2)]
