@@ -5,7 +5,10 @@ a face of the partition, found by the polyhedron face walk over generator
 ids the pieces share (``_collect_faces``).  Vertices of the ambient polytope
 are *not* counted as 0-faces of the partition.  The semi-stability condition
 counts, for each partition face and the smallest ambient face containing
-it, how many pieces share it.
+it, how many pieces share it.  The walks count their faces, and a partition
+past ``FACE_BUDGET`` is refused.  Hyperplane cuts, and the polyhedral
+difference that finds a gap, split a region that a hyperplane crosses once,
+into both sides (``LatticePolytope.split``).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .errors import EmptyPolyhedronError, PartitionError
+from .errors import EmptyPolyhedronError, PartitionError, UnsupportedGeometryError
 from .exactmath import (
     kernel_vector,
     normalize_coord,
@@ -382,37 +385,50 @@ def _check_cover(ambient, faces, pieces):
 
 
 def _uncovered_point(ambient, pieces):
-    """A point of the ambient polytope in no piece, by polyhedral difference."""
+    """A point of the ambient polytope in no piece, by polyhedral difference.
+
+    Each region left uncovered, the ambient polytope or a box around the
+    pieces of the whole space at first, loses each piece facet by facet:
+    ``rest``, its part inside the facets before ``h``, gives up the chunk
+    beyond ``h``.  When ``h`` crosses it, ``rest`` is split once, into the
+    chunk and the next ``rest``.  A ``rest`` inside ``h`` has no chunk
+    beyond it, and a ``rest`` beyond ``h`` is the chunk itself, with nothing
+    of it left inside the piece.  Every region has the ambient dimension,
+    and so does every chunk."""
     if ambient.is_whole_space:
         hull = LatticePolytope.from_vertices([v for p in pieces for v in p.vertices])
         regions = [hull.bounding_box_polytope(2)]
-        d = ambient.ambient_rank
     else:
         regions = [ambient]
-        d = ambient.dim
     for piece in pieces:
         new_regions = []
         for region in regions:
-            # ``rest`` is the region on the inner side of the facets before
-            # the k-th; the k-th chunk is its part beyond the k-th facet
             rest = region
-            for k, h in enumerate(piece.halfspaces):
-                if k:
-                    try:
-                        rest = rest.intersect([piece.halfspaces[k - 1]])
-                    except EmptyPolyhedronError:
-                        break
-                flipped = (tuple(-x for x in h.normal), -h.offset)
-                try:
-                    chunk = rest.intersect([flipped])
-                except EmptyPolyhedronError:
-                    chunk = None
-                if chunk is not None and chunk.dim == d:
-                    new_regions.append(chunk)
+            for h in piece.halfspaces:
+                sides = _sides(rest, h.normal, -h.offset)
+                if min(sides) >= 0:
+                    continue
+                if max(sides) <= 0:
+                    new_regions.append(rest)
+                    break
+                rest, chunk = rest.split(h.normal, -h.offset)
+                new_regions.append(chunk)
         regions = new_regions
         if not regions:
             return None
     return regions[0].relative_interior_point() if regions else None
+
+
+def _sides(region, normal, value):
+    """Where a region's vertices and rays lie against the hyperplane ``<x,
+    normal> = value``, by sign: ``<v, normal> - value`` per vertex ``v``,
+    then ``<r, normal>`` per ray ``r``."""
+    sides = [vdot(v, normal) - value for v in region.vertices]
+    return sides + [vdot(r, normal) for r in region.rays]
+
+
+# faces the piece walks of one partition may list, summed over the pieces
+FACE_BUDGET = 10**6
 
 
 def _collect_faces(ambient, pieces):
@@ -425,7 +441,8 @@ def _collect_faces(ambient, pieces):
     all its generators.  Faces come in the order of ``(first piece, dim,
     vertices, rays)``: the ids are sorted, so id tuples order as the
     coordinate tuples do.  Ambient vertices are not 0-faces of the
-    partition.
+    partition.  The walks count their faces, and a piece whose walk takes
+    the count past ``FACE_BUDGET`` is refused before its faces are merged.
     """
     gens = sorted({v for p in pieces for v in p.vertices})
     nv = len(gens)
@@ -435,13 +452,18 @@ def _collect_faces(ambient, pieces):
     ray_ids = {g: i for i, g in enumerate(gens[nv:], nv)}
     has_vertex = (1 << nv) - 1
     found = {}  # mask -> (dim, owner list)
+    walked = 0
     for idx, piece in enumerate(pieces):
         ids = [vertex_ids[v] for v in piece.vertices] + [ray_ids[r] for r in piece.rays]
         local = [1 << j for j in ids]
         facets = [sum(local[j] for j in _bits(m)) for m in piece._incidence]
         # each vertex's facet mask, keyed by its shared id
         through = dict(zip(ids, piece._generator_facets()))
-        for mask, dim, _ in _face_walk(facets, sum(local), piece.dim, through, gens, nv):
+        walk = _face_walk(facets, sum(local), piece.dim, through, gens, nv)
+        walked += len(walk)
+        if walked > FACE_BUDGET:
+            raise UnsupportedGeometryError(f"partition face walk over {walked} faces")
+        for mask, dim, _ in walk:
             entry = found.get(mask)
             if entry is None:
                 found[mask] = (dim, [idx])
@@ -491,9 +513,10 @@ def partition_by_hyperplanes(ambient: LatticePolytope, cuts) -> Partition:
     """Chambers of ``<x, normal> = value`` hyperplane cuts inside a polytope.
 
     A region whose vertices and rays all lie on one closed side of a cut,
-    not all on the hyperplane, is kept whole; only a region the cut crosses
-    (or a whole-space region, or one the hyperplane contains) is intersected
-    with both sides.  Pieces are ordered by the position of their interior
+    not all on the hyperplane, is kept whole.  A region the cut crosses is
+    split once, into both sides (``LatticePolytope.split``); only a
+    whole-space region, or one the hyperplane contains, is intersected with
+    each side in turn.  Pieces are ordered by the position of their interior
     point along the first cut normal, then lexicographically.
     """
     regions = [ambient]
@@ -502,10 +525,12 @@ def partition_by_hyperplanes(ambient: LatticePolytope, cuts) -> Partition:
         value = normalize_coord(value)
         new_regions = []
         for region in regions:
-            sides = [vdot(v, normal) - value for v in region.vertices]
-            sides += [vdot(r, normal) for r in region.rays]
-            if sides and (min(sides) >= 0 or max(sides) <= 0) and any(sides):
-                new_regions.append(region)  # the cut misses the region's interior
+            sides = _sides(region, normal, value)
+            if any(sides):
+                if min(sides) < 0 < max(sides):
+                    new_regions.extend(region.split(normal, value))
+                else:
+                    new_regions.append(region)  # the cut misses the region's interior
                 continue
             for hs in ((normal, -value), (tuple(-x for x in normal), value)):
                 try:

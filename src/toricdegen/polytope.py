@@ -14,8 +14,12 @@ constraints it adds, and continues the region's double description instead
 of restarting it: the kernel starts from the cone over the region, its
 vertices and rays with their cached facet sets, and processes only the rows
 the region does not satisfy yet; a run from scratch is the start with no
-rays.  For a full-dimensional system ``from_halfspaces`` keeps the input
-halfspaces whose tight rays are maximal, read off the kernel's tight sets.
+rays.  ``split`` cuts a region that a hyperplane crosses into both sides at
+once: one step of the kernel (``_dd_split``) on the cone over the region
+splits its rays by sign, and the rays it combines on the hyperplane belong
+to both sides.  For a full-dimensional system ``from_halfspaces``, and each
+side of a split, keeps the halfspaces whose tight rays are maximal, read
+off the kernel's tight sets (``_from_tight``).
 Facets of a polyhedron given by generators, or of a lower-dimensional
 system, are the extreme rays of the cone of valid homogeneous normals, found
 by one path in every dimension (``_dual_from_generators``): the hull
@@ -23,7 +27,8 @@ projects one to one onto the pivot columns of its directions, and each
 normal found there is written back with zeros off the pivots.
 ``from_generators`` reads its vertices and extreme rays off that one run.
 A polyhedron derives its dimension, the rank less its number of equations,
-and is the whole space exactly when it has no vertex.  Every polyhedron
+and is the whole space exactly when it has no vertex; the whole space has
+no ray either, in every rank.  Every polyhedron
 keeps the generator-facet incidence as one bit set per facet, and its
 faces, their dimensions and their tight sets come from one Close-by-One
 walk over those
@@ -75,6 +80,7 @@ refuses past ``POINT_BUDGET`` prefixes and points.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -202,13 +208,6 @@ def _refuse_lineality(halfspaces, equations, rank):
         raise UnsupportedGeometryError(_LINEALITY)
 
 
-def _whole_space_generators(rank):
-    """Vertices and rays of a system with no constraint at all: the whole
-    space has no vertex, and in rank 1 its two directions are rays, as the
-    subset enumeration found them."""
-    return [], [(-1,), (1,)] if rank == 1 else []
-
-
 # candidate ray pairs one double description may test, summed over its splits
 PAIR_BUDGET = 10**6
 
@@ -231,11 +230,9 @@ def _dd_extreme_rays(ineqs, eqs, width, start=None):
     rows outside ``done``.  Each row either turns a line it is not
     orthogonal to into a ray, tight on every earlier row, and reduces the
     other lines and the rays onto its hyperplane, or it splits the rays by
-    sign and adds the positive combination of each adjacent pair across it.
-    Two rays are adjacent when no third ray's tight set contains the
-    intersection of theirs; a pair sharing fewer tight rows than the cone's
-    dimension, less the lines left and two, spans no edge and skips that
-    test.  Every step is integer.
+    sign, keeps the positive side and adds the positive combination of each
+    adjacent pair across it (``_dd_split``, the cone's dimension taken less
+    the lines left).  Every step is integer.
 
     The work is bounded by the candidate pairs, ``len(pos) * len(neg)``
     summed over the splits; a split that would take the sum past
@@ -265,35 +262,50 @@ def _dd_extreme_rays(ineqs, eqs, width, start=None):
             rays = [(_combine(s, z, -d, p) if d else z, m | bit) for (z, m), d in zip(rays, dots)]
             rays.append((p, bit - 1))
             continue
-        pos, neg, new = [], [], []
-        for z, mask in rays:
-            s = vdot(a, z)
-            if s > 0:
-                pos.append((z, mask, s))
-                new.append((z, mask))
-            elif s < 0:
-                neg.append((z, mask, s))
-            else:
-                new.append((z, mask | bit))
-        if neg and pos:
-            pairs += len(pos) * len(neg)
-            if pairs > PAIR_BUDGET:
-                raise UnsupportedGeometryError(
-                    f"double description over {pairs} candidate ray pairs"
-                )
-            masks = [mask for _, mask in rays]
-            least = dim - len(lines) - 2
-            for zp, mp, sp in pos:
-                for zn, mn, sn in neg:
-                    common = mp & mn
-                    if common.bit_count() < least:
-                        continue
-                    # the pair's own masks contain ``common``: no third may
-                    if sum(1 for mask in masks if common & mask == common) > 2:
-                        continue
-                    new.append((_combine(sp, zn, -sn, zp), common | bit))
-        rays = new
+        pos, _, on, pairs = _dd_split(a, bit, rays, dim - len(lines) - 2, pairs)
+        rays = [(z, mask) for z, mask, _ in pos] + on
     return rays, lines
+
+
+def _dd_split(a, bit, rays, least, pairs):
+    """One row ``<a, z> >= 0`` of the double description over the extreme
+    rays of a pointed cone, ``(z, mask)`` pairs, with ``pairs`` candidate
+    pairs tested so far.
+
+    Returns ``(pos, neg, on, pairs)``: the rays with ``<a, z>`` positive and
+    negative, as ``(z, mask, <a, z>)``, the rays on the hyperplane, and the
+    new count.  The rays on it are those of the cone there, with ``bit``
+    set, and the positive combination of each adjacent pair across it, so
+    both sides of the hyperplane share them.  Two rays are adjacent when no
+    third ray's tight set contains the intersection of theirs; a pair
+    sharing fewer than ``least`` tight rows, the cone's dimension less two,
+    spans no edge and skips that test.  A split that takes the count past
+    ``PAIR_BUDGET`` is refused before its pairs are tested.
+    """
+    pos, neg, on = [], [], []
+    for z, mask in rays:
+        s = vdot(a, z)
+        if s > 0:
+            pos.append((z, mask, s))
+        elif s < 0:
+            neg.append((z, mask, s))
+        else:
+            on.append((z, mask | bit))
+    if neg and pos:
+        pairs += len(pos) * len(neg)
+        if pairs > PAIR_BUDGET:
+            raise UnsupportedGeometryError(f"double description over {pairs} candidate ray pairs")
+        masks = [mask for _, mask in rays]
+        for zp, mp, sp in pos:
+            for zn, mn, sn in neg:
+                common = mp & mn
+                if common.bit_count() < least:
+                    continue
+                # the pair's own masks contain ``common``: no third may
+                if sum(1 for mask in masks if common & mask == common) > 2:
+                    continue
+                on.append((_combine(sp, zn, -sn, zp), common | bit))
+    return pos, neg, on, pairs
 
 
 def _combine(c, u, d, v):
@@ -358,11 +370,36 @@ def _enumerate_generators(halfspaces, equations, rank, region=None):
     if lines:
         if halfspaces or equations:
             raise UnsupportedGeometryError(_LINEALITY)
-        vertices, rays = _whole_space_generators(rank)
-        return vertices, rays, [0] * len(rays)
+        return [], [], []
+    return _cone_generators(cone)
+
+
+def _cone_generators(cone):
+    """The vertices and rays of the slice ``t = 1`` of a pointed cone given
+    by its extreme rays as ``(z, mask)`` pairs, each sorted, and their masks
+    in that order, vertices first."""
     vertices = sorted((_vertex(z), mask) for z, mask in cone if z[-1])
     rays = sorted((z[:-1], mask) for z, mask in cone if not z[-1])
     return [v for v, _ in vertices], [r for r, _ in rays], [m for _, m in vertices + rays]
+
+
+def _region_cone(region):
+    """The extreme rays of the cone over a nonempty pointed ``region`` as
+    ``(z, mask)`` pairs: ``(v, 1)`` for a vertex ``v``, made primitive when
+    ``v`` is rational, and ``(r, 0)`` for a ray ``r``.  Each mask is the
+    generator's cached facet set, and a ray's also has bit
+    ``len(region.halfspaces)``, the row ``t >= 0``."""
+    nv = len(region.vertices)
+    t_bit = 1 << len(region.halfspaces)
+    cone = []
+    for j, facets in enumerate(region._generator_facets()):
+        if j >= nv:
+            cone.append((region.rays[j - nv] + (0,), facets | t_bit))
+        else:
+            v = region.vertices[j]
+            z = v + (1,) if all(type(x) is int for x in v) else rational_primitive(v + (1,))[0]
+            cone.append((z, facets))
+    return cone
 
 
 def _region_start(region, halfspaces, equations):
@@ -371,10 +408,8 @@ def _region_start(region, halfspaces, equations):
     deduplicated, then ``t >= 0``) and ``equations``, with the extra rows
     that start needs after ``t >= 0``.
 
-    The cone's extreme rays are ``(v, 1)`` for a vertex ``v``, made
-    primitive when ``v`` is rational, and ``(r, 0)`` for a ray ``r``, which
-    is tight on ``t >= 0``.  Each mask is the generator's cached facet set,
-    its bits moved to the facets' rows in the system.  A facet the system
+    The cone's extreme rays come from ``_region_cone``, their mask bits
+    moved to the facets' rows in the system.  A facet the system
     holds only under a tighter parallel halfspace keeps an extra row, so the
     masks still describe the cone, and each equation the region does not
     already hold becomes two opposite extra rows.  The rows the start has
@@ -389,22 +424,17 @@ def _region_start(region, halfspaces, equations):
             i = len(halfspaces) + 1 + len(extra)
             extra.append(_homogeneous_row(h))
         moved.append(1 << i)
-    done = t_bit | sum(moved)
+    moved.append(t_bit)
+    done = sum(moved)
     for e in equations:
         if e not in region.equations:
             row = _homogeneous_row(e)
             extra += [row, tuple(-x for x in row)]
-    nv = len(region.vertices)
     seeds = []
-    for j, facets in enumerate(region._generator_facets()):
-        mask = 0 if j < nv else t_bit
+    for z, facets in _region_cone(region):
+        mask = 0
         for k in _bits(facets):
             mask |= moved[k]
-        if j >= nv:
-            z = region.rays[j - nv] + (0,)
-        else:
-            v = region.vertices[j]
-            z = v + (1,) if all(type(x) is int for x in v) else rational_primitive(v + (1,))[0]
         seeds.append((z, mask))
     return extra, (seeds, region.dim + 1, done)
 
@@ -612,8 +642,8 @@ class LatticePolytope:
         halfspaces, equations, incidence, chart = _dual_from_generators(points, rays, rank)
         _refuse_lineality(halfspaces, equations, rank)
         if rank and not halfspaces and not equations:
-            # the hull is the whole space, which has no vertex
-            return cls(rank, (), (), *_whole_space_generators(rank), ())
+            # the hull is the whole space, which has no generator
+            return cls(rank, (), (), (), (), ())
         facet_sets = _transpose(incidence, len(points) + len(rays))
         vertices = _extreme(points, facet_sets)
         extreme = _extreme(rays, facet_sets[len(points) :])
@@ -652,15 +682,22 @@ class LatticePolytope:
         vertices, rays, masks = _enumerate_generators(halfspaces, equations, rank, region)
         if not vertices:
             raise EmptyPolyhedronError("empty polyhedron")
-        # per halfspace, the set of generators tight on it, as a bit set; the
-        # last row is the kernel's ``t >= 0``
+        # the last row is the kernel's ``t >= 0``
         tight = _transpose(masks, len(halfspaces) + 1)[:-1]
-        if equations or (1 << len(masks)) - 1 in tight:
-            # lower-dimensional: normals are canonical only modulo the
-            # affine hull, so rebuild them
+        return cls._from_tight(halfspaces, equations, rank, vertices, rays, tight)
+
+    @classmethod
+    def _from_tight(cls, halfspaces, equations, rank, vertices, rays, tight):
+        """The nonempty polyhedron cut out by the sorted ``halfspaces`` and
+        the ``equations``, with these sorted vertices and rays: ``tight[i]``
+        is the set of generators, as a bit set, that ``halfspaces[i]`` is
+        tight on.  The facets are the halfspaces whose tight sets are
+        maximal.  A lower-dimensional system has normals canonical only
+        modulo its affine hull, so its facets are rebuilt from the
+        generators."""
+        if equations or (1 << (len(vertices) + len(rays))) - 1 in tight:
             hs, eqs, incidence, chart = _dual_from_generators(vertices, rays, rank)
             return cls(rank, hs, eqs, vertices, rays, incidence, chart)
-        # the facets are the halfspaces whose tight generator sets are maximal
         maximal = set(_maximal(tight))
         facets = [i for i, t in enumerate(tight) if t in maximal]
         hs = [halfspaces[i] for i in facets]
@@ -1058,6 +1095,47 @@ class LatticePolytope:
         hs = [_normalize_halfspace(n, o) for n, o in halfspaces]
         eqs = [_normalize_equation(n, o) for n, o in equations]
         return LatticePolytope._from_normalized(hs, self.ambient_rank, eqs, self)
+
+    def split(self, normal, value):
+        """The two sides ``(above, below)`` of a pointed polyhedron that the
+        hyperplane ``<x, normal> = value`` crosses: ``above`` where ``<x,
+        normal> >= value`` and ``below`` where ``<= value``, each what
+        ``intersect`` with that halfspace gives.  Both come from one step of
+        the double description of the cone over the polyhedron, seeded from
+        its generators and facet sets: the rays split by the sign of the
+        cut's row once, and the rays on the hyperplane, combined from the
+        adjacent pairs across it, are shared by both sides.  Each side's
+        facets are read off its tight sets as ``from_halfspaces`` reads
+        them, with the cut in sorted place, replacing a parallel facet it
+        is tighter than.  A hyperplane that leaves the polyhedron on one
+        closed side raises ``GeometryError``."""
+        above = _normalize_halfspace(normal, -value)
+        below = Halfspace(tuple(-x for x in above.normal), -above.offset)
+        m = len(self.halfspaces)
+        pos, neg, on, _ = _dd_split(
+            _homogeneous_row(above), 1 << (m + 1), _region_cone(self), self.dim - 1, 0
+        )
+        if not (pos and neg):
+            raise GeometryError("the hyperplane does not cross the polyhedron")
+        sides = []
+        for cut, kept in ((above, pos), (below, neg)):
+            vertices, rays, masks = _cone_generators([(z, mask) for z, mask, _ in kept] + on)
+            # bits below ``m`` are the polyhedron's facets, then ``t >= 0``
+            # and the cut
+            tight = _transpose(masks, m + 2)
+            hs, cut_tight, tight = list(self.halfspaces), tight[m + 1], tight[:m]
+            i = bisect.bisect_left(hs, cut)
+            if i < m and hs[i].normal == cut.normal:
+                hs[i], tight[i] = cut, cut_tight
+            else:
+                hs.insert(i, cut)
+                tight.insert(i, cut_tight)
+            sides.append(
+                LatticePolytope._from_tight(
+                    hs, self.equations, self.ambient_rank, vertices, rays, tight
+                )
+            )
+        return tuple(sides)
 
     def intersect_polyhedron(self, other: "LatticePolytope"):
         """Intersection with another polyhedron, cut from this one as

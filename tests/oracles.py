@@ -9,7 +9,8 @@ extreme generators of a hull, the face closure by dot products with a
 rational rank per face, the partition face poset merged from every piece's
 face lattice by coordinate key, the tiling checks that intersect every
 piece pair and cut every region by every hyperplane, the volume certificate
-of a cover with its pulling triangulation, the box filter for lattice
+of a cover with its pulling triangulation, the polyhedral difference that
+intersects each rest twice per piece facet, the box filter for lattice
 points, containment tested against every constraint, the per-call edge scan and the edge counts it gives each vertex,
 the 1-face scan for a vertex's neighbours, a cone's facets read off its
 face lattice, the vertex unimodularity test by a determinant of the edge
@@ -57,7 +58,7 @@ from toricdegen.exactmath import (
     right_kernel,
     solve_linear,
 )
-from toricdegen.partition import PartitionFace, _uncovered_point, build_partition
+from toricdegen.partition import PartitionFace, build_partition
 from toricdegen.report import encode_value
 from toricdegen.polytope import (
     Face,
@@ -211,8 +212,12 @@ def solve_particular(rows, rhs):
 
 
 def enumerate_generators(halfspaces, equations, rank):
-    """Vertices and extreme rays: one rational solve per k-subset."""
+    """Vertices and extreme rays: one rational solve per k-subset.  A system
+    with no constraint in rank ``n >= 1`` is the whole space, which has no
+    generator."""
     normals = [h.normal for h in halfspaces] + [e.normal for e in equations]
+    if rank and not normals:
+        return [], []
     if normals and right_kernel(list(normals)):
         raise UnsupportedGeometryError("polyhedron has a nontrivial lineality space")
     eq_rows = [e.normal for e in equations]
@@ -461,8 +466,43 @@ def check_cover(ambient, pieces):
                 ok = False
                 break
     if not ok:
-        witness = _uncovered_point(ambient_m, pieces_m)
+        witness = uncovered_point(ambient_m, pieces_m)
         raise PartitionError("gap: pieces do not cover the ambient polytope", witness=witness)
+
+
+def uncovered_point(ambient, pieces):
+    """A point of the ambient polytope in no piece, by polyhedral
+    difference with two intersections per piece facet: the rest of the
+    region inside the facets before it, and the chunk of that rest beyond
+    it, each cut from the rest before."""
+    if ambient.is_whole_space:
+        hull = LatticePolytope.from_vertices([v for p in pieces for v in p.vertices])
+        regions = [hull.bounding_box_polytope(2)]
+        d = ambient.ambient_rank
+    else:
+        regions = [ambient]
+        d = ambient.dim
+    for piece in pieces:
+        new_regions = []
+        for region in regions:
+            rest = region
+            for k, h in enumerate(piece.halfspaces):
+                if k:
+                    try:
+                        rest = rest.intersect([piece.halfspaces[k - 1]])
+                    except EmptyPolyhedronError:
+                        break
+                flipped = (tuple(-x for x in h.normal), -h.offset)
+                try:
+                    chunk = rest.intersect([flipped])
+                except EmptyPolyhedronError:
+                    chunk = None
+                if chunk is not None and chunk.dim == d:
+                    new_regions.append(chunk)
+        regions = new_regions
+        if not regions:
+            return None
+    return regions[0].relative_interior_point() if regions else None
 
 
 def lattice_points(poly):

@@ -1,5 +1,9 @@
+import importlib.util
 import itertools
+import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -19,7 +23,7 @@ from toricdegen import (
 )
 from toricdegen import partition as partition_module
 from toricdegen.exactmath import vdot
-from toricdegen.partition import Partition, _check_interior_disjoint
+from toricdegen.partition import Partition, _check_interior_disjoint, _face_walk, _uncovered_point
 
 from corpus import (
     accepted_partitions,
@@ -893,6 +897,103 @@ class TestCoverCertificateAgainstVolumes:
         with pytest.raises(PartitionError, match="gap") as err:
             build_partition(ambient, pieces[:2])
         assert err.value.witness == (Fraction(3, 2), Fraction(3, 2))
+
+
+# -- a crossed region is split once, into both sides ---------------------------------
+
+
+def _crossed_regions_refused():
+    """``LatticePolytope.intersect`` patched to raise when a halfspace's
+    hyperplane crosses the pointed region it is called on."""
+    intersect = LatticePolytope.intersect
+
+    def guarded(region, halfspaces=(), equations=()):
+        for normal, offset in halfspaces:
+            sides = [vdot(v, normal) + offset for v in region.vertices]
+            sides += [vdot(r, normal) for r in region.rays]
+            if sides and min(sides) < 0 < max(sides):
+                raise AssertionError("a crossed pointed region was intersected")
+        return intersect(region, halfspaces, equations)
+
+    return mock.patch.object(LatticePolytope, "intersect", guarded)
+
+
+def _verify_gap_problems(seed):
+    """The ambient triangle and the two pieces of each gap job of the
+    benchmark's ``verify`` workload for ``seed``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    problems = []
+    for job in workloads.verify(seed):
+        if job.name.startswith("gap-"):
+            data = json.loads(job.spec)
+            ambient = LatticePolytope.from_vertices(data["polytope"]["vertices"])
+            pieces = [LatticePolytope.from_vertices(p) for p in data["partition"]["pieces"]]
+            problems.append((job.name, ambient, pieces))
+    return problems
+
+
+class TestCrossedRegionsAreSplit:
+    """``partition_by_hyperplanes`` and ``_uncovered_point`` split a crossed
+    pointed region with ``LatticePolytope.split``; ``intersect`` is left for
+    whole-space regions and regions inside the hyperplane.  The difference
+    must find the witness the loop with two intersections per piece facet
+    (``oracles.uncovered_point``) finds."""
+
+    @given(cut_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_hyperplane_partition_splits(self, problem):
+        ambient, cuts = problem
+        with _crossed_regions_refused():
+            _outcome(partition_by_hyperplanes, ambient, cuts)
+
+    @given(cover_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_uncovered_point_matches_the_two_intersections(self, problem):
+        ambient, pieces = problem
+        if not all(p.dim == ambient.dim and ambient.contains_polyhedron(p) for p in pieces):
+            return  # refused before the cover check
+        with _crossed_regions_refused():
+            got = _uncovered_point(ambient, pieces)
+        _assert_same(got, oracles.uncovered_point(ambient, pieces))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_verify_gap_witnesses(self, seed):
+        problems = _verify_gap_problems(seed)
+        assert problems
+        for name, ambient, pieces in problems:
+            with _crossed_regions_refused():
+                got = _uncovered_point(ambient, pieces)
+            assert got is not None, name
+            _assert_same(got, oracles.uncovered_point(ambient, pieces))
+
+
+class TestFaceBudget:
+    """The piece walks of ``_collect_faces`` count their faces and refuse a
+    partition past ``FACE_BUDGET``."""
+
+    def test_refused_past_the_budget_with_the_count(self, monkeypatch):
+        part = octagon_partition()
+        walked = sum(len(p.faces()) for p in part.pieces)
+        monkeypatch.setattr(partition_module, "FACE_BUDGET", walked)
+        assert build_partition(part.ambient, part.pieces).face_index == part.face_index
+        monkeypatch.setattr(partition_module, "FACE_BUDGET", walked - 1)
+        with pytest.raises(UnsupportedGeometryError) as refused:
+            build_partition(part.ambient, part.pieces)
+        assert str(refused.value) == f"partition face walk over {walked} faces"
+
+    def test_refusal_comes_before_the_next_walk(self, monkeypatch):
+        part = octagon_partition()
+        first = len(part.pieces[0].faces())
+        monkeypatch.setattr(partition_module, "FACE_BUDGET", first - 1)
+        walks = []
+        with mock.patch.object(
+            partition_module, "_face_walk", side_effect=lambda *a: walks.append(a) or _face_walk(*a)
+        ), pytest.raises(UnsupportedGeometryError, match=f"over {first} faces"):
+            build_partition(part.ambient, part.pieces)
+        assert len(walks) == 1
 
 
 # -- the face closure over shared generator ids against the per-piece merge -------

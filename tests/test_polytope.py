@@ -463,10 +463,12 @@ class TestIncidenceAgainstOracles:
         assert len(p.halfspaces) == 77 and p.vertices == tuple(points)
         assert oracles.from_generators(points, []) == (points, [])
 
-    def test_whole_line_keeps_its_two_rays(self):
+    def test_whole_line_has_no_generators(self):
         p = LatticePolytope.from_generators([(3,), (0,)], [(1,), (-2,)])
-        assert (p.vertices, p.rays, p.dim, p.is_whole_space) == ((), ((-1,), (1,)), 1, True)
-        assert oracles.from_generators([(3,), (0,)], [(1,), (-2,)]) == ([], [(-1,), (1,)])
+        assert (p.vertices, p.rays, p.dim, p.is_whole_space) == ((), (), 1, True)
+        assert oracles.from_generators([(3,), (0,)], [(1,), (-2,)]) == ([], [])
+        assert p == LatticePolytope.from_halfspaces([], 1)
+        assert hash(p) == hash(LatticePolytope.from_halfspaces([], 1))
         _assert_faces_match_oracle(p)
 
     def test_whole_plane_has_no_generators(self):
@@ -480,8 +482,7 @@ class TestIncidenceAgainstOracles:
         rays = units + [tuple(-x for x in u) for u in units]
         p = LatticePolytope.from_generators([(1,) * rank], rays)
         assert p.is_whole_space and p.dim == rank and not p.is_compact
-        if rank >= 2:
-            assert p == LatticePolytope.from_halfspaces([], rank)
+        assert p == LatticePolytope.from_halfspaces([], rank)
 
     @pytest.mark.parametrize(
         "points, rays",
@@ -1818,6 +1819,135 @@ class TestSeededIntersection:
         assert len(kernel_runs[-1]) == 4  # the refused run was seeded
 
 
+def _assert_split_matches_intersect(region, normal, value):
+    """``region.split`` against the two ``intersect`` calls it replaces:
+    every field the same, ints and Fractions alike."""
+    expected = (
+        region.intersect([(normal, -value)]),
+        region.intersect([(tuple(-x for x in normal), value)]),
+    )
+    got = region.split(normal, value)
+    for g, e in zip(got, expected):
+        fields = [(p.halfspaces, p.equations, p.vertices, p.rays, p._incidence, p.dim, p._chart) for p in (g, e)]
+        assert fields[0] == fields[1] and repr(fields[0]) == repr(fields[1])
+    return got
+
+
+@st.composite
+def crossing_cuts(draw, region):
+    """A hyperplane ``(normal, value)`` that crosses a pointed region:
+    through a vertex that has others on both sides, or at a rational level
+    strictly between the least and the greatest one the region reaches."""
+    rank = region.ambient_rank
+    normal = draw(st.tuples(*[st.integers(-2, 2)] * rank).filter(any))
+    levels = [vdot(v, normal) for v in region.vertices]
+    slopes = [vdot(r, normal) for r in region.rays]
+    lo = min(levels) - (draw(st.integers(1, 3)) if any(s < 0 for s in slopes) else 0)
+    hi = max(levels) + (draw(st.integers(1, 3)) if any(s > 0 for s in slopes) else 0)
+    assume(lo < hi)
+    inner = sorted({x for x in levels if lo < x < hi})
+    if inner and draw(st.booleans()):
+        return normal, draw(st.sampled_from(inner))
+    q = draw(st.integers(2, 4))
+    return normal, lo + (hi - lo) * Fraction(draw(st.integers(1, q - 1)), q)
+
+
+class TestSplit:
+    """A crossed region is split into both sides by one double description
+    step.  Each side must be what ``intersect`` with that side's halfspace
+    gives, field by field, or the same refusal."""
+
+    @given(raw_h_systems(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_split_matches_the_two_intersections(self, system, data):
+        hs, eqs, rank, _, _ = system
+        try:
+            region = LatticePolytope.from_halfspaces(hs, rank, eqs)
+        except (EmptyPolyhedronError, UnsupportedGeometryError):
+            return
+        assume(region.vertices)
+        normal, value = data.draw(crossing_cuts(region))
+        _assert_split_matches_intersect(region, normal, value)
+
+    SQUARE = TestSeededIntersection.SQUARE
+    QUADRANT = TestSeededIntersection.QUADRANT
+    RATIONAL = TestSeededIntersection.RATIONAL
+    SEGMENT = TestSeededIntersection.SEGMENT
+    # the triangle conv{(0, 0, 1), (2, 0, 1), (0, 2, 1)} on the plane z = 1
+    TRIANGLE = ([((1, 0, 0), 0), ((0, 1, 0), 0), ((-1, -1, 0), 2)], [((0, 0, 1), -1)])
+
+    @pytest.mark.parametrize(
+        "halfspaces, equations, rank, normal, value",
+        [
+            (SQUARE, [], 2, (1, -1), 0),  # through two opposite vertices
+            (SQUARE, [], 2, (1, 1), 2),  # through the other two
+            (SQUARE, [], 2, (1, 1), 1),  # through two edge midpoints
+            (SQUARE, [], 2, (1, 0), 1),  # parallel to a facet on either side
+            (SQUARE, [], 2, (2, 0), 3),  # parallel, a normal that is not primitive
+            (SQUARE, [], 2, (0, 1), Fraction(1, 2)),  # parallel, a rational level
+            (RATIONAL, [], 2, (1, 0), Fraction(1, 2)),  # rational vertices
+            (RATIONAL, [], 2, (1, 3), 1),  # parallel to the rational facet
+            (RATIONAL, [], 2, (1, 2), 1),  # through the rational vertex (0, 1/2)
+            (QUADRANT, [], 2, (1, -1), 1),  # unbounded: rays on both sides
+            (QUADRANT, [], 2, (1, 1), 1),  # unbounded above, compact below
+            (QUADRANT, [], 2, (1, 0), 2),  # unbounded on both sides
+            (QUADRANT, [], 2, (1, -1), 0),  # through the vertex, between the rays
+            (*SEGMENT, 3, (1, 0, 0), 1),  # lower-dimensional: the segment halved
+            (*SEGMENT, 3, (0, 1, 1), Fraction(5, 2)),  # lower-dimensional, rational
+            (*TRIANGLE, 3, (1, 0, 0), 1),  # a triangle off the origin
+            (*TRIANGLE, 3, (1, -1, 5), 5),  # through a vertex of it
+        ],
+    )
+    def test_fixed_cuts(self, halfspaces, equations, rank, normal, value):
+        region = LatticePolytope.from_halfspaces(halfspaces, rank, equations)
+        above, below = _assert_split_matches_intersect(region, normal, value)
+        assert above.dim == below.dim == region.dim
+
+    def test_parallel_cut_replaces_the_facet_on_either_side(self):
+        square = LatticePolytope.from_halfspaces(self.SQUARE, 2)
+        above, below = square.split((1, 0), 1)
+        assert above.halfspaces == (((-1, 0), 2), ((0, -1), 2), ((0, 1), 0), ((1, 0), -1))
+        assert below.halfspaces == (((-1, 0), 1), ((0, -1), 2), ((0, 1), 0), ((1, 0), 0))
+
+    def test_one_row_step_and_no_kernel_run(self, kernel_runs):
+        region = reflexive_simplex(3)
+        steps = []
+        step = polytope_module._dd_split
+        with mock.patch.object(
+            polytope_module, "_dd_split", side_effect=lambda *a: steps.append(a) or step(*a)
+        ):
+            before = len(kernel_runs)
+            region.split((1, 1, 0), -1)
+        assert len(kernel_runs) == before and len(steps) == 1
+
+    @pytest.mark.parametrize(
+        "halfspaces, rank, normal, value",
+        [
+            (SQUARE, 2, (1, 0), 2),  # along a facet
+            (SQUARE, 2, (1, 0), 5),  # missing the square
+            (SQUARE, 2, (1, -1), 2),  # through one vertex only
+            (QUADRANT, 2, (1, 1), -1),  # missing, unbounded
+            ([], 2, (1, 0), 0),  # the whole plane has no generator to split
+        ],
+    )
+    def test_a_cut_that_does_not_cross_is_refused(self, halfspaces, rank, normal, value):
+        region = LatticePolytope.from_halfspaces(halfspaces, rank)
+        with pytest.raises(GeometryError, match="does not cross"):
+            region.split(normal, value)
+
+    def test_split_past_the_budget_is_refused_with_the_count(self):
+        # the rank-11 unit cube split at sum(x) = 11/2: 1024 vertices on
+        # each side, 1,048,576 pairs in the one step
+        n = 11
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        cube = LatticePolytope.from_halfspaces(
+            [(e, 0) for e in units] + [(tuple(-x for x in e), 1) for e in units], n
+        )
+        with pytest.raises(UnsupportedGeometryError) as refused:
+            cube.split((1,) * n, Fraction(11, 2))
+        assert str(refused.value) == "double description over 1048576 candidate ray pairs"
+
+
 class TestVolume:
     def test_simplex(self):
         assert oracles.volume(dilated_simplex(1)) == Fraction(1, 6)
@@ -2020,13 +2150,15 @@ class TestPairBudget:
     def test_blow_up_refused_with_the_pair_count(self, monkeypatch):
         # the cyclic polytope on 40 points in rank 6 needs about 2.7e7 pairs;
         # each combination records the running count of the kernel run it is
-        # part of, which must already be within the budget
+        # part of, read in the split step that holds it, its own split's
+        # pairs included, which must already be within the budget
         counts = []
         combine = polytope_module._combine
+        steps = (polytope_module._dd_split.__code__, polytope_module._dd_extreme_rays.__code__)
 
         def counting(*args):
             frame = sys._getframe(1)
-            while frame.f_code is not polytope_module._dd_extreme_rays.__code__:
+            while frame.f_code not in steps:
                 frame = frame.f_back
             counts.append(frame.f_locals["pairs"])
             return combine(*args)
