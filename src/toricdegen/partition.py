@@ -5,10 +5,10 @@ a face of the partition, found by the polyhedron face walk over generator
 ids the pieces share (``_collect_faces``).  Vertices of the ambient polytope
 are *not* counted as 0-faces of the partition.  The semi-stability condition
 counts, for each partition face and the smallest ambient face containing
-it, how many pieces share it.  The walks count their faces, and a partition
-past ``FACE_BUDGET`` is refused.  Hyperplane cuts, and the polyhedral
-difference that finds a gap, split a region that a hyperplane crosses once,
-into both sides (``LatticePolytope.split``).
+it, how many pieces share it.  A partition whose pieces have more than
+``FACE_BUDGET`` faces in all is refused before any walk.  Hyperplane cuts,
+and the polyhedral difference that finds a gap, split a region that a
+hyperplane crosses once, into both sides (``LatticePolytope.split``).
 """
 
 from __future__ import annotations
@@ -431,6 +431,32 @@ def _sides(region, normal, value):
 FACE_BUDGET = 10**6
 
 
+def _face_count(piece):
+    """The number of nonempty faces of a simple pointed polyhedron, the
+    polyhedron itself among them: the sum over its vertices ``v`` of
+    ``2**up(v)``, where ``up(v)`` counts the edges from ``v`` that go up
+    under ``c``, the sum of the inward facet normals, ties between vertices
+    broken lexicographically.
+
+    ``c`` is positive on every ray: a ray is on the inner side of every
+    facet, and one parallel to all of them would span a line in a pointed
+    polyhedron.  So with the ties broken, ``c`` orders the vertices as a
+    generic linear functional bounded below does, and every ray goes up.
+    Each face then has one lowest vertex, the face's vertex all of whose
+    edges in the face go up.  At a simple vertex the faces through it are
+    spanned by the subsets of its edges, so ``v`` is the lowest vertex of
+    exactly the ``2**up(v)`` faces its upward edges span (the h-vector
+    count; Ziegler, Lectures on Polytopes, 8.3)."""
+    c = [sum(col) for col in zip(*(h.normal for h in piece.halfspaces))]
+    nv = len(piece.vertices)
+    height = [(vdot(c, v), v) for v in piece.vertices]
+    count = 0
+    for a in range(nv):
+        up = sum(1 for b in piece.neighbours(a) if b >= nv or height[b] > height[a])
+        count += 1 << up
+    return count
+
+
 def _collect_faces(ambient, pieces):
     """The partition's faces, keyed by their vertex and ray tuples.
 
@@ -441,9 +467,19 @@ def _collect_faces(ambient, pieces):
     all its generators.  Faces come in the order of ``(first piece, dim,
     vertices, rays)``: the ids are sorted, so id tuples order as the
     coordinate tuples do.  Ambient vertices are not 0-faces of the
-    partition.  The walks count their faces, and a piece whose walk takes
-    the count past ``FACE_BUDGET`` is refused before its faces are merged.
+    partition.  A partition whose pieces have more than ``FACE_BUDGET``
+    faces in all is refused before any walk: a piece has at most ``2**dim``
+    faces per vertex, each face having one lowest vertex, and only when
+    those bounds sum past the budget are the faces counted exactly
+    (``_face_count``), piece by piece, up to the first piece that takes the
+    count past it.
     """
+    if sum(len(p.vertices) << p.dim for p in pieces) > FACE_BUDGET:
+        counted = 0
+        for piece in pieces:
+            counted += _face_count(piece)
+            if counted > FACE_BUDGET:
+                raise UnsupportedGeometryError(f"partition face walk over {counted} faces")
     gens = sorted({v for p in pieces for v in p.vertices})
     nv = len(gens)
     gens += sorted({r for p in pieces for r in p.rays})
@@ -452,18 +488,13 @@ def _collect_faces(ambient, pieces):
     ray_ids = {g: i for i, g in enumerate(gens[nv:], nv)}
     has_vertex = (1 << nv) - 1
     found = {}  # mask -> (dim, owner list)
-    walked = 0
     for idx, piece in enumerate(pieces):
         ids = [vertex_ids[v] for v in piece.vertices] + [ray_ids[r] for r in piece.rays]
         local = [1 << j for j in ids]
         facets = [sum(local[j] for j in _bits(m)) for m in piece._incidence]
         # each vertex's facet mask, keyed by its shared id
         through = dict(zip(ids, piece._generator_facets()))
-        walk = _face_walk(facets, sum(local), piece.dim, through, gens, nv)
-        walked += len(walk)
-        if walked > FACE_BUDGET:
-            raise UnsupportedGeometryError(f"partition face walk over {walked} faces")
-        for mask, dim, _ in walk:
+        for mask, dim, _ in _face_walk(facets, sum(local), piece.dim, through, gens, nv):
             entry = found.get(mask)
             if entry is None:
                 found[mask] = (dim, [idx])

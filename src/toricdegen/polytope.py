@@ -25,7 +25,8 @@ system, are the extreme rays of the cone of valid homogeneous normals, found
 by one path in every dimension (``_dual_from_generators``): the hull
 projects one to one onto the pivot columns of its directions, and each
 normal found there is written back with zeros off the pivots.
-``from_generators`` reads its vertices and extreme rays off that one run.
+``from_generators`` reads its vertices and extreme rays off that one run
+and keeps their facet sets, the transpose of its incidence.
 A polyhedron derives its dimension, the rank less its number of equations,
 and is the whole space exactly when it has no vertex; the whole space has
 no ray either, in every rank.  Every polyhedron
@@ -41,18 +42,19 @@ is found once per polyhedron and answers the vertex-local queries without
 the face lattice: a vertex is simple when it lies on ``dim`` facets, and two
 generators span an edge when the facets through both cut out exactly the
 two of them.  At a simple vertex the edges are the cuts of its facet set
-less one facet each.  A vertex's neighbours are found so once and cached,
+less one facet each, ANDed from one pass each way.  A vertex's neighbours are found so once and cached,
 and every edge the package reads comes from them.  Each point's set of
 tight facets is cached on the polyhedron, and the smallest face containing
 some points is cut out by the facets in all their sets.  The kernel
 counts the candidate ray pairs it tests and refuses a run past
 ``PAIR_BUDGET`` with ``UnsupportedGeometryError``.  A polyhedron with a
-lineality space is refused: from generators by a rank test of the facet
-normals, from halfspaces on the lines the kernel is left with, so an
-intersection runs no rank test.  Lattice coordinates come from one
-helper, ``lattice_coordinates``: the identity in full dimension, else
-coordinates along the basis of the integer points of the direction space
-that the facets were found in, kept from ``_dual_from_generators``.
+lineality space is refused: from generators with rays by a rank test of
+the facet normals (a hull of points alone is bounded), from halfspaces on
+the lines the kernel is left with, so an intersection runs no rank test.
+Lattice coordinates come from one helper, ``lattice_coordinates``: the
+identity in full dimension, else coordinates along the basis of the
+integer points of the direction space that the facets were found in, kept
+from ``_dual_from_generators``.
 Each facet normal restricted to that basis and divided by its gcd is the
 facet's normal in the polyhedron's own lattice (the stored normal in full
 dimension), and three vertex-local reads come from those normals alone.  A
@@ -173,26 +175,31 @@ def _dual_from_generators(points, rays, rank):
     direction space projects one to one.  So the facets are found once, in
     the projection onto the pivots (none when ``d = 0``), and each normal is
     written back with zeros off the pivots: the one normal of the facet that
-    vanishes there.  Below full dimension the equations are a lattice basis
-    of the normals of the directions, ``rank - d`` of them, and the
-    direction basis is their kernel, a basis of the integer points of the
-    direction space; in full dimension there are none, and it is None."""
+    vanishes there.  In full dimension the pivots are every column, so the
+    facets are found on the generators as given.  Below full dimension the
+    equations are a lattice basis of the normals of the directions, ``rank
+    - d`` of them, and the direction basis is their kernel, a basis of the
+    integer points of the direction space; in full dimension there are
+    none, and it is None."""
     base = points[0]
     dirs = [vsub(p, base) for p in points[1:]] + list(rays)
     int_dirs = [rational_primitive(d)[0] for d in dirs if any(d)]
     d, pivots, _ = echelon(list(int_dirs), rank)
     equations, basis = [], None
-    if d < rank:
+    if d == rank:
+        # the pivots are every column: the hull is its own projection
+        facets = _full_dim_facets(points, rays, rank) if d else []
+    else:
         kernel = right_kernel(int_dirs or [(0,) * rank])
         equations = [_normalize_equation(u, -vdot(base, u)) for u in kernel]
         basis = right_kernel(kernel)
-    projected = [[p[i] for i in pivots] for p in points], [[r[i] for i in pivots] for r in rays]
-    facets = set()
-    for hs, mask in _full_dim_facets(*projected, d) if d else ():
-        normal = [0] * rank
-        for i, x in zip(pivots, hs.normal):
-            normal[i] = x
-        facets.add((Halfspace(tuple(normal), hs.offset), mask))
+        projected = [[p[i] for i in pivots] for p in points], [[r[i] for i in pivots] for r in rays]
+        facets = set()
+        for hs, mask in _full_dim_facets(*projected, d) if d else ():
+            normal = [0] * rank
+            for i, x in zip(pivots, hs.normal):
+                normal[i] = x
+            facets.add((Halfspace(tuple(normal), hs.offset), mask))
     facets = sorted(facets)
     return tuple(h for h, _ in facets), tuple(sorted(equations)), tuple(m for _, m in facets), basis
 
@@ -240,7 +247,10 @@ def _dd_extreme_rays(ineqs, eqs, width, start=None):
     most one ray per pair, so the sum also bounds the rays the splits add.
     """
     if start is None:
-        lines = kernel_basis(eqs, width)
+        # with no equation the lines are the unit vectors, and nothing is eliminated
+        lines = kernel_basis(eqs, width) if eqs else [
+            tuple(int(i == j) for j in range(width)) for i in range(width)
+        ]
         rays, dim, done = [], len(lines), 0
     else:
         (rays, dim, done), lines = start, []
@@ -320,11 +330,17 @@ def _full_dim_facets(points, rays, rank):
     without the hyperplane at infinity."""
     # generators are scaled to primitive integer vectors: rational points may
     # appear, and positive scaling changes neither hyperplanes nor sides
-    homog = [rational_primitive(tuple(p) + (1,))[0] for p in points] + [
-        tuple(r) + (0,) for r in rays
-    ]
+    homog = [_cone_point(tuple(p)) for p in points] + [tuple(r) + (0,) for r in rays]
     normals, _ = _dd_extreme_rays(homog, (), rank + 1)
     return [(_normalize_halfspace(w[:-1], w[-1]), mask) for w, mask in normals if any(w[:-1])]
+
+
+def _cone_point(v):
+    """The primitive integer vector along ``v + (1,)``: that vector itself
+    when ``v`` is integral, its last entry 1 making it primitive."""
+    if all(type(x) is int for x in v):
+        return v + (1,)
+    return rational_primitive(v + (1,))[0]
 
 
 def _homogeneous_row(constraint):
@@ -396,9 +412,7 @@ def _region_cone(region):
         if j >= nv:
             cone.append((region.rays[j - nv] + (0,), facets | t_bit))
         else:
-            v = region.vertices[j]
-            z = v + (1,) if all(type(x) is int for x in v) else rational_primitive(v + (1,))[0]
-            cone.append((z, facets))
+            cone.append((_cone_point(region.vertices[j]), facets))
     return cone
 
 
@@ -633,17 +647,21 @@ class LatticePolytope:
         """conv(points) + cone(rays), from one double description: the facets
         and their incidence come from ``_dual_from_generators``, and a
         generator is extreme when its set of facets is maximal among the
-        generators of its kind."""
+        generators of its kind.  The polyhedron keeps the facet sets of the
+        generators it keeps, so it never transposes its incidence back.
+        Only a hull with rays can have a lineality space."""
         points = [normalize_point(p) for p in points]
         if not points:
             raise GeometryError("at least one point is required")
         rank = len(points[0])
         rays = [primitive(r) for r in rays]
         halfspaces, equations, incidence, chart = _dual_from_generators(points, rays, rank)
-        _refuse_lineality(halfspaces, equations, rank)
-        if rank and not halfspaces and not equations:
-            # the hull is the whole space, which has no generator
-            return cls(rank, (), (), (), (), ())
+        if rays:
+            # the hull of finitely many points is bounded, so pointed
+            _refuse_lineality(halfspaces, equations, rank)
+            if not halfspaces and not equations:
+                # the hull is the whole space, which has no generator
+                return cls(rank, (), (), (), (), ())
         facet_sets = _transpose(incidence, len(points) + len(rays))
         vertices = _extreme(points, facet_sets)
         extreme = _extreme(rays, facet_sets[len(points) :])
@@ -652,7 +670,9 @@ class LatticePolytope:
         masks = _transpose(kept, len(incidence))
         vertices = [v for v, _ in vertices]
         rays = [r for r, _ in extreme]
-        return cls(rank, halfspaces, equations, vertices, rays, masks, chart)
+        poly = cls(rank, halfspaces, equations, vertices, rays, masks, chart)
+        poly._facet_sets = kept  # the transpose of ``masks``, already found
+        return poly
 
     @classmethod
     def from_halfspaces(cls, halfspaces, rank, equations=()):
@@ -877,9 +897,17 @@ class LatticePolytope:
             facet_sets = self._generator_facets()
             own, vertex = facet_sets[a], 1 << a
             if own.bit_count() == self.dim:
-                found = sorted(
-                    (self._cut(own ^ (1 << i)) ^ vertex).bit_length() - 1 for i in _bits(own)
-                )
+                # the cut of all facets but the k-th: the AND of those before
+                # it and of those after it, from one pass each way
+                masks = [self._incidence[i] for i in _bits(own)]
+                after = [(1 << len(facet_sets)) - 1]
+                for m in reversed(masks[1:]):
+                    after.append(after[-1] & m)
+                before, found = after[0], []
+                for k, m in enumerate(masks):
+                    found.append(((before & after[-1 - k]) ^ vertex).bit_length() - 1)
+                    before &= m
+                found.sort()
             else:
                 found = []
                 for b, fb in enumerate(facet_sets):
@@ -909,17 +937,19 @@ class LatticePolytope:
 
     def _lattice_normals(self):
         """Per facet, its inward normal in the polyhedron's own lattice and
-        the gcd it was divided by: the stored normal restricted to the
-        direction basis of ``lattice_coordinates``, made primitive.  In full
-        dimension that basis is the identity, so the normal is the stored
-        one and the gcd 1.  Found once."""
+        the gcd it was divided by.  In full dimension that is the stored
+        normal, primitive already, and the gcd 1; below it, the stored
+        normal restricted to the direction basis ``_dual_from_generators``
+        kept, made primitive.  Found once."""
         if self._normals is None:
-            basis = self._direction_basis()
-            self._normals = []
-            for h in self.halfspaces:
-                r = [vdot(h.normal, b) for b in basis]
-                g = gcd_all(r)
-                self._normals.append((tuple([x // g for x in r]), g))
+            if self.dim == self.ambient_rank:
+                self._normals = [(h.normal, 1) for h in self.halfspaces]
+            else:
+                self._normals = []
+                for h in self.halfspaces:
+                    r = [vdot(h.normal, b) for b in self._chart]
+                    g = gcd_all(r)
+                    self._normals.append((tuple([x // g for x in r]), g))
         return self._normals
 
     def is_nonsingular_at(self, vertex) -> bool:
@@ -967,22 +997,15 @@ class LatticePolytope:
             out.append((self._edge_direction(a, b), coeff))
         return sorted(out)
 
-    def _direction_basis(self):
-        """A basis of the integer points of the direction space: the one
-        ``_dual_from_generators`` kept, else the unit vectors of a
-        full-dimensional system."""
-        if self._chart is None:
-            n = self.ambient_rank
-            self._chart = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        return self._chart
-
     def lattice_coordinates(self, point):
         """A point's coordinates in the polyhedron's own lattice: the point
         itself when the polyhedron is full-dimensional, else its coordinates
-        from the first vertex along ``_direction_basis``."""
+        from the first vertex along the direction basis, a basis of the
+        integer points of the direction space that ``_dual_from_generators``
+        kept."""
         if self.dim == self.ambient_rank:
             return tuple(point)
-        basis = self._direction_basis()
+        basis = self._chart
         target = vsub(point, self.vertices[0])
         status, t = solve_linear([[b[i] for b in basis] for i in range(len(target))], target)
         if status != "unique":

@@ -20,6 +20,7 @@ from toricdegen import (
     build_partition,
     lattice_equivalences,
     partition_by_hyperplanes,
+    partition_from_fan,
 )
 from toricdegen import partition as partition_module
 from toricdegen.exactmath import vdot
@@ -35,6 +36,7 @@ from corpus import (
     reflexive_simplex,
     segment,
     segment_partition,
+    staircase_fan,
     staircase_partition,
     torus_fan_partition,
     triptych,
@@ -984,16 +986,111 @@ class TestFaceBudget:
             build_partition(part.ambient, part.pieces)
         assert str(refused.value) == f"partition face walk over {walked} faces"
 
-    def test_refusal_comes_before_the_next_walk(self, monkeypatch):
+    def test_refusal_comes_before_any_walk(self, monkeypatch):
         part = octagon_partition()
         first = len(part.pieces[0].faces())
         monkeypatch.setattr(partition_module, "FACE_BUDGET", first - 1)
-        walks = []
+        counts = []
+        count = partition_module._face_count
         with mock.patch.object(
-            partition_module, "_face_walk", side_effect=lambda *a: walks.append(a) or _face_walk(*a)
+            partition_module, "_face_walk", side_effect=AssertionError("face walk")
+        ), mock.patch.object(
+            partition_module, "_face_count", side_effect=lambda p: counts.append(p) or count(p)
         ), pytest.raises(UnsupportedGeometryError, match=f"over {first} faces"):
             build_partition(part.ambient, part.pieces)
-        assert len(walks) == 1
+        assert counts == [part.pieces[0]]
+
+    def test_refused_at_the_first_piece_past_the_budget(self, monkeypatch):
+        part = octagon_partition()
+        sizes = [len(p.faces()) for p in part.pieces]
+        monkeypatch.setattr(partition_module, "FACE_BUDGET", sizes[0] + sizes[1] - 1)
+        with mock.patch.object(partition_module, "_face_walk", side_effect=AssertionError("face walk")):
+            with pytest.raises(UnsupportedGeometryError) as refused:
+                build_partition(part.ambient, part.pieces)
+        assert str(refused.value) == f"partition face walk over {sizes[0] + sizes[1]} faces"
+
+    def test_no_exact_count_within_the_bounds(self, monkeypatch):
+        part = octagon_partition()
+        bound = sum(len(p.vertices) << p.dim for p in part.pieces)
+        monkeypatch.setattr(partition_module, "FACE_BUDGET", bound)
+        with mock.patch.object(partition_module, "_face_count", side_effect=AssertionError("counted")):
+            assert build_partition(part.ambient, part.pieces).face_index == part.face_index
+
+    def test_staircase_11_refused_before_any_walk(self):
+        ambient, fan = reflexive_simplex(11), staircase_fan(11)
+        with mock.patch.object(
+            partition_module, "_face_walk", side_effect=AssertionError("face walk")
+        ), pytest.raises(UnsupportedGeometryError) as refused:
+            partition_from_fan(ambient, fan)
+        assert str(refused.value) == "partition face walk over 1062882 faces"
+
+
+def _walk_length(poly):
+    """The number of faces one ``_face_walk`` of the polyhedron lists."""
+    gens = poly.vertices + poly.rays
+    top, nv = (1 << len(gens)) - 1, len(poly.vertices)
+    return len(_face_walk(poly._incidence, top, poly.dim, poly._generator_facets(), gens, nv))
+
+
+@st.composite
+def simple_polyhedra(draw):
+    """Boxes, some open upwards in a few coordinates, cut by up to two
+    halfspaces in rank 1-4 and kept when simple, then pushed into rank up
+    to 2 higher by an injective integer map and a shift: compact or
+    unbounded, full- or lower-dimensional."""
+    k = draw(st.integers(1, 4))
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    hs = [(u, 0) for u in units]
+    for u in units:
+        width = draw(st.one_of(st.none(), st.integers(1, 3)))
+        if width is not None:
+            hs.append((tuple(-x for x in u), width))
+    normal = st.tuples(*[st.integers(-2, 2)] * k).filter(any)
+    hs += draw(st.lists(st.tuples(normal, st.integers(-1, 6)), max_size=2))
+    try:
+        poly = LatticePolytope.from_halfspaces(hs, k)
+    except EmptyPolyhedronError:
+        assume(False)
+    assume(poly.dim == k and poly.is_simplicial())
+    n = draw(st.integers(k, k + 2))
+    extra = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=n - k, max_size=n - k))
+    rows = draw(st.permutations(units + extra))
+    shift = draw(st.tuples(*[st.integers(-3, 3)] * n))
+
+    def image(v, t):
+        return tuple(vdot(row, v) + s for row, s in zip(rows, t))
+
+    return LatticePolytope.from_generators(
+        [image(v, shift) for v in poly.vertices], [image(r, (0,) * n) for r in poly.rays]
+    )
+
+
+class TestFaceCount:
+    """The faces of a simple pointed polyhedron counted from its vertices'
+    upward edges, against the face walk."""
+
+    @given(simple_polyhedra())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_walk(self, poly):
+        assert poly.is_simplicial()
+        assert partition_module._face_count(poly) == _walk_length(poly)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_staircase_pieces(self, n):
+        for piece in staircase_partition(n).pieces:
+            assert partition_module._face_count(piece) == _walk_length(piece) == 3**n
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            LatticePolytope.from_vertices([(1, 2)]),
+            LatticePolytope.from_vertices([(0, 0, 0), (2, 2, 2)]),
+            LatticePolytope.from_generators([(0, 0)], [(1, 0), (0, 1)]),
+            LatticePolytope.from_generators([(0, 0, 1), (1, 0, 1)], [(0, 1, 0)]),
+        ],
+    )
+    def test_points_segments_and_cones(self, poly):
+        assert partition_module._face_count(poly) == _walk_length(poly)
 
 
 # -- the face closure over shared generator ids against the per-piece merge -------

@@ -35,6 +35,7 @@ from toricdegen.polytope import (
     _full_dim_facets,
     _normalize_equation,
     _normalize_halfspace,
+    _transpose,
     complete_fan_from_rays,
 )
 
@@ -693,6 +694,77 @@ class TestPivotChartAgainstSolvedChart:
         got = _dual_from_generators(points, rays, rank)
         monkeypatch.undo()
         assert got == oracles.dual_from_generators(points, rays, rank)
+
+
+class TestHullKeepsItsFacetSets:
+    """A hull from generators keeps the facet sets it found, so it never
+    transposes its incidence back, and a hull of points alone runs neither
+    the lineality test nor an elimination for the kernel's start."""
+
+    @given(st.one_of(cluttered_generator_sets(), embedded_hulls()))
+    @settings(max_examples=200, deadline=None)
+    def test_facet_sets_are_the_transpose_of_the_incidence(self, gens):
+        points, rays, rank = gens
+        try:
+            p = LatticePolytope.from_generators(points, rays)
+        except UnsupportedGeometryError:
+            return
+        n = len(p.vertices) + len(p.rays)
+        if not p.is_whole_space:
+            assert p._facet_sets == _transpose(p._incidence, n)
+        assert p._generator_facets() == _transpose(p._incidence, n)
+        points = [exactmath.normalize_point(q) for q in points]
+        rays = [exactmath.primitive(r) for r in rays]
+        got = _dual_from_generators(points, rays, rank)
+        expected = oracles.dual_from_generators(points, rays, rank)
+        assert got == expected and repr(got) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 0), (3, 0), (0, 2)],
+            [(0, 0), (4, 0), (0, 4), (1, 1), (1, 1), (2, 2)],
+            [(0, 0, 0), (Fraction(1, 2), 1, 0), (2, 0, 1), (1, 1, 1)],
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+            [(0, 0, 0), (2, 2, 2), (1, 1, 1)],
+            [(1, 2, 3)],
+            [()],
+        ],
+    )
+    def test_points_run_no_lineality_test_and_no_elimination(self, points):
+        expected = oracles.from_generators(points, [])
+        refused = AssertionError("called for a hull of points")
+        with mock.patch.object(
+            polytope_module, "_refuse_lineality", side_effect=refused
+        ), mock.patch.object(polytope_module, "kernel_basis", side_effect=refused):
+            p = LatticePolytope.from_vertices(points)
+        assert (list(p.vertices), list(p.rays)) == expected
+        _assert_faces_match_oracle(p)
+
+    @pytest.mark.parametrize(
+        "points, rays",
+        [
+            ([(0, 0)], [(1, 0), (-1, 0), (0, 1)]),
+            ([(0, 0, 0), (1, 0, 0)], [(0, 1, 1), (0, -2, -2)]),
+        ],
+    )
+    def test_rays_still_refuse_a_lineality_space(self, points, rays):
+        refuse = polytope_module._refuse_lineality
+        calls = []
+        with mock.patch.object(
+            polytope_module, "_refuse_lineality", side_effect=lambda *a: calls.append(a) or refuse(*a)
+        ), mock.patch.object(
+            polytope_module, "kernel_basis", side_effect=AssertionError("elimination")
+        ), pytest.raises(UnsupportedGeometryError, match="nontrivial lineality space"):
+            LatticePolytope.from_generators(points, rays)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("build", [lambda: _cube(4), lambda: _cross(3), _square_pyramid])
+    def test_full_dimensional_lattice_normals_are_the_stored_ones(self, build):
+        poly = build()
+        normals = poly._lattice_normals()
+        assert normals == [(h.normal, 1) for h in poly.halfspaces]
+        assert all(n is h.normal for (n, _), h in zip(normals, poly.halfspaces))
 
 
 TRIANGLE = [(0, 0), (2, 0), (0, 2)]
