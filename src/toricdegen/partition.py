@@ -1,19 +1,19 @@
 """Partitions of a polytope into simplicial subpolytopes.
 
-A partition is stored with its full face poset: every face of every piece is
-a face of the partition, found by the polyhedron face walk over generator
-ids the pieces share (``_collect_faces``).  Vertices of the ambient polytope
-are *not* counted as 0-faces of the partition.  The semi-stability condition
-counts, for each partition face and the smallest ambient face containing
-it, how many pieces share it.  A partition whose pieces have more than
-``FACE_BUDGET`` faces in all is refused before any walk.  Hyperplane cuts,
-and the polyhedral difference that finds a gap, split a region that a
-hyperplane crosses once, into both sides (``LatticePolytope.split``).
+A partition stores its full face poset as a table of generator masks: every
+face of every piece is a face of the partition, found by the polyhedron face
+walk over generator ids the pieces share (``_collect_faces``).  Vertices of
+the ambient polytope are *not* counted as 0-faces of the partition.  The
+semi-stability condition counts, for each partition face and the smallest
+ambient face containing it, how many pieces share it.  A partition whose
+pieces have more than ``FACE_BUDGET`` faces in all is refused before any
+walk.  Hyperplane cuts, and the polyhedral difference that finds a gap,
+split a region that a hyperplane crosses once, into both sides
+(``LatticePolytope.split``).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -33,6 +33,7 @@ from .polytope import (
     LatticePolytope,
     _bits,
     _face_walk,
+    _generators,
 )
 
 
@@ -79,7 +80,7 @@ class DualComplex:
     interior face (the set of pieces sharing that face)."""
 
     n_vertices: int
-    cells: tuple  # ((face_key, frozenset pieces, face_dim), ...)
+    cells: tuple  # ((frozenset pieces, face_dim), ...), one per interior face
     simplices: frozenset = field(default=None)
 
     def __post_init__(self):
@@ -88,7 +89,7 @@ class DualComplex:
 
     def _close(self, cells, min_face_dim=None):
         out = {frozenset([i]) for i in range(self.n_vertices)}
-        for _, piece_set, fdim in cells:
+        for piece_set, fdim in cells:
             if min_face_dim is not None and fdim < min_face_dim:
                 continue
             for size in range(1, len(piece_set) + 1):
@@ -118,36 +119,36 @@ class DualComplex:
 
     @staticmethod
     def path(n):
-        cells = tuple((None, frozenset([i, i + 1]), 1) for i in range(n - 1))
+        cells = tuple((frozenset([i, i + 1]), 1) for i in range(n - 1))
         return DualComplex(n, cells)
 
     @staticmethod
     def full_simplex(n):
         """All faces of the n-simplex on n+1 vertices."""
-        cells = ((None, frozenset(range(n + 1)), 0),)
-        return DualComplex(n + 1, cells)
+        return DualComplex(n + 1, ((frozenset(range(n + 1)), 0),))
 
     @staticmethod
     def simplex_boundary(n):
         """All proper faces of the n-simplex (a triangulation of S^{n-1})."""
-        cells = tuple(
-            (None, frozenset(range(n + 1)) - {i}, 1) for i in range(n + 1)
-        )
+        cells = tuple((frozenset(range(n + 1)) - {i}, 1) for i in range(n + 1))
         return DualComplex(n + 1, cells)
 
 
 class Partition:
-    """A verified tiling of a polytope by simplicial subpolytopes."""
+    """A verified tiling of a polytope by simplicial subpolytopes.
 
-    def __init__(self, ambient, pieces, face_index):
+    Its face poset is the table of ``_collect_faces``: the count rule and
+    the dual complex read its records, and face objects are built one
+    dimension at a time, when something reads them."""
+
+    def __init__(self, ambient, pieces, table):
         self.ambient = ambient
         self.pieces = tuple(pieces)
-        self.face_index = face_index  # dict key -> PartitionFace
-        self._faces = sorted(face_index.values(), key=lambda f: (f.dim, f.key))
-        self._faces_by_dim = {}
-        for f in self._faces:
-            self._faces_by_dim.setdefault(f.dim, []).append(f)
-        self._vertex_faces = {f.vertices[0]: f for f in self._faces_by_dim.get(0, ())}
+        self._gens, self._nv, self._records = table
+        self._faces = {}  # dim -> faces in key order
+        self._ambient_faces = {}  # facet mask -> ambient face
+        self._face_index = None
+        self._vertex_faces = None
         self._vertex_edges = None
         self._classification = None
         self._weights = None
@@ -159,9 +160,38 @@ class Partition:
 
     def faces(self, dim=None):
         """The faces sorted by dimension and key, as a fresh list."""
-        return list(self._faces if dim is None else self._faces_by_dim.get(dim, ()))
+        if dim is None:
+            return [f for k in range(self.dim + 1) for f in self._faces_of(k)]
+        return list(self._faces_of(dim))
+
+    def _faces_of(self, dim):
+        if dim not in self._faces:
+            faces = [self._face(*record) for record in self._records if record[1] == dim]
+            self._faces[dim] = sorted(faces, key=operator.attrgetter("key"))
+        return self._faces[dim]
+
+    def _face(self, mask, dim, owners, facets):
+        verts, rays = _generators(mask, self._gens, self._nv)
+        return PartitionFace(verts, rays, dim, frozenset(owners), self._ambient_face(facets))
+
+    def _ambient_face(self, facets):
+        face = self._ambient_faces.get(facets)
+        if face is None:
+            face = self._ambient_faces[facets] = self.ambient._face_cut_by(facets)
+        return face
+
+    @property
+    def face_index(self):
+        """Every face keyed by its vertex and ray tuples, in the order of
+        ``(first piece, dim, vertices, rays)``; built on first access."""
+        if self._face_index is None:
+            faces = sorted(self.faces(), key=lambda f: min(f.pieces))
+            self._face_index = {f.key: f for f in faces}
+        return self._face_index
 
     def face_at(self, point):
+        if self._vertex_faces is None:
+            self._vertex_faces = {f.vertices[0]: f for f in self._faces_of(0)}
         return self._vertex_faces.get(tuple(point))
 
     # -- semi-stability ----------------------------------------------------
@@ -170,13 +200,19 @@ class Partition:
         """None, or (face, ambient_face, count) violating the count rule.
 
         For an l-face lying in a k-face of the ambient polytope, exactly
-        k - l + 1 pieces must share it.
+        k - l + 1 pieces must share it.  The witness is the least violating
+        face by dimension and key, the only face built.
         """
-        for f in self.faces():
-            expected = f.ambient_face.dim - f.dim + 1
-            if len(f.pieces) != expected:
-                return (f, f.ambient_face, len(f.pieces))
-        return None
+        bad = [
+            record
+            for record in self._records
+            if len(record[2]) != self._ambient_face(record[3]).dim - record[1] + 1
+        ]
+        if not bad:
+            return None
+        gens, nv = self._gens, self._nv
+        face = self._face(*min(bad, key=lambda r: (r[1], _generators(r[0], gens, nv))))
+        return (face, face.ambient_face, len(face.pieces))
 
     def is_semistable(self):
         return self.semistable_witness() is None
@@ -188,7 +224,7 @@ class Partition:
         read off an index of the edges by endpoint that is built once."""
         if self._vertex_edges is None:
             self._vertex_edges = {}
-            for f in self._faces_by_dim.get(1, ()):
+            for f in self._faces_of(1):
                 for v in f.vertices:
                     self._vertex_edges.setdefault(v, []).append(f)
         return list(self._vertex_edges.get(tuple(point), ()))
@@ -282,20 +318,13 @@ class Partition:
 
     def dual_complex(self) -> DualComplex:
         if self._dual is None:
-            cells = []
-            for f in self.faces():
-                if f.is_interior:
-                    cells.append((f.key, f.pieces, f.dim))
+            cells = ((frozenset(owners), k) for _, k, owners, facets in self._records if not facets)
             self._dual = DualComplex(len(self.pieces), tuple(cells))
         return self._dual
 
     def walls(self):
         """Interior codimension-one faces with their two pieces."""
-        out = []
-        for f in self.faces(self.dim - 1):
-            if f.is_interior:
-                out.append(f)
-        return out
+        return [f for f in self._faces_of(self.dim - 1) if f.is_interior]
 
 
 # -- construction and validation ------------------------------------------------
@@ -321,9 +350,9 @@ def build_partition(ambient: LatticePolytope, pieces) -> Partition:
         if not piece.is_simplicial():
             raise PartitionError("piece is not simplicial", witness=idx)
     _check_interior_disjoint(pieces, d)
-    faces = _collect_faces(ambient, pieces)
-    _check_cover(ambient, faces, pieces)
-    return Partition(ambient, pieces, faces)
+    table = _collect_faces(ambient, pieces)
+    _check_cover(ambient, table[2], pieces)
+    return Partition(ambient, pieces, table)
 
 
 def _check_interior_disjoint(pieces, d):
@@ -357,7 +386,7 @@ def _facet_separates(p, q):
     )
 
 
-def _check_cover(ambient, faces, pieces):
+def _check_cover(ambient, records, pieces):
     """Certify that the pieces fill the ambient polytope, or reject a gap.
 
     The pieces are ``d``-dimensional, inside the ambient polytope and
@@ -373,11 +402,8 @@ def _check_cover(ambient, faces, pieces):
     tiling that is not face-to-face, or a gap) leaves the verdict to the
     exact polyhedral difference, which also supplies the witness.
     """
-    if all(
-        len(f.pieces) == 2 or not f.is_interior
-        for f in faces.values()
-        if f.dim == ambient.dim - 1
-    ):
+    d = ambient.dim - 1
+    if all(len(owners) == 2 or facets for _, k, owners, facets in records if k == d):
         return
     witness = _uncovered_point(ambient, pieces)
     if witness is not None:
@@ -458,15 +484,16 @@ def _face_count(piece):
 
 
 def _collect_faces(ambient, pieces):
-    """The partition's faces, keyed by their vertex and ray tuples.
+    """The partition's face table ``(gens, nv, records)``.
 
     Each piece is walked by ``_face_walk`` on its facet masks over generator
-    ids the pieces share (the union of their vertices in sorted order, then
-    of their rays), so faces merge across pieces by mask.  The smallest
-    ambient face holding a face is cut out by the ambient facets tight on
-    all its generators.  Faces come in the order of ``(first piece, dim,
-    vertices, rays)``: the ids are sorted, so id tuples order as the
-    coordinate tuples do.  Ambient vertices are not 0-faces of the
+    ids the pieces share: ``gens`` lists the union of their vertices in
+    sorted order, ``nv`` of them, then of their rays, so faces merge across
+    pieces by mask.  A face's record ``(mask, dim, owners, facets)`` holds
+    its generator mask, its dimension, the pieces having it in ascending
+    order, and the mask of the ambient facets whose generator masks hold
+    its own: they cut out the smallest ambient face containing it, and none
+    does for an interior face.  Ambient vertices are not 0-faces of the
     partition.  A partition whose pieces have more than ``FACE_BUDGET``
     faces in all is refused before any walk: a piece has at most ``2**dim``
     faces per vertex, each face having one lowest vertex, and only when
@@ -486,7 +513,6 @@ def _collect_faces(ambient, pieces):
     # a ray may have the coordinates of a vertex, so ids are kept per kind
     vertex_ids = {g: i for i, g in enumerate(gens[:nv])}
     ray_ids = {g: i for i, g in enumerate(gens[nv:], nv)}
-    has_vertex = (1 << nv) - 1
     found = {}  # mask -> (dim, owner list)
     for idx, piece in enumerate(pieces):
         ids = [vertex_ids[v] for v in piece.vertices] + [ray_ids[r] for r in piece.rays]
@@ -500,28 +526,18 @@ def _collect_faces(ambient, pieces):
                 found[mask] = (dim, [idx])
             else:
                 entry[1].append(idx)
-    tight = [ambient._tight_facets(g, int(j < nv)) for j, g in enumerate(gens)]
-    all_facets = (1 << len(ambient.halfspaces)) - 1
-    ambient_vertices = {vertex_ids[v] for v in ambient.vertices if v in vertex_ids}
-    faces = []
+    on_facet = [  # (facet bit, mask of the generators on the facet)
+        (1 << i, sum(1 << j for j, g in enumerate(gens) if vdot(g, n) == (b if j < nv else 0)))
+        for i, (n, b) in enumerate((h.normal, -h.offset) for h in ambient.halfspaces)
+    ]
+    ambient_vertices = sum(1 << vertex_ids[v] for v in ambient.vertices if v in vertex_ids)
+    records = []
     for mask, (dim, owners) in found.items():
-        bits = _bits(mask)
-        if dim == 0 and bits[0] in ambient_vertices:
+        if dim == 0 and mask & ambient_vertices:
             continue
-        k = (mask & has_vertex).bit_count()
-        faces.append((owners[0], dim, tuple(bits[:k]), tuple(bits[k:]), bits, owners))
-    faces.sort(key=lambda f: f[:4])
-    out = {}
-    ambient_faces = {}  # facet mask -> ambient face
-    for _, dim, vids, rids, bits, owners in faces:
-        facets = functools.reduce(operator.and_, map(tight.__getitem__, bits), all_facets)
-        face = ambient_faces.get(facets)
-        if face is None:
-            face = ambient_faces[facets] = ambient._face_cut_by(facets)
-        verts = tuple(map(gens.__getitem__, vids))
-        rays = tuple(map(gens.__getitem__, rids))
-        out[(verts, rays)] = PartitionFace(verts, rays, dim, frozenset(owners), face)
-    return out
+        facets = sum(bit for bit, on in on_facet if mask & on == mask)
+        records.append((mask, dim, owners, facets))
+    return gens, nv, records
 
 
 # -- constructions used by the CLI and the examples --------------------------------

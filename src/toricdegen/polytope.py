@@ -594,7 +594,6 @@ class LatticePolytope:
         "dim",
         "_incidence",
         "_facet_sets",
-        "_tight",
         "_faces",
         "_faces_by_dim",
         "_face_index",
@@ -623,7 +622,6 @@ class LatticePolytope:
         self.dim = ambient_rank - len(self.equations)
         self._incidence = tuple(incidence)
         self._facet_sets = None
-        self._tight = {}
         self._faces = None
         self._faces_by_dim = None
         self._face_index = None
@@ -835,20 +833,6 @@ class LatticePolytope:
             mask &= self._incidence[i]
         return mask
 
-    def _tight_facets(self, x, t):
-        """The mask of the facets ``<x, normal> + t * offset = 0`` holds on:
-        those through the point ``x`` for ``t = 1``, those parallel to the
-        direction ``x`` for ``t = 0``.  Cached per polytope."""
-        key = (tuple(x), t)
-        tight = self._tight.get(key)
-        if tight is None:
-            tight = 0
-            for i, h in enumerate(self.halfspaces):
-                if vdot(key[0], h.normal) == (-h.offset if t else 0):
-                    tight |= 1 << i
-            self._tight[key] = tight
-        return tight
-
     def _face_cut_by(self, facets):
         """The face that the facets in the mask ``facets`` cut out, looked up
         in the face index; a cut that is no face (it holds no vertex) raises
@@ -861,14 +845,13 @@ class LatticePolytope:
 
     def smallest_face_containing(self, points, rays=()):
         """The smallest face containing the given points and ray directions:
-        the intersection of the facets tight on all of them.  Their cached
-        facet masks are intersected first, then the generator masks of the
-        facets left."""
-        facets = (1 << len(self._incidence)) - 1
-        for p in points:
-            facets &= self._tight_facets(p, 1)
-        for r in rays:
-            facets &= self._tight_facets(r, 0)
+        the face cut out by the facets that hold all of them."""
+        facets = sum(
+            1 << i
+            for i, h in enumerate(self.halfspaces)
+            if all(vdot(p, h.normal) == -h.offset for p in points)
+            and all(vdot(r, h.normal) == 0 for r in rays)
+        )
         return self._face_cut_by(facets)
 
     # -- vertex-local structure --------------------------------------------

@@ -413,6 +413,16 @@ def collect_faces(ambient, pieces):
     return out
 
 
+def semistable_witness(faces):
+    """The first face breaking the count rule, with its smallest ambient
+    face and its piece count, in the order ``faces`` come in; None when
+    every face keeps it."""
+    for f in faces:
+        if len(f.pieces) != f.ambient_face.dim - f.dim + 1:
+            return (f, f.ambient_face, len(f.pieces))
+    return None
+
+
 def volume(poly):
     """Euclidean volume of a full-dimensional compact polytope, summed over
     a pulling triangulation."""

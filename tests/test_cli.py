@@ -15,6 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricdegen import cli
+from toricdegen import lifting as lifting_module
+from toricdegen import partition as partition_module
+from toricdegen.partition import Partition
 from toricdegen.report import render_report
 
 import oracles
@@ -608,6 +611,24 @@ class TestDegenerate:
             "a3a3ef63154fff5963907427baae50ad8057d352a296ba9bfcf70ff792f47112"
         )
 
+    def test_staircase_nine_verify(self, tmp_path, capsys):
+        # the rank-9 end-to-end check: ten pieces, each a combinatorial
+        # 9-cube with 3^9 faces; the digest is the stdout of the parent of
+        # the face table
+        n = 9
+        rays = [[int(i == j) - int(i == j - 1) for i in range(n)] for j in range(n + 1)]
+        vertices = [[-1] * n] + [[(n + 1) * int(i == j) - 1 for i in range(n)] for j in range(n)]
+        spec = {"polytope": {"vertices": vertices}, "partition": {"fan_rays": rays}}
+        code, out, records = run(capsys, ["verify", write_spec(tmp_path, spec)])
+        assert code == 0
+        cls = records[1]
+        assert cls["pieces"] == 10
+        flags = ("semistable", "balanced", "nonsingular", "mildly_singular")
+        assert all(cls[flag] is True for flag in flags)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5f8e7944e5edcb63b62e43f27ce5204ea3ab64bbc29c66a2e8e7c0225230604d"
+        )
+
     def test_staircase_eight_degenerate(self, tmp_path, capsys):
         # the rank-8 end-to-end check of the family: nine pieces, each a
         # combinatorial 8-cube, all in one class, and the C(17, 8) lattice
@@ -632,6 +653,71 @@ class TestDegenerate:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "a84ddd29bdb08fc446badbbcf9d0cdbd49f8464547760e2a0a2709e1fde2cd79"
         )
+
+
+GRID = {
+    "polytope": {"vertices": [[0, 0], [4, 0], [4, 3], [0, 3]]},
+    "partition": {
+        "hyperplanes": [
+            {"normal": [1, 0], "offset": 1},
+            {"normal": [1, 0], "offset": 2},
+            {"normal": [0, 1], "offset": 2},
+        ]
+    },
+}
+
+
+@contextlib.contextmanager
+def _counted_partition_faces():
+    """The partition faces built inside the block, in order."""
+    built = []
+    make = partition_module.PartitionFace
+
+    def counted(*args):
+        built.append(make(*args))
+        return built[-1]
+
+    with mock.patch.object(partition_module, "PartitionFace", side_effect=counted):
+        yield built
+
+
+class TestFaceObjectsOnDemand:
+    """The partition keeps its faces as a table of masks; a face object is
+    built only when something reads it."""
+
+    def test_rejected_grid_builds_only_the_witness(self, tmp_path, capsys):
+        with _counted_partition_faces() as built:
+            code, out, records = run(capsys, ["verify", write_spec(tmp_path, GRID)])
+        assert code == 1
+        witness = records[1]["witness"]
+        assert len(built) == 1
+        assert [list(v) for v in built[0].vertices] == witness["face_vertices"]
+        assert (built[0].dim, len(built[0].pieces)) == (0, 4)
+
+    @pytest.mark.parametrize("spec", [STAIRCASE3, CHAIN4], ids=["staircase-3", "chain-4"])
+    def test_accepted_verify_builds_no_face_above_dimension_one(self, tmp_path, capsys, spec):
+        with _counted_partition_faces() as built:
+            code, out, records = run(capsys, ["verify", write_spec(tmp_path, spec)])
+        assert code == 0
+        assert built and {f.dim for f in built} <= {0, 1}
+
+    def test_lift_reads_the_face_index_only_for_a_witness(self, tmp_path, capsys):
+        reads = []
+        index = Partition.face_index
+
+        def read(part):
+            reads.append(part)
+            return index.fget(part)
+
+        path = write_spec(tmp_path, STAIRCASE3)
+        with mock.patch.object(Partition, "face_index", property(read)):
+            code, out, records = run(capsys, ["lift", path])
+            assert code == 0 and reads == []
+            with mock.patch.object(lifting_module, "_graph_facet_mismatch", return_value=0):
+                code, out, records = run(capsys, ["lift", path])
+        assert code == 1
+        assert records[-1]["message"] == "graph facet does not project onto its piece"
+        assert reads
 
 
 def _one_piece(vertices):

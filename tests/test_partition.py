@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -18,13 +19,14 @@ from toricdegen import (
     PartitionError,
     UnsupportedGeometryError,
     build_partition,
+    complete_fan_from_rays,
     lattice_equivalences,
     partition_by_hyperplanes,
     partition_from_fan,
 )
 from toricdegen import partition as partition_module
 from toricdegen.exactmath import vdot
-from toricdegen.partition import Partition, _check_interior_disjoint, _face_walk, _uncovered_point
+from toricdegen.partition import _check_interior_disjoint, _face_walk, _uncovered_point
 
 from corpus import (
     accepted_partitions,
@@ -573,9 +575,10 @@ class TestDualComplexClosure:
 
     @pytest.mark.parametrize("name,part", accepted_partitions())
     def test_cells_match_stored_faces(self, name, part):
+        # one cell per interior face, with that face's piece set and dim
         dual = part.dual_complex()
-        interior = {f.key: f.pieces for f in part.faces() if f.is_interior}
-        assert {k: s for k, s, _ in dual.cells} == interior, name
+        interior = Counter((f.pieces, f.dim) for f in part.faces() if f.is_interior)
+        assert Counter(dual.cells) == interior, name
 
 
 class TestRandomPlanarCuts:
@@ -1097,12 +1100,17 @@ class TestFaceCount:
 
 
 def _assert_faces_match_oracle(part):
-    """Every partition face, field by field and in ``face_index`` order, and
-    ``faces()``, as the oracle's merge of the pieces' face lattices gives
-    them."""
+    """Every partition face, field by field and in ``face_index`` order,
+    ``faces()`` and ``faces(dim)`` in ``(dim, key)`` order, and the
+    semi-stability witness, as the oracle's merge of the pieces' face
+    lattices gives them."""
     expected = oracles.collect_faces(part.ambient, part.pieces)
+    in_order = sorted(expected.values(), key=lambda f: (f.dim, f.key))
+    _assert_same(part.semistable_witness(), oracles.semistable_witness(in_order))
     _assert_same(list(part.face_index.items()), list(expected.items()))
-    _assert_same(part.faces(), Partition(part.ambient, part.pieces, expected).faces())
+    _assert_same(part.faces(), in_order)
+    for dim in range(-1, part.dim + 2):
+        _assert_same(part.faces(dim), [f for f in in_order if f.dim == dim])
 
 
 @st.composite
@@ -1138,6 +1146,111 @@ def _fresh(poly):
 def _one_piece(vertices):
     poly = LatticePolytope.from_vertices(vertices)
     return build_partition(poly, [poly])
+
+
+@st.composite
+def grid_problems(draw):
+    """A box or a dilated simplex in rank 2-4, or the orthant in rank 2-3,
+    cut by up to two hyperplanes ``x_i = c`` per axis (one in rank 4),
+    possibly embedded at ``z = 0`` in one rank more.  Cuts on two axes
+    meeting inside make the partition fail the count rule."""
+    kind = draw(st.sampled_from(["box", "simplex", "orthant"]))
+    rank = draw(st.integers(2, 3 if kind == "orthant" else 4))
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    offsets = st.sets(st.integers(1, 3), max_size=2 if rank < 4 else 1)
+    cuts = [(u, c) for u in units for c in sorted(draw(offsets))]
+    assume(cuts)
+    embed = draw(st.booleans())
+    if kind == "orthant":
+        pad = (0,) * embed
+        equations = [((0,) * rank + (1,), 0)] if embed else []
+        ambient = LatticePolytope.from_halfspaces([(u + pad, 0) for u in units], rank + embed, equations)
+        return ambient, [(n + pad, c) for n, c in cuts]
+    if kind == "box":
+        vertices = list(itertools.product((0, 4), repeat=rank))
+    else:
+        vertices = dilated_simplex(4, rank).vertices
+    if embed:
+        vertices = [v + (0,) for v in vertices]
+        cuts = [(n + (draw(st.integers(-1, 1)),), c) for n, c in cuts]
+    return LatticePolytope.from_vertices(vertices), cuts
+
+
+@st.composite
+def fan_problems(draw):
+    """The fan of ``rank + 1`` rays in one positive relation, in rank 2-3,
+    cut by the box ``[-a, a]^rank`` or by the hull of the rays scaled by
+    ``t``."""
+    rank = draw(st.integers(2, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * rank)
+    basis = draw(st.lists(vec, min_size=rank, max_size=rank))
+    weights = draw(st.lists(st.integers(1, 2), min_size=rank, max_size=rank))
+    last = tuple(-sum(w * r[k] for w, r in zip(weights, basis)) for k in range(rank))
+    try:
+        fan = complete_fan_from_rays(basis + [last])
+    except GeometryError:
+        assume(False)
+    if draw(st.booleans()):
+        a = draw(st.integers(1, 3))
+        ambient = LatticePolytope.from_vertices(list(itertools.product((-a, a), repeat=rank)))
+    else:
+        t = draw(st.integers(1, 2))
+        ambient = LatticePolytope.from_vertices([tuple(t * x for x in r) for r in fan.rays])
+    return ambient, fan
+
+
+class TestFaceTableAgainstOracle:
+    """The face table read through ``faces()``, ``faces(dim)``,
+    ``face_index`` and ``semistable_witness`` against the per-piece merge
+    and the first violating face in ``(dim, key)`` order, on accepted and
+    rejected partitions."""
+
+    @given(grid_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_grids(self, problem):
+        ambient, cuts = problem
+        try:
+            part = partition_by_hyperplanes(ambient, cuts)
+        except GeometryError:
+            assume(False)
+        _assert_faces_match_oracle(part)
+
+    @given(fan_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_fans(self, problem):
+        ambient, fan = problem
+        try:
+            part = partition_from_fan(ambient, fan)
+        except GeometryError:
+            assume(False)
+        _assert_faces_match_oracle(part)
+
+    @given(face_cut_problems(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_explicit_pieces_in_any_order(self, problem, data):
+        ambient, cuts = problem
+        try:
+            part = partition_by_hyperplanes(ambient, cuts)
+        except GeometryError:
+            assume(False)
+        pieces = [_fresh(p) for p in data.draw(st.permutations(part.pieces))]
+        _assert_faces_match_oracle(build_partition(_fresh(ambient), pieces))
+
+    @pytest.mark.parametrize(
+        "ambient,cuts",
+        [
+            (LatticePolytope.from_vertices([(0, 0), (4, 0), (4, 3), (0, 3)]), [((1, 0), 2), ((0, 1), 1)]),
+            (LatticePolytope.from_vertices(list(itertools.product((0, 2), repeat=3))), [((1, 0, 0), 1), ((0, 0, 1), 1)]),
+            (LatticePolytope.from_vertices(list(itertools.product((0, 2), repeat=4))), [((0, 1, 0, 0), 1), ((0, 0, 0, 1), 1)]),
+            (LatticePolytope.from_halfspaces([((1, 0), 0), ((0, 1), 0)], 2), [((1, 0), 1), ((0, 1), 1)]),
+            (LatticePolytope.from_vertices([(0, 0, 0), (4, 0, 0), (0, 4, 0)]), [((1, 0, 0), 1), ((0, 1, 1), 1)]),
+        ],
+        ids=["rectangle", "cube", "4-cube", "orthant", "triangle-at-z-0"],
+    )
+    def test_rejected_grids(self, ambient, cuts):
+        part = partition_by_hyperplanes(ambient, cuts)
+        assert part.semistable_witness() is not None
+        _assert_faces_match_oracle(part)
 
 
 class TestFaceClosureAgainstOracle:
@@ -1206,13 +1319,16 @@ class TestFaceClosureAgainstOracle:
     )
     def test_no_piece_face_lattice_is_built(self, name, cached):
         # fresh polytopes: the corpus partitions carry the caches of earlier
-        # tests; only the ambient's face lattice is closed, once
+        # tests; the build closes no face lattice, and the count rule closes
+        # only the ambient's, once
         ambient = _fresh(cached.ambient)
         pieces = [_fresh(p) for p in cached.pieces]
         faces_by_mask = LatticePolytope._faces_by_mask
         with mock.patch.object(
             LatticePolytope, "_faces_by_mask", autospec=True, side_effect=faces_by_mask
         ) as wrapped:
-            build_partition(ambient, pieces)
+            part = build_partition(ambient, pieces)
+            assert wrapped.call_args_list == [], name
+            part.classify()
         seen = [call.args[0] for call in wrapped.call_args_list]
         assert len(seen) == 1 and seen[0] is ambient, name
