@@ -545,8 +545,8 @@ def _collect_faces(ambient, pieces):
 
 def partition_from_fan(ambient: LatticePolytope, fan: Fan) -> Partition:
     """Pieces cut out by the maximal cones of a complete fan.  Each piece is
-    its cone cut by the ambient polytope's constraints, so its double
-    description continues from the cone's one vertex and few rays."""
+    its cone cut by the ambient polytope's constraints, so the double
+    description steps start from the cone's one vertex and few rays."""
     if not fan.is_complete():
         raise PartitionError("fan partition requires a complete fan")
     pieces = [

@@ -10,16 +10,16 @@ lattice polytope is one whose vertex coordinates are all ints.  Both
 directions between the descriptions run one integer double description
 kernel (``_dd_extreme_rays``).  Vertices and rays of a halfspace system are
 the extreme rays of the cone over it.  ``intersect`` normalizes only the
-constraints it adds, and continues the region's double description instead
-of restarting it: the kernel starts from the cone over the region, its
-vertices and rays with their cached facet sets, and processes only the rows
-the region does not satisfy yet; a run from scratch is the start with no
-rays.  ``split`` cuts a region that a hyperplane crosses into both sides at
-once: one step of the kernel (``_dd_split``) on the cone over the region
-splits its rays by sign, and the rays it combines on the hyperplane belong
-to both sides.  For a full-dimensional system ``from_halfspaces``, and each
-side of a split, keeps the halfspaces whose tight rays are maximal, read
-off the kernel's tight sets (``_from_tight``).
+constraints it adds and cuts the region in one pass: from the cone over the
+region, its vertices and rays with their cached facet sets, it runs one
+step of the kernel (``_dd_split``) per new row, an equation being two
+opposite rows; only the whole space, which has no vertex, runs from
+scratch.  ``split`` cuts a region that a hyperplane crosses into both sides
+at once: its one step splits the rays by sign, and the rays it combines on
+the hyperplane belong to both sides.  A run from scratch, a cut and each
+side of a split end in one tail (``_from_tight``): for a full-dimensional
+system it keeps the tightest halfspace per normal whose tight rays are
+maximal, read off the kernel's tight sets.
 Facets of a polyhedron given by generators, or of a lower-dimensional
 system, are the extreme rays of the cone of valid homogeneous normals, found
 by one path in every dimension (``_dual_from_generators``): the hull
@@ -82,7 +82,6 @@ refuses past ``POINT_BUDGET`` prefixes and points.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections import Counter
@@ -219,46 +218,36 @@ def _refuse_lineality(halfspaces, equations, rank):
 PAIR_BUDGET = 10**6
 
 
-def _dd_extreme_rays(ineqs, eqs, width, start=None):
+def _dd_extreme_rays(ineqs, eqs, width):
     """Double description of ``{z : <a, z> >= 0 for a in ineqs, <e, z> = 0
     for e in eqs}`` in ``Z^width`` (Motzkin et al. 1953; Fukuda and Prodon
-    1996).
+    1996), from scratch.
 
     Returns ``(rays, lines)``: the extreme rays as ``(z, mask)`` pairs, ``z``
     a primitive integer vector and bit ``i`` of ``mask`` set when ``ineqs[i]``
     is tight on ``z``, and a primitive basis of the lineality space.
 
-    A run from scratch starts with no rays, and its lines are the kernel
-    basis of the equations.  A run may instead continue a known pointed
-    cone, ``start = (rays, dim, done)``: the cone's extreme rays as ``(z,
-    mask)`` pairs, its dimension, and the mask of the rows it already
-    satisfies, which the masks cover and which describe it within its span.
-    Such a run has no lines, does not read ``eqs``, and processes only the
-    rows outside ``done``.  Each row either turns a line it is not
-    orthogonal to into a ray, tight on every earlier row, and reduces the
-    other lines and the rays onto its hyperplane, or it splits the rays by
-    sign, keeps the positive side and adds the positive combination of each
-    adjacent pair across it (``_dd_split``, the cone's dimension taken less
-    the lines left).  Every step is integer.
+    The run starts with no rays, and its lines are the kernel basis of the
+    equations.  Each row either turns a line it is not orthogonal to into a
+    ray, tight on every earlier row, and reduces the other lines and the
+    rays onto its hyperplane, or it splits the rays by sign, keeps the
+    positive side and adds the positive combination of each adjacent pair
+    across it (``_dd_split``, the cone's dimension taken less the lines
+    left).  Every step is integer.  A cut of a known pointed polyhedron
+    needs only the split steps, over the cone over it (``_meet``).
 
     The work is bounded by the candidate pairs, ``len(pos) * len(neg)``
     summed over the splits; a split that would take the sum past
     ``PAIR_BUDGET`` is refused before its pairs are tested.  A split adds at
     most one ray per pair, so the sum also bounds the rays the splits add.
     """
-    if start is None:
-        # with no equation the lines are the unit vectors, and nothing is eliminated
-        lines = kernel_basis(eqs, width) if eqs else [
-            tuple(int(i == j) for j in range(width)) for i in range(width)
-        ]
-        rays, dim, done = [], len(lines), 0
-    else:
-        (rays, dim, done), lines = start, []
-    pairs = 0
+    # with no equation the lines are the unit vectors, and nothing is eliminated
+    lines = kernel_basis(eqs, width) if eqs else [
+        tuple(int(i == j) for j in range(width)) for i in range(width)
+    ]
+    rays, dim, pairs = [], len(lines), 0
     for i, a in enumerate(ineqs):
         bit = 1 << i
-        if done & bit:
-            continue
         dots = [vdot(a, line) for line in lines]
         k = next((k for k, s in enumerate(dots) if s), None)
         if k is not None:
@@ -288,8 +277,10 @@ def _dd_split(a, bit, rays, least, pairs):
     set, and the positive combination of each adjacent pair across it, so
     both sides of the hyperplane share them.  Two rays are adjacent when no
     third ray's tight set contains the intersection of theirs; a pair
-    sharing fewer than ``least`` tight rows, the cone's dimension less two,
-    spans no edge and skips that test.  A split that takes the count past
+    sharing fewer than ``least`` tight rows, the dimension of the cone the
+    steps started from less two, spans no edge and skips that test (an
+    earlier step may have cut the cone to lower dimension, but its edges
+    still lie on that many rows).  A split that takes the count past
     ``PAIR_BUDGET`` is refused before its pairs are tested.
     """
     pos, neg, on = [], [], []
@@ -353,9 +344,10 @@ def _homogeneous_row(constraint):
     return tuple(x * q for x in normal) + (offset.numerator,)
 
 
-def _enumerate_generators(halfspaces, equations, rank, region=None):
+def _enumerate_generators(halfspaces, equations, rank):
     """Vertices and extreme rays of a pointed H-representation, sorted, and
-    their tight masks in that order, vertices first.
+    their tight masks in that order, vertices first, from a kernel run from
+    scratch.
 
     The polyhedron is the slice ``t = 1`` of the cone over it in
     ``Z^(rank+1)``: each constraint becomes its homogeneous row, and
@@ -367,22 +359,9 @@ def _enumerate_generators(halfspaces, equations, rank, region=None):
     constraint's normal orthogonal: a polyhedron with a lineality space is
     refused on them, so no separate rank test of the normals runs.  With no
     constraint at all they span the whole space.
-
-    A ``region`` whose constraints the system holds, each facet as itself
-    or under a tighter parallel halfspace, is cut rather than rebuilt: the
-    run continues the cone over it (``_region_start``), so only the rows it
-    does not satisfy yet are processed, and it has no lines.
     """
     ineqs = [_homogeneous_row(h) for h in halfspaces] + [(0,) * rank + (1,)]
-    if region is None or not region.vertices:
-        cone, lines = _dd_extreme_rays(ineqs, [_homogeneous_row(e) for e in equations], rank + 1)
-    else:
-        extra, start = _region_start(region, halfspaces, equations)
-        cone, lines = _dd_extreme_rays(ineqs + extra, (), rank + 1, start)
-        if extra:
-            # the extra rows' bits are not the caller's
-            keep = (1 << len(ineqs)) - 1
-            cone = [(z, mask & keep) for z, mask in cone]
+    cone, lines = _dd_extreme_rays(ineqs, [_homogeneous_row(e) for e in equations], rank + 1)
     if lines:
         if halfspaces or equations:
             raise UnsupportedGeometryError(_LINEALITY)
@@ -414,43 +393,6 @@ def _region_cone(region):
         else:
             cone.append((_cone_point(region.vertices[j]), facets))
     return cone
-
-
-def _region_start(region, halfspaces, equations):
-    """The cone over a nonempty pointed ``region`` as the start of the
-    double description of its cut by the system ``halfspaces`` (sorted and
-    deduplicated, then ``t >= 0``) and ``equations``, with the extra rows
-    that start needs after ``t >= 0``.
-
-    The cone's extreme rays come from ``_region_cone``, their mask bits
-    moved to the facets' rows in the system.  A facet the system
-    holds only under a tighter parallel halfspace keeps an extra row, so the
-    masks still describe the cone, and each equation the region does not
-    already hold becomes two opposite extra rows.  The rows the start has
-    done are its facets' and ``t >= 0``.
-    """
-    index = {h: i for i, h in enumerate(halfspaces)}
-    t_bit = 1 << len(halfspaces)
-    extra, moved = [], []
-    for h in region.halfspaces:
-        i = index.get(h)
-        if i is None:
-            i = len(halfspaces) + 1 + len(extra)
-            extra.append(_homogeneous_row(h))
-        moved.append(1 << i)
-    moved.append(t_bit)
-    done = sum(moved)
-    for e in equations:
-        if e not in region.equations:
-            row = _homogeneous_row(e)
-            extra += [row, tuple(-x for x in row)]
-    seeds = []
-    for z, facets in _region_cone(region):
-        mask = 0
-        for k in _bits(facets):
-            mask |= moved[k]
-        seeds.append((z, mask))
-    return extra, (seeds, region.dim + 1, done)
 
 
 def _vertex(z):
@@ -545,6 +487,18 @@ def _maximal(sets):
         if not any(s & k == s for k in kept):
             kept.append(s)
     return kept
+
+
+def _tightest(halfspaces):
+    """The indices of the tightest halfspace per normal among
+    ``halfspaces``, in sorted order; None entries are skipped."""
+    best = {}
+    for i, h in enumerate(halfspaces):
+        if h is not None:
+            n = h.normal
+            if n not in best or h.offset < halfspaces[best[n]].offset:
+                best[n] = i
+    return [i for _, i in sorted(best.items())]
 
 
 def _extreme(generators, facet_sets):
@@ -682,44 +636,62 @@ class LatticePolytope:
         )
 
     @classmethod
-    def _from_normalized(cls, halfspaces, rank, equations, region=None):
-        """``from_halfspaces`` for constraints already in normal form; with a
-        ``region``, of the region cut by them, continuing its double
-        description."""
-        if region is not None:
-            halfspaces = [*region.halfspaces, *halfspaces]
-            equations = [*region.equations, *equations]
+    def _from_normalized(cls, halfspaces, rank, equations):
+        """``from_halfspaces`` for constraints already in normal form: one
+        kernel run from scratch over the tightest halfspace per normal."""
         if not halfspaces and not equations:
             return cls(rank, (), (), (), (), ())
-        dedup = {}
-        for h in halfspaces:
-            prev = dedup.get(h.normal)
-            if prev is None or h.offset < prev:
-                dedup[h.normal] = h.offset
-        halfspaces = [Halfspace(n, o) for n, o in sorted(dedup.items())]
-        vertices, rays, masks = _enumerate_generators(halfspaces, equations, rank, region)
-        if not vertices:
-            raise EmptyPolyhedronError("empty polyhedron")
+        halfspaces = [halfspaces[i] for i in _tightest(halfspaces)]
+        generators = _enumerate_generators(halfspaces, equations, rank)
         # the last row is the kernel's ``t >= 0``
-        tight = _transpose(masks, len(halfspaces) + 1)[:-1]
-        return cls._from_tight(halfspaces, equations, rank, vertices, rays, tight)
+        return cls._from_tight([*halfspaces, None], equations, rank, *generators)
+
+    def _meet(self, halfspaces, equations):
+        """This polyhedron cut by further constraints in normal form, in one
+        pass over the cone over it (``_region_cone``), its facet bits where
+        they are and ``t >= 0`` next: one ``_dd_split`` step per new row, an
+        equation being two opposite rows, with the candidate pairs counted
+        over all the rows.  The whole space has no vertex to start from, so
+        its cut runs from scratch."""
+        rank = self.ambient_rank
+        if self.is_whole_space:
+            return LatticePolytope._from_normalized(halfspaces, rank, equations)
+        new = [_homogeneous_row(h) for h in halfspaces]
+        for e in equations:
+            row = _homogeneous_row(e)
+            new += [row, tuple(-x for x in row)]
+        cone, pairs = _region_cone(self), 0
+        for i, a in enumerate(new, len(self.halfspaces) + 1):
+            pos, _, on, pairs = _dd_split(a, 1 << i, cone, self.dim - 1, pairs)
+            cone = [(z, mask) for z, mask, _ in pos] + on
+        rows = [*self.halfspaces, None, *halfspaces] + [None] * (2 * len(equations))
+        equations = [*self.equations, *equations]
+        return LatticePolytope._from_tight(rows, equations, rank, *_cone_generators(cone))
 
     @classmethod
-    def _from_tight(cls, halfspaces, equations, rank, vertices, rays, tight):
-        """The nonempty polyhedron cut out by the sorted ``halfspaces`` and
-        the ``equations``, with these sorted vertices and rays: ``tight[i]``
-        is the set of generators, as a bit set, that ``halfspaces[i]`` is
-        tight on.  The facets are the halfspaces whose tight sets are
+    def _from_tight(cls, rows, equations, rank, vertices, rays, masks):
+        """The polyhedron cut out by ``rows`` and the ``equations``, read off
+        the sorted vertices and rays of the cone over it and their masks,
+        vertices first: bit ``i`` of a mask is set when ``rows[i]`` is tight
+        on that generator.  A row is a halfspace, or None for ``t >= 0`` and
+        the rows of an equation.  With no vertex the polyhedron is empty.
+        One transpose gives each row's tight set, and the facets are the
+        tightest halfspaces per normal, sorted, whose tight sets are
         maximal.  A lower-dimensional system has normals canonical only
         modulo its affine hull, so its facets are rebuilt from the
         generators."""
-        if equations or (1 << (len(vertices) + len(rays))) - 1 in tight:
+        if not vertices:
+            raise EmptyPolyhedronError("empty polyhedron")
+        columns = _transpose(masks, len(rows))
+        kept = _tightest(rows)
+        tight = [columns[i] for i in kept]
+        if equations or (1 << len(masks)) - 1 in tight:
             hs, eqs, incidence, chart = _dual_from_generators(vertices, rays, rank)
             return cls(rank, hs, eqs, vertices, rays, incidence, chart)
         maximal = set(_maximal(tight))
-        facets = [i for i, t in enumerate(tight) if t in maximal]
-        hs = [halfspaces[i] for i in facets]
-        return cls(rank, hs, (), vertices, rays, [tight[i] for i in facets])
+        facets = [i for i in kept if columns[i] in maximal]
+        hs = [rows[i] for i in facets]
+        return cls(rank, hs, (), vertices, rays, [columns[i] for i in facets])
 
     # -- basic queries ----------------------------------------------------
 
@@ -1096,59 +1068,44 @@ class LatticePolytope:
     def intersect(self, halfspaces=(), equations=()):
         """Intersection with further constraints; raises on emptiness.  Only
         the new constraints are normalized: the polyhedron's own already are.
-        The double description continues from this polyhedron's generators
-        and incidence, so only the rows it does not satisfy are processed."""
+        The cut runs one double description step per new row over the cone
+        over this polyhedron (``_meet``)."""
         hs = [_normalize_halfspace(n, o) for n, o in halfspaces]
         eqs = [_normalize_equation(n, o) for n, o in equations]
-        return LatticePolytope._from_normalized(hs, self.ambient_rank, eqs, self)
+        return self._meet(hs, eqs)
 
     def split(self, normal, value):
         """The two sides ``(above, below)`` of a pointed polyhedron that the
         hyperplane ``<x, normal> = value`` crosses: ``above`` where ``<x,
         normal> >= value`` and ``below`` where ``<= value``, each what
-        ``intersect`` with that halfspace gives.  Both come from one step of
-        the double description of the cone over the polyhedron, seeded from
-        its generators and facet sets: the rays split by the sign of the
-        cut's row once, and the rays on the hyperplane, combined from the
-        adjacent pairs across it, are shared by both sides.  Each side's
-        facets are read off its tight sets as ``from_halfspaces`` reads
-        them, with the cut in sorted place, replacing a parallel facet it
-        is tighter than.  A hyperplane that leaves the polyhedron on one
+        ``intersect`` with that halfspace gives.  Both come from one
+        ``_dd_split`` step over the cone over the polyhedron
+        (``_region_cone``): the rays split by the sign of the cut's row
+        once, and the rays on the hyperplane, combined from the adjacent
+        pairs across it, are shared by both sides.  Each side is read off
+        its masks by the tail every cut shares (``_from_tight``), the cut's
+        row after ``t >= 0``.  A hyperplane that leaves the polyhedron on one
         closed side raises ``GeometryError``."""
         above = _normalize_halfspace(normal, -value)
         below = Halfspace(tuple(-x for x in above.normal), -above.offset)
-        m = len(self.halfspaces)
-        pos, neg, on, _ = _dd_split(
-            _homogeneous_row(above), 1 << (m + 1), _region_cone(self), self.dim - 1, 0
-        )
+        bit = 1 << (len(self.halfspaces) + 1)
+        pos, neg, on, _ = _dd_split(_homogeneous_row(above), bit, _region_cone(self), self.dim - 1, 0)
         if not (pos and neg):
             raise GeometryError("the hyperplane does not cross the polyhedron")
-        sides = []
-        for cut, kept in ((above, pos), (below, neg)):
-            vertices, rays, masks = _cone_generators([(z, mask) for z, mask, _ in kept] + on)
-            # bits below ``m`` are the polyhedron's facets, then ``t >= 0``
-            # and the cut
-            tight = _transpose(masks, m + 2)
-            hs, cut_tight, tight = list(self.halfspaces), tight[m + 1], tight[:m]
-            i = bisect.bisect_left(hs, cut)
-            if i < m and hs[i].normal == cut.normal:
-                hs[i], tight[i] = cut, cut_tight
-            else:
-                hs.insert(i, cut)
-                tight.insert(i, cut_tight)
-            sides.append(
-                LatticePolytope._from_tight(
-                    hs, self.equations, self.ambient_rank, vertices, rays, tight
-                )
+        return tuple(
+            LatticePolytope._from_tight(
+                [*self.halfspaces, None, cut],
+                self.equations,
+                self.ambient_rank,
+                *_cone_generators([(z, mask) for z, mask, _ in kept] + on),
             )
-        return tuple(sides)
+            for cut, kept in ((above, pos), (below, neg))
+        )
 
     def intersect_polyhedron(self, other: "LatticePolytope"):
         """Intersection with another polyhedron, cut from this one as
         ``intersect`` does."""
-        return LatticePolytope._from_normalized(
-            other.halfspaces, self.ambient_rank, other.equations, self
-        )
+        return self._meet(other.halfspaces, other.equations)
 
     def box_halfspaces(self, margin=1):
         """Halfspaces of the axis box strictly containing all vertices, one
@@ -1177,18 +1134,15 @@ class Fan:
         self.rays = tuple(tuple(r) for r in rays)
         self.cones = frozenset(frozenset(c) for c in cones)
         self._cone_face_cache = {}
+        maximal = []
+        for c in sorted(self.cones, key=lambda c: (-len(c), sorted(c))):
+            if not any(c < m for m in maximal):
+                maximal.append(c)
+        # the cones no other contains, sorted: found once
+        self.maximal_cones = tuple(sorted(maximal, key=sorted))
 
     def __repr__(self):
         return f"Fan(rank {self.rank}, {len(self.rays)} rays, {len(self.cones)} cones)"
-
-    @property
-    def maximal_cones(self):
-        cones = sorted(self.cones, key=lambda c: (-len(c), sorted(c)))
-        maximal = []
-        for c in cones:
-            if not any(c < m for m in maximal):
-                maximal.append(c)
-        return tuple(sorted(maximal, key=sorted))
 
     def cone_dim(self, cone):
         if not cone:

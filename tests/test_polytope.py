@@ -1777,9 +1777,10 @@ def region_cuts(draw, region):
 
 
 class TestSeededIntersection:
-    """An intersection continues its region's double description.  It must
-    give what the double description from scratch over all the constraints
-    gives, field by field, or the same refusal."""
+    """An intersection cuts its region in one pass: one double description
+    step per new row over the cone over the region, read off by the tail
+    every cut shares.  It must give what the double description from scratch
+    over all the constraints gives, field by field, or the same refusal."""
 
     @given(raw_h_systems(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -1826,11 +1827,18 @@ class TestSeededIntersection:
             (SQUARE, [], 2, [((1, 0), -5)], []),  # empty
             (SQUARE, [], 2, [], [((1, 0), -5)]),  # empty through an equation
             (SQUARE, [], 2, [((-1, 0), 1), ((1, 0), -1)], []),  # x = 1 by two halfspaces
+            (SQUARE, [], 2, [((-1, 0), 3), ((-1, 0), 1)], []),  # two parallel rows, looser first
+            (SQUARE, [], 2, [((-1, 0), 1), ((-1, 0), 3)], []),  # two parallel rows, tighter first
+            (SQUARE, [], 2, [((0, 1), 0), ((-1, 1), 0)], []),  # a facet again, then a crossing row
+            (SQUARE, [], 2, [], [((1, 0), -1)]),  # an equation along a facet normal: x = 1
+            (SQUARE, [], 2, [], [((1, 0), 0)]),  # an equation on a facet: the left edge
             (QUADRANT, [], 2, [((-1, -1), 3)], []),  # unbounded to compact
             (QUADRANT, [], 2, [((1, -1), 1)], []),  # unbounded, one ray dropped
             (QUADRANT, [], 2, [((0, -1), 0)], []),  # a ray of the quadrant
             (QUADRANT, [], 2, [((0, 1), -1)], []),  # parallel to a facet, tighter
             (QUADRANT, [], 2, [], [((1, -2), 1)]),  # a ray from an equation
+            (QUADRANT, [], 2, [((1, 0), 0)], []),  # a facet again, unbounded
+            (QUADRANT, [], 2, [], [((0, 1), -1)]),  # an equation along a facet normal: a ray
             (RATIONAL, [], 2, [((-2, 0), 1)], []),  # a rational cut
             (RATIONAL, [], 2, [((-1, -3), Fraction(5, 4))], []),  # parallel, tighter, rational
             (RATIONAL, [], 2, [((1, 2), -1)], []),  # through the rational vertex (0, 1/2)
@@ -1857,19 +1865,33 @@ class TestSeededIntersection:
     def test_one_cut_processes_only_the_new_row(self, kernel_runs):
         region = reflexive_simplex(3)
         cut = ((1, 1, 0), 1)
-        before = len(kernel_runs)
-        piece = region.intersect([cut])
-        assert len(kernel_runs) == before + 1
-        ineqs, eqs, width, start = kernel_runs[-1]
-        rays, dim, done = start
-        assert (eqs, width, dim) == ((), 4, 4)
+        steps = []
+        step = polytope_module._dd_split
+        with mock.patch.object(
+            polytope_module, "_dd_split", side_effect=lambda *a: steps.append(a) or step(*a)
+        ):
+            before = len(kernel_runs)
+            piece = region.intersect([cut])
+        assert len(kernel_runs) == before and len(steps) == 1
+        row, bit, rays, least, pairs = steps[0]
+        # the region's facets keep their bits, ``t >= 0`` is next, the cut after it
+        assert row == (1, 1, 0, 1) and bit == 1 << (len(region.halfspaces) + 1)
         assert sorted(z for z, _ in rays) == sorted(v + (1,) for v in region.vertices)
-        todo = [i for i in range(len(ineqs)) if not done >> i & 1]
-        assert [ineqs[i] for i in todo] == [(1, 1, 0, 1)]
-        assert len(ineqs) == len(region.halfspaces) + 2
+        assert (least, pairs) == (region.dim - 1, 0)
         _assert_same_as_from_scratch(
             piece, LatticePolytope.from_halfspaces(_constraints(region)[0] + [cut], 3)
         )
+
+    def test_budget_counts_the_pairs_over_all_the_rows(self, monkeypatch):
+        # each row halves the square, 2 vertices against 2: 4 pairs each
+        square = LatticePolytope.from_halfspaces(self.SQUARE, 2)
+        rows = [((-1, 0), 1), ((0, -1), 1)]
+        monkeypatch.setattr(polytope_module, "PAIR_BUDGET", 6)
+        for row in rows:
+            square.intersect([row])
+        with pytest.raises(UnsupportedGeometryError) as refused:
+            square.intersect(rows)
+        assert str(refused.value) == "double description over 8 candidate ray pairs"
 
     def test_whole_space_cut_runs_from_scratch(self, kernel_runs):
         LatticePolytope.from_halfspaces([], 2).intersect([((1, 0), 0), ((0, 1), 0)])
@@ -1884,11 +1906,12 @@ class TestSeededIntersection:
             [(e, 0) for e in units] + [(tuple(-x for x in e), 1) for e in units], n
         )
         assert len(cube.vertices) == 2048
+        before = len(kernel_runs)
         with pytest.raises(UnsupportedGeometryError) as refused:
             cube.intersect([((-1,) * n, Fraction(11, 2))])
         assert str(refused.value) == "double description over 1048576 candidate ray pairs"
         assert 1048576 > PAIR_BUDGET
-        assert len(kernel_runs[-1]) == 4  # the refused run was seeded
+        assert len(kernel_runs) == before  # the refused cut ran no kernel after the cube's own
 
 
 def _assert_split_matches_intersect(region, normal, value):
