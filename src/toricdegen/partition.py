@@ -15,6 +15,7 @@ split a region that a hyperplane crosses once, into both sides
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -361,9 +362,19 @@ def _check_interior_disjoint(pieces, d):
     A facet of one piece with every vertex and ray of the other on its far
     side certifies a pair: every stored halfspace defines a facet, so the
     relative interior of its piece lies strictly inside it (in a
-    lower-dimensional ambient too).  Only uncertified pairs are intersected.
+    lower-dimensional ambient too: both pieces span its affine hull, and no
+    stored facet normal is orthogonal to it).  Most pairs are certified
+    first by one lookup per facet: ``p`` storing ``<x, n> >= -c`` and ``q``
+    storing ``<x, -n> >= -c'`` with ``c + c' <= 0`` puts ``q`` in ``<x, n>
+    <= c' <= -c``, on that facet's far side, with no vertex read; so the
+    first uncertified pair and its witness are unchanged.  Only uncertified
+    pairs are intersected.
     """
+    offsets = [p._facet_offsets() for p in pieces]
+    opposite = [{tuple(map(operator.neg, n)): c for n, c in own.items()} for own in offsets]
     for i, j in itertools.combinations(range(len(pieces)), 2):
+        if any(opposite[i][n] + offsets[j][n] <= 0 for n in opposite[i].keys() & offsets[j].keys()):
+            continue
         if _facet_separates(pieces[i], pieces[j]) or _facet_separates(pieces[j], pieces[i]):
             continue
         try:
@@ -559,12 +570,16 @@ def partition_from_fan(ambient: LatticePolytope, fan: Fan) -> Partition:
 def partition_by_hyperplanes(ambient: LatticePolytope, cuts) -> Partition:
     """Chambers of ``<x, normal> = value`` hyperplane cuts inside a polytope.
 
-    A region whose vertices and rays all lie on one closed side of a cut,
-    not all on the hyperplane, is kept whole.  A region the cut crosses is
-    split once, into both sides (``LatticePolytope.split``); only a
-    whole-space region, or one the hyperplane contains, is intersected with
-    each side in turn.  Pieces are ordered by the position of their interior
-    point along the first cut normal, then lexicographically.
+    A region the cut crosses is split once, into both sides
+    (``LatticePolytope.split``).  A region on one closed side of the cut is
+    kept whole, also a lower-dimensional one inside the hyperplane, which
+    is on both sides.  Only the whole space is intersected with each side.
+
+    Pieces are ordered by the position of their interior point ``p`` (the
+    vertex centroid plus the rays) along the first cut normal, then
+    lexicographically, compared as the integer vector ``L * p``: ``L``, the
+    lcm of the vertex counts times that of the vertex denominators, is one
+    positive factor for every piece, so the order is the same.
     """
     regions = [ambient]
     for normal, value in cuts:
@@ -572,27 +587,27 @@ def partition_by_hyperplanes(ambient: LatticePolytope, cuts) -> Partition:
         value = normalize_coord(value)
         new_regions = []
         for region in regions:
-            sides = _sides(region, normal, value)
-            if any(sides):
-                if min(sides) < 0 < max(sides):
-                    new_regions.extend(region.split(normal, value))
-                else:
-                    new_regions.append(region)  # the cut misses the region's interior
+            if region.is_whole_space:
+                for hs in ((normal, -value), (tuple(-x for x in normal), value)):
+                    new_regions.append(region.intersect([hs]))
                 continue
-            for hs in ((normal, -value), (tuple(-x for x in normal), value)):
-                try:
-                    piece = region.intersect([hs])
-                except EmptyPolyhedronError:
-                    continue
-                if piece.dim == ambient.dim:
-                    new_regions.append(piece)
+            sides = _sides(region, normal, value)
+            if min(sides) < 0 < max(sides):
+                new_regions.extend(region.split(normal, value))
+            else:
+                new_regions.append(region)  # the cut misses the region's interior
         regions = new_regions
-    first_normal = tuple(int(x) for x in cuts[0][0]) if cuts else None
+    if cuts:  # no region is the whole space after a cut
+        first_normal = tuple(int(x) for x in cuts[0][0])
+        scale = math.lcm(*(len(r.vertices) for r in regions)) * math.lcm(
+            *(x.denominator for r in regions for v in r.vertices for x in v if type(x) is not int)
+        )
 
-    def sort_key(piece):
-        p = piece.relative_interior_point()
-        primary = vdot(p, first_normal) if first_normal else 0
-        return (primary, p)
+        def sort_key(piece):
+            m = scale // len(piece.vertices)
+            columns = itertools.zip_longest(zip(*piece.vertices), zip(*piece.rays), fillvalue=())
+            p = [int(m * sum(c)) + scale * sum(r) for c, r in columns]
+            return (vdot(p, first_normal), p)
 
-    regions.sort(key=sort_key)
+        regions.sort(key=sort_key)
     return build_partition(ambient, regions)

@@ -557,6 +557,7 @@ class LatticePolytope:
         "_chart",
         "_vertex_ids",
         "_normals",
+        "_offsets",
         "_keys",
     )
 
@@ -585,6 +586,7 @@ class LatticePolytope:
         self._chart = chart
         self._vertex_ids = None
         self._normals = None
+        self._offsets = None
         self._keys = None
 
     # -- construction ----------------------------------------------------
@@ -651,19 +653,25 @@ class LatticePolytope:
         pass over the cone over it (``_region_cone``), its facet bits where
         they are and ``t >= 0`` next: one ``_dd_split`` step per new row, an
         equation being two opposite rows, with the candidate pairs counted
-        over all the rows.  The whole space has no vertex to start from, so
-        its cut runs from scratch."""
+        over all the rows.  A halfspace whose normal this polyhedron stores
+        with an offset no larger (``_facet_offsets``) cuts nothing: its row
+        is None and runs no step, and ``_tightest`` would have kept the
+        stored one over it, so the result is the same.  The whole space has
+        no vertex to start from, so its cut runs from scratch."""
         rank = self.ambient_rank
         if self.is_whole_space:
             return LatticePolytope._from_normalized(halfspaces, rank, equations)
-        new = [_homogeneous_row(h) for h in halfspaces]
+        own = self._facet_offsets()
+        halfspaces = [None if own.get(h.normal, math.inf) <= h.offset else h for h in halfspaces]
+        new = [h and _homogeneous_row(h) for h in halfspaces]
         for e in equations:
             row = _homogeneous_row(e)
             new += [row, tuple(-x for x in row)]
         cone, pairs = _region_cone(self), 0
         for i, a in enumerate(new, len(self.halfspaces) + 1):
-            pos, _, on, pairs = _dd_split(a, 1 << i, cone, self.dim - 1, pairs)
-            cone = [(z, mask) for z, mask, _ in pos] + on
+            if a is not None:
+                pos, _, on, pairs = _dd_split(a, 1 << i, cone, self.dim - 1, pairs)
+                cone = [(z, mask) for z, mask, _ in pos] + on
         rows = [*self.halfspaces, None, *halfspaces] + [None] * (2 * len(equations))
         equations = [*self.equations, *equations]
         return LatticePolytope._from_tight(rows, equations, rank, *_cone_generators(cone))
@@ -715,14 +723,15 @@ class LatticePolytope:
 
     def contains_polyhedron(self, other: "LatticePolytope") -> bool:
         """Whether ``other`` lies in this polyhedron: every vertex and ray of
-        it satisfies each constraint, except a constraint ``other`` stores
-        among its own, which holds on it already."""
+        it satisfies each constraint, except an equation ``other`` stores
+        and a halfspace whose normal it stores with an offset no larger
+        (``_facet_offsets``), which hold on it already."""
         if self.is_whole_space:
             return True
         if other.is_whole_space:
             return False
-        own_hs, own_eqs = set(other.halfspaces), set(other.equations)
-        hs = [h for h in self.halfspaces if h not in own_hs]
+        own, own_eqs = other._facet_offsets(), set(other.equations)
+        hs = [h for h in self.halfspaces if own.get(h.normal, math.inf) > h.offset]
         eqs = [e for e in self.equations if e not in own_eqs]
         return (
             all(vdot(v, h.normal) >= -h.offset for h in hs for v in other.vertices)
@@ -906,6 +915,12 @@ class LatticePolytope:
                     g = gcd_all(r)
                     self._normals.append((tuple([x // g for x in r]), g))
         return self._normals
+
+    def _facet_offsets(self):
+        """The offset of each stored halfspace keyed by its normal, found once."""
+        if self._offsets is None:
+            self._offsets = {h.normal: h.offset for h in self.halfspaces}
+        return self._offsets
 
     def is_nonsingular_at(self, vertex) -> bool:
         """Whether the polyhedron is smooth at a vertex: the vertex lies on

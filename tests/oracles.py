@@ -699,13 +699,18 @@ def _boxes_touch(p, q):
 
 
 def partition_by_hyperplanes(ambient, cuts):
-    """Hyperplane chambers, intersecting every region with both sides of every cut."""
+    """Hyperplane chambers, intersecting every region with both sides of every
+    cut, except a pointed region the hyperplane contains, which stays whole."""
     regions = [ambient]
     for normal, value in cuts:
         normal = tuple(int(x) for x in normal)
         value = Fraction(value)
         new_regions = []
         for region in regions:
+            on = [vdot(v, normal) - value for v in region.vertices]
+            if region.vertices and not any(on + [vdot(r, normal) for r in region.rays]):
+                new_regions.append(region)
+                continue
             for hs in ((normal, -value), (tuple(-x for x in normal), value)):
                 try:
                     piece = region.intersect([hs])

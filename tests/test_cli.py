@@ -242,6 +242,22 @@ class TestVerify:
             f'"record":"error","witness":{witness}}}\n'
         )
 
+    @pytest.mark.parametrize(
+        "vertices, normal, offset",
+        [([[0, 0, 0], [4, 0, 0], [0, 4, 0]], [0, 0, 1], 0), ([[1, 1]], [1, 0], 1)],
+    )
+    def test_cut_containing_a_lower_dimensional_ambient_keeps_it_whole(
+        self, tmp_path, capsys, vertices, normal, offset
+    ):
+        # the region lies on both closed sides of the cut: one piece, not two copies
+        spec = {
+            "polytope": {"vertices": vertices},
+            "partition": {"hyperplanes": [{"normal": normal, "offset": offset}]},
+        }
+        code, _, records = run(capsys, ["verify", write_spec(tmp_path, spec)])
+        assert code == 0
+        assert records[1]["record"] == "classification" and records[1]["pieces"] == 1
+
     def test_empty_polyhedron_is_a_mathematical_rejection(self, tmp_path, capsys):
         spec = {
             "polytope": {

@@ -756,6 +756,10 @@ class TestTilingCertificateAgainstOracles:
         LatticePolytope.from_halfspaces([((1, 0), 0), ((0, 1), 0)], 2),
         [((1, -1), 0), ((1, 0), -1), ((0, 1), 2)],
     ))
+    @example((  # rational chamber vertices in an unbounded ambient: the integer order
+        LatticePolytope.from_halfspaces([((1, 0), 0), ((0, 1), 0)], 2),
+        [((2, 1), 3), ((1, 0), 1), ((2, 1), 6), ((0, 3), 2)],
+    ))
     def test_hyperplane_partition_matches_oracle(self, problem):
         ambient, cuts = problem
         _assert_same(
@@ -765,6 +769,25 @@ class TestTilingCertificateAgainstOracles:
 
     @given(piece_sets())
     @settings(max_examples=150, deadline=None)
+    @example(([  # boxes touching along facets
+        LatticePolytope.from_vertices([(0, 0), (2, 0), (0, 1), (2, 1)]),
+        LatticePolytope.from_vertices([(2, 0), (3, 0), (2, 1), (3, 1)]),
+        LatticePolytope.from_vertices([(1, 1), (3, 1), (1, 2), (3, 2)]),
+    ], 2))
+    @example(([  # parallel slabs with gaps, two of them unbounded
+        LatticePolytope.from_generators([(0, 0), (1, 0)], [(0, 1)]),
+        LatticePolytope.from_generators([(2, 0), (3, 0)], [(0, 1)]),
+        LatticePolytope.from_vertices([(0, -1), (1, -1), (0, -3), (1, -3)]),
+    ], 2))
+    @example(([  # flat triangles in rank 3 with opposite facets, the last two overlapping
+        LatticePolytope.from_vertices([(x, y, 1 - x + 2 * y) for x, y in pts])
+        for pts in (
+            [(0, 0), (1, 0), (0, 1)],
+            [(1, 0), (0, 1), (1, 1)],
+            [(2, 0), (0, 2), (2, 2)],
+            [(1, 1), (2, 1), (1, 2)],
+        )
+    ], 2))
     def test_disjointness_matches_oracle(self, problem):
         pieces, d = problem
         try:
@@ -973,6 +996,36 @@ class TestCrossedRegionsAreSplit:
                 got = _uncovered_point(ambient, pieces)
             assert got is not None, name
             _assert_same(got, oracles.uncovered_point(ambient, pieces))
+
+
+class TestPairsSettledByLookups:
+    """Chambers of grid and parallel cuts store opposite halfspaces of every
+    cut between them, so the tiling check reads no vertex for any pair, and
+    the chambers are ordered by integer keys, with no interior point."""
+
+    @pytest.mark.parametrize(
+        "ambient, cuts, pieces",
+        [
+            (
+                LatticePolytope.from_vertices([(0, 0), (9, 0), (9, 6), (0, 6)]),
+                [((1, 0), 3), ((1, 0), 7), ((0, 1), 2), ((0, 1), 5)],
+                9,
+            ),
+            (
+                LatticePolytope.from_vertices([(0, 0), (40, 0), (0, 40)]),
+                [((1, 1), c) for c in range(2, 38, 2)],
+                19,
+            ),
+        ],
+    )
+    def test_no_pair_scans_a_vertex_and_no_interior_point(self, ambient, cuts, pieces):
+        refused = AssertionError("a pair scanned its vertices, or an interior point was built")
+        with mock.patch.object(
+            partition_module, "_facet_separates", side_effect=refused
+        ), mock.patch.object(LatticePolytope, "relative_interior_point", side_effect=refused):
+            got = _outcome(partition_by_hyperplanes, ambient, cuts)
+        assert len(got) == pieces
+        _assert_same(got, _oracle_outcome(oracles.partition_by_hyperplanes, ambient, cuts))
 
 
 class TestFaceBudget:

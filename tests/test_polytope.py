@@ -860,9 +860,10 @@ class TestVertexUnimodularityAgainstOracle:
 
 
 class TestContainmentAgainstOracle:
-    """Containment that skips the constraints the inner polyhedron stores,
-    against testing every one, on hulls and on cuts of them, which share
-    constraints with the hull."""
+    """Containment that skips the halfspaces the inner polyhedron implies by
+    a stored one with the same normal, and the equations it stores, against
+    testing every constraint, on hulls and on cuts of them, which share
+    constraints with the hull or store a tighter parallel facet."""
 
     @given(generator_sets(), generator_sets(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -878,6 +879,12 @@ class TestContainmentAgainstOracle:
             offset = -vdot(normal, p.relative_interior_point())
             cut = p.intersect([(normal, offset)])
             pairs += [(p, cut), (cut, p)]
+        if p.halfspaces:
+            facet = data.draw(st.sampled_from(p.halfspaces))
+            tighter = p.intersect([(facet.normal, -vdot(facet.normal, p.relative_interior_point()))])
+            if p.dim == p.ambient_rank:
+                assert tighter._facet_offsets()[facet.normal] < facet.offset
+            pairs += [(p, tighter), (tighter, p)]
         for outer, inner in pairs:
             if outer.ambient_rank == inner.ambient_rank:
                 expected = oracles.contains_polyhedron(outer, inner)
@@ -1731,7 +1738,9 @@ def _assert_cut_matches_from_scratch(region, new_hs, new_eqs=()):
 
 def _assert_meet_matches_from_scratch(p, q):
     """``p.intersect_polyhedron(q)`` against ``from_halfspaces`` of both
-    constraint lists: every field the same, or the same refusal."""
+    constraint lists: every field the same, or the same refusal.  A pointed
+    ``p`` runs one ``_dd_split`` step per row of ``q`` except the halfspaces
+    it stores with the same normal and an offset no larger."""
     p_hs, p_eqs = _constraints(p)
     q_hs, q_eqs = _constraints(q)
     try:
@@ -1740,7 +1749,18 @@ def _assert_meet_matches_from_scratch(p, q):
         with pytest.raises(type(exc)):
             p.intersect_polyhedron(q)
         return
-    _assert_same_as_from_scratch(p.intersect_polyhedron(q), expected)
+    steps = []
+    step = polytope_module._dd_split
+    with mock.patch.object(polytope_module, "_dd_split", side_effect=lambda *a: steps.append(a) or step(*a)):
+        got = p.intersect_polyhedron(q)
+    _assert_same_as_from_scratch(got, expected)
+    if not p.is_whole_space:
+        # a lower-dimensional result rebuilds its facets in its own, smaller width
+        cut_steps = [a for a in steps if len(a[0]) == p.ambient_rank + 1]
+        implied = [
+            h for h in q.halfspaces if any(g.normal == h.normal and g.offset <= h.offset for g in p.halfspaces)
+        ]
+        assert len(cut_steps) == len(q.halfspaces) - len(implied) + 2 * len(q.equations)
 
 
 @st.composite
@@ -1795,6 +1815,15 @@ class TestSeededIntersection:
 
     @given(raw_h_systems(), raw_h_systems())
     @settings(max_examples=200, deadline=None)
+    # pieces sharing facets, one tighter and one looser: the shared rows run no step
+    @example(
+        ([((1, 0), 0), ((0, 1), 0), ((-1, 0), 2), ((0, -1), 2)], [], 2, None, None),
+        ([((1, 0), 0), ((0, 1), 0), ((-1, 0), 1), ((0, -1), 3), ((-1, 1), 1)], [], 2, None, None),
+    )
+    @example(  # flat squares in rank 3 on one plane, sharing two facets
+        ([((1, 0, 0), 0), ((0, 1, 0), 0), ((-1, 0, 0), 2), ((0, -1, 0), 2)], [((0, 0, 1), -1)], 3, None, None),
+        ([((1, 0, 0), -1), ((0, 1, 0), 0), ((-1, 0, 0), 2), ((0, -1, 0), 3)], [((0, 0, 1), -1)], 3, None, None),
+    )
     def test_intersect_polyhedron_matches_the_run_from_scratch(self, first, second):
         rank = first[2]
         assume(second[2] == rank)
