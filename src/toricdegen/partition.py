@@ -530,7 +530,7 @@ def _collect_faces(ambient, pieces):
         local = [1 << j for j in ids]
         facets = [sum(local[j] for j in _bits(m)) for m in piece._incidence]
         # each vertex's facet mask, keyed by its shared id
-        through = dict(zip(ids, piece._generator_facets()))
+        through = dict(zip(ids, piece._facet_sets))
         for mask, dim, _ in _face_walk(facets, sum(local), piece.dim, through, gens, nv):
             entry = found.get(mask)
             if entry is None:

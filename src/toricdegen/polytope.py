@@ -29,23 +29,26 @@ normal found there is written back with zeros off the pivots.
 and keeps their facet sets, the transpose of its incidence.
 A polyhedron derives its dimension, the rank less its number of equations,
 and is the whole space exactly when it has no vertex; the whole space has
-no ray either, in every rank.  Every polyhedron
-keeps the generator-facet incidence as one bit set per facet, and its
-faces, their dimensions and their tight sets come from one Close-by-One
-walk over those
-bit sets (``_face_walk``; Kaibel and Pfetsch, Comput. Geom. 23, 2002): a
-face ANDs in the facets of higher index, a cut at a simple vertex is a face
-one dimension down, and any other cut is closed by the facets through its
-lowest vertex and kept only when that adds no facet of lower index, so each
-face is reached once.  The transpose, one facet set per generator,
-is found once per polyhedron and answers the vertex-local queries without
-the face lattice: a vertex is simple when it lies on ``dim`` facets, and two
-generators span an edge when the facets through both cut out exactly the
-two of them.  At a simple vertex the edges are the cuts of its facet set
-less one facet each, ANDed from one pass each way.  A vertex's neighbours are found so once and cached,
-and every edge the package reads comes from them.  Each point's set of
-tight facets is cached on the polyhedron, and the smallest face containing
-some points is cut out by the facets in all their sets.  The kernel
+no ray either, in every rank.  Every polyhedron is built with its
+generator-facet incidence in both orientations: one bit set of generators
+per facet and one bit set of facets per generator, handed over by the
+constructor that found them, so no query transposes them later.  Its faces,
+their dimensions and their tight sets come from one Close-by-One walk over
+those bit sets (``_face_walk``; Kaibel and Pfetsch, Comput. Geom. 23,
+2002): a face ANDs in the facets of higher index, a cut at a simple vertex
+is a face one dimension down, and any other cut is closed by the facets
+through its lowest vertex and kept only when that adds no facet of lower
+index, so each face is reached once.  One face is closed off the same bit
+sets with no walk (``_face_cut_by``): the AND of its facets' sets, tight on
+the facets through its lowest vertex that hold it, and one dimension down
+per tight facet at a simple vertex.  The facet sets answer the vertex-local
+queries without the face lattice: a vertex is simple when it lies on
+``dim`` facets, and two generators span an edge when the facets through
+both cut out exactly the two of them.  At a simple vertex the edges are the
+cuts of its facet set less one facet each, ANDed from one pass each way.  A
+vertex's neighbours are found so once and cached, and every edge the
+package reads comes from them.  The smallest face containing some points is
+the one closed off the facets that hold all of them.  The kernel
 counts the candidate ray pairs it tests and refuses a run past
 ``PAIR_BUDGET`` with ``UnsupportedGeometryError``.  A polyhedron with a
 lineality space is refused: from generators with rays by a rank test of
@@ -387,7 +390,7 @@ def _region_cone(region):
     nv = len(region.vertices)
     t_bit = 1 << len(region.halfspaces)
     cone = []
-    for j, facets in enumerate(region._generator_facets()):
+    for j, facets in enumerate(region._facet_sets):
         if j >= nv:
             cone.append((region.rays[j - nv] + (0,), facets | t_bit))
         else:
@@ -463,12 +466,17 @@ def _face_walk(facets, top, dim, through, gens, nv):
                 if (closed ^ tight) & (bit - 1):
                     continue
                 if closed != tight | bit:
-                    verts, rays = _generators(cut, gens, nv)
-                    cut_dim = rank_fraction([vsub(v, verts[0]) for v in verts[1:]] + list(rays))
+                    cut_dim = _face_dim(*_generators(cut, gens, nv))
             found.append((cut, cut_dim, closed))
             if cut_dim:  # a vertex has no proper face
                 stack.append((cut, closed, i + 1, cut_dim))
     return found
+
+
+def _face_dim(verts, rays):
+    """The dimension of the face with these vertices and rays: the rank of
+    its rays and of its vertices less the first."""
+    return rank_fraction([vsub(v, verts[0]) for v in verts[1:]] + list(rays))
 
 
 def _generators(mask, gens, nv):
@@ -549,8 +557,6 @@ class LatticePolytope:
         "_incidence",
         "_facet_sets",
         "_faces",
-        "_faces_by_dim",
-        "_face_index",
         "_lattice_runs",
         "_neighbours",
         "_nonsingular",
@@ -561,13 +567,17 @@ class LatticePolytope:
         "_keys",
     )
 
-    def __init__(self, ambient_rank, halfspaces, equations, vertices, rays, incidence, chart=None):
+    def __init__(
+        self, ambient_rank, halfspaces, equations, vertices, rays, incidence, facet_sets, chart=None
+    ):
         """``incidence`` holds one mask per halfspace: bit ``j`` is set when
-        the ``j``-th generator, vertices first, lies on it.  ``chart`` is the
-        direction basis ``_dual_from_generators`` kept, None in full
-        dimension.  The equations are independent, so the dimension is the
-        rank less their number, and a nonempty pointed polyhedron has a
-        vertex, so one without is the whole space."""
+        the ``j``-th generator, vertices first, lies on it.  ``facet_sets``
+        is its transpose, one mask of the facets through each generator in
+        that order.  ``chart`` is the direction basis
+        ``_dual_from_generators`` kept, None in full dimension.  The
+        equations are independent, so the dimension is the rank less their
+        number, and a nonempty pointed polyhedron has a vertex, so one
+        without is the whole space."""
         self.ambient_rank = ambient_rank
         self.halfspaces = tuple(halfspaces)
         self.equations = tuple(equations)
@@ -576,10 +586,8 @@ class LatticePolytope:
         self.is_whole_space = not self.vertices
         self.dim = ambient_rank - len(self.equations)
         self._incidence = tuple(incidence)
-        self._facet_sets = None
+        self._facet_sets = tuple(facet_sets)
         self._faces = None
-        self._faces_by_dim = None
-        self._face_index = None
         self._lattice_runs = None
         self._neighbours = {}
         self._nonsingular = {}
@@ -601,9 +609,9 @@ class LatticePolytope:
         """conv(points) + cone(rays), from one double description: the facets
         and their incidence come from ``_dual_from_generators``, and a
         generator is extreme when its set of facets is maximal among the
-        generators of its kind.  The polyhedron keeps the facet sets of the
-        generators it keeps, so it never transposes its incidence back.
-        Only a hull with rays can have a lineality space."""
+        generators of its kind.  The facet sets of the generators it keeps
+        are the transpose of its incidence, so the polyhedron takes them as
+        found.  Only a hull with rays can have a lineality space."""
         points = [normalize_point(p) for p in points]
         if not points:
             raise GeometryError("at least one point is required")
@@ -615,7 +623,7 @@ class LatticePolytope:
             _refuse_lineality(halfspaces, equations, rank)
             if not halfspaces and not equations:
                 # the hull is the whole space, which has no generator
-                return cls(rank, (), (), (), (), ())
+                return cls(rank, (), (), (), (), (), ())
         facet_sets = _transpose(incidence, len(points) + len(rays))
         vertices = _extreme(points, facet_sets)
         extreme = _extreme(rays, facet_sets[len(points) :])
@@ -624,9 +632,7 @@ class LatticePolytope:
         masks = _transpose(kept, len(incidence))
         vertices = [v for v, _ in vertices]
         rays = [r for r, _ in extreme]
-        poly = cls(rank, halfspaces, equations, vertices, rays, masks, chart)
-        poly._facet_sets = kept  # the transpose of ``masks``, already found
-        return poly
+        return cls(rank, halfspaces, equations, vertices, rays, masks, kept, chart)
 
     @classmethod
     def from_halfspaces(cls, halfspaces, rank, equations=()):
@@ -642,7 +648,7 @@ class LatticePolytope:
         """``from_halfspaces`` for constraints already in normal form: one
         kernel run from scratch over the tightest halfspace per normal."""
         if not halfspaces and not equations:
-            return cls(rank, (), (), (), (), ())
+            return cls(rank, (), (), (), (), (), ())
         halfspaces = [halfspaces[i] for i in _tightest(halfspaces)]
         generators = _enumerate_generators(halfspaces, equations, rank)
         # the last row is the kernel's ``t >= 0``
@@ -685,9 +691,9 @@ class LatticePolytope:
         the rows of an equation.  With no vertex the polyhedron is empty.
         One transpose gives each row's tight set, and the facets are the
         tightest halfspaces per normal, sorted, whose tight sets are
-        maximal.  A lower-dimensional system has normals canonical only
-        modulo its affine hull, so its facets are rebuilt from the
-        generators."""
+        maximal; the generators' facet sets are one transpose of the facets'
+        tight sets.  A lower-dimensional system has normals canonical only modulo its
+        affine hull, so its facets are rebuilt from the generators."""
         if not vertices:
             raise EmptyPolyhedronError("empty polyhedron")
         columns = _transpose(masks, len(rows))
@@ -695,11 +701,11 @@ class LatticePolytope:
         tight = [columns[i] for i in kept]
         if equations or (1 << len(masks)) - 1 in tight:
             hs, eqs, incidence, chart = _dual_from_generators(vertices, rays, rank)
-            return cls(rank, hs, eqs, vertices, rays, incidence, chart)
-        maximal = set(_maximal(tight))
-        facets = [i for i in kept if columns[i] in maximal]
-        hs = [rows[i] for i in facets]
-        return cls(rank, hs, (), vertices, rays, [columns[i] for i in facets])
+        else:
+            maximal = set(_maximal(tight))
+            facets = [i for i in kept if columns[i] in maximal]
+            hs, eqs, incidence, chart = [rows[i] for i in facets], (), [columns[i] for i in facets], None
+        return cls(rank, hs, eqs, vertices, rays, incidence, _transpose(incidence, len(masks)), chart)
 
     # -- basic queries ----------------------------------------------------
 
@@ -768,43 +774,17 @@ class LatticePolytope:
     # -- faces -------------------------------------------------------------
 
     def faces(self, dim=None):
-        """The faces sorted by dimension and key; found once, with an index
-        by generator mask and one tuple per dimension."""
+        """The faces sorted by dimension and key, from one ``_face_walk``,
+        found once; ``dim`` keeps those of one dimension."""
         if self._faces is None:
-            self._face_index = self._faces_by_mask()
-            self._faces = tuple(
-                sorted(self._face_index.values(), key=lambda f: (f.dim, f.vertices, f.rays))
-            )
-            by_dim = {}
-            for f in self._faces:
-                by_dim.setdefault(f.dim, []).append(f)
-            self._faces_by_dim = {k: tuple(fs) for k, fs in by_dim.items()}
+            gens, nv = self.vertices + self.rays, len(self.vertices)
+            top = (1 << len(gens)) - 1
+            walk = _face_walk(self._incidence, top, self.dim, self._facet_sets, gens, nv)
+            faces = [Face(*_generators(m, gens, nv), d, frozenset(_bits(t))) for m, d, t in walk]
+            self._faces = tuple(sorted(faces, key=lambda f: (f.dim, f.vertices, f.rays)))
         if dim is None:
             return self._faces
-        return self._faces_by_dim.get(dim, ())
-
-    def _faces_by_mask(self):
-        """Each face keyed by its generator mask, from one ``_face_walk``."""
-        gens = self.vertices + self.rays
-        nv = len(self.vertices)
-        top = (1 << len(gens)) - 1
-        if self.is_whole_space:
-            return {top: Face((), (), self.ambient_rank, frozenset())}
-        walk = _face_walk(self._incidence, top, self.dim, self._generator_facets(), gens, nv)
-        return {
-            mask: Face(*_generators(mask, gens, nv), dim, frozenset(_bits(tight)))
-            for mask, dim, tight in walk
-        }
-
-    def facets(self):
-        return self.faces(self.dim - 1)
-
-    def _generator_facets(self):
-        """Per generator, vertices first, the mask of the facets it lies on:
-        the transpose of the incidence, found once."""
-        if self._facet_sets is None:
-            self._facet_sets = _transpose(self._incidence, len(self.vertices) + len(self.rays))
-        return self._facet_sets
+        return tuple(f for f in self._faces if f.dim == dim)
 
     def _cut(self, facets):
         """The generator mask of the face the facets in the mask ``facets``
@@ -815,14 +795,22 @@ class LatticePolytope:
         return mask
 
     def _face_cut_by(self, facets):
-        """The face that the facets in the mask ``facets`` cut out, looked up
-        in the face index; a cut that is no face (it holds no vertex) raises
+        """The face that the facets in the mask ``facets`` cut out, closed
+        with no face lattice: the cut (``_cut``), tight on the facets through
+        its lowest vertex that hold it, of dimension ``dim`` less their count
+        when that vertex is simple, as in ``_face_walk``, else a rank.  The
+        whole space is its own face; another cut with no vertex raises
         ``GeometryError``."""
-        self.faces()
-        face = self._face_index.get(self._cut(facets))
-        if face is None:
+        if self.is_whole_space:
+            return Face((), (), self.dim, frozenset())
+        cut, nv = self._cut(facets), len(self.vertices)
+        if not cut & ((1 << nv) - 1):
             raise GeometryError("generators do not lie on a common face")
-        return face
+        own = self._facet_sets[(cut & -cut).bit_length() - 1]
+        tight = [i for i in _bits(own) if cut & self._incidence[i] == cut]
+        verts, rays = _generators(cut, self.vertices + self.rays, nv)
+        dim = self.dim - len(tight) if own.bit_count() == self.dim else _face_dim(verts, rays)
+        return Face(verts, rays, dim, frozenset(tight))
 
     def smallest_face_containing(self, points, rays=()):
         """The smallest face containing the given points and ray directions:
@@ -858,7 +846,7 @@ class LatticePolytope:
         """
         found = self._neighbours.get(a)
         if found is None:
-            facet_sets = self._generator_facets()
+            facet_sets = self._facet_sets
             own, vertex = facet_sets[a], 1 << a
             if own.bit_count() == self.dim:
                 # the cut of all facets but the k-th: the AND of those before
@@ -897,7 +885,7 @@ class LatticePolytope:
         if self.is_whole_space:
             return False
         d = self.dim
-        return all(fs.bit_count() == d for fs in self._generator_facets()[: len(self.vertices)])
+        return all(fs.bit_count() == d for fs in self._facet_sets[: len(self.vertices)])
 
     def _lattice_normals(self):
         """Per facet, its inward normal in the polyhedron's own lattice and
@@ -936,7 +924,7 @@ class LatticePolytope:
             a = self._vertex_id(vertex)
             found = False
             if a is not None:
-                own, normals = self._generator_facets()[a], self._lattice_normals()
+                own, normals = self._facet_sets[a], self._lattice_normals()
                 found = own.bit_count() == self.dim and (
                     abs(determinant([normals[i][0] for i in _bits(own)])) == 1
                 )
@@ -959,7 +947,7 @@ class LatticePolytope:
         ``<n, vector> / g`` for that facet's stored normal ``n`` and its gcd
         ``g`` in ``_lattice_normals``."""
         a = self._vertex_id(vertex)
-        facet_sets, normals = self._generator_facets(), self._lattice_normals()
+        facet_sets, normals = self._facet_sets, self._lattice_normals()
         out = []
         for b in self.neighbours(a):
             i = (facet_sets[a] & ~facet_sets[b]).bit_length() - 1

@@ -569,10 +569,8 @@ def graph_faces(lifted):
 def cone_facets(fan, cone):
     """Ray-index sets of a cone's facets, read off the face lattice of its
     polyhedron."""
-    return [
-        frozenset(i for i in cone if fan.rays[i] in set(f.rays))
-        for f in fan.cone_polyhedron(cone).facets()
-    ]
+    poly = fan.cone_polyhedron(cone)
+    return [frozenset(i for i in cone if fan.rays[i] in set(f.rays)) for f in poly.faces(poly.dim - 1)]
 
 
 def edges_at(poly, vertex):

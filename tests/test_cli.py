@@ -18,6 +18,7 @@ from toricdegen import cli
 from toricdegen import lifting as lifting_module
 from toricdegen import partition as partition_module
 from toricdegen.partition import Partition
+from toricdegen.polytope import LatticePolytope
 from toricdegen.report import render_report
 
 import oracles
@@ -734,6 +735,21 @@ class TestFaceObjectsOnDemand:
         assert code == 1
         assert records[-1]["message"] == "graph facet does not project onto its piece"
         assert reads
+
+
+class TestNoFaceLattice:
+    """Verifying, lifting and degenerating an accepted spec list the faces
+    of no polytope: the stdout is the same with ``LatticePolytope.faces``
+    patched to raise."""
+
+    @pytest.mark.parametrize("command", ["verify", "lift", "degenerate"])
+    @pytest.mark.parametrize("spec", [STAIRCASE3, CHAIN4], ids=["staircase-3", "chain-4"])
+    def test_stdout_is_the_same_without_faces(self, tmp_path, capsys, command, spec):
+        path = write_spec(tmp_path, spec)
+        code, out, _ = run(capsys, [command, path])
+        assert code == 0
+        with mock.patch.object(LatticePolytope, "faces", side_effect=AssertionError("face lattice")):
+            assert run(capsys, [command, path])[:2] == (code, out)
 
 
 def _one_piece(vertices):

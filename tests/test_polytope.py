@@ -79,7 +79,7 @@ class TestFromVertices:
 
     def test_reflexive_simplex_face_counts(self):
         d3 = reflexive_simplex(3)
-        assert len(d3.facets()) == 4
+        assert len(d3.faces(d3.dim - 1)) == 4
         assert len(d3.faces(1)) == 6
         assert len(d3.vertices) == 4
 
@@ -326,10 +326,14 @@ def _assert_faces_match_oracle(poly):
     assert got == expected and repr(got) == repr(expected)
     # the walk reaches each face once
     gens = poly.vertices + poly.rays
-    facet_sets = poly._generator_facets()
+    facet_sets = poly._facet_sets
     top, nv = (1 << len(gens)) - 1, len(poly.vertices)
     walk = _face_walk(poly._incidence, top, poly.dim, facet_sets, gens, nv)
     assert len(walk) == len(got)
+    # each face closed straight off the mask of its tight facets
+    for face in expected:
+        closed = poly._face_cut_by(sum(1 << i for i in face.tight))
+        assert closed == face and repr(closed) == repr(face)
     if not poly.is_whole_space:
         assert poly.dim == oracles.face_dim(poly.vertices, poly.rays)
 
@@ -697,22 +701,37 @@ class TestPivotChartAgainstSolvedChart:
 
 
 class TestHullKeepsItsFacetSets:
-    """A hull from generators keeps the facet sets it found, so it never
-    transposes its incidence back, and a hull of points alone runs neither
-    the lineality test nor an elimination for the kernel's start."""
+    """Every polyhedron is built with its facet sets, the transpose of its
+    incidence, so none transposes it back, and a hull of points alone runs
+    neither the lineality test nor an elimination for the kernel's start."""
 
-    @given(st.one_of(cluttered_generator_sets(), embedded_hulls()))
+    @given(st.one_of(cluttered_generator_sets(), embedded_hulls()), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_facet_sets_are_the_transpose_of_the_incidence(self, gens):
+    def test_facet_sets_are_the_transpose_of_the_incidence(self, gens, data):
         points, rays, rank = gens
         try:
             p = LatticePolytope.from_generators(points, rays)
         except UnsupportedGeometryError:
             return
-        n = len(p.vertices) + len(p.rays)
-        if not p.is_whole_space:
-            assert p._facet_sets == _transpose(p._incidence, n)
-        assert p._generator_facets() == _transpose(p._incidence, n)
+        hs, eqs = _constraints(p)
+        units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        built = [
+            p,
+            LatticePolytope.from_halfspaces(hs, rank, eqs),
+            LatticePolytope.from_halfspaces([], rank),
+            LatticePolytope.from_generators([(0,) * rank], units + [(-1,) * rank]),  # the whole space
+            p.bounding_box_polytope(),
+        ]
+        new_hs, new_eqs = data.draw(region_cuts(p))
+        try:
+            built.append(p.intersect(new_hs, new_eqs))
+            built.append(p.intersect_polyhedron(LatticePolytope.from_halfspaces(new_hs, rank, new_eqs)))
+        except (EmptyPolyhedronError, UnsupportedGeometryError):
+            pass
+        if p.dim and not p.is_whole_space:
+            built += p.split(*data.draw(crossing_cuts(p)))
+        for q in built:
+            assert list(q._facet_sets) == _transpose(q._incidence, len(q.vertices) + len(q.rays))
         points = [exactmath.normalize_point(q) for q in points]
         rays = [exactmath.primitive(r) for r in rays]
         got = _dual_from_generators(points, rays, rank)
@@ -765,6 +784,31 @@ class TestHullKeepsItsFacetSets:
         normals = poly._lattice_normals()
         assert normals == [(h.normal, 1) for h in poly.halfspaces]
         assert all(n is h.normal for (n, _), h in zip(normals, poly.halfspaces))
+
+
+class TestFaceCutAgainstOracle:
+    """One face closed off the incidence with no face lattice; each
+    ``_assert_faces_match_oracle`` checks every face so, and these add the
+    embedded hulls and a cut with no vertex."""
+
+    @given(embedded_hulls())
+    @settings(max_examples=100, deadline=None)
+    def test_embedded_hulls(self, hull):
+        points, rays, _ = hull
+        try:
+            poly = LatticePolytope.from_generators(points, rays)
+        except UnsupportedGeometryError:
+            return
+        _assert_faces_match_oracle(poly)
+
+    def test_a_cut_of_rays_alone_is_no_face(self):
+        # x >= 0 and x <= 1 on the half-strip hold its ray, but no vertex
+        strip = LatticePolytope.from_generators([(0, 0), (1, 0)], [(0, 1)])
+        _assert_faces_match_oracle(strip)
+        walls = sum(1 << i for i, h in enumerate(strip.halfspaces) if h.normal[1] == 0)
+        assert strip._cut(walls) == 1 << len(strip.vertices)
+        with pytest.raises(GeometryError, match="common face"):
+            strip._face_cut_by(walls)
 
 
 TRIANGLE = [(0, 0), (2, 0), (0, 2)]
@@ -1080,7 +1124,7 @@ class TestNeighboursAgainstOracle:
     )
     def test_fixed_shapes(self, points, rays, non_simple):
         poly = LatticePolytope.from_generators(points, rays)
-        facet_sets = poly._generator_facets()[: len(poly.vertices)]
+        facet_sets = poly._facet_sets[: len(poly.vertices)]
         assert sum(fs.bit_count() != poly.dim for fs in facet_sets) == non_simple
         _assert_neighbours_match_oracle(poly)
 
