@@ -188,9 +188,10 @@ def family_equations(lifted: LiftedPolytope, anchor=None, seed=None):
     ``a_n / d`` (``run_values``), integral exactly when its first value
     and, on a longer run, the step are.  Pieces are written last to first,
     so a point on a wall keeps the value of the first piece holding it; the
-    function is continuous, so the pieces agree there.  Coefficients default
-    to formal symbols ``a1..aN``; a seed draws deterministic rational
-    values.
+    function is continuous, so the pieces agree there.  Every point gets a
+    value, as ``build_partition`` certified that the pieces cover the base.
+    Coefficients default to formal symbols ``a1..aN``; a seed draws
+    deterministic rational values.
     """
     base = lifted.base.ambient
     if not base.is_compact:
@@ -224,8 +225,6 @@ def family_equations(lifted: LiftedPolytope, anchor=None, seed=None):
             else:
                 exponents[start:stop] = [value] * (stop - start)
         supports.append(tuple(support))
-    if None in exponents:
-        raise GeometryError("point outside the partitioned polytope")
     exponents = tuple(exponents)
     if min(exponents) < 0:
         raise LiftingError("negative exponent: function not minimal on the anchor piece")

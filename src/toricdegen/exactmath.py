@@ -10,10 +10,10 @@ and its callers form a ``Fraction`` only for the final answer.  Affine
 functions are likewise integer triples ``(a, b, d)`` over one positive
 denominator, in lowest terms.  An integral value is always a plain ``int``,
 never an integral ``Fraction``: ``normalize_coord`` returns an ``int``
-unchanged, and ``rational_primitive`` of an all-``int`` vector divides by the
-gcd with an integer scale.  An inverse is integral too: ``echelon`` run on
-``[A | I]`` gives ``det * A^-1`` in integers, which is how lattice
-equivalence inverts an edge basis once per search.  The vector kernels
+unchanged, and ``primitive`` returns ``int`` entries, also for a rational
+vector.  An inverse is integral too: ``echelon`` run on ``[A | I]`` gives
+``det * A^-1`` in integers, which is how lattice equivalence inverts an
+edge basis once per search.  The vector kernels
 are ``map`` over ``operator`` functions and gcds one ``math.gcd`` call, so
 their per-entry loops run in C builtins.
 """
@@ -40,21 +40,18 @@ def vdot(a, b):
     return sum(map(mul, a, b))
 
 
-def gcd_all(values) -> int:
-    """The gcd of a sequence, ``0`` for none or all zero; a non-``int`` entry
-    counts by its integer part."""
-    try:
-        return gcd(*values)
-    except TypeError:
-        return gcd(*map(int, values))
-
-
 def primitive(v):
-    """Divide an integer vector by the gcd of its entries.
-
-    Direction is preserved; the zero vector is rejected.
-    """
-    g = gcd_all(v)
+    """The primitive integer vector along a nonzero rational vector: an
+    all-``int`` vector divided by the gcd of its entries, any other one
+    cleared of denominators first.  Direction is preserved; the zero vector
+    is rejected."""
+    try:
+        g = gcd(*v)
+    except TypeError:
+        fracs = [Fraction(x) for x in v]
+        denom = lcm(*[x.denominator for x in fracs])
+        v = [x.numerator * (denom // x.denominator) for x in fracs]
+        g = gcd(*v)
     if not g:
         raise GeometryErrorZero()
     return tuple([x // g for x in v])
@@ -65,25 +62,6 @@ class GeometryErrorZero(GeometryError):
         super().__init__("zero vector has no primitive representative")
 
 
-def rational_primitive(v):
-    """Scale a nonzero rational vector to a primitive integer vector.
-
-    Returns ``(w, s)`` with ``w`` primitive integer and ``v = s * w`` for a
-    positive rational ``s``, an ``int`` when every entry of ``v`` is one.
-    """
-    try:
-        scale = g = gcd(*v)
-    except TypeError:
-        fracs = [Fraction(x) for x in v]
-        denom = lcm(*[x.denominator for x in fracs])
-        v = [x.numerator * (denom // x.denominator) for x in fracs]
-        g = gcd(*v)
-        scale = Fraction(g, denom)
-    if not g:
-        raise GeometryErrorZero()
-    return tuple([x // g for x in v]), scale
-
-
 _INT = frozenset((int,))
 
 
@@ -92,6 +70,15 @@ def _as_int(x):
     if i != x:
         raise ValueError("integer matrix expected")
     return i
+
+
+def int_vector(v):
+    """``v`` as a tuple of ``int``, or ``GeometryError`` at an entry that is
+    not integral; an integral ``Fraction`` is taken."""
+    try:
+        return tuple(v) if _INT.issuperset(map(type, v)) else tuple(map(_as_int, v))
+    except ValueError:
+        raise GeometryError(f"integral entries expected, got ({', '.join(map(str, v))})") from None
 
 
 def _int_rows(rows):

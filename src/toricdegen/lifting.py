@@ -23,13 +23,14 @@ from math import gcd
 from .errors import GeometryError, LiftingError
 from .exactmath import (
     AffineFunction,
+    int_vector,
     kernel_vector,
     primitive,
-    rational_primitive,
+    vadd,
     vdot,
     vsub,
 )
-from .partition import DualComplex, Partition, partition_by_hyperplanes
+from .partition import DualComplex, Partition, _sides, partition_by_hyperplanes
 from .polytope import LatticePolytope, SupportFunction, _generators, _normalize_halfspace, normal_fan
 
 
@@ -98,7 +99,7 @@ def _wall_function_at(partition, wall, p, i, j, ambient_vertex=False):
     # hyperplane through the wall: primitive integer normal u, <x,u> = c
     base = wall.vertices[0]
     dirs = [vsub(v, base) for v in wall.vertices[1:]] + list(wall.rays)
-    int_dirs = [rational_primitive(d)[0] for d in dirs if any(x != 0 for x in d)]
+    int_dirs = [primitive(d) for d in dirs if any(x != 0 for x in d)]
     u = kernel_vector(int_dirs, partition.ambient.ambient_rank)
     if u is None:
         raise LiftingError("wall is not a hyperplane piece", witness=wall.key)
@@ -258,16 +259,20 @@ def concavity(func: PiecewiseAffine, point) -> Fraction:
     vf = partition.face_at(point)
     if vf is None:
         raise LiftingError("not a vertex of the partition", witness=tuple(point))
+    return sum((slope for _, slope in _edge_slopes(func, vf)), Fraction(0))
+
+
+def _edge_slopes(func, vf):
+    """Per partition edge at the vertex face ``vf`` inside its smallest
+    ambient face: its primitive direction from the vertex, and the increment
+    of ``func`` one such step along it, measured inside a piece having the
+    edge as a face (a rational vertex may sit closer to the next vertex than
+    a full lattice step)."""
+    partition = func.partition
     p = vf.vertices[0]
-    total = Fraction(0)
     for edge in partition.edges_at_vertex_within_ambient_face(vf):
         step = partition.edge_direction(edge, p)
-        # one primitive step along the edge, measured inside a piece having
-        # the edge as a face (a rational vertex may sit closer to the next
-        # vertex than a full lattice step)
-        f = func.piece_function(min(edge.pieces))
-        total += f.directional(step)
-    return total
+        yield step, func.piece_function(min(edge.pieces)).directional(step)
 
 
 def concavity_profile(func: PiecewiseAffine):
@@ -343,7 +348,6 @@ class LiftedPolytope:
     polytope: LatticePolytope
     piece_facets: dict  # piece index -> halfspace index in self.polytope
     cap: tuple  # None or (a, b) for the extra face  y <= <a, x> + b
-    cap_facet: int
     simplicial: bool
     singular_vertices: tuple
     nonsingular: bool
@@ -370,20 +374,13 @@ class LiftedPolytope:
         """Primitive lifted directions of the partition edges at a vertex
         that lie in its smallest containing ambient face."""
         vf = self.base.face_at(point)
-        out = []
-        for edge in self.base.edges_at_vertex_within_ambient_face(vf):
-            d = self.base.edge_direction(edge, point)
-            f = self.lifting.function.piece_function(min(edge.pieces))
-            out.append(primitive(tuple(d) + (f.directional(d),)))
-        return sorted(out)
+        return sorted(
+            primitive(d + (slope,)) for d, slope in _edge_slopes(self.lifting.function, vf)
+        )
 
     def edge_sum(self, point):
         """Sum of the lifted primitive edge vectors at a partition vertex."""
-        vectors = self.lifted_edge_vectors(point)
-        total = tuple(0 for _ in range(self.rank))
-        for v in vectors:
-            total = tuple(a + b for a, b in zip(total, v))
-        return total
+        return functools.reduce(vadd, self.lifted_edge_vectors(point), (0,) * self.rank)
 
 
 def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=None) -> LiftedPolytope:
@@ -423,13 +420,11 @@ def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=No
             b = 1 + max(int(func.value(v).__ceil__()) for v in base.vertices)
         else:
             a, b = compact_cap
-            a = tuple(int(x) for x in a)
-            b = int(b)
+            a, (b,) = int_vector(a), int_vector((b,))
         cap = (a, b)
         halfspaces.append((a + (-1,), b))
-    lifted = LatticePolytope.from_halfspaces(halfspaces, n + 1, base.equations and [
-        (e.normal + (0,), e.offset) for e in base.equations
-    ] or ())
+    equations = [(e.normal + (0,), e.offset) for e in base.equations]
+    lifted = LatticePolytope.from_halfspaces(halfspaces, n + 1, equations)
 
     if not lifted.is_lattice:
         bad = next(v for v in lifted.vertices if any(type(x) is not int for x in v))
@@ -442,11 +437,9 @@ def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=No
         if hs_index is None:
             raise LiftingError("a piece does not contribute a facet", witness=idx)
         piece_facets[idx] = hs_index
-    cap_facet = -1
     if cap is not None:
         a, b = cap
-        cap_facet = index_of.get(_normalize_halfspace(a + (-1,), b), -1)
-        if cap_facet < 0:
+        if _normalize_halfspace(a + (-1,), b) not in index_of:
             raise LiftingError("cap does not contribute a facet; choose a larger bound")
 
     bad = _graph_facet_mismatch(partition, lifted, piece_facets)
@@ -478,7 +471,6 @@ def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=No
         lifted,
         piece_facets,
         cap,
-        cap_facet,
         lifted.is_simplicial(),
         singular,
         not singular,
@@ -604,12 +596,12 @@ def iterated_lift(base: LatticePolytope, normal, offsets) -> MultiLifting:
     verified vertex-for-vertex against the step-by-step iteration, and every
     intermediate partition is checked nonsingular.
     """
-    normal = primitive(tuple(int(x) for x in normal))
-    offsets = [int(c) for c in offsets]
+    normal = primitive(int_vector(normal))
+    offsets = list(int_vector(offsets))
     if sorted(set(offsets)) != offsets:
         raise LiftingError("cut offsets must be strictly increasing")
     for c in offsets:
-        sides = [vdot(v, normal) - c for v in base.vertices] + [vdot(r, normal) for r in base.rays]
+        sides = _sides(base, normal, c)
         if not (base.is_whole_space or min(sides) < 0 < max(sides)):
             raise LiftingError("cut misses the interior of the base polytope", witness=c)
     n = base.ambient_rank

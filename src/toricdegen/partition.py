@@ -19,15 +19,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .errors import EmptyPolyhedronError, PartitionError, UnsupportedGeometryError
-from .exactmath import (
-    kernel_vector,
-    normalize_coord,
-    rational_primitive,
-    transpose,
-    vdot,
-    vsub,
-)
+from .errors import EmptyPolyhedronError, GeometryError, PartitionError, UnsupportedGeometryError
+from .exactmath import int_vector, normalize_coord, primitive, vdot, vsub
 from .polytope import (
     Face,
     Fan,
@@ -35,6 +28,7 @@ from .polytope import (
     _bits,
     _face_walk,
     _generators,
+    _positive_relation,
 )
 
 
@@ -242,7 +236,7 @@ class Partition:
     def edge_direction(self, edge: PartitionFace, at):
         if len(edge.vertices) == 2:
             other = edge.vertices[0] if edge.vertices[1] == at else edge.vertices[1]
-            return rational_primitive(vsub(other, at))[0]
+            return primitive(vsub(other, at))
         return edge.rays[0]
 
     def weight_vector(self, point) -> WeightVector:
@@ -255,13 +249,10 @@ class Partition:
         if len(edges) != l + 1:
             raise PartitionError("not semi-stable at vertex", witness=p)
         dirs = sorted(self.edge_direction(e, p) for e in edges)
-        rel = kernel_vector(transpose(dirs), len(dirs))
-        if rel is None:
-            raise PartitionError("not semi-stable at vertex", witness=p)
-        if all(x < 0 for x in rel):
-            rel = tuple(-x for x in rel)
-        if not all(x > 0 for x in rel):
-            raise PartitionError("not semi-stable at vertex", witness=p)
+        try:
+            rel = _positive_relation(dirs, "edge directions")
+        except GeometryError:
+            raise PartitionError("not semi-stable at vertex", witness=p) from None
         weights = (rel[0],) + tuple(sorted(rel[1:]))
         return WeightVector(p, weights, tuple(zip(dirs, rel)))
 
@@ -359,23 +350,21 @@ def build_partition(ambient: LatticePolytope, pieces) -> Partition:
 def _check_interior_disjoint(pieces, d):
     """Reject the first piece pair whose interiors meet, with a witness.
 
-    A facet of one piece with every vertex and ray of the other on its far
-    side certifies a pair: every stored halfspace defines a facet, so the
-    relative interior of its piece lies strictly inside it (in a
-    lower-dimensional ambient too: both pieces span its affine hull, and no
-    stored facet normal is orthogonal to it).  Most pairs are certified
-    first by one lookup per facet: ``p`` storing ``<x, n> >= -c`` and ``q``
-    storing ``<x, -n> >= -c'`` with ``c + c' <= 0`` puts ``q`` in ``<x, n>
-    <= c' <= -c``, on that facet's far side, with no vertex read; so the
-    first uncertified pair and its witness are unchanged.  Only uncertified
-    pairs are intersected.
+    A facet of one piece with all of the other on its far side certifies a
+    pair: every stored halfspace defines a facet, so the relative interior
+    of its piece lies strictly inside it (in a lower-dimensional ambient
+    too: both pieces span its affine hull, and no stored facet normal is
+    orthogonal to it).  Most pairs are certified by one lookup per facet:
+    ``p`` storing ``<x, n> >= -c`` and ``q`` storing ``<x, -n> >= -c'`` with
+    ``c + c' <= 0`` puts ``q`` in ``<x, n> <= c' <= -c``, on that facet's far
+    side, with no vertex read.  Every other pair is decided by its exact
+    intersection: the interiors meet exactly when it has the ambient
+    dimension, and then its relative interior point is the witness.
     """
     offsets = [p._facet_offsets() for p in pieces]
     opposite = [{tuple(map(operator.neg, n)): c for n, c in own.items()} for own in offsets]
     for i, j in itertools.combinations(range(len(pieces)), 2):
         if any(opposite[i][n] + offsets[j][n] <= 0 for n in opposite[i].keys() & offsets[j].keys()):
-            continue
-        if _facet_separates(pieces[i], pieces[j]) or _facet_separates(pieces[j], pieces[i]):
             continue
         try:
             meet = pieces[i].intersect_polyhedron(pieces[j])
@@ -386,15 +375,6 @@ def _check_interior_disjoint(pieces, d):
                 "interior overlap between pieces",
                 witness=(i, j, meet.relative_interior_point()),
             )
-
-
-def _facet_separates(p, q):
-    """Whether a facet halfspace of ``p`` has all of ``q`` on its far side."""
-    return any(
-        all(vdot(v, h.normal) <= -h.offset for v in q.vertices)
-        and all(vdot(r, h.normal) <= 0 for r in q.rays)
-        for h in p.halfspaces
-    )
 
 
 def _check_cover(ambient, records, pieces):
@@ -581,10 +561,9 @@ def partition_by_hyperplanes(ambient: LatticePolytope, cuts) -> Partition:
     lcm of the vertex counts times that of the vertex denominators, is one
     positive factor for every piece, so the order is the same.
     """
+    cuts = [(int_vector(normal), normalize_coord(value)) for normal, value in cuts]
     regions = [ambient]
     for normal, value in cuts:
-        normal = tuple(int(x) for x in normal)
-        value = normalize_coord(value)
         new_regions = []
         for region in regions:
             if region.is_whole_space:
@@ -598,7 +577,7 @@ def partition_by_hyperplanes(ambient: LatticePolytope, cuts) -> Partition:
                 new_regions.append(region)  # the cut misses the region's interior
         regions = new_regions
     if cuts:  # no region is the whole space after a cut
-        first_normal = tuple(int(x) for x in cuts[0][0])
+        first_normal = cuts[0][0]
         scale = math.lcm(*(len(r.vertices) for r in regions)) * math.lcm(
             *(x.denominator for r in regions for v in r.vertices for x in v if type(x) is not int)
         )

@@ -96,14 +96,13 @@ from .errors import EmptyPolyhedronError, GeometryError, UnsupportedGeometryErro
 from .exactmath import (
     determinant,
     echelon,
-    gcd_all,
+    int_vector,
     kernel_basis,
     kernel_vector,
     normalize_coord,
     normalize_point,
     primitive,
     rank_fraction,
-    rational_primitive,
     right_kernel,
     solve_linear,
     solve_particular,
@@ -136,23 +135,19 @@ def _divide(offset, g):
 
 
 def _normalize_halfspace(normal, offset):
-    normal = tuple(map(int, normal))
-    g = gcd_all(normal)
+    normal = int_vector(normal)
+    g = math.gcd(*normal)
     if not g:
         raise GeometryError("halfspace normal must be nonzero")
     return Halfspace(tuple([x // g for x in normal]), _divide(offset, g))
 
 
 def _normalize_equation(normal, offset):
-    normal = tuple(map(int, normal))
-    g = gcd_all(normal)
-    normal = tuple([x // g for x in normal])
-    offset = _divide(offset, g)
-    lead = next(x for x in normal if x != 0)
-    if lead < 0:
-        normal = tuple(-x for x in normal)
-        offset = -offset
-    return Equation(normal, offset)
+    """The halfspace normal form, signed so the first nonzero entry is positive."""
+    h = _normalize_halfspace(normal, offset)
+    if next(x for x in h.normal if x) < 0:
+        return Equation(tuple(-x for x in h.normal), -h.offset)
+    return Equation(*h)
 
 
 @dataclass(frozen=True)
@@ -185,7 +180,7 @@ def _dual_from_generators(points, rays, rank):
     none, and it is None."""
     base = points[0]
     dirs = [vsub(p, base) for p in points[1:]] + list(rays)
-    int_dirs = [rational_primitive(d)[0] for d in dirs if any(d)]
+    int_dirs = [primitive(d) for d in dirs if any(d)]
     d, pivots, _ = echelon(list(int_dirs), rank)
     equations, basis = [], None
     if d == rank:
@@ -334,7 +329,7 @@ def _cone_point(v):
     when ``v`` is integral, its last entry 1 making it primitive."""
     if all(type(x) is int for x in v):
         return v + (1,)
-    return rational_primitive(v + (1,))[0]
+    return primitive(v + (1,))
 
 
 def _homogeneous_row(constraint):
@@ -875,7 +870,7 @@ class LatticePolytope:
         """The primitive direction from the ``a``-th vertex to generator ``b``."""
         nv = len(self.vertices)
         if b < nv:
-            return rational_primitive(vsub(self.vertices[b], self.vertices[a]))[0]
+            return primitive(vsub(self.vertices[b], self.vertices[a]))
         return self.rays[b - nv]
 
     def is_simplicial(self) -> bool:
@@ -900,7 +895,7 @@ class LatticePolytope:
                 self._normals = []
                 for h in self.halfspaces:
                     r = [vdot(h.normal, b) for b in self._chart]
-                    g = gcd_all(r)
+                    g = math.gcd(*r)
                     self._normals.append((tuple([x // g for x in r]), g))
         return self._normals
 
@@ -1194,6 +1189,20 @@ def normal_fan(poly: LatticePolytope) -> Fan:
     return Fan(poly.ambient_rank, rays, cones)
 
 
+def _positive_relation(vectors, what):
+    """The primitive relation ``sum_i w_i v_i = 0`` among ``vectors`` with
+    every ``w_i > 0``; ``GeometryError`` naming ``what`` when the relations
+    do not form a line, or that line holds no positive one."""
+    rel = kernel_vector(transpose(vectors), len(vectors))
+    if rel is None:
+        raise GeometryError(f"{what} must satisfy a single linear relation")
+    if all(x < 0 for x in rel):
+        rel = tuple(-x for x in rel)
+    if not all(x > 0 for x in rel):
+        raise GeometryError(f"{what} must satisfy a single positive relation")
+    return rel
+
+
 def complete_fan_from_rays(rays):
     """The complete simplicial fan on n+1 rays in a single positive relation.
 
@@ -1208,13 +1217,7 @@ def complete_fan_from_rays(rays):
     rank = len(rays[0])
     if len(rays) != rank + 1:
         raise GeometryError("expected rank+1 rays")
-    rel = kernel_vector(transpose(rays), rank + 1)
-    if rel is None:
-        raise GeometryError("rays must satisfy a single linear relation")
-    if all(x < 0 for x in rel):
-        rel = tuple(-x for x in rel)
-    if not all(x > 0 for x in rel):
-        raise GeometryError("rays must satisfy a single positive relation")
+    _positive_relation(rays, "rays")
     cones = set()
     for drop in range(rank + 1):
         chamber = [i for i in range(rank + 1) if i != drop]

@@ -13,13 +13,11 @@ from toricdegen.exactmath import (
     determinant,
     determinant_fraction,
     echelon,
-    gcd_all,
     kernel_basis,
     kernel_vector,
     left_kernel,
     primitive,
     rank_fraction,
-    rational_primitive,
     right_kernel,
     solve_linear,
     solve_particular,
@@ -204,18 +202,6 @@ class TestKernelsAgainstOracles:
             got, expected = new(a, b), old(a, b)
             assert got == expected and repr(got) == repr(expected)
 
-    @given(st.lists(st.one_of(SMALL, st.just(0), FRACTIONS), max_size=5))
-    @settings(max_examples=150)
-    @example([])
-    @example([0, 0])
-    @example([-4, 6])
-    @example([Fraction(7, 2), -3])
-    @example([Fraction(-1, 2), 0])
-    def test_gcd_all_on_negative_zero_and_fraction_entries(self, values):
-        for seq in (values, tuple(values)):
-            got = gcd_all(seq)
-            assert got == oracles.gcd_all(seq) and type(got) is int
-
     @given(st.lists(st.one_of(SMALL, SMALL.map(Fraction)), min_size=1, max_size=5))
     @settings(max_examples=150)
     @example([0, 0, 0])
@@ -238,14 +224,18 @@ class TestKernelsAgainstOracles:
     @example([6, -4])
     @example([Fraction(6), Fraction(-4)])
     @example([Fraction(1, 2), 3])
-    def test_rational_primitive_on_int_fraction_and_mixed_vectors(self, v):
+    @example([Fraction(7, 2), -3])
+    @example([1, Fraction(1, 2)])
+    def test_primitive_on_int_fraction_and_mixed_vectors(self, v):
+        # one routine for every rational vector, with no integer-part
+        # reading: that would send (1, 1/2) to (1, 0)
         v = tuple(v)
-        got = _same_outcome(rational_primitive, oracles.rational_primitive, v)
-        if got is not None:
-            w, scale = got
-            assert all(type(x) is int for x in w)
-            # the scale keeps its type: an int exactly for an all-int vector
-            assert (type(scale) is int) == all(type(x) is int for x in v)
+        got = _same_outcome(primitive, lambda w: oracles.rational_primitive(w)[0], v)
+        assert got is None or all(type(x) is int for x in got)
+
+    def test_rational_entries_are_cleared_not_truncated(self):
+        assert primitive((1, Fraction(1, 2))) == (2, 1)
+        assert primitive((Fraction(-2, 3), Fraction(4, 9))) == (-3, 2)
 
 
 class TestDeterminant:

@@ -245,6 +245,22 @@ class TestMinimalIntegralScaling:
                 assert result.scale == scale
                 assert result.function.per_piece == func.scale(scale).per_piece
 
+    @pytest.mark.parametrize("n, k", [(4, 2), (6, 3)])
+    def test_balanced_rescale_to_unit_concavity(self, n, k):
+        # n cuts of [0, 1] at i / (n + 1): unit concavity at every rational
+        # vertex and F(1) = n / 2, so the minimal integral scale 2 / n leaves
+        # concavity 1 / k, and k times that scale is integral again
+        cuts = [((1,), Fraction(i, n + 1)) for i in range(1, n + 1)]
+        part = partition_by_hyperplanes(segment(0, 1), cuts)
+        raw = integrate_cocycle(wall_functions(part), part.dual_complex(), part)
+        profile = concavity_profile(raw)
+        assert part.classify()["balanced"] and set(profile.values()) == {1}
+        result = minimal_integral_lifting(raw)
+        assert result.scale == oracles.lifting_scale(raw, profile, True)
+        assert result.scale == k * raw.minimal_integral_scale() == 1
+        assert result.unit_concavity and set(result.concavities.values()) == {1}
+        assert result.function.per_piece == raw.scale(result.scale).per_piece
+
     def test_nonconcave_rejected(self):
         part = segment_partition(0, 2, (1,))
         func = integrate_cocycle(wall_functions(part), part.dual_complex(), part)
@@ -875,6 +891,27 @@ class TestLiftRejectsBadInput:
         fake = IntegralLifting(flat, Fraction(1), {(1,): Fraction(1)}, True)
         with pytest.raises(LiftingError, match="share"):
             lift_polytope(part, fake)
+
+    def test_non_integral_cap_rejected(self):
+        # read by integer part, the cap y <= x / 2 + 5 would be y <= 5
+        part = segment_partition(0, 2, (1,))
+        lifting = lifting_function(part)
+        for cap in (((Fraction(1, 2),), 5), ((0,), Fraction(9, 2))):
+            with pytest.raises(GeometryError, match="integral entries"):
+                lift_polytope(part, lifting, compact_cap=cap)
+        got = lift_polytope(part, lifting, compact_cap=((Fraction(0),), Fraction(5)))
+        expected = lift_polytope(part, lifting, compact_cap=((0,), 5))
+        assert got.cap == expected.cap == ((0,), 5)
+        assert got.polytope.key == expected.polytope.key
+
+    def test_non_integral_iterated_cuts_rejected(self):
+        base = segment(0, 3)
+        with pytest.raises(GeometryError, match="integral entries"):
+            iterated_lift(base, (Fraction(3, 2),), [1])
+        with pytest.raises(GeometryError, match="integral entries"):
+            iterated_lift(base, (1,), [1, Fraction(5, 2)])
+        got = iterated_lift(base, (Fraction(1),), [Fraction(1), 2])
+        assert got.polytope.key == iterated_lift(base, (1,), [1, 2]).polytope.key
 
 
 class TestBigIntegerExactness:

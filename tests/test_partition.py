@@ -529,6 +529,20 @@ class TestHyperplanePartitionOrdering:
         assert levels == sorted(levels)
 
 
+class TestCutNormals:
+    SQUARE = LatticePolytope.from_vertices([(0, 0), (4, 0), (4, 4), (0, 4)])
+
+    def test_non_integral_normal_rejected(self):
+        # read by integer part, (1/2, 1) would cut along y = 2
+        with pytest.raises(GeometryError, match="integral entries"):
+            partition_by_hyperplanes(self.SQUARE, [((0, 1), 1), ((Fraction(1, 2), 1), 2)])
+
+    def test_integral_fraction_normal_taken(self):
+        got = partition_by_hyperplanes(self.SQUARE, [((Fraction(2), Fraction(1)), Fraction(5, 2))])
+        expected = partition_by_hyperplanes(self.SQUARE, [((2, 1), Fraction(5, 2))])
+        assert [p.key for p in got.pieces] == [p.key for p in expected.pieces]
+
+
 class TestRandomSegmentPartitions:
     """Any partition of an integer segment at integer points is semi-stable,
     nonsingular, and lifts to a nonsingular polytope."""
@@ -1000,8 +1014,9 @@ class TestCrossedRegionsAreSplit:
 
 class TestPairsSettledByLookups:
     """Chambers of grid and parallel cuts store opposite halfspaces of every
-    cut between them, so the tiling check reads no vertex for any pair, and
-    the chambers are ordered by integer keys, with no interior point."""
+    cut between them, so the tiling check settles every pair by lookup and
+    intersects none, and the chambers are ordered by integer keys, with no
+    interior point."""
 
     @pytest.mark.parametrize(
         "ambient, cuts, pieces",
@@ -1019,9 +1034,9 @@ class TestPairsSettledByLookups:
         ],
     )
     def test_no_pair_scans_a_vertex_and_no_interior_point(self, ambient, cuts, pieces):
-        refused = AssertionError("a pair scanned its vertices, or an interior point was built")
+        refused = AssertionError("a pair was intersected, or an interior point was built")
         with mock.patch.object(
-            partition_module, "_facet_separates", side_effect=refused
+            LatticePolytope, "intersect_polyhedron", side_effect=refused
         ), mock.patch.object(LatticePolytope, "relative_interior_point", side_effect=refused):
             got = _outcome(partition_by_hyperplanes, ambient, cuts)
         assert len(got) == pieces

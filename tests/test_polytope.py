@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import re
 import sys
@@ -24,7 +25,7 @@ from toricdegen import (
 )
 from toricdegen import exactmath
 from toricdegen import polytope as polytope_module
-from toricdegen.exactmath import echelon, rational_primitive, vdot
+from toricdegen.exactmath import echelon, primitive, vdot
 from toricdegen.polytope import (
     PAIR_BUDGET,
     POINT_BUDGET,
@@ -111,6 +112,28 @@ class TestFromHalfspaces:
     def test_redundant_halfspaces_dropped(self):
         s = LatticePolytope.from_halfspaces([((1,), 0), ((1,), -1), ((-1,), 2)], 1)
         assert len(s.halfspaces) == 2
+
+    def test_non_integral_normals_rejected(self):
+        # read by integer part, (1/2, 1) would be the row y >= 0
+        rows = [((1, 0), 0), ((-1, -1), 4)]
+        half = [((Fraction(1, 2), 1), 0)]
+        with pytest.raises(GeometryError, match="integral entries"):
+            LatticePolytope.from_halfspaces(half + rows, 2)
+        with pytest.raises(GeometryError, match="integral entries"):
+            LatticePolytope.from_halfspaces(rows, 2, half)
+
+    def test_integral_fraction_normals_taken(self):
+        rows = [((0, 1), 0), ((1, 0), 0), ((-1, -1), 4)]
+        fractions = [(tuple(map(Fraction, n)), o) for n, o in rows]
+        got = LatticePolytope.from_halfspaces(fractions[1:], 2, fractions[:1])
+        expected = LatticePolytope.from_halfspaces(rows[1:], 2, rows[:1])
+        assert got.key == expected.key and got.equations == expected.equations
+        assert all(type(x) is int for e in got.equations for x in e.normal)
+
+    def test_rational_rays_are_cleared_not_truncated(self):
+        got = LatticePolytope.from_generators([(0, 0)], [(Fraction(1, 2), 1), (1, 0)])
+        expected = LatticePolytope.from_generators([(0, 0)], [(1, 2), (1, 0)])
+        assert got.key == expected.key and got.halfspaces == expected.halfspaces
 
     @staticmethod
     def _with_redundant(hull, slack):
@@ -1600,6 +1623,65 @@ class TestLatticeEquivalenceInTheChart:
         assert maps
 
 
+def _pruned_by(p, q):
+    """The maps of ``lattice_equivalences(p, q)`` and the conditions of the
+    ``continue`` lines its search ran, read off a line trace of its frame."""
+    code = polytope_module.lattice_equivalences.__code__
+    lines, first = inspect.getsourcelines(code)
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        maps = list(lattice_equivalences(p, q))
+    finally:
+        sys.settrace(None)
+    pruned = {
+        lines[n - first - 1].strip()
+        for n in ran
+        if lines[n - first].strip() == "continue"
+    }
+    return maps, pruned
+
+
+class TestLatticeEquivalencePruning:
+    """The two prunings of the candidate search, each reached and each
+    giving the oracle's maps."""
+
+    @pytest.mark.parametrize("ops", [[], [(0, 1, 1), (1, 0, -2)]])
+    def test_start_vertex_with_other_far_end_keys(self, ops):
+        # every key is held by two vertices, which differ in the keys of
+        # their neighbours, so one start image of the rarest key is skipped
+        verts = [(0, 6), (4, 1), (4, 3), (5, 0), (5, 2), (6, 0)]
+        matrix = unimodular_matrix(2, ops)
+        p = LatticePolytope.from_vertices(verts)
+        q = LatticePolytope.from_vertices([_image(matrix, (1, -2), v) for v in verts])
+        maps, pruned = _pruned_by(p, q)
+        assert "if [k for k, _ in q_sorted] != p_far:" in pruned
+        _assert_same_maps(maps, list(oracles.lattice_equivalences(p, q)))
+        assert maps
+
+    @pytest.mark.parametrize("ops", [[], [(2, 0, 1), (0, 1, 3)]])
+    def test_candidate_fitting_the_spanning_edges_only(self, ops):
+        # the apex has four edges over a square: a unimodular map fixed by
+        # three of them may send the fourth off its image
+        verts = _square_pyramid().vertices
+        matrix = unimodular_matrix(3, ops)
+        p = LatticePolytope.from_vertices(verts)
+        q = LatticePolytope.from_vertices([_image(matrix, (0, 1, 2), v) for v in verts])
+        maps, pruned = _pruned_by(p, q)
+        assert (
+            "if any(_apply(a, p_edges[i]) != targets[i] for i in range(len(p_edges))):"
+            in pruned
+        )
+        _assert_same_maps(maps, list(oracles.lattice_equivalences(p, q)))
+        assert len(maps) == 8
+
+
 class TestDirectionBasisKept:
     """A lower-dimensional polyhedron keeps the direction basis its facets
     were found in, so its lattice reads run no second kernel."""
@@ -1713,11 +1795,10 @@ class TestIntegralDataStaysInt:
         assert repr((got.halfspaces, got.vertices)) == repr((public.halfspaces, public.vertices))
 
     @given(st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(any))
-    def test_rational_primitive_of_ints_and_fractions(self, v):
-        ints = rational_primitive(tuple(v))
-        fracs = rational_primitive(tuple(Fraction(x) for x in v))
-        assert ints == fracs and repr(ints[0]) == repr(fracs[0])
-        assert type(ints[1]) is int
+    def test_primitive_of_ints_and_integral_fractions(self, v):
+        ints = primitive(tuple(v))
+        fracs = primitive(tuple(Fraction(x) for x in v))
+        assert ints == fracs and repr(ints) == repr(fracs)
 
     @given(
         st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3, max_size=6),
