@@ -24,7 +24,7 @@ from .partition import (
     partition_by_hyperplanes,
     partition_from_fan,
 )
-from .polytope import LatticePolytope, complete_fan_from_rays
+from .polytope import LatticePolytope, _normalize_halfspace, complete_fan_from_rays
 from . import report as rpt
 
 
@@ -216,11 +216,11 @@ def run_job(command, text, args):
 
     if multi_base:
         cuts = _hyperplane_cuts(part_spec, ambient.ambient_rank)
-        normals = {tuple(n) for n, _ in cuts}
+        cuts = [_normalize_halfspace(n, -c) for n, c in cuts]
+        normals = {h.normal for h in cuts}
         if len(normals) != 1:
-            raise GeometryError("multi-base lifting requires parallel hyperplanes")
-        normal = next(iter(normals))
-        multi = iterated_lift(ambient, normal, [c for _, c in cuts])
+            raise GeometryError("multi-base lifting requires parallel cuts of one orientation")
+        multi = iterated_lift(ambient, normals.pop(), [-h.offset for h in cuts])
         records.append(rpt.classification_record(multi.partition))
         records.append(rpt.weights_record(multi.partition))
         records.append(rpt.multi_lifting_record(multi))

@@ -21,15 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import GeometryError, LiftingError
-from .exactmath import (
-    AffineFunction,
-    int_vector,
-    kernel_vector,
-    primitive,
-    vadd,
-    vdot,
-    vsub,
-)
+from .exactmath import AffineFunction, int_vector, primitive, vadd, vdot
 from .partition import DualComplex, Partition, _sides, partition_by_hyperplanes
 from .polytope import LatticePolytope, SupportFunction, _generators, _normalize_halfspace, normal_fan
 
@@ -59,6 +51,14 @@ def wall_functions(partition: Partition) -> WallCochain:
     Requires a semi-stable partition that is mildly singular, unless the dual
     complex is one-dimensional (a chain, automatically balanced) in which
     case any wall vertex may anchor the normalization.
+
+    The wall ``<x, u> = c`` is read off the facets its pieces store: ``i``
+    as ``(u, -c)``, ``j`` as ``(-u, c)``, and no other pair of theirs is so
+    opposite.  Every interior ``(d-1)``-face has two owners, so it is a facet
+    of both; pieces on opposite sides of two distinct hyperplanes share at
+    most a ``(d-2)``-face, so the pair is one.  Below full dimension stored
+    normals vanish off the pivot columns of the shared direction space, so
+    they are canonical.
     """
     flags = partition.classify()
     if not flags["semistable"]:
@@ -81,35 +81,29 @@ def wall_functions(partition: Partition) -> WallCochain:
             pool = preferred
         else:
             pool = preferred or [v for v in candidates if nonsingular[v]] or candidates
-        if pool:
-            p = min(pool)
-            f = _wall_function_at(partition, wall, p, i, j)
-        else:
-            # every vertex of this wall is a vertex of the base polytope
-            # (a cut running corner to corner); anchor there with unit weight
-            p = min(wall.vertices)
-            f = _wall_function_at(partition, wall, p, i, j, ambient_vertex=True)
-        functions[(i, j)] = f
+        # with no pool every vertex of this wall is a vertex of the base
+        # polytope (a cut running corner to corner): anchor there, unit weight
+        p = min(pool or wall.vertices)
+        f = functions[(i, j)] = _wall_function_at(partition, p, i, j)
         functions[(j, i)] = -f
         bases[frozenset((i, j))] = p
     return WallCochain(functions, bases)
 
 
-def _wall_function_at(partition, wall, p, i, j, ambient_vertex=False):
-    # hyperplane through the wall: primitive integer normal u, <x,u> = c
-    base = wall.vertices[0]
-    dirs = [vsub(v, base) for v in wall.vertices[1:]] + list(wall.rays)
-    int_dirs = [primitive(d) for d in dirs if any(x != 0 for x in d)]
-    u = kernel_vector(int_dirs, partition.ambient.ambient_rank)
-    if u is None:
-        raise LiftingError("wall is not a hyperplane piece", witness=wall.key)
-    c = vdot(base, u)
+def _wall_function_at(partition, p, i, j):
+    # the wall's hyperplane <x, u> = c: piece i stores (u, -c), piece j (-u, c)
+    theirs = partition.pieces[j]._facet_offsets()
+    u, c = next(
+        (n, -o)
+        for n, o in partition.pieces[i]._facet_offsets().items()
+        if theirs.get(tuple(-x for x in n)) == -o
+    )
     # the unique partition edge at p missed by piece i; it points into piece j
-    if ambient_vertex:
+    vf = partition.face_at(p)
+    if vf is None:  # a vertex of the base polytope
         edges = partition.edges_through(p)
         weight_of = lambda d: 1
     else:
-        vf = partition.face_at(p)
         edges = partition.edges_at_vertex_within_ambient_face(vf)
         weight_of = dict(partition.all_weight_vectors()[p].by_edge).__getitem__
     missed = [e for e in edges if i not in e.pieces]
@@ -591,17 +585,20 @@ class MultiLifting:
 def iterated_lift(base: LatticePolytope, normal, offsets) -> MultiLifting:
     """Lift along parallel integral cuts, one extra dimension per cut.
 
-    The one-shot construction takes the region above the graph of the vector
+    Each cut ``<x, normal> = c_j`` enters in its normal form
+    (``_normalize_halfspace``), the offset over the normal's gcd too.  The
+    one-shot construction takes the region above the graph of the vector
     function whose j-th component is ``max(0, <normal, x> - c_j)``; it is
     verified vertex-for-vertex against the step-by-step iteration, and every
     intermediate partition is checked nonsingular.
     """
-    normal = primitive(int_vector(normal))
-    offsets = list(int_vector(offsets))
+    cuts = [_normalize_halfspace(normal, -c) for c in int_vector(offsets)]
+    normal = _normalize_halfspace(normal, 0).normal
+    offsets = [-h.offset for h in cuts]
     if sorted(set(offsets)) != offsets:
         raise LiftingError("cut offsets must be strictly increasing")
-    for c in offsets:
-        sides = _sides(base, normal, c)
+    for h, c in zip(cuts, offsets):
+        sides = _sides(base, h)
         if not (base.is_whole_space or min(sides) < 0 < max(sides)):
             raise LiftingError("cut misses the interior of the base polytope", witness=c)
     n = base.ambient_rank
@@ -627,9 +624,7 @@ def iterated_lift(base: LatticePolytope, normal, offsets) -> MultiLifting:
         lifted = lift_polytope(chain, lifting_function(chain))
         lifts.append(lifted)
         current = lifted.polytope
-    if set(current.vertices) != set(oneshot.vertices) or set(current.rays) != set(
-        oneshot.rays
-    ):
+    if current != oneshot:
         raise LiftingError("iterated lift disagrees with the one-shot construction")
 
     partition = partition_by_hyperplanes(base, [(normal, c) for c in offsets])

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import EmptyPolyhedronError, GeometryError, PartitionError, UnsupportedGeometryError
-from .exactmath import int_vector, normalize_coord, primitive, vdot, vsub
+from .exactmath import primitive, vdot, vsub
 from .polytope import (
     Face,
     Fan,
@@ -28,6 +28,7 @@ from .polytope import (
     _bits,
     _face_walk,
     _generators,
+    _normalize_halfspace,
     _positive_relation,
 )
 
@@ -422,7 +423,7 @@ def _uncovered_point(ambient, pieces):
         for region in regions:
             rest = region
             for h in piece.halfspaces:
-                sides = _sides(rest, h.normal, -h.offset)
+                sides = _sides(rest, h)
                 if min(sides) >= 0:
                     continue
                 if max(sides) <= 0:
@@ -436,12 +437,12 @@ def _uncovered_point(ambient, pieces):
     return regions[0].relative_interior_point() if regions else None
 
 
-def _sides(region, normal, value):
-    """Where a region's vertices and rays lie against the hyperplane ``<x,
-    normal> = value``, by sign: ``<v, normal> - value`` per vertex ``v``,
-    then ``<r, normal>`` per ray ``r``."""
-    sides = [vdot(v, normal) - value for v in region.vertices]
-    return sides + [vdot(r, normal) for r in region.rays]
+def _sides(region, h):
+    """Where a region's vertices and rays lie against the boundary of a
+    halfspace ``h`` in normal form, by sign, positive inside: ``<v, normal>
+    + offset`` per vertex ``v``, then ``<r, normal>`` per ray ``r``."""
+    sides = [vdot(v, h.normal) + h.offset for v in region.vertices]
+    return sides + [vdot(r, h.normal) for r in region.rays]
 
 
 # faces the piece walks of one partition may list, summed over the pieces
@@ -550,7 +551,9 @@ def partition_from_fan(ambient: LatticePolytope, fan: Fan) -> Partition:
 def partition_by_hyperplanes(ambient: LatticePolytope, cuts) -> Partition:
     """Chambers of ``<x, normal> = value`` hyperplane cuts inside a polytope.
 
-    A region the cut crosses is split once, into both sides
+    Each cut enters once, as ``<x, normal> >= value`` in normal form
+    (``_normalize_halfspace``), so its multiples give the same chambers.  A
+    region the cut crosses is split once, into both sides
     (``LatticePolytope.split``).  A region on one closed side of the cut is
     kept whole, also a lower-dimensional one inside the hyperplane, which
     is on both sides.  Only the whole space is intersected with each side.
@@ -561,23 +564,23 @@ def partition_by_hyperplanes(ambient: LatticePolytope, cuts) -> Partition:
     lcm of the vertex counts times that of the vertex denominators, is one
     positive factor for every piece, so the order is the same.
     """
-    cuts = [(int_vector(normal), normalize_coord(value)) for normal, value in cuts]
+    cuts = [_normalize_halfspace(normal, -value) for normal, value in cuts]
     regions = [ambient]
-    for normal, value in cuts:
+    for h in cuts:
         new_regions = []
         for region in regions:
             if region.is_whole_space:
-                for hs in ((normal, -value), (tuple(-x for x in normal), value)):
+                for hs in (h, (tuple(-x for x in h.normal), -h.offset)):
                     new_regions.append(region.intersect([hs]))
                 continue
-            sides = _sides(region, normal, value)
+            sides = _sides(region, h)
             if min(sides) < 0 < max(sides):
-                new_regions.extend(region.split(normal, value))
+                new_regions.extend(region.split(h.normal, -h.offset))
             else:
                 new_regions.append(region)  # the cut misses the region's interior
         regions = new_regions
     if cuts:  # no region is the whole space after a cut
-        first_normal = cuts[0][0]
+        first_normal = cuts[0].normal
         scale = math.lcm(*(len(r.vertices) for r in regions)) * math.lcm(
             *(x.denominator for r in regions for v in r.vertices for x in v if type(x) is not int)
         )

@@ -16,9 +16,10 @@ the 1-face scan for a vertex's neighbours, a cone's facets read off its
 face lattice, the vertex unimodularity test by a determinant of the edge
 directions in the polytope's lattice chart, a vertex chart's coefficients
 by one rational solve in its edge basis, the scan of every partition edge
-for the edges at a vertex, the ``Fraction``-field affine functions with the
-per-point lifting scale and family (one index lookup and one ``divmod`` per
-lattice point), the exhaustive lattice-equivalence search (every
+for the edges at a vertex, each wall's function with its normal found by
+elimination over the wall's edge directions, the ``Fraction``-field affine
+functions with the per-point lifting scale and family (one index lookup
+and one ``divmod`` per lattice point), the exhaustive lattice-equivalence search (every
 vertex of Q, every permutation of its edges) on a full-dimensional model
 polytope (a second double description for a lower-dimensional one) with its
 edges from the 1-faces and one rational solve per row of every candidate
@@ -54,6 +55,7 @@ from toricdegen.errors import (
 from toricdegen.exactmath import (
     GeometryErrorZero,
     determinant,
+    kernel_vector,
     normalize_point,
     right_kernel,
     solve_linear,
@@ -661,6 +663,37 @@ def edges_at_vertex_within_ambient_face(partition, vertex_face):
         for f in partition.faces(1)
         if p in f.vertices and f.ambient_face == vertex_face.ambient_face
     ]
+
+
+def wall_functions(partition, anchors):
+    """Each wall's function ``(<u, x> - c) / (w <e, u>)`` by elimination, as
+    ``(linear, constant)`` over ``Fraction`` keyed by its pieces ``(i, j)``,
+    ``i < j``: ``u`` the one primitive kernel vector of the wall's edge
+    directions, ``c = <u, v>`` at a wall vertex ``v``, ``e`` the partition
+    edge at the anchor ``anchors[{i, j}]`` that piece ``i`` misses, and ``w``
+    its weight there, 1 at a vertex of the base polytope."""
+    rank = partition.ambient.ambient_rank
+    out = {}
+    for wall in partition.walls():
+        i, j = sorted(wall.pieces)
+        p = anchors[wall.pieces]
+        base = wall.vertices[0]
+        dirs = [vsub(v, base) for v in wall.vertices[1:]] + list(wall.rays)
+        u = kernel_vector([rational_primitive(d)[0] for d in dirs if any(d)], rank)
+        if u is None:
+            raise LiftingError("wall is not a hyperplane piece", witness=wall.key)
+        vf = partition.face_at(p)
+        edges = (
+            partition.edges_through(p)
+            if vf is None
+            else edges_at_vertex_within_ambient_face(partition, vf)
+        )
+        (missed,) = [e for e in edges if i not in e.pieces]
+        e = partition.edge_direction(missed, p)
+        w = 1 if vf is None else dict(partition.all_weight_vectors()[p].by_edge)[e]
+        scale = Fraction(1, w * vdot(e, u))
+        out[(i, j)] = (tuple(x * scale for x in u), -vdot(base, u) * scale)
+    return out
 
 
 def render_report(records):

@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from toricdegen import cli
@@ -875,6 +875,194 @@ class TestDeterminismAndRoundTrip:
         big = 2**80 + 1
         assert oracles.decode_value(encode_value(big)) == big
         assert isinstance(encode_value(big), str)
+
+
+# -- one normal form per hyperplane ------------------------------------------------
+
+COMMANDS = [["verify"], ["lift"], ["lift", "--multi-base"], ["degenerate"]]
+SEGMENT4 = [([1], 0), ([-1], 4)]
+TRIANGLE4 = [([1, 0], 0), ([0, 1], 0), ([-1, -1], 4)]
+
+
+def _constraints(pairs):
+    return [{"normal": list(n), "offset": o} for n, o in pairs]
+
+
+def _cut_job(halfspaces, cuts):
+    return {
+        "polytope": {"halfspaces": _constraints(halfspaces)},
+        "partition": {"hyperplanes": _constraints(cuts)},
+    }
+
+
+def _scaled(job, factors):
+    """``job`` with its ``i``-th halfspace, cut or fan ray, counted through
+    all three in that order, multiplied by ``factors[i]``."""
+    job = json.loads(json.dumps(job))
+    items = [*job["polytope"].get("halfspaces", ()), *job["partition"].get("hyperplanes", ())]
+    rays = job["partition"].get("fan_rays", [])
+    for k, item in zip(factors, items):
+        item["normal"] = [k * x for x in item["normal"]]
+        item["offset"] *= k
+    for k, ray in zip(factors[len(items):], rays):
+        ray[:] = [k * x for x in ray]
+    return job
+
+
+@st.composite
+def scalable_jobs(draw):
+    """Segments, triangles, the quadrant and rank-3 chains in halfspace form
+    under 1-3 cuts, parallel ones (the multi-base input) or any, and the
+    rank-2 and rank-3 staircase simplices under their fans."""
+    kind = draw(st.sampled_from(["segment", "triangle", "quadrant", "chain", "fan"]))
+    if kind == "fan":
+        rank = draw(st.integers(2, 3))
+        rays = [[int(i == j) - int(i == j + 1) for i in range(rank)] for j in range(-1, rank)]
+        halfspaces = [([-x for x in r], 1) for r in rays]
+        job = {
+            "polytope": {"halfspaces": _constraints(halfspaces)},
+            "partition": {"fan_rays": rays},
+        }
+        return job, len(halfspaces) + len(rays)
+    size = draw(st.integers(2, 5))
+    if kind == "segment":
+        halfspaces, normals = [([1], 0), ([-1], size)], [[1], [-1]]
+    elif kind == "chain":
+        halfspaces = [([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0), ([-1, -1, -1], min(size, 4))]
+        normals = [[1, 1, 1], [1, 0, 0], [1, 1, 0]]
+    else:
+        halfspaces = [([1, 0], 0), ([0, 1], 0)]
+        if kind == "triangle":
+            halfspaces.append(([-1, -1], size))
+        normals = [[1, 0], [0, 1], [1, 1], [1, -1], [2, 1], [-1, 0]]
+    levels = st.lists(st.integers(-1, size + 1), min_size=1, max_size=3, unique=True)
+    if draw(st.booleans()):
+        normal = draw(st.sampled_from(normals))
+        cuts = [(normal, c) for c in sorted(draw(levels))]
+    else:
+        cut = st.tuples(st.sampled_from(normals), st.integers(-1, size + 1))
+        cuts = draw(st.lists(cut, min_size=1, max_size=3))
+    return _cut_job(halfspaces, cuts), len(halfspaces) + len(cuts)
+
+
+class TestScalingInvariance:
+    """A cut ``(normal, offset)``, a polytope halfspace or a fan ray is the
+    same input as any multiple ``k >= 2`` of it: every command prints the
+    same, since each enters in its normal form once."""
+
+    @given(scalable_jobs(), st.sampled_from(COMMANDS), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_multiples_print_the_same(self, job_and_count, argv, data):
+        job, count = job_and_count
+        factors = data.draw(st.lists(st.integers(2, 4), min_size=count, max_size=count))
+        argv = [argv[0], "-", *argv[1:]]
+        expected = _main_on_stdin(argv, json.dumps(job))
+        event(f"exit {expected[0]}")
+        assert _main_on_stdin(argv, json.dumps(_scaled(job, factors))) == expected
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize(
+        "job, multiple",
+        [
+            (
+                _cut_job(SEGMENT4, [([1], c) for c in (1, 2, 3)]),
+                _cut_job(SEGMENT4, [([2], c) for c in (2, 4, 6)]),
+            ),
+            (
+                _cut_job(TRIANGLE4, [([1, 1], c) for c in (1, 2)]),
+                _cut_job(TRIANGLE4, [([2, 2], c) for c in (2, 4)]),
+            ),
+            (
+                _cut_job(SEGMENT4, [([1], 1), ([1], 2)]),
+                _cut_job(SEGMENT4, [([1], 1), ([2], 4)]),
+            ),
+        ],
+        ids=["segment-2x", "triangle-2x+2y", "segment-mixed"],
+    )
+    def test_multiples_of_the_cuts(self, tmp_path, capsys, argv, job, multiple):
+        # offsets left undivided by the normal's gcd would lift 2x = 2, 4, 6 along
+        # x = 2, 4, 6, and raw normals would refuse x = 1 next to 2x = 4
+        code, out, _ = run(capsys, [argv[0], write_spec(tmp_path, job), *argv[1:]])
+        assert code == 0
+        assert run(capsys, [argv[0], write_spec(tmp_path, multiple), *argv[1:]])[:2] == (code, out)
+
+    def test_cut_off_the_lattice_is_refused_as_by_the_plain_lift(self, tmp_path, capsys):
+        # 2x = 3 is x = 3/2, not x = 3
+        path = write_spec(tmp_path, _cut_job(SEGMENT4, [([2], 3)]))
+        code, _, records = run(capsys, ["lift", path])
+        assert code == 1 and records[-1]["message"] == "lifted polytope is not integral"
+        code, _, records = run(capsys, ["lift", path, "--multi-base"])
+        assert code == 1 and records == [
+            {
+                "record": "error",
+                "code": "GeometryError",
+                "message": "integral entries expected, got (3/2)",
+                "witness": None,
+            }
+        ]
+
+
+class TestMultiBaseCuts:
+    def test_no_cuts_is_an_error_record(self, tmp_path, capsys):
+        path = write_spec(tmp_path, _cut_job(SEGMENT4, []))
+        code, _, records = run(capsys, ["lift", path, "--multi-base"])
+        assert code == 1
+        assert [r["record"] for r in records] == ["error"]
+
+    def test_opposite_orientations_are_refused(self, tmp_path, capsys):
+        # x = 1 and -x = -3 are parallel; the lift needs one orientation
+        path = write_spec(tmp_path, _cut_job(SEGMENT4, [([1], 1), ([-1], -3)]))
+        code, _, records = run(capsys, ["lift", path, "--multi-base"])
+        assert code == 1
+        assert records[0]["message"] == "multi-base lifting requires parallel cuts of one orientation"
+
+
+def _triangle_job(vertices, cuts):
+    return {
+        "polytope": {"vertices": vertices},
+        "partition": {"hyperplanes": _constraints(cuts)},
+    }
+
+
+class TestLowerDimensionalLift:
+    """A triangle embedded at z = 0 or z = 1 in rank 3 lifts and degenerates
+    as the planar triangle does: its walls are read off the facets its
+    pieces store, canonical in its affine hull."""
+
+    PAIRS = [
+        (
+            _triangle_job([[0, 0], [4, 0], [0, 4]], [([1, 1], 2)]),
+            _triangle_job([[0, 0, 0], [4, 0, 0], [0, 4, 0]], [([1, 1, 0], 2)]),
+        ),
+        (
+            _triangle_job([[0, 0], [4, 0], [0, 4]], [([1, 0], 1), ([1, 0], 2)]),
+            _triangle_job([[0, 0, 1], [4, 0, 1], [0, 4, 1]], [([1, 0, 0], 1), ([1, 0, 0], 2)]),
+        ),
+    ]
+
+    @pytest.mark.parametrize("planar, flat", PAIRS, ids=["x+y=2-at-z=0", "x=1,2-at-z=1"])
+    def test_lift_and_family_match_the_planar_triangle(self, tmp_path, capsys, planar, flat):
+        code, _, records = run(capsys, ["lift", write_spec(tmp_path, flat)])
+        assert code == 0 and records[-1]["record"] == "lifted_polytope"
+        families = []
+        for job in (planar, flat):
+            code, _, records = run(capsys, ["degenerate", write_spec(tmp_path, job)])
+            assert code == 0
+            family = records[-1]
+            assert family["record"] == "family"
+            families.append((family["exponents"], family["supports"]))
+        assert families[0] == families[1]
+
+    @pytest.mark.parametrize("command", ["lift", "degenerate"])
+    def test_rational_chamber_gets_the_planar_verdict(self, tmp_path, capsys, command):
+        messages = []
+        for vertices in ([[0, 0], [2, 1], [1, 2]], [[0, 0, 0], [2, 1, 0], [1, 2, 0]]):
+            cut = ([1, -1] + [0] * (len(vertices[0]) - 2), 0)
+            path = write_spec(tmp_path, _triangle_job(vertices, [cut]))
+            code, _, records = run(capsys, [command, path])
+            assert code == 1
+            messages.append(records[-1]["message"])
+        assert messages == ["lifted polytope is not integral"] * 2
 
 
 # -- front-door fuzzing ------------------------------------------------------------

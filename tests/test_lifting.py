@@ -309,6 +309,41 @@ def cut_partitions(draw):
         return None
 
 
+_SQUARE = LatticePolytope.from_vertices([(0, 0), (2, 0), (0, 2), (2, 2)])
+
+
+class TestWallFunctionsAgainstElimination:
+    """The wall normals read off the facets the pieces store against the
+    elimination over each wall's edge directions that they replaced
+    (``oracles.wall_functions``), wall by wall at the same anchor."""
+
+    @staticmethod
+    def _assert_matches_oracle(part):
+        alpha = wall_functions(part)
+        got = {k: (f.linear, f.constant) for k, f in alpha.functions.items() if k[0] < k[1]}
+        assert got == oracles.wall_functions(part, alpha.base_vertices)
+
+    @pytest.mark.parametrize("name", sorted(LIFTED))
+    def test_corpus(self, name):
+        self._assert_matches_oracle(LIFTED[name][0])
+
+    @given(cut_partitions())
+    @settings(max_examples=80, deadline=None)
+    @example(partition_by_hyperplanes(_SQUARE, [((1, -1), 0)]))  # anchored at base vertices
+    @example(partition_by_hyperplanes(_SQUARE, [((2, 2), 2), ((0, 3), 3)]))
+    @example(partition_by_hyperplanes(QUADRANT, [((1, -1), 0), ((1, 1), 3)]))
+    def test_hyperplane_partitions(self, part):
+        if part is None:
+            event("no partition")
+            return
+        try:
+            wall_functions(part)
+        except LiftingError:
+            event("not liftable")
+            return
+        self._assert_matches_oracle(part)
+
+
 def assert_scale_matches_oracle(func):
     samples = oracles.value_samples(func)
     assert func.minimal_integral_scale() == oracles.minimal_integral_scale(samples)
@@ -768,6 +803,38 @@ class TestIteratedLift:
     def test_non_interior_cut_rejected(self):
         with pytest.raises(LiftingError, match="interior"):
             iterated_lift(segment(0, 3), (1,), [5])
+
+    def test_no_cuts_keep_the_base(self):
+        base = segment(0, 4)
+        multi = iterated_lift(base, (1,), [])
+        assert multi.polytope.key == base.key
+        assert [p.key for p in multi.partition.pieces] == [base.key]
+        assert multi.components == ((),) and multi.intermediates == ()
+
+    def test_multiples_of_the_cuts_lift_along_the_same_hyperplanes(self):
+        # the offsets are divided by the normal's gcd too: 2x = 2, 4, 6 is
+        # x = 1, 2, 3, not x = 2, 4, 6 (x = 4 misses the interior)
+        base = segment(0, 4)
+        expected = iterated_lift(base, (1,), [1, 2, 3])
+        got = iterated_lift(base, (2,), [2, 4, 6])
+        assert got.polytope.key == expected.polytope.key
+        assert got.components == expected.components
+        triangle = LatticePolytope.from_vertices([(0, 0), (4, 0), (0, 4)])
+        expected = iterated_lift(triangle, (1, 1), [1, 2])
+        assert iterated_lift(triangle, (2, 2), [2, 4]).polytope.key == expected.polytope.key
+        with pytest.raises(LiftingError, match="interior") as raised:
+            iterated_lift(base, (2,), [8])
+        assert raised.value.witness == 4
+
+    def test_offset_off_the_lattice_gets_the_plain_lift_verdict(self):
+        # 2x = 3 is x = 3/2, as partition_by_hyperplanes reads it
+        part = partition_by_hyperplanes(segment(0, 4), [((2,), 3)])
+        with pytest.raises(LiftingError) as plain:
+            lift_polytope(part, lifting_function(part))
+        with pytest.raises(LiftingError) as multi:
+            iterated_lift(segment(0, 4), (2,), [3])
+        assert multi.value.args == plain.value.args
+        assert multi.value.witness == plain.value.witness
 
     @pytest.mark.parametrize(
         "base, normal, cut",
