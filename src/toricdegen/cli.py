@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .degeneration import build_report, family_equations
@@ -220,7 +221,10 @@ def run_job(command, text, args):
         normals = {h.normal for h in cuts}
         if len(normals) != 1:
             raise GeometryError("multi-base lifting requires parallel cuts of one orientation")
-        multi = iterated_lift(ambient, normals.pop(), [-h.offset for h in cuts])
+        # the same cuts in integers: normal and offsets times the offsets' lcm denominator
+        q = math.lcm(*(h.offset.denominator for h in cuts))
+        normal = tuple(q * x for x in normals.pop())
+        multi = iterated_lift(ambient, normal, [-q * h.offset for h in cuts])
         records.append(rpt.classification_record(multi.partition))
         records.append(rpt.weights_record(multi.partition))
         records.append(rpt.multi_lifting_record(multi))

@@ -3,10 +3,13 @@
 Everything operates on plain tuples of ``int`` / ``Fraction``; no floating
 point is used anywhere.  Rationals are ``fractions.Fraction`` (always reduced,
 positive denominator), lattice vectors are tuples of arbitrary-precision
-integers.  Linear systems, ranks, determinants and rational kernel bases
-are eliminated over the integers by fraction-free (Bareiss) elimination:
-``echelon`` clears each row's denominators and works on integers throughout,
-and its callers form a ``Fraction`` only for the final answer.  Affine
+integers.  Linear systems, ranks and determinants are eliminated over the
+integers by fraction-free (Bareiss) elimination: ``echelon`` clears each
+row's denominators and works on integers throughout, and its callers form a
+``Fraction`` only for the final answer.  Kernels come from one routine, the
+Hermite normal form with its unimodular transform (``left_kernel``, and
+``right_kernel`` on the transpose): a lattice basis of the integer
+relations, so a kernel that is a line has a primitive generator.  Affine
 functions are likewise integer triples ``(a, b, d)`` over one positive
 denominator, in lowest terms.  An integral value is always a plain ``int``,
 never an integral ``Fraction``: ``normalize_coord`` returns an ``int``
@@ -223,32 +226,6 @@ def echelon(m, ncols):
         det = piv
         pivots.append(col)
     return len(pivots), pivots, det
-
-
-def kernel_basis(rows, ncols):
-    """Basis of the rational kernel ``{c : A c = 0}`` for rows of width
-    ``ncols``, by primitive integer vectors read off ``echelon``: one per
-    free column, which gets ``det``, with each pivot column minus its row's
-    entry in that free column and the other free columns zero.  (It need not
-    be a lattice basis of the integer kernel; ``right_kernel`` is.)"""
-    m = list(rows)
-    _, pivots, det = echelon(m, ncols)
-    basis = []
-    for free in range(ncols):
-        if free not in pivots:
-            x = [0] * ncols
-            x[free] = det
-            for row, col in zip(m, pivots):
-                x[col] = -row[free]
-            basis.append(primitive(x))
-    return basis
-
-
-def kernel_vector(rows, ncols):
-    """Primitive generator of ``{c : A c = 0}`` for rows of width ``ncols``,
-    or None unless that kernel is a line."""
-    basis = kernel_basis(rows, ncols)
-    return basis[0] if len(basis) == 1 else None
 
 
 def rank_fraction(rows) -> int:

@@ -99,20 +99,17 @@ def _wall_function_at(partition, p, i, j):
         if theirs.get(tuple(-x for x in n)) == -o
     )
     # the unique partition edge at p missed by piece i; it points into piece j
-    vf = partition.face_at(p)
-    if vf is None:  # a vertex of the base polytope
-        edges = partition.edges_through(p)
-        weight_of = lambda d: 1
+    if partition.face_at(p) is None:  # a vertex of the base polytope: unit weight
+        star = [(d, 1, pieces) for d, pieces, _ in partition.edges_through(p)]
     else:
-        edges = partition.edges_at_vertex_within_ambient_face(vf)
-        weight_of = dict(partition.all_weight_vectors()[p].by_edge).__getitem__
-    missed = [e for e in edges if i not in e.pieces]
+        star = partition.all_weight_vectors()[p].edges
+    missed = [(d, w) for d, w, pieces in star if i not in pieces]
     if len(missed) != 1:
         raise LiftingError("wall normalization edge is not unique", witness=p)
-    direction = partition.edge_direction(missed[0], p)
+    ((direction, weight),) = missed
     # (<u, x> - c) / (weight * <direction, u>) over the common denominator;
     # u is primitive and c in lowest terms, so only the sign needs fixing
-    d = weight_of(direction) * vdot(direction, u) * c.denominator
+    d = weight * vdot(direction, u) * c.denominator
     s = 1 if d > 0 else -1
     return AffineFunction(tuple(s * c.denominator * x for x in u), -s * c.numerator, s * d)
 
@@ -253,20 +250,17 @@ def concavity(func: PiecewiseAffine, point) -> Fraction:
     vf = partition.face_at(point)
     if vf is None:
         raise LiftingError("not a vertex of the partition", witness=tuple(point))
-    return sum((slope for _, slope in _edge_slopes(func, vf)), Fraction(0))
+    return sum((slope for _, slope in _edge_slopes(func, vf.vertices[0])), Fraction(0))
 
 
-def _edge_slopes(func, vf):
-    """Per partition edge at the vertex face ``vf`` inside its smallest
-    ambient face: its primitive direction from the vertex, and the increment
-    of ``func`` one such step along it, measured inside a piece having the
-    edge as a face (a rational vertex may sit closer to the next vertex than
-    a full lattice step)."""
-    partition = func.partition
-    p = vf.vertices[0]
-    for edge in partition.edges_at_vertex_within_ambient_face(vf):
-        step = partition.edge_direction(edge, p)
-        yield step, func.piece_function(min(edge.pieces)).directional(step)
+def _edge_slopes(func, p):
+    """Per edge of the star at the partition vertex ``p``, the edges inside
+    its smallest ambient face: the edge's primitive direction, and the
+    increment of ``func`` one such step along it, measured inside a piece
+    having the edge as a face (a rational vertex may sit closer to the next
+    vertex than a full lattice step)."""
+    for step, _, pieces in func.partition.all_weight_vectors()[p].edges:
+        yield step, func.piece_function(min(pieces)).directional(step)
 
 
 def concavity_profile(func: PiecewiseAffine):
@@ -367,10 +361,8 @@ class LiftedPolytope:
     def lifted_edge_vectors(self, point):
         """Primitive lifted directions of the partition edges at a vertex
         that lie in its smallest containing ambient face."""
-        vf = self.base.face_at(point)
-        return sorted(
-            primitive(d + (slope,)) for d, slope in _edge_slopes(self.lifting.function, vf)
-        )
+        slopes = _edge_slopes(self.lifting.function, tuple(point))
+        return sorted(primitive(d + (slope,)) for d, slope in slopes)
 
     def edge_sum(self, point):
         """Sum of the lifted primitive edge vectors at a partition vertex."""

@@ -56,14 +56,16 @@ class PartitionFace:
 class WeightVector:
     """The positive primitive relation among the edge directions at a vertex.
 
-    ``weights[0]`` belongs to the lexicographically smallest edge direction;
-    the remaining weights are sorted ascending.  ``by_edge`` keeps the
-    unsorted direction-to-weight pairing.
+    ``edges`` is the vertex's star: each partition edge inside its smallest
+    ambient face as ``(direction, weight, pieces)``, the primitive direction
+    from the vertex, its weight in the relation and the pieces having the
+    edge, in lex direction order.  ``weights[0]`` belongs to the first edge;
+    the remaining weights are sorted ascending.
     """
 
     vertex: tuple
     weights: tuple
-    by_edge: tuple  # ((direction, weight), ...) in lex direction order
+    edges: tuple
 
     @property
     def is_balanced(self):
@@ -216,46 +218,39 @@ class Partition:
     # -- weight vectors ------------------------------------------------------
 
     def edges_through(self, point):
-        """The partition edges with ``point`` as an endpoint, in face order,
-        read off an index of the edges by endpoint that is built once."""
+        """The partition edges with ``point`` as an endpoint, in lex
+        direction order, as ``(direction, pieces, ambient_face)``: the
+        primitive direction from ``point``, the pieces having the edge and
+        its smallest ambient face.  They are read off the edge records of
+        the face table into an index by endpoint that is built once."""
         if self._vertex_edges is None:
             self._vertex_edges = {}
-            for f in self._faces_of(1):
-                for v in f.vertices:
-                    self._vertex_edges.setdefault(v, []).append(f)
+            for mask, dim, owners, facets in self._records:
+                if dim != 1:
+                    continue
+                verts, rays = _generators(mask, self._gens, self._nv)
+                pieces, face = frozenset(owners), self._ambient_face(facets)
+                step = rays[0] if rays else primitive(vsub(verts[1], verts[0]))
+                for v, direction in zip(verts, (step, tuple(-x for x in step))):
+                    self._vertex_edges.setdefault(v, []).append((direction, pieces, face))
+            for edges in self._vertex_edges.values():
+                edges.sort(key=operator.itemgetter(0))
         return list(self._vertex_edges.get(tuple(point), ()))
-
-    def edges_at_vertex_within_ambient_face(self, vertex_face: PartitionFace):
-        """Edges of the restricted partition at a vertex.
-
-        These are the partition edges through the vertex whose smallest
-        containing ambient face agrees with the vertex's own.
-        """
-        tau = vertex_face.ambient_face
-        return [f for f in self.edges_through(vertex_face.vertices[0]) if f.ambient_face == tau]
-
-    def edge_direction(self, edge: PartitionFace, at):
-        if len(edge.vertices) == 2:
-            other = edge.vertices[0] if edge.vertices[1] == at else edge.vertices[1]
-            return primitive(vsub(other, at))
-        return edge.rays[0]
 
     def weight_vector(self, point) -> WeightVector:
         vf = self.face_at(point)
         if vf is None:
             raise PartitionError("point is not a vertex of the partition", witness=tuple(point))
-        p = vf.vertices[0]
-        edges = self.edges_at_vertex_within_ambient_face(vf)
-        l = vf.ambient_face.dim
-        if len(edges) != l + 1:
+        p, tau = vf.vertices[0], vf.ambient_face
+        star = [(d, pieces) for d, pieces, face in self.edges_through(p) if face == tau]
+        if len(star) != tau.dim + 1:
             raise PartitionError("not semi-stable at vertex", witness=p)
-        dirs = sorted(self.edge_direction(e, p) for e in edges)
         try:
-            rel = _positive_relation(dirs, "edge directions")
+            rel = _positive_relation([d for d, _ in star], "edge directions")
         except GeometryError:
             raise PartitionError("not semi-stable at vertex", witness=p) from None
         weights = (rel[0],) + tuple(sorted(rel[1:]))
-        return WeightVector(p, weights, tuple(zip(dirs, rel)))
+        return WeightVector(p, weights, tuple((d, w, ps) for (d, ps), w in zip(star, rel)))
 
     def all_weight_vectors(self):
         if self._weights is None:

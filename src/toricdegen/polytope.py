@@ -8,18 +8,19 @@ Every step is exact, and an integral coordinate or offset is always a plain
 ``int``: a ``Fraction`` appears only for a value that is not an integer, so a
 lattice polytope is one whose vertex coordinates are all ints.  Both
 directions between the descriptions run one integer double description
-kernel (``_dd_extreme_rays``).  Vertices and rays of a halfspace system are
-the extreme rays of the cone over it.  ``intersect`` normalizes only the
-constraints it adds and cuts the region in one pass: from the cone over the
-region, its vertices and rays with their cached facet sets, it runs one
-step of the kernel (``_dd_split``) per new row, an equation being two
-opposite rows; only the whole space, which has no vertex, runs from
-scratch.  ``split`` cuts a region that a hyperplane crosses into both sides
-at once: its one step splits the rays by sign, and the rays it combines on
-the hyperplane belong to both sides.  A run from scratch, a cut and each
-side of a split end in one tail (``_from_tight``): for a full-dimensional
-system it keeps the tightest halfspace per normal whose tight rays are
-maximal, read off the kernel's tight sets.
+kernel (``_dd_extreme_rays``), which starts from the unit lines and takes
+each equation as two opposite rows, in a run from scratch as in a cut.
+Vertices and rays of a halfspace system are the extreme rays of the cone
+over it.  ``intersect`` normalizes only the constraints it adds and cuts
+the region in one pass: from the cone over the region, its vertices and
+rays with their cached facet sets, it runs one step of the kernel
+(``_dd_split``) per new row; only the whole space, which has no vertex,
+runs from scratch.  ``split`` cuts a region that a hyperplane crosses into
+both sides at once: its one step splits the rays by sign, and the rays it
+combines on the hyperplane belong to both sides.  A run from scratch, a cut
+and each side of a split end in one tail (``_from_tight``): for a
+full-dimensional system it keeps the tightest halfspace per normal whose
+tight rays are maximal, read off the kernel's tight sets.
 Facets of a polyhedron given by generators, or of a lower-dimensional
 system, are the extreme rays of the cone of valid homogeneous normals, found
 by one path in every dimension (``_dual_from_generators``): the hull
@@ -97,8 +98,7 @@ from .exactmath import (
     determinant,
     echelon,
     int_vector,
-    kernel_basis,
-    kernel_vector,
+    left_kernel,
     normalize_coord,
     normalize_point,
     primitive,
@@ -106,7 +106,6 @@ from .exactmath import (
     right_kernel,
     solve_linear,
     solve_particular,
-    transpose,
     vadd,
     vdot,
     vsub,
@@ -216,33 +215,30 @@ def _refuse_lineality(halfspaces, equations, rank):
 PAIR_BUDGET = 10**6
 
 
-def _dd_extreme_rays(ineqs, eqs, width):
-    """Double description of ``{z : <a, z> >= 0 for a in ineqs, <e, z> = 0
-    for e in eqs}`` in ``Z^width`` (Motzkin et al. 1953; Fukuda and Prodon
-    1996), from scratch.
+def _dd_extreme_rays(ineqs, width):
+    """Double description of ``{z : <a, z> >= 0 for a in ineqs}`` in
+    ``Z^width`` (Motzkin et al. 1953; Fukuda and Prodon 1996), from scratch.
 
     Returns ``(rays, lines)``: the extreme rays as ``(z, mask)`` pairs, ``z``
     a primitive integer vector and bit ``i`` of ``mask`` set when ``ineqs[i]``
     is tight on ``z``, and a primitive basis of the lineality space.
 
-    The run starts with no rays, and its lines are the kernel basis of the
-    equations.  Each row either turns a line it is not orthogonal to into a
-    ray, tight on every earlier row, and reduces the other lines and the
-    rays onto its hyperplane, or it splits the rays by sign, keeps the
-    positive side and adds the positive combination of each adjacent pair
-    across it (``_dd_split``, the cone's dimension taken less the lines
-    left).  Every step is integer.  A cut of a known pointed polyhedron
-    needs only the split steps, over the cone over it (``_meet``).
+    The run starts with no rays, and its lines are the unit vectors.  An
+    equation enters as two opposite rows.  Each row either turns a line it
+    is not orthogonal to into a ray, tight on every earlier row, and
+    reduces the other lines and the rays onto its hyperplane, or it splits
+    the rays by sign, keeps the positive side and adds the positive
+    combination of each adjacent pair across it (``_dd_split``, the cone's
+    dimension taken less the lines left).  Every step is integer.  A cut of
+    a known pointed polyhedron needs only the split steps, over the cone
+    over it (``_meet``).
 
     The work is bounded by the candidate pairs, ``len(pos) * len(neg)``
     summed over the splits; a split that would take the sum past
     ``PAIR_BUDGET`` is refused before its pairs are tested.  A split adds at
     most one ray per pair, so the sum also bounds the rays the splits add.
     """
-    # with no equation the lines are the unit vectors, and nothing is eliminated
-    lines = kernel_basis(eqs, width) if eqs else [
-        tuple(int(i == j) for j in range(width)) for i in range(width)
-    ]
+    lines = [tuple(int(i == j) for j in range(width)) for i in range(width)]
     rays, dim, pairs = [], len(lines), 0
     for i, a in enumerate(ineqs):
         bit = 1 << i
@@ -320,7 +316,7 @@ def _full_dim_facets(points, rays, rank):
     # generators are scaled to primitive integer vectors: rational points may
     # appear, and positive scaling changes neither hyperplanes nor sides
     homog = [_cone_point(tuple(p)) for p in points] + [tuple(r) + (0,) for r in rays]
-    normals, _ = _dd_extreme_rays(homog, (), rank + 1)
+    normals, _ = _dd_extreme_rays(homog, rank + 1)
     return [(_normalize_halfspace(w[:-1], w[-1]), mask) for w, mask in normals if any(w[:-1])]
 
 
@@ -342,24 +338,30 @@ def _homogeneous_row(constraint):
     return tuple(x * q for x in normal) + (offset.numerator,)
 
 
+def _equation_rows(equations):
+    """Each equation as its two opposite homogeneous rows."""
+    return [r for row in map(_homogeneous_row, equations) for r in (row, tuple(-x for x in row))]
+
+
 def _enumerate_generators(halfspaces, equations, rank):
     """Vertices and extreme rays of a pointed H-representation, sorted, and
     their tight masks in that order, vertices first, from a kernel run from
     scratch.
 
     The polyhedron is the slice ``t = 1`` of the cone over it in
-    ``Z^(rank+1)``: each constraint becomes its homogeneous row, and
-    ``t >= 0`` is added last.  The extreme rays of that cone with ``t > 0``
-    are the vertices, those with ``t = 0`` the recession rays; bit ``i`` of
-    a generator's mask is set when ``halfspaces[i]`` is tight on it.  The
-    kernel refuses a run over ``PAIR_BUDGET`` candidate pairs.  The lines it
-    is left with span the cone's lineality space, ``t = 0`` and every
-    constraint's normal orthogonal: a polyhedron with a lineality space is
-    refused on them, so no separate rank test of the normals runs.  With no
-    constraint at all they span the whole space.
+    ``Z^(rank+1)``: each constraint becomes its homogeneous row, ``t >= 0``
+    is added after the halfspaces, and each equation enters last as two
+    opposite rows, as in a cut (``_meet``).  The extreme rays of that cone
+    with ``t > 0`` are the vertices, those with ``t = 0`` the recession
+    rays; bit ``i`` of a generator's mask is set when row ``i`` is tight on
+    it.  The kernel refuses a run over ``PAIR_BUDGET`` candidate pairs.
+    The lines it is left with span the cone's lineality space, ``t = 0`` and
+    every constraint's normal orthogonal: a polyhedron with a lineality
+    space is refused on them, so no separate rank test of the normals runs.
+    With no constraint at all they span the whole space.
     """
     ineqs = [_homogeneous_row(h) for h in halfspaces] + [(0,) * rank + (1,)]
-    cone, lines = _dd_extreme_rays(ineqs, [_homogeneous_row(e) for e in equations], rank + 1)
+    cone, lines = _dd_extreme_rays(ineqs + _equation_rows(equations), rank + 1)
     if lines:
         if halfspaces or equations:
             raise UnsupportedGeometryError(_LINEALITY)
@@ -646,8 +648,9 @@ class LatticePolytope:
             return cls(rank, (), (), (), (), (), ())
         halfspaces = [halfspaces[i] for i in _tightest(halfspaces)]
         generators = _enumerate_generators(halfspaces, equations, rank)
-        # the last row is the kernel's ``t >= 0``
-        return cls._from_tight([*halfspaces, None], equations, rank, *generators)
+        # then come the kernel's ``t >= 0`` and the equations' rows
+        rows = [*halfspaces, None] + [None] * (2 * len(equations))
+        return cls._from_tight(rows, equations, rank, *generators)
 
     def _meet(self, halfspaces, equations):
         """This polyhedron cut by further constraints in normal form, in one
@@ -664,10 +667,7 @@ class LatticePolytope:
             return LatticePolytope._from_normalized(halfspaces, rank, equations)
         own = self._facet_offsets()
         halfspaces = [None if own.get(h.normal, math.inf) <= h.offset else h for h in halfspaces]
-        new = [h and _homogeneous_row(h) for h in halfspaces]
-        for e in equations:
-            row = _homogeneous_row(e)
-            new += [row, tuple(-x for x in row)]
+        new = [h and _homogeneous_row(h) for h in halfspaces] + _equation_rows(equations)
         cone, pairs = _region_cone(self), 0
         for i, a in enumerate(new, len(self.halfspaces) + 1):
             if a is not None:
@@ -1193,9 +1193,11 @@ def _positive_relation(vectors, what):
     """The primitive relation ``sum_i w_i v_i = 0`` among ``vectors`` with
     every ``w_i > 0``; ``GeometryError`` naming ``what`` when the relations
     do not form a line, or that line holds no positive one."""
-    rel = kernel_vector(transpose(vectors), len(vectors))
-    if rel is None:
+    kernel = left_kernel(vectors)
+    if len(kernel) != 1:
         raise GeometryError(f"{what} must satisfy a single linear relation")
+    # the integer relations form a saturated lattice: its generator is primitive
+    (rel,) = kernel
     if all(x < 0 for x in rel):
         rel = tuple(-x for x in rel)
     if not all(x > 0 for x in rel):

@@ -16,8 +16,9 @@ the 1-face scan for a vertex's neighbours, a cone's facets read off its
 face lattice, the vertex unimodularity test by a determinant of the edge
 directions in the polytope's lattice chart, a vertex chart's coefficients
 by one rational solve in its edge basis, the scan of every partition edge
-for the edges at a vertex, each wall's function with its normal found by
-elimination over the wall's edge directions, the ``Fraction``-field affine
+for the edges at a vertex with their weights by a rational solve, each
+wall's function with its normal found by elimination over the wall's edge
+directions, the ``Fraction``-field affine
 functions with the per-point lifting scale and family (one index lookup
 and one ``divmod`` per lattice point), the exhaustive lattice-equivalence search (every
 vertex of Q, every permutation of its edges) on a full-dimensional model
@@ -55,7 +56,6 @@ from toricdegen.errors import (
 from toricdegen.exactmath import (
     GeometryErrorZero,
     determinant,
-    kernel_vector,
     normalize_point,
     right_kernel,
     solve_linear,
@@ -654,15 +654,57 @@ def edge_expansion(poly, vertex, vector):
     return list(zip(dirs, normalize_point(coeffs)))
 
 
+def edges_through(partition, p):
+    """The partition edges with ``p`` as an endpoint, by a scan of every
+    1-face, as ``(direction, pieces, ambient_face)`` sorted by direction: the
+    primitive direction from ``p``, the pieces having the edge and its
+    smallest ambient face."""
+    out = []
+    for f in partition.faces(1):
+        if p in f.vertices:
+            if f.rays:
+                d = f.rays[0]
+            else:
+                other = f.vertices[0] if f.vertices[1] == p else f.vertices[1]
+                d = rational_primitive(vsub(other, p))[0]
+            out.append((d, f.pieces, f.ambient_face))
+    return sorted(out, key=lambda e: e[0])
+
+
 def edges_at_vertex_within_ambient_face(partition, vertex_face):
-    """The partition edges through a vertex whose smallest ambient face is
-    the vertex's own, by a scan of every edge."""
-    p = vertex_face.vertices[0]
-    return [
-        f
-        for f in partition.faces(1)
-        if p in f.vertices and f.ambient_face == vertex_face.ambient_face
-    ]
+    """The star at a partition vertex: the edges through it whose smallest
+    ambient face is the vertex's own, by the scan of every edge, as
+    ``(direction, weight, pieces)`` sorted by direction, the weights the
+    positive primitive relation among the directions (``positive_relation``);
+    None unless there are ``k + 1`` edges in the vertex's ``k``-dimensional
+    ambient face and they carry such a relation."""
+    p, tau = vertex_face.vertices[0], vertex_face.ambient_face
+    edges = [(d, pieces) for d, pieces, face in edges_through(partition, p) if face == tau]
+    if len(edges) != tau.dim + 1:
+        return None
+    weights = positive_relation([d for d, _ in edges])
+    if isinstance(weights, str):
+        return None
+    return tuple((d, weight, pieces) for (d, pieces), weight in zip(edges, weights))
+
+
+def positive_relation(vectors):
+    """The primitive relation ``sum_i w_i v_i = 0`` with every ``w_i > 0``,
+    by the rational rank and one rational solve of the other vectors against
+    the first one the relation needs, its weight 1; else the reason, as the
+    end of the package's message."""
+    if len(vectors) - rank_fraction(vectors) != 1:
+        return "must satisfy a single linear relation"
+    for j, v in enumerate(vectors):
+        rest = vectors[:j] + vectors[j + 1 :]
+        rows = [[u[i] for u in rest] for i in range(len(v))]
+        status, w = solve_linear(rows, [-x for x in v])
+        if status == "unique":
+            rel, _ = rational_primitive((*w[:j], 1, *w[j:]))
+            break
+    if any(x <= 0 for x in rel):
+        return "must satisfy a single positive relation"
+    return rel
 
 
 def wall_functions(partition, anchors):
@@ -671,7 +713,8 @@ def wall_functions(partition, anchors):
     ``i < j``: ``u`` the one primitive kernel vector of the wall's edge
     directions, ``c = <u, v>`` at a wall vertex ``v``, ``e`` the partition
     edge at the anchor ``anchors[{i, j}]`` that piece ``i`` misses, and ``w``
-    its weight there, 1 at a vertex of the base polytope."""
+    its weight there, 1 at a vertex of the base polytope, where every edge
+    through it counts."""
     rank = partition.ambient.ambient_rank
     out = {}
     for wall in partition.walls():
@@ -679,18 +722,16 @@ def wall_functions(partition, anchors):
         p = anchors[wall.pieces]
         base = wall.vertices[0]
         dirs = [vsub(v, base) for v in wall.vertices[1:]] + list(wall.rays)
-        u = kernel_vector([rational_primitive(d)[0] for d in dirs if any(d)], rank)
-        if u is None:
+        kernel = right_kernel([rational_primitive(d)[0] for d in dirs if any(d)] or [(0,) * rank])
+        if len(kernel) != 1:
             raise LiftingError("wall is not a hyperplane piece", witness=wall.key)
+        (u,) = kernel
         vf = partition.face_at(p)
-        edges = (
-            partition.edges_through(p)
-            if vf is None
-            else edges_at_vertex_within_ambient_face(partition, vf)
-        )
-        (missed,) = [e for e in edges if i not in e.pieces]
-        e = partition.edge_direction(missed, p)
-        w = 1 if vf is None else dict(partition.all_weight_vectors()[p].by_edge)[e]
+        if vf is None:
+            star = [(d, 1, pieces) for d, pieces, _ in edges_through(partition, p)]
+        else:
+            star = edges_at_vertex_within_ambient_face(partition, vf)
+        ((e, w),) = [(d, w) for d, w, pieces in star if i not in pieces]
         scale = Fraction(1, w * vdot(e, u))
         out[(i, j)] = (tuple(x * scale for x in u), -vdot(base, u) * scale)
     return out

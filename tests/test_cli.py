@@ -712,11 +712,12 @@ class TestFaceObjectsOnDemand:
         assert (built[0].dim, len(built[0].pieces)) == (0, 4)
 
     @pytest.mark.parametrize("spec", [STAIRCASE3, CHAIN4], ids=["staircase-3", "chain-4"])
-    def test_accepted_verify_builds_no_face_above_dimension_one(self, tmp_path, capsys, spec):
+    def test_accepted_verify_builds_only_vertex_faces(self, tmp_path, capsys, spec):
+        # the stars are read off the face table's edge records
         with _counted_partition_faces() as built:
             code, out, records = run(capsys, ["verify", write_spec(tmp_path, spec)])
         assert code == 0
-        assert built and {f.dim for f in built} <= {0, 1}
+        assert built and {f.dim for f in built} == {0}
 
     def test_lift_reads_the_face_index_only_for_a_witness(self, tmp_path, capsys):
         reads = []
@@ -986,20 +987,25 @@ class TestScalingInvariance:
         assert code == 0
         assert run(capsys, [argv[0], write_spec(tmp_path, multiple), *argv[1:]])[:2] == (code, out)
 
-    def test_cut_off_the_lattice_is_refused_as_by_the_plain_lift(self, tmp_path, capsys):
-        # 2x = 3 is x = 3/2, not x = 3
-        path = write_spec(tmp_path, _cut_job(SEGMENT4, [([2], 3)]))
+    @pytest.mark.parametrize(
+        "offsets, witness",
+        [((3,), ["3/2", 0]), ((2, 3), ["3/2", "1/2", 0])],
+        ids=["2x=3", "2x=2,3"],
+    )
+    def test_cut_off_the_lattice_is_refused_as_by_the_plain_lift(
+        self, tmp_path, capsys, offsets, witness
+    ):
+        # 2x = 3 is x = 3/2, not x = 3: both lifts meet a vertex off the lattice
+        path = write_spec(tmp_path, _cut_job(SEGMENT4, [([2], c) for c in offsets]))
         code, _, records = run(capsys, ["lift", path])
         assert code == 1 and records[-1]["message"] == "lifted polytope is not integral"
-        code, _, records = run(capsys, ["lift", path, "--multi-base"])
-        assert code == 1 and records == [
-            {
-                "record": "error",
-                "code": "GeometryError",
-                "message": "integral entries expected, got (3/2)",
-                "witness": None,
-            }
-        ]
+        code, out, _ = run(capsys, ["lift", path, "--multi-base"])
+        assert code == 1 and json.loads(out) == {
+            "record": "error",
+            "code": "LiftingError",
+            "message": "lifted polytope is not integral",
+            "witness": witness,
+        }
 
 
 class TestMultiBaseCuts:

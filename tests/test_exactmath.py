@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricdegen.exactmath import (
@@ -13,8 +13,6 @@ from toricdegen.exactmath import (
     determinant,
     determinant_fraction,
     echelon,
-    kernel_basis,
-    kernel_vector,
     left_kernel,
     primitive,
     rank_fraction,
@@ -26,6 +24,7 @@ from toricdegen.exactmath import (
     vsub,
 )
 from toricdegen.errors import GeometryError
+from toricdegen.polytope import _positive_relation, complete_fan_from_rays
 
 import oracles
 
@@ -106,15 +105,14 @@ class TestKernels:
             assert all(x == 0 for x in image)
 
     @given(rect_matrices())
-    def test_kernel_basis_spans_the_right_kernel(self, rows):
-        n = len(rows[0])
-        basis = kernel_basis(rows, n)
-        assert len(basis) == len(right_kernel(rows)) == n - rank_fraction(rows)
+    def test_left_kernel_is_a_lattice_basis_of_the_relations(self, rows):
+        # one vector per rational relation, spanning every integer one: the
+        # relations form a saturated lattice, so a line has a primitive generator
+        basis = left_kernel(rows)
+        assert len(basis) == len(rows) - oracles.rank_fraction(rows)
+        assert oracles.is_lattice_basis(basis, len(basis))
         for v in basis:
             assert v == primitive(v)
-            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
-        if basis:
-            assert rank_fraction(basis) == len(basis)
 
     def test_right_kernel(self):
         kernel = right_kernel([(1, 1, 1)])
@@ -426,36 +424,46 @@ class TestAffineFunctionAgainstOracle:
             assert f.scale(c).scale(1 / Fraction(c)) == f
 
 
-class TestKernelVector:
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=n),
-                st.integers(0, 2),
-                st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=3),
-            )
-        )
-    )
-    @settings(max_examples=300, deadline=None)
-    @example((1, [[0]], 0, []))
-    @example((3, [[1, 2, 3], [2, 4, 6]], 0, []))
-    def test_matches_right_kernel(self, case):
-        # rows of rank at most n - corank: a basis of that many rows and
-        # integer combinations of it, so coranks 0, 1 and 2 all occur
-        n, basis, corank, mix = case
-        basis = basis[: max(n - corank, 1)]
-        rows = basis + [
-            tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n))
-            for coeffs in mix
-        ]
-        kernel = right_kernel(rows)
-        got = kernel_vector(rows, n)
-        if len(kernel) == 1:
-            assert got in (primitive(kernel[0]), tuple(-x for x in primitive(kernel[0])))
-        else:
-            assert got is None
+@st.composite
+def ray_sets(draw):
+    """``n + 1`` nonzero integer vectors in rank ``n`` = 1..3, in any order:
+    some drawn freely, the rest integer combinations of those, so the
+    relations among them form a line, a plane or more."""
+    n = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    free = draw(st.lists(vector, min_size=1, max_size=n + 1))
+    rays = list(free)
+    while len(rays) < n + 1:
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(free), max_size=len(free)))
+        combo = tuple(sum(c * v[i] for c, v in zip(coeffs, free)) for i in range(n))
+        assume(any(combo))
+        rays.append(combo)
+    return draw(st.permutations(rays))
 
-    def test_no_rows(self):
-        assert kernel_vector([], 1) == (1,)
-        assert kernel_vector([], 2) is None
+
+class TestPositiveRelation:
+    """The relation read off ``left_kernel``, through ``complete_fan_from_rays``
+    and on its own, against the rational rank and solve of
+    ``oracles.positive_relation``, with both refusals."""
+
+    @given(ray_sets())
+    @settings(max_examples=300, deadline=None)
+    @example([(1,), (-2,)])
+    @example([(1, 0), (0, 1), (-1, -1)])
+    @example([(1, 0), (0, 1), (1, 1)])  # a line with mixed signs
+    @example([(1, 0), (2, 0), (-1, 0)])  # a plane of relations
+    @example([(1, 0), (0, 1), (0, -1)])  # a line with a zero weight
+    def test_matches_the_rational_relation(self, rays):
+        rays = [primitive(r) for r in rays]
+        expected = oracles.positive_relation(rays)
+        if isinstance(expected, str):
+            with pytest.raises(GeometryError, match=f"^rays {expected}$"):
+                complete_fan_from_rays(rays)
+        else:
+            assert _positive_relation(rays, "rays") == expected
+            assert complete_fan_from_rays(rays).rays == tuple(rays)
+
+    def test_width_zero(self):
+        assert _positive_relation([()], "points") == (1,)
+        with pytest.raises(GeometryError, match="single linear relation"):
+            _positive_relation([(), ()], "points")

@@ -14,6 +14,7 @@ from toricdegen import (
     PiecewiseAffine,
     build_partition,
     check_cocycle,
+    complete_fan_from_rays,
     concavity,
     concavity_profile,
     extend_support_function,
@@ -25,6 +26,7 @@ from toricdegen import (
     minimal_integral_lifting,
     normal_fan,
     partition_by_hyperplanes,
+    partition_from_fan,
     wall_functions,
     SupportFunction,
 )
@@ -332,6 +334,10 @@ class TestWallFunctionsAgainstElimination:
     @example(partition_by_hyperplanes(_SQUARE, [((1, -1), 0)]))  # anchored at base vertices
     @example(partition_by_hyperplanes(_SQUARE, [((2, 2), 2), ((0, 3), 3)]))
     @example(partition_by_hyperplanes(QUADRANT, [((1, -1), 0), ((1, 1), 3)]))
+    @example(partition_from_fan(  # anchored where the star's weights are (1, 2, 1)
+        LatticePolytope.from_vertices([(-2, -2), (2, -2), (-2, 2), (2, 2)]),
+        complete_fan_from_rays([(-1, -1), (0, 1), (1, -1)]),
+    ))
     def test_hyperplane_partitions(self, part):
         if part is None:
             event("no partition")
@@ -920,15 +926,10 @@ class TestCochainNormalization:
             alpha = wall_functions(part)
             for (i, j) in alpha.pairs():
                 p = alpha.base_vertices[frozenset((i, j))]
-                vf = part.face_at(p)
-                missed = [
-                    e
-                    for e in part.edges_at_vertex_within_ambient_face(vf)
-                    if i not in e.pieces
-                ]
+                star = oracles.edges_at_vertex_within_ambient_face(part, part.face_at(p))
+                missed = [(d, w) for d, w, pieces in star if i not in pieces]
                 assert len(missed) == 1, name
-                direction = part.edge_direction(missed[0], p)
-                weight = dict(part.weight_vector(p).by_edge)[direction]
+                ((direction, weight),) = missed
                 step = tuple(a + weight * d for a, d in zip(p, direction))
                 assert alpha[(i, j)](step) == 1, name
 

@@ -305,32 +305,35 @@ class TestStructuralProperties:
             assert len(edges) == n + 1, (name, vf.vertices)
 
     @pytest.mark.parametrize("name,part", accepted_partitions())
-    def test_vertex_edge_index_matches_the_edge_scan(self, name, part):
-        for vf in part.faces(0):
-            got = part.edges_at_vertex_within_ambient_face(vf)
-            assert got == oracles.edges_at_vertex_within_ambient_face(part, vf), (name, vf.vertices)
-        for p in [vf.vertices[0] for vf in part.faces(0)] + list(part.ambient.vertices):
-            assert part.edges_through(p) == [f for f in part.faces(1) if p in f.vertices], (name, p)
+    def test_star_and_edge_index_match_the_edge_scan(self, name, part):
+        _assert_star_matches_oracle(part)
         for piece in part.pieces:
             assert piece.is_simplicial() and oracles.is_simplicial(piece), name
 
     @pytest.mark.parametrize("name,part", accepted_partitions())
     def test_edge_sum_vanishes_at_nonsingular_vertices(self, name, part):
         flags = part.classify()
-        for vf in part.faces(0):
-            p = vf.vertices[0]
-            if not flags["vertex_nonsingular"][p]:
-                continue
-            total = tuple(
-                sum(d)
-                for d in zip(
-                    *[
-                        part.edge_direction(e, p)
-                        for e in part.edges_at_vertex_within_ambient_face(vf)
-                    ]
-                )
-            )
-            assert all(x == 0 for x in total), (name, p)
+        for p, w in part.all_weight_vectors().items():
+            if flags["vertex_nonsingular"][p]:
+                total = [sum(column) for column in zip(*(d for d, _, _ in w.edges))]
+                assert not any(total), (name, p)
+
+
+def _assert_star_matches_oracle(part):
+    """Each vertex's star (``WeightVector.edges``) and every endpoint's edges
+    (``edges_through``), at partition vertices and base vertices, against
+    the scan of every partition edge; a vertex the oracle finds no positive
+    relation at is refused."""
+    for vf in part.faces(0):
+        p = vf.vertices[0]
+        expected = oracles.edges_at_vertex_within_ambient_face(part, vf)
+        if expected is None:
+            with pytest.raises(PartitionError, match="not semi-stable at vertex"):
+                part.weight_vector(p)
+        else:
+            assert part.weight_vector(p).edges == expected, p
+    for p in [vf.vertices[0] for vf in part.faces(0)] + list(part.ambient.vertices):
+        assert part.edges_through(p) == oracles.edges_through(part, p), p
 
 
 def restrict(partition, face):
@@ -1319,6 +1322,41 @@ class TestFaceTableAgainstOracle:
         part = partition_by_hyperplanes(ambient, cuts)
         assert part.semistable_witness() is not None
         _assert_faces_match_oracle(part)
+
+
+class TestStarAgainstEdgeScan:
+    """The star at every vertex and the edge index, read off the face
+    table's edge records, against the scan of every partition edge on cut
+    partitions: edges ending in a ray, vertices on the boundary, embedded
+    ambients and partitions refused at a vertex."""
+
+    @given(cut_problems())
+    @settings(max_examples=100, deadline=None)
+    @example((LatticePolytope.from_halfspaces([((1, 0), 0), ((0, 1), 0)], 2), [((1, -1), 0), ((1, 1), 3)]))
+    @example((LatticePolytope.from_halfspaces([], 2), [((1, 0), 0), ((0, 1), 1)]))
+    @example((LatticePolytope.from_vertices([(0, 0, 1), (4, 0, 1), (0, 4, 1)]), [((1, 0, 0), 1), ((1, 0, 0), 2)]))
+    @example((LatticePolytope.from_vertices([(0, 0), (4, 0), (4, 3), (0, 3)]), [((1, 0), 2), ((0, 1), 1)]))
+    def test_cut_partitions(self, problem):
+        ambient, cuts = problem
+        try:
+            part = partition_by_hyperplanes(ambient, cuts)
+        except GeometryError:
+            assume(False)
+        _assert_star_matches_oracle(part)
+
+    @given(fan_problems())
+    @settings(max_examples=60, deadline=None)
+    @example((  # weights (1, 2, 1) at the origin: the star keeps each edge's own
+        LatticePolytope.from_vertices(list(itertools.product((-2, 2), repeat=2))),
+        complete_fan_from_rays([(-1, -1), (0, 1), (1, -1)]),
+    ))
+    def test_fan_partitions(self, problem):
+        ambient, fan = problem
+        try:
+            part = partition_from_fan(ambient, fan)
+        except GeometryError:
+            assume(False)
+        _assert_star_matches_oracle(part)
 
 
 class TestFaceClosureAgainstOracle:

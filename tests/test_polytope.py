@@ -237,6 +237,37 @@ class TestEnumerateGeneratorsAgainstOracle:
         assert got == expected and repr(got) == repr(expected)
 
 
+    @given(h_systems())
+    @settings(max_examples=150, deadline=None)
+    @example((
+        [_normalize_halfspace((1, 0, 0), 0), _normalize_halfspace((-1, 0, 0), 3)] * 2,
+        [_normalize_equation((0, 1, 0), Fraction(-1, 3)), _normalize_equation((0, 0, 2), 1)],
+        3,
+    ))
+    def test_from_halfspaces_with_equations_matches_the_oracle(self, system):
+        halfspaces, equations, rank = system
+        assume(equations)
+        try:
+            vertices, rays = oracles.enumerate_generators(halfspaces, equations, rank)
+        except UnsupportedGeometryError:
+            assume(False)
+        if not vertices:
+            with pytest.raises(EmptyPolyhedronError):
+                LatticePolytope.from_halfspaces(halfspaces, rank, equations)
+            return
+        p = LatticePolytope.from_halfspaces(halfspaces, rank, equations)
+        assert (list(p.vertices), list(p.rays)) == (vertices, rays)
+        assert (p.halfspaces, p.equations) == oracles.dual_from_generators(vertices, rays, rank)[:2]
+
+    def test_equations_enter_as_two_opposite_rows_after_t(self, kernel_runs):
+        LatticePolytope.from_halfspaces(
+            [((1, 0, 0), 0), ((0, 1, 0), 0), ((-1, -1, 0), 2)], 3, [((0, 0, 2), -2)]
+        )
+        rows, width = kernel_runs[0]
+        assert width == 4
+        assert rows[3:] == [(0, 0, 0, 1), (0, 0, 1, -1), (0, 0, -1, 1)]
+
+
 def _transformed(halfspaces, matrix, shift):
     """The halfspaces in the coordinates ``y`` with ``x = matrix y + shift``."""
     out = []
@@ -397,10 +428,15 @@ def cluttered_generator_sets(draw):
 
 @pytest.fixture
 def kernel_runs(monkeypatch):
-    """The argument tuples of every ``_dd_extreme_rays`` run from here on."""
+    """The ``(rows, width)`` of every ``_dd_extreme_rays`` run from here on."""
     runs = []
     kernel = polytope_module._dd_extreme_rays
-    monkeypatch.setattr(polytope_module, "_dd_extreme_rays", lambda *a: runs.append(a) or kernel(*a))
+
+    def spy(ineqs, width):
+        runs.append((list(ineqs), width))
+        return kernel(ineqs, width)
+
+    monkeypatch.setattr(polytope_module, "_dd_extreme_rays", spy)
     return runs
 
 
@@ -774,13 +810,20 @@ class TestHullKeepsItsFacetSets:
         ],
     )
     def test_points_run_no_lineality_test_and_no_elimination(self, points):
+        # the only kernels are the two of a lower-dimensional hull's chart
+        # (its equations and their kernel), none in the double description
         expected = oracles.from_generators(points, [])
         refused = AssertionError("called for a hull of points")
+        kernels = []
+        right_kernel = polytope_module.right_kernel
         with mock.patch.object(
             polytope_module, "_refuse_lineality", side_effect=refused
-        ), mock.patch.object(polytope_module, "kernel_basis", side_effect=refused):
+        ), mock.patch.object(polytope_module, "left_kernel", side_effect=refused), mock.patch.object(
+            polytope_module, "right_kernel", side_effect=lambda rows: kernels.append(rows) or right_kernel(rows)
+        ):
             p = LatticePolytope.from_vertices(points)
         assert (list(p.vertices), list(p.rays)) == expected
+        assert len(kernels) == (0 if p.dim == p.ambient_rank else 2)
         _assert_faces_match_oracle(p)
 
     @pytest.mark.parametrize(
@@ -796,7 +839,7 @@ class TestHullKeepsItsFacetSets:
         with mock.patch.object(
             polytope_module, "_refuse_lineality", side_effect=lambda *a: calls.append(a) or refuse(*a)
         ), mock.patch.object(
-            polytope_module, "kernel_basis", side_effect=AssertionError("elimination")
+            polytope_module, "left_kernel", side_effect=AssertionError("elimination")
         ), pytest.raises(UnsupportedGeometryError, match="nontrivial lineality space"):
             LatticePolytope.from_generators(points, rays)
         assert len(calls) == 1
@@ -2049,7 +2092,8 @@ class TestSeededIntersection:
 
     def test_whole_space_cut_runs_from_scratch(self, kernel_runs):
         LatticePolytope.from_halfspaces([], 2).intersect([((1, 0), 0), ((0, 1), 0)])
-        assert len(kernel_runs) == 1 and len(kernel_runs[0]) == 3
+        # the tightest halfspace per normal, in normal order, then t >= 0
+        assert kernel_runs == [([(0, 1, 0), (1, 0, 0), (0, 0, 1)], 3)]
 
     def test_seeded_run_past_the_budget_is_refused_with_the_count(self, kernel_runs):
         # the rank-11 unit cube cut by sum(x) <= 11/2 splits its 2048
