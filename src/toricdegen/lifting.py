@@ -98,12 +98,13 @@ def _wall_function_at(partition, p, i, j):
         for n, o in partition.pieces[i]._facet_offsets().items()
         if theirs.get(tuple(-x for x in n)) == -o
     )
-    # the unique partition edge at p missed by piece i; it points into piece j
+    # the unique partition edge at p that piece i misses and piece j has; at
+    # a base vertex shared by more pieces, i misses the others' edges too
     if partition.face_at(p) is None:  # a vertex of the base polytope: unit weight
         star = [(d, 1, pieces) for d, pieces, _ in partition.edges_through(p)]
     else:
         star = partition.all_weight_vectors()[p].edges
-    missed = [(d, w) for d, w, pieces in star if i not in pieces]
+    missed = [(d, w) for d, w, pieces in star if i not in pieces and j in pieces]
     if len(missed) != 1:
         raise LiftingError("wall normalization edge is not unique", witness=p)
     ((direction, weight),) = missed
@@ -379,8 +380,10 @@ def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=No
     which proves that every partition face has exactly one lift and every
     face projects onto a face of the base polytope or of the partition), and
     nonsingularity whenever the input data promises it.  Only when a graph
-    facet fails is the lifted face lattice walked, for the failing face and
-    its witness.
+    facet fails is the lifted face lattice walked, once, for a partition
+    face without exactly one lift (``_verify_lifts``, whose docstring proves
+    that no other face can then be at fault); the base's face lattice is
+    never walked.
     """
     func = lifting.function
     base = partition.ambient
@@ -431,7 +434,6 @@ def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=No
     bad = _graph_facet_mismatch(partition, lifted, piece_facets)
     if bad is not None:
         _verify_lifts(partition, lifted, piece_facets)
-        _verify_projections(partition, lifted, piece_facets)
         raise LiftingError("graph facet does not project onto its piece", witness=bad)
 
     singular = lifted.singular_vertices()
@@ -469,21 +471,12 @@ def _graph_facet_mismatch(partition, lifted, piece_facets):
     The generators on piece ``i``'s graph facet are read off its incidence
     mask; dropping the last coordinate must give exactly the piece's
     vertices and, compared raw as the face keys are, its rays.  This implies
-    what ``_verify_lifts`` and ``_verify_projections`` check:
-
-    - The facet lies in the hyperplane ``y = f_i(x)``, and projection is
-      injective there, so the facet is the graph of ``f_i`` over piece
-      ``i``.  The lifted polytope lies above every ``f_j``, so
-      ``F = max f_j`` and ``F`` is convex.
-    - Every graph face is a face of some graph facet, so it projects onto a
-      face of a piece: a partition face, or an ambient vertex, which is a
-      base face.  Projection is injective on the lower boundary, so every
-      partition face has exactly one lift.
-    - A face tight on no piece row is cut out by base rows, plus possibly
-      the cap row.  Its shadow is the base face of those rows, because the
-      cap lies on or above ``F``: ``F`` is convex, and every base vertex is a
-      piece vertex whose lift, a vertex of the lifted polytope, survived the
-      check.
+    what ``_verify_lifts`` checks: the facet lies in the hyperplane
+    ``y = f_i(x)``, projection is injective there, and the lifted polytope
+    lies above every ``f_j``, so ``F = max f_j`` is convex and the facet is
+    its graph over piece ``i``.  Every graph face is a face of some graph
+    facet, and projection is injective on the lower boundary, so every
+    partition face has exactly one lift.
 
     The walk does not imply this check: it accepts per-piece functions
     permuted among the pieces, which this check rejects.
@@ -499,10 +492,26 @@ def _graph_facet_mismatch(partition, lifted, piece_facets):
 
 
 def _verify_lifts(partition, lifted, piece_facets):
-    """Each partition face must appear exactly once among the graph faces.
+    """Each partition face must appear exactly once among the graph faces,
+    the faces tight on a piece row; returns the lift of each face key.
 
     This walks the lifted face lattice: ``lift_polytope`` runs it only when
-    ``_graph_facet_mismatch`` fails, for its error record and witness."""
+    ``_graph_facet_mismatch`` fails, for its error record and witness.  Once
+    it passes, every face of the lifted polytope projects onto a face of the
+    base or of the partition, so nothing else is left to check:
+
+    - Each piece is the shadow of one graph face, on which ``y`` is some
+      ``f_k(x)``, so ``y = F(x) = max f_j(x)`` there, and ``y`` lies at or
+      below the cap.  The pieces cover the base (``build_partition``
+      certifies it), so the cap lies on or above ``F`` everywhere.
+    - A face tight on no piece row is then the part of the lifted polytope
+      over a base face ``G``, maybe also cut by the cap row; either way its
+      shadow is ``G``.
+    - A graph face lies on the lower boundary, whose faces project onto the
+      faces of the subdivision ``F`` induces; its top cells are the pieces,
+      each the shadow of a face.  So the shadow is a partition face, matched
+      by key here, or a vertex of the base polytope, which is a base face.
+    """
     piece_idx = frozenset(piece_facets.values())
     found = {}
     for face in lifted.faces():
@@ -510,10 +519,9 @@ def _verify_lifts(partition, lifted, piece_facets):
             continue
         verts = tuple(sorted(v[:-1] for v in face.vertices))
         rays = tuple(sorted(r[:-1] for r in face.rays if any(r[:-1])))
-        key = (verts, rays)
-        found.setdefault(key, []).append(face)
+        found.setdefault((verts, rays), []).append(face)
     lift_map = {}
-    for key, gface in partition.face_index.items():
+    for key in partition.face_index:
         faces = found.get(key, [])
         if len(faces) != 1:
             raise LiftingError(
@@ -521,44 +529,7 @@ def _verify_lifts(partition, lifted, piece_facets):
                 witness=(key, len(faces)),
             )
         lift_map[key] = faces[0]
-    # graph faces over vertices of the base polytope project to base faces,
-    # which the face convention excludes from the partition
-    base = partition.ambient
-    base_keys = {f.key for f in base.faces()}
-    for key in set(found) - set(partition.face_index):
-        if key not in base_keys:
-            raise LiftingError("graph face projects outside the partition", witness=key)
     return lift_map
-
-
-def _shadow_is_base_face(base, face):
-    """Whether the vertical shadow conv(pts) + cone(rays) of a lifted face is
-    a face of ``base``: exactly when the smallest base face containing it has
-    all its vertices among ``pts`` and all its rays among ``rays``."""
-    pts = {v[:-1] for v in face.vertices}
-    rays = {primitive(r[:-1]) for r in face.rays if any(r[:-1])}
-    try:
-        hull = base.smallest_face_containing(pts, rays)
-    except GeometryError:
-        return False
-    return set(hull.vertices) <= pts and set(hull.rays) <= rays
-
-
-def _verify_projections(partition, lifted, piece_facets):
-    """Every face of the lifted polytope projects onto a base or partition
-    face; like ``_verify_lifts``, a witness path of ``lift_polytope``."""
-    base = partition.ambient
-    if base.is_whole_space:
-        return
-    piece_idx = frozenset(piece_facets.values())
-    for face in lifted.faces():
-        if face.tight & piece_idx:
-            continue  # graph faces were matched against partition faces already
-        if not _shadow_is_base_face(base, face):
-            raise LiftingError(
-                "face projects onto neither a base face nor a partition face",
-                witness=face.key,
-            )
 
 
 # -- iterated lifting over several parallel hyperplanes -------------------------
@@ -619,19 +590,12 @@ def iterated_lift(base: LatticePolytope, normal, offsets) -> MultiLifting:
     if current != oneshot:
         raise LiftingError("iterated lift disagrees with the one-shot construction")
 
+    # the pieces come in slab order along the normal: slab k lies above cuts 0..k-1
     partition = partition_by_hyperplanes(base, [(normal, c) for c in offsets])
-    components = []
-    for piece in partition.pieces:
-        x = piece.relative_interior_point()
-        level = vdot(normal, x)
-        fns = []
-        for c in offsets:
-            if level > c:
-                fns.append(AffineFunction.make(normal, -c))
-            else:
-                fns.append(AffineFunction.zero(n))
-        components.append(tuple(fns))
-    return MultiLifting(oneshot, partition, tuple(components), tuple(lifts))
+    zero = AffineFunction.zero(n)
+    above = [AffineFunction.make(normal, -c) for c in offsets]
+    components = tuple(tuple(above[:k]) + (zero,) * (l - k) for k in range(l + 1))
+    return MultiLifting(oneshot, partition, components, tuple(lifts))
 
 
 # -- extending a support function over a single-cut compact lift -----------------

@@ -1356,15 +1356,10 @@ def lattice_equivalences(p: LatticePolytope, q: LatticePolytope):
     p_sorted = edge_vectors(p, p_verts, p_keys, a0)
     p_far = [k for k, _ in p_sorted]
     p_edges = [e for _, e in p_sorted]
-    # a spanning subset of edge vectors determines the linear part
-    span_idx = []
-    rows = []
-    for i, e in enumerate(p_edges):
-        if rank_fraction(rows + [e]) > len(span_idx):
-            span_idx.append(i)
-            rows.append(e)
-        if len(span_idx) == d:
-            break
+    # a spanning subset of edge vectors determines the linear part: the
+    # pivot columns of the edge vectors as columns, the first that span
+    _, span_idx, _ = echelon(list(zip(*p_edges)), len(p_edges))
+    rows = [p_edges[i] for i in span_idx]
     # [E^T | I] reduces to [det * I | det * (E^T)^-1]
     m = [col + tuple(int(r == c) for c in range(d)) for r, col in enumerate(zip(*rows))]
     _, _, det = echelon(m, d)

@@ -109,6 +109,18 @@ def triptych():
 
 
 @lru_cache(maxsize=None)
+def pentagon_corner_fan():
+    """The pentagon (0,0), (2,0), (3,2), (1,3), (-1,1) cut into the fan of
+    triangles from its corner (0,0): every wall runs corner to corner and is
+    anchored at (0,0), a vertex of all three pieces."""
+    corners = [(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)]
+    fan = [[corners[0], corners[k], corners[k + 1]] for k in range(1, 4)]
+    return build_partition(
+        LatticePolytope.from_vertices(corners), [LatticePolytope.from_vertices(t) for t in fan]
+    )
+
+
+@lru_cache(maxsize=None)
 def octagon_partition():
     """The nonsingular octagon cut at x = 2; not a blow-up composition."""
     octagon = LatticePolytope.from_vertices(

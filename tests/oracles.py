@@ -24,9 +24,10 @@ and one ``divmod`` per lattice point), the exhaustive lattice-equivalence search
 vertex of Q, every permutation of its edges) on a full-dimensional model
 polytope (a second double description for a lower-dimensional one) with its
 edges from the 1-faces and one rational solve per row of every candidate
-map, the ``encode_value`` walk over every report record, and the facets of a
+map, the ``encode_value`` walk over every report record, the facets of a
 lower-dimensional hull found in a saturated chart, one solve per generator
-and per facet.
+and per facet, and the full walk of a lifted face lattice with every check
+the graph facet certificate of ``lift_polytope`` proves (``lift_walk``).
 Tests compare the fast paths against them; nothing in the package imports
 this module.  It also holds the degeneration invariants that only tests
 check: unimodular chart transitions, and the base fan inside the lifted
@@ -568,6 +569,67 @@ def graph_faces(lifted):
     return [f for f in lifted.polytope.faces() if f.tight & piece_idx]
 
 
+def lift_walk(partition, lifted, piece_facets):
+    """The full walk of the lifted face lattice that the graph facet
+    certificate replaced: each partition face has exactly one lift among the
+    faces tight on a piece row, no such face projects outside the partition
+    or onto anything but a base face (checked against every face of the
+    base), and every other face projects onto a base face
+    (``verify_projections``).  Returns the lift of each face key."""
+    piece_idx = frozenset(piece_facets.values())
+    found = {}
+    for face in lifted.faces():
+        if not (face.tight & piece_idx):
+            continue
+        verts = tuple(sorted(v[:-1] for v in face.vertices))
+        rays = tuple(sorted(r[:-1] for r in face.rays if any(r[:-1])))
+        found.setdefault((verts, rays), []).append(face)
+    lift_map = {}
+    for key in partition.face_index:
+        faces = found.get(key, [])
+        if len(faces) != 1:
+            raise LiftingError("partition face does not have exactly one lift", witness=(key, len(faces)))
+        lift_map[key] = faces[0]
+    # graph faces over vertices of the base polytope project to base faces,
+    # which the face convention excludes from the partition
+    base_keys = {f.key for f in partition.ambient.faces()}
+    for key in set(found) - set(partition.face_index):
+        if key not in base_keys:
+            raise LiftingError("graph face projects outside the partition", witness=key)
+    verify_projections(partition, lifted, piece_facets)
+    return lift_map
+
+
+def shadow_is_base_face(base, face):
+    """Whether the vertical shadow conv(pts) + cone(rays) of a lifted face is
+    a face of ``base``: exactly when the smallest base face containing it has
+    all its vertices among ``pts`` and all its rays among ``rays``."""
+    pts = {v[:-1] for v in face.vertices}
+    rays = {primitive(r[:-1]) for r in face.rays if any(r[:-1])}
+    try:
+        hull = base.smallest_face_containing(pts, rays)
+    except GeometryError:
+        return False
+    return set(hull.vertices) <= pts and set(hull.rays) <= rays
+
+
+def verify_projections(partition, lifted, piece_facets):
+    """Every face of the lifted polytope tight on no piece row projects onto
+    a base face."""
+    base = partition.ambient
+    if base.is_whole_space:
+        return
+    piece_idx = frozenset(piece_facets.values())
+    for face in lifted.faces():
+        if face.tight & piece_idx:
+            continue  # graph faces were matched against partition faces already
+        if not shadow_is_base_face(base, face):
+            raise LiftingError(
+                "face projects onto neither a base face nor a partition face",
+                witness=face.key,
+            )
+
+
 def cone_facets(fan, cone):
     """Ray-index sets of a cone's facets, read off the face lattice of its
     polyhedron."""
@@ -712,9 +774,9 @@ def wall_functions(partition, anchors):
     ``(linear, constant)`` over ``Fraction`` keyed by its pieces ``(i, j)``,
     ``i < j``: ``u`` the one primitive kernel vector of the wall's edge
     directions, ``c = <u, v>`` at a wall vertex ``v``, ``e`` the partition
-    edge at the anchor ``anchors[{i, j}]`` that piece ``i`` misses, and ``w``
-    its weight there, 1 at a vertex of the base polytope, where every edge
-    through it counts."""
+    edge at the anchor ``anchors[{i, j}]`` that piece ``i`` misses and piece
+    ``j`` has, and ``w`` its weight there, 1 at a vertex of the base
+    polytope, where every edge through it counts."""
     rank = partition.ambient.ambient_rank
     out = {}
     for wall in partition.walls():
@@ -731,7 +793,7 @@ def wall_functions(partition, anchors):
             star = [(d, 1, pieces) for d, pieces, _ in edges_through(partition, p)]
         else:
             star = edges_at_vertex_within_ambient_face(partition, vf)
-        ((e, w),) = [(d, w) for d, w, pieces in star if i not in pieces]
+        ((e, w),) = [(d, w) for d, w, pieces in star if i not in pieces and j in pieces]
         scale = Fraction(1, w * vdot(e, u))
         out[(i, j)] = (tuple(x * scale for x in u), -vdot(base, u) * scale)
     return out

@@ -1023,6 +1023,31 @@ class TestMultiBaseCuts:
         assert records[0]["message"] == "multi-base lifting requires parallel cuts of one orientation"
 
 
+class TestRejectionsPinned:
+    def test_corner_anchored_walls_lift(self, tmp_path, capsys):
+        # the fan of triangles from the pentagon's corner (0, 0): each wall is
+        # anchored there, a vertex of all three pieces
+        corners = [[0, 0], [2, 0], [3, 2], [1, 3], [-1, 1]]
+        pieces = [[corners[0], corners[k], corners[k + 1]] for k in range(1, 4)]
+        path = write_spec(tmp_path, {"polytope": {"vertices": corners}, "partition": {"pieces": pieces}})
+        code, _, records = run(capsys, ["lift", path])
+        assert code == 0
+        assert [r["record"] for r in records][-1] == "lifted_polytope"
+        code, _, records = run(capsys, ["degenerate", path])
+        assert code == 1
+        assert records[-1]["message"] == "singular vertex has no monomial chart"
+        assert records[-1]["witness"] == [-1, 1, 48]
+
+    def test_multi_base_refuses_an_intermediate_partition_that_is_not_nonsingular(self, tmp_path, capsys):
+        path = write_spec(tmp_path, _triangle_job([[0, 0], [4, 0], [0, 2]], [([1, 0], 2)]))
+        code, _, records = run(capsys, ["lift", path, "--multi-base"])
+        assert code == 1
+        assert records[-1]["message"] == "intermediate partition is not nonsingular"
+        assert records[-1]["witness"] == 0
+        code, _, _ = run(capsys, ["lift", path])
+        assert code == 0
+
+
 def _triangle_job(vertices, cuts):
     return {
         "polytope": {"vertices": vertices},

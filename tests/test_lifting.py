@@ -34,13 +34,7 @@ from toricdegen import IntegralLifting
 from toricdegen import lifting as lifting_module
 from toricdegen import polytope as polytope_module
 from toricdegen.exactmath import vdot
-from toricdegen.lifting import (
-    WallCochain,
-    _graph_facet_mismatch,
-    _shadow_is_base_face,
-    _verify_lifts,
-    _verify_projections,
-)
+from toricdegen.lifting import WallCochain, _graph_facet_mismatch, _verify_lifts
 
 import oracles
 
@@ -52,6 +46,7 @@ from corpus import (
     liftable_partitions,
     mildly_singular_triangle,
     octagon_partition,
+    pentagon_corner_fan,
     segment,
     segment_partition,
     staircase_partition,
@@ -160,6 +155,34 @@ class TestIntegration:
     def test_continuity(self):
         for name, (part, lifting, _) in LIFTED.items():
             assert lifting.function.is_continuous(), name
+
+
+class TestIntegrationGuards:
+    """``integrate_cocycle``'s guards on hand-built cochains."""
+
+    def test_missing_wall_leaves_the_dual_complex_disconnected(self):
+        part = segment_partition(0, 2, (1,))
+        with pytest.raises(LiftingError, match="dual complex is not connected"):
+            integrate_cocycle(WallCochain({}, {}), part.dual_complex(), part)
+
+    def test_inconsistent_cycle_names_its_non_tree_wall(self):
+        # the tree runs 0-1 and 0-2; raising f_12 by 1 breaks the cycle
+        part = staircase_partition(2)
+        alpha = wall_functions(part)
+        functions = dict(alpha.functions)
+        functions[(1, 2)] = alpha[(1, 2)] + AffineFunction.make((0, 0), 1)
+        functions[(2, 1)] = -functions[(1, 2)]
+        with pytest.raises(LiftingError, match="cocycle integration failed") as raised:
+            integrate_cocycle(WallCochain(functions, alpha.base_vertices), part.dual_complex(), part)
+        assert raised.value.witness == (1, 2)
+
+    def test_function_not_vanishing_on_its_wall(self):
+        # f_01 = x is 1 on the wall x = 1
+        part = segment_partition(0, 2, (1,))
+        x = AffineFunction.make((1,), 0)
+        alpha = WallCochain({(0, 1): x, (1, 0): -x}, {frozenset((0, 1)): (1,)})
+        with pytest.raises(LiftingError, match="integrated function is not continuous"):
+            integrate_cocycle(alpha, part.dual_complex(), part)
 
 
 class TestConcavity:
@@ -334,6 +357,7 @@ class TestWallFunctionsAgainstElimination:
     @example(partition_by_hyperplanes(_SQUARE, [((1, -1), 0)]))  # anchored at base vertices
     @example(partition_by_hyperplanes(_SQUARE, [((2, 2), 2), ((0, 3), 3)]))
     @example(partition_by_hyperplanes(QUADRANT, [((1, -1), 0), ((1, 1), 3)]))
+    @example(pentagon_corner_fan())  # anchored at a base vertex of three pieces
     @example(partition_from_fan(  # anchored where the star's weights are (1, 2, 1)
         LatticePolytope.from_vertices([(-2, -2), (2, -2), (-2, 2), (2, 2)]),
         complete_fan_from_rays([(-1, -1), (0, 1), (1, -1)]),
@@ -574,6 +598,9 @@ def _unbounded_lifts():
 
 
 class TestVerifyProjections:
+    """The projection check of the old full walk, kept as a test oracle
+    (``oracles.verify_projections``) since ``_verify_lifts`` proves it."""
+
     def test_subset_test_matches_shadow_oracle(self):
         # graph faces too: their shadows are partition faces, often not base faces
         cases = {name: (part.ambient, lifted.polytope) for name, (part, _, lifted) in LIFTED.items()}
@@ -581,7 +608,7 @@ class TestVerifyProjections:
         verdicts = set()
         for name, (base, lifted) in cases.items():
             for face in lifted.faces():
-                verdict = _shadow_is_base_face(base, face)
+                verdict = oracles.shadow_is_base_face(base, face)
                 assert verdict == _shadow_key_is_base_face(base, face), (name, face.key)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
@@ -594,15 +621,16 @@ class TestVerifyProjections:
             f.key for f in lifted.polytope.faces() if not _shadow_key_is_base_face(part.ambient, f)
         )
         with pytest.raises(LiftingError, match="neither a base face nor a partition face") as exc:
-            _verify_projections(part, lifted.polytope, {})
+            oracles.verify_projections(part, lifted.polytope, {})
         assert exc.value.witness == expected
 
 
 def _lift_verdicts(part, lifting, cap):
     """``(certificate, walk, raised)`` for one lift: the piece the graph
-    facet check fails on (None when it passes), the walk's error record
-    (None when it passes) and the record ``lift_polytope`` raised (None when
-    it returned); None when ``lift_polytope`` stops before the check."""
+    facet check fails on (None when it passes), the error record of the old
+    full walk, ``oracles.lift_walk`` (None when it passes), and the record
+    ``lift_polytope`` raised (None when it returned); None when
+    ``lift_polytope`` stops before the check."""
     seen = []
 
     def spy(*args):
@@ -620,8 +648,7 @@ def _lift_verdicts(part, lifting, cap):
     if not seen:
         return None
     try:
-        _verify_lifts(*seen[0])
-        _verify_projections(*seen[0])
+        oracles.lift_walk(*seen[0])
         walk = None
     except LiftingError as exc:
         walk = (str(exc), exc.witness)
@@ -689,9 +716,64 @@ def _lift_problems(draw):
     return part, lifting, cap
 
 
+def _fabricated_lifting(part, functions):
+    """The per-piece ``functions`` as a lifting with every concavity 1, so
+    that ``lift_polytope`` reaches the graph facet check."""
+    concavities = {v.vertices[0]: Fraction(1) for v in part.faces(0)}
+    return IntegralLifting(PiecewiseAffine(part, tuple(functions), 0), Fraction(1), concavities, False)
+
+
+@st.composite
+def _tampered_lifts(draw):
+    """A corpus partition or a generated cut partition (``_lift_problems``)
+    with its lifting function tampered with: two piece functions swapped,
+    or one shifted by a small affine term; with no cap or a cap
+    ``y <= <a, x> + b`` crossing the graph of the true function."""
+    if draw(st.booleans()):
+        part, lifting, _ = LIFTED[draw(st.sampled_from(sorted(LIFTED)))]
+    else:
+        part, lifting, _ = draw(_lift_problems())
+    functions = list(lifting.function.per_piece)
+    n, k = part.ambient.ambient_rank, len(functions)
+    if k > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        functions[i], functions[j] = functions[j], functions[i]
+        event("swapped")
+    else:
+        i = draw(st.integers(0, k - 1))
+        slope = tuple(draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)))
+        functions[i] = functions[i] + AffineFunction.make(slope, draw(st.integers(-1, 1)))
+        event("shifted")
+    cap = None
+    if part.ambient.is_compact and draw(st.booleans()):
+        a = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        heights = [lifting.function.value(v) - vdot(a, v) for v in part.ambient.vertices]
+        lo, hi = min(heights), max(heights)
+        cap = (a, draw(st.integers(lo.numerator // lo.denominator, -(-hi.numerator // hi.denominator))))
+        event("cap")
+    return part, _fabricated_lifting(part, functions), cap
+
+
 class TestGraphFacetCertificate:
-    """The graph facet check of ``lift_polytope`` against the walk of the
-    lifted face lattice it replaced, which stays as its witness path."""
+    """The graph facet check of ``lift_polytope`` against the full walk of
+    the lifted face lattice it replaced (``oracles.lift_walk``), whose first
+    check stays as its witness path (``_verify_lifts``)."""
+
+    @given(_tampered_lifts())
+    @settings(max_examples=300, deadline=None)
+    def test_tampered_lift_raises_the_record_of_the_old_full_walk(self, problem):
+        # the old failure path: the walk's record, else the graph facet's
+        verdicts = _lift_verdicts(*problem)
+        if verdicts is None:
+            event("stopped before the certificate")
+            return
+        certificate, walk, raised = verdicts
+        if certificate is None:
+            assert walk is None
+            event("certified")
+            return
+        event(walk[0] if walk else "walk passes")
+        assert raised == (walk or ("graph facet does not project onto its piece", certificate))
 
     @given(_lift_problems())
     @settings(max_examples=200, deadline=None)
@@ -718,18 +800,12 @@ class TestGraphFacetCertificate:
                 reached += 1
         assert reached >= 1
 
-    @staticmethod
-    def _fabricated(part, functions):
-        # positive concavities, so the lift reaches the graph facet check
-        concavities = {v.vertices[0]: Fraction(1) for v in part.faces(0)}
-        return IntegralLifting(PiecewiseAffine(part, tuple(functions), 0), Fraction(1), concavities, False)
-
     @pytest.mark.parametrize("name", sorted(LIFTED))
     def test_swapped_functions_pass_the_walk_only(self, name):
         part, lifting, _ = LIFTED[name]
         functions = list(lifting.function.per_piece)
         functions[0], functions[1] = functions[1], functions[0]
-        certificate, walk, raised = _lift_verdicts(part, self._fabricated(part, functions), None)
+        certificate, walk, raised = _lift_verdicts(part, _fabricated_lifting(part, functions), None)
         assert walk is None and certificate == 0
         assert raised == ("graph facet does not project onto its piece", 0)
 
@@ -740,7 +816,7 @@ class TestGraphFacetCertificate:
             for i, f in enumerate(lifting.function.per_piece):
                 functions = list(lifting.function.per_piece)
                 functions[i] = f + AffineFunction.make((0,) * n, 1)
-                verdicts = _lift_verdicts(part, self._fabricated(part, functions), None)
+                verdicts = _lift_verdicts(part, _fabricated_lifting(part, functions), None)
                 if verdicts is None:
                     continue  # the raised graph no longer touches that piece
                 certificate, walk, raised = verdicts
@@ -753,7 +829,7 @@ class TestGraphFacetCertificate:
         # F = x / 2 on the quadrant lifts the ray (1, 0) to (2, 0, 1), whose
         # shadow (2, 0) is no ray of the piece, though the vertices match
         part = build_partition(_QUADRANT, [_QUADRANT])
-        half = self._fabricated(part, [AffineFunction.make((Fraction(1, 2), 0))])
+        half = _fabricated_lifting(part, [AffineFunction.make((Fraction(1, 2), 0))])
         certificate, walk, raised = _lift_verdicts(part, half, None)
         assert certificate == 0
         assert raised == walk == (
@@ -809,6 +885,35 @@ class TestIteratedLift:
     def test_non_interior_cut_rejected(self):
         with pytest.raises(LiftingError, match="interior"):
             iterated_lift(segment(0, 3), (1,), [5])
+
+    def test_intermediate_partition_not_nonsingular_is_refused(self):
+        # x = 2 meets the hypotenuse of conv{(0,0), (4,0), (0,2)} at (2,1),
+        # where the edges (0,-1) and (-2,1) span a sublattice of index 2
+        triangle = LatticePolytope.from_vertices([(0, 0), (4, 0), (0, 2)])
+        with pytest.raises(LiftingError, match="intermediate partition is not nonsingular") as raised:
+            iterated_lift(triangle, (1, 0), [2])
+        assert raised.value.witness == 0
+        part = partition_by_hyperplanes(triangle, [((1, 0), 2)])
+        assert lift_polytope(part, lifting_function(part)).polytope.is_lattice
+
+    @pytest.mark.parametrize(
+        "base, normal, offsets",
+        [
+            (segment(0, 4), (1,), [1, 2, 3]),
+            (LatticePolytope.from_vertices([(0, 0), (4, 0), (0, 4)]), (1, 1), [1, 2, 3]),
+            (LatticePolytope.from_vertices([(0, 0), (4, 0), (0, 4)]), (-1, 0), [-3, -1]),
+            (_QUADRANT, (1, 0), [1, 2]),
+            (LatticePolytope.from_halfspaces([], 1), (1,), [0, 1, 2]),
+        ],
+    )
+    def test_components_are_the_cuts_below_an_interior_point(self, base, normal, offsets):
+        multi = iterated_lift(base, normal, offsets)
+        for piece, fns in zip(multi.partition.pieces, multi.components):
+            level = vdot(normal, piece.relative_interior_point())
+            n = base.ambient_rank
+            assert fns == tuple(
+                AffineFunction.make(normal, -c) if level > c else AffineFunction.zero(n) for c in offsets
+            )
 
     def test_no_cuts_keep_the_base(self):
         base = segment(0, 4)
@@ -920,6 +1025,28 @@ class TestUniquenessModuloAffine:
             assert diff.is_global_affine(), name
 
 
+class TestCornerAnchor:
+    """Walls anchored at a base vertex that more than two pieces share:
+    piece ``i`` misses the edges of every other piece there, and the wall
+    is normalized along the one that piece ``j`` has."""
+
+    def test_unit_value_one_step_along_the_second_pieces_edge(self):
+        part = pentagon_corner_fan()
+        alpha = wall_functions(part)
+        assert len(alpha.pairs()) == 2
+        for i, j in alpha.pairs():
+            assert alpha.base_vertices[frozenset((i, j))] == (0, 0)
+            (far,) = set(part.pieces[j].vertices) - set(part.pieces[i].vertices)
+            assert alpha[(i, j)](far) == 1
+            assert all(alpha[(i, j)](v) == 0 for v in set(part.pieces[i].vertices) & set(part.pieces[j].vertices))
+
+    def test_lifts_with_one_lift_per_partition_face(self):
+        part = pentagon_corner_fan()
+        lifted = lift_polytope(part, lifting_function(part))
+        assert set(lifted.lift_map) == set(part.face_index)
+        assert oracles.lift_walk(part, lifted.polytope, lifted.piece_facets) == lifted.lift_map
+
+
 class TestCochainNormalization:
     def test_unit_value_one_weighted_step_into_the_second_piece(self):
         for name, (part, _, _) in LIFTED.items():
@@ -927,7 +1054,7 @@ class TestCochainNormalization:
             for (i, j) in alpha.pairs():
                 p = alpha.base_vertices[frozenset((i, j))]
                 star = oracles.edges_at_vertex_within_ambient_face(part, part.face_at(p))
-                missed = [(d, w) for d, w, pieces in star if i not in pieces]
+                missed = [(d, w) for d, w, pieces in star if i not in pieces and j in pieces]
                 assert len(missed) == 1, name
                 ((direction, weight),) = missed
                 step = tuple(a + weight * d for a, d in zip(p, direction))
