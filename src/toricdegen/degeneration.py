@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GeometryError, LiftingError
+from .exactmath import vdot
 from .lifting import LiftedPolytope, run_values
 from .partition import DualComplex
 from .polytope import lattice_equivalent
@@ -181,17 +182,22 @@ def family_equations(lifted: LiftedPolytope, anchor=None, seed=None):
 
     The lifting function is renormalized to vanish on the anchor piece
     (default: the integration root), so exponents are nonnegative and vanish
-    exactly on the anchor's lattice points.  Supports and exponents are read
-    off the column runs of each piece (``lattice_runs``), each aligned by its
-    prefix with the base's run holding it, so a run is one index range.  On
-    a run ``f = (<a, p> + b) / d`` is an arithmetic progression with step
-    ``a_n / d`` (``run_values``), integral exactly when its first value
-    and, on a longer run, the step are.  Pieces are written last to first,
-    so a point on a wall keeps the value of the first piece holding it; the
-    function is continuous, so the pieces agree there.  Every point gets a
-    value, as ``build_partition`` certified that the pieces cover the base.
-    Coefficients default to formal symbols ``a1..aN``; a seed draws
-    deterministic rational values.
+    exactly on the anchor's lattice points.  Supports and exponents are cut
+    from the base's column runs (``lattice_runs``), scanned once; no piece
+    is scanned.  A run ``(prefix, lo, hi)`` meets a piece in one range of
+    ``x``, cut out by the piece's stored halfspaces.  Those the base stores
+    too hold on every point of the run, as the run lies in the base, and
+    the piece lies in the base's affine hull, so only the rest, its walls
+    (``_wall_rows``), bound the range: each from one side, or with a zero
+    last entry on the whole run or none of it.  The pieces are closed, so a
+    wall point falls in both supports.  On a range ``f = (<a, p> + b) / d``
+    is an arithmetic progression with step ``a_n / d`` (``run_values``),
+    integral exactly when its first value and, on a longer range, the step
+    are.  Pieces are written last to first, so a point on a wall keeps the
+    value of the first piece holding it; the function is continuous, so the
+    pieces agree there.  Every point gets a value, as ``build_partition``
+    certified that the pieces cover the base.  Coefficients default to
+    formal symbols ``a1..aN``; a seed draws deterministic rational values.
     """
     base = lifted.base.ambient
     if not base.is_compact:
@@ -203,28 +209,39 @@ def family_equations(lifted: LiftedPolytope, anchor=None, seed=None):
         raise GeometryError(f"anchor piece {anchor} out of range")
     shifted = func.subtract_affine(func.piece_function(anchor))
     points = tuple(base.lattice_points())
-    # a point prefix + (x,) of the base has index offset[prefix] + x
-    offset, j = {}, 0
-    for prefix, lo, hi in base.lattice_runs():
-        offset[prefix] = j - lo
-        j += hi - lo + 1
+    own = set(base.halfspaces)
+    walls = [
+        (_wall_rows(piece, own), f, [])
+        for piece, f in zip(reversed(lifted.base.pieces), reversed(shifted.per_piece))
+    ]
     exponents = [None] * len(points)
-    supports = []
-    for piece, f in zip(reversed(lifted.base.pieces), reversed(shifted.per_piece)):
-        support = []
-        for prefix, lo, hi in piece.lattice_runs():
-            start = offset[prefix] + lo
-            stop = start + hi - lo + 1
-            support += range(start, stop)
-            value, step = run_values(f, prefix, lo, hi)
-            (value, rest), (step, step_rest) = divmod(value, f.d), divmod(step, f.d)
-            if rest or step_rest:
-                raise LiftingError("anchor renormalization is not integral", witness=anchor)
-            if step:
-                exponents[start:stop] = range(value, value + step * (stop - start), step)
+    j = 0  # the index of the run's first point
+    for prefix, lo, hi in base.lattice_runs():
+        for rows, f, support in walls:
+            a, b = lo, hi
+            for head, last, rhs in rows:
+                rest = rhs - vdot(head, prefix)
+                # last * x >= rest: x from its ceil, x up to its floor, or none
+                if last > 0:
+                    a = max(a, -(-rest // last))
+                elif last:
+                    b = min(b, rest // last)
+                elif rest > 0:
+                    break
+                if a > b:
+                    break
             else:
-                exponents[start:stop] = [value] * (stop - start)
-        supports.append(tuple(support))
+                start, stop = j + a - lo, j + b - lo + 1
+                support += range(start, stop)
+                value, step = run_values(f, prefix, a, b)
+                (value, rest), (step, step_rest) = divmod(value, f.d), divmod(step, f.d)
+                if rest or step_rest:
+                    raise LiftingError("anchor renormalization is not integral", witness=anchor)
+                if step:
+                    exponents[start:stop] = range(value, value + step * (stop - start), step)
+                else:
+                    exponents[start:stop] = [value] * (stop - start)
+        j += hi - lo + 1
     exponents = tuple(exponents)
     if min(exponents) < 0:
         raise LiftingError("negative exponent: function not minimal on the anchor piece")
@@ -233,4 +250,14 @@ def family_equations(lifted: LiftedPolytope, anchor=None, seed=None):
         coeffs = tuple(Fraction(rng.randint(1, 99), rng.randint(1, 9)) for _ in points)
     else:
         coeffs = tuple(f"a{j + 1}" for j in range(len(points)))
-    return FamilyEquations(points, exponents, coeffs, tuple(reversed(supports)), anchor)
+    supports = tuple(tuple(support) for _, _, support in reversed(walls))
+    return FamilyEquations(points, exponents, coeffs, supports, anchor)
+
+
+def _wall_rows(piece, own):
+    """The halfspaces ``piece`` stores and ``own`` does not, as constraints
+    ``<head, prefix> + last * x >= rhs`` on a point ``prefix + (x,)``, in
+    triples ``(head, last, rhs)``: those with ``last`` 0 first, as they
+    settle a run at once."""
+    rows = [(h.normal[:-1], h.normal[-1], -h.offset) for h in piece.halfspaces if h not in own]
+    return sorted(rows, key=lambda row: row[1] != 0)

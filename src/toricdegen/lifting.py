@@ -4,7 +4,8 @@ The pipeline: wall cochain from the interior codimension-one faces, cocycle
 check over triples, integration over a spanning tree of the dual complex,
 concavity profile, minimal integral rescaling, then the lifted polytope
 ``{(x, y) : x in base, y >= F(x)}`` with the extra coordinate *last*.  The
-rescaling is an integer gcd over column runs (``PiecewiseAffine.value_generator``).
+rescaling is an integer gcd per piece, read off a smooth lattice vertex or
+over column runs (``PiecewiseAffine.value_generator``).
 
 Sign convention (followed verbatim from the toric-degeneration literature):
 the concavity ``C(F, p)`` sums the increments of ``F`` along the partition
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import GeometryError, LiftingError
+from .errors import EmptyPolyhedronError, GeometryError, LiftingError
 from .exactmath import AffineFunction, int_vector, primitive, vadd, vdot
 from .partition import DualComplex, Partition, _sides, partition_by_hyperplanes
 from .polytope import LatticePolytope, SupportFunction, _generators, _normalize_halfspace, normal_fan
@@ -177,19 +178,35 @@ class PiecewiseAffine:
 
         A piece with ``f = (<a, x> + b) / d`` gives ``G / d``, ``G`` the gcd of
         ``<a, p> + b`` over its lattice points (unbounded: over a one-step
-        truncation, and of the slopes ``<a, r>`` along its rays).  On a column
-        run the values are a progression, so their gcd is that of the run's
-        first value and step (``run_values``).  ``g`` is the rational gcd over
-        the pieces."""
+        truncation, and of the slopes ``<a, r>`` along its rays); ``g`` is the
+        rational gcd over the pieces.  A lattice piece with a vertex ``v``
+        where it is smooth (``is_nonsingular_at``) needs no scan: ``G`` is
+        ``gcd(<a, v> + b, <a, u_1>, ..., <a, u_k>)`` over the primitive edge
+        steps ``u_i`` at ``v``, rays among them.
+
+        - The ``u_i`` are a basis of the piece's own lattice, the integer
+          points of its direction space (Cox, Little and Schenck, *Toric
+          Varieties*, 2.4).  So every lattice point of the piece is ``v``
+          plus an integer combination of them: its value is in ``G * Z``, and
+          so is the slope along each ray.
+        - Each ``v + u_i`` lies in the piece, and in the one-step truncation
+          of an unbounded one: a bounded edge ends at a lattice vertex, no
+          nearer than one step, and a ray stays in the piece.  So
+          ``<a, v> + b`` and each ``<a, u_i>`` are values or differences of
+          values over the piece's points, and ``G`` divides their gcd.
+
+        A rational vertex may sit less than a step from ``v``, putting
+        ``v + u_i`` past the edge's far end, so the rule needs ``is_lattice``.
+        Any other piece is scanned (``_scanned_gcd``)."""
         g = Fraction(0)
         for piece, f in zip(self.partition.pieces, self.per_piece):
-            if piece.is_compact:
-                total, runs = 0, piece.lattice_runs()
+            for a, v in enumerate(piece.vertices if piece.is_lattice else ()):
+                if piece.is_nonsingular_at(v):
+                    steps = [piece._edge_direction(a, b) for b in piece.neighbours(a)]
+                    total = gcd(vdot(f.a, v) + f.b, *[vdot(f.a, u) for u in steps])
+                    break
             else:
-                total = gcd(*[vdot(f.a, r) for r in piece.rays])
-                runs = piece.intersect(piece.box_halfspaces(1)).lattice_runs()
-            for prefix, lo, hi in runs:
-                total = gcd(total, *run_values(f, prefix, lo, hi))
+                total = _scanned_gcd(piece, f)
             if total:
                 g = Fraction(gcd(g.numerator * f.d, total * g.denominator), g.denominator * f.d)
         return g
@@ -202,6 +219,21 @@ class PiecewiseAffine:
 
     def is_integral(self) -> bool:
         return self.value_generator().denominator == 1
+
+
+def _scanned_gcd(piece, f):
+    """``G`` of ``value_generator`` from the piece's column runs (unbounded:
+    a one-step truncation's, and the slopes along its rays).  On a run the
+    values are a progression, so their gcd is that of the run's first value
+    and step (``run_values``)."""
+    if piece.is_compact:
+        total, runs = 0, piece.lattice_runs()
+    else:
+        total = gcd(*[vdot(f.a, r) for r in piece.rays])
+        runs = piece.intersect(piece.box_halfspaces(1)).lattice_runs()
+    for prefix, lo, hi in runs:
+        total = gcd(total, *run_values(f, prefix, lo, hi))
+    return total
 
 
 def integrate_cocycle(alpha: WallCochain, dual: DualComplex, partition: Partition, root=None):
@@ -413,7 +445,12 @@ def lift_polytope(partition: Partition, lifting: IntegralLifting, compact_cap=No
         cap = (a, b)
         halfspaces.append((a + (-1,), b))
     equations = [(e.normal + (0,), e.offset) for e in base.equations]
-    lifted = LatticePolytope.from_halfspaces(halfspaces, n + 1, equations)
+    try:
+        lifted = LatticePolytope.from_halfspaces(halfspaces, n + 1, equations)
+    except EmptyPolyhedronError:
+        # the region above the graph of F over a nonempty base is never
+        # empty, so only a cap below the graph empties it
+        raise LiftingError("cap does not contribute a facet; choose a larger bound", witness=cap)
 
     if not lifted.is_lattice:
         bad = next(v for v in lifted.vertices if any(type(x) is not int for x in v))

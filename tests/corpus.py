@@ -6,7 +6,10 @@ higher-dimensional ones are the expensive part of the suite.
 
 from functools import lru_cache
 
+from hypothesis import strategies as st
+
 from toricdegen import (
+    GeometryError,
     LatticePolytope,
     build_partition,
     complete_fan_from_rays,
@@ -193,3 +196,57 @@ def liftable_partitions():
         lifting = lifting_function(part)
         out.append((name, part, lifting, lift_polytope(part, lifting)))
     return out
+
+
+@st.composite
+def lift_partitions(draw):
+    """Partitions for the differential tests of what is read off the pieces
+    with no scan of theirs; None when the draw gives no partition.
+
+    - a dilated triangle or the octagon under one or two cuts, some leaving
+      rational piece vertices, whose pieces are scanned;
+    - a torus fan in rank 2 or 3, all of its pieces unbounded;
+    - an iterated-lift intermediate: a triangle cut once, lifted with or
+      without a cap, then cut along the next parallel cut;
+    - the triangle at ``z = 0`` cut by ``x + y = 2``, a lower-dimensional
+      base;
+    - a dilate of conv{0, (2, 1), (1, 2)}, which has no smooth vertex, as
+      one piece or cut along its diagonal.
+    """
+    kind = draw(st.sampled_from(["triangle", "octagon", "fan", "intermediate", "flat", "singular"]))
+    try:
+        if kind == "fan":
+            return torus_fan_partition(draw(st.integers(2, 3)))
+        if kind == "intermediate":
+            k = draw(st.integers(3, 5))
+            normal = draw(st.sampled_from([(1, 0), (0, 1), (1, 1)]))
+            c = draw(st.integers(1, k - 2))
+            c_next = draw(st.integers(c + 1, k - 1))
+            first = _cut_triangle(k, ((normal, c),))
+            cap = draw(st.booleans())
+            lifted = lift_polytope(first, lifting_function(first), compact_cap=cap).polytope
+            return partition_by_hyperplanes(lifted, [(normal + (0,), c_next)])
+        if kind == "flat":
+            k = draw(st.integers(3, 5))
+            base = LatticePolytope.from_vertices([(0, 0, 0), (k, 0, 0), (0, k, 0)])
+            return partition_by_hyperplanes(base, [((1, 1, 0), 2)])
+        if kind == "singular":
+            k = draw(st.integers(1, 3))
+            base = LatticePolytope.from_vertices([(0, 0), (2 * k, k), (k, 2 * k)])
+            if draw(st.booleans()):
+                return build_partition(base, [base])
+            return partition_by_hyperplanes(base, [((1, -1), 0)])
+        normal = st.sampled_from([(x, y) for x in range(-2, 3) for y in range(-2, 3) if x or y])
+        cuts = tuple(draw(st.lists(st.tuples(normal, st.integers(-1, 5)), min_size=1, max_size=2)))
+        if kind == "triangle":
+            return _cut_triangle(draw(st.integers(2, 5)), cuts)
+        return partition_by_hyperplanes(octagon_partition().ambient, list(cuts))
+    except GeometryError:
+        return None
+
+
+@lru_cache(maxsize=None)
+def _cut_triangle(k, cuts):
+    return partition_by_hyperplanes(
+        LatticePolytope.from_vertices([(0, 0), (k, 0), (0, k)]), list(cuts)
+    )

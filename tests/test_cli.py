@@ -410,6 +410,21 @@ class TestLift:
             '"record":"error","witness":[[[[0,0],[0,6]],[]],0]}\n'
         )
 
+    def test_cap_below_the_graph_names_the_cap(self, tmp_path, capsys):
+        # y <= -5 lies below F >= 0: the region under the cap and above the
+        # graph is empty, refused as a cap that contributes no facet
+        spec = {
+            "polytope": {"vertices": [[0], [2]]},
+            "partition": {"hyperplanes": [{"normal": [1], "offset": 1}]},
+            "options": {"compact_cap": {"normal": [0], "offset": -5}},
+        }
+        code, out, _ = run(capsys, ["lift", write_spec(tmp_path, spec)])
+        assert code == 1
+        assert out == (
+            '{"code":"LiftingError","message":"cap does not contribute a facet; choose a larger bound",'
+            '"record":"error","witness":[[0],-5]}\n'
+        )
+
     def test_default_cap_lift_of_the_cut_triangle(self, tmp_path, capsys):
         code, out, _ = run(capsys, ["lift", write_spec(tmp_path, self._CUT_TRIANGLE), "--compact-cap"])
         assert code == 0
@@ -671,6 +686,21 @@ class TestDegenerate:
             "a84ddd29bdb08fc446badbbcf9d0cdbd49f8464547760e2a0a2709e1fde2cd79"
         )
 
+    def test_staircase_eight_lift(self, tmp_path, capsys):
+        # the rank-8 lift, whose value generator is read off one smooth
+        # vertex per piece; the digest is the stdout of two identical runs
+        # at the parent of that change, which scanned every piece
+        n = 8
+        rays = [[int(i == j) - int(i == j - 1) for i in range(n)] for j in range(n + 1)]
+        vertices = [[-1] * n] + [[(n + 1) * int(i == j) - 1 for i in range(n)] for j in range(n)]
+        spec = {"polytope": {"vertices": vertices}, "partition": {"fan_rays": rays}}
+        code, out, records = run(capsys, ["lift", write_spec(tmp_path, spec)])
+        assert code == 0
+        assert records[-1]["record"] == "lifted_polytope"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4e4476694031272178525f194528ef823feb23de7f8369c7d8f07e584c379768"
+        )
+
 
 GRID = {
     "polytope": {"vertices": [[0, 0], [4, 0], [4, 3], [0, 3]]},
@@ -751,6 +781,78 @@ class TestNoFaceLattice:
         assert code == 0
         with mock.patch.object(LatticePolytope, "faces", side_effect=AssertionError("face lattice")):
             assert run(capsys, [command, path])[:2] == (code, out)
+
+
+def _staircase_two(t):
+    """The reflexive triangle dilated by ``t`` under the staircase fan."""
+    vertices = [[-t, -t], [2 * t, -t], [-t, 2 * t]]
+    return {"polytope": {"vertices": vertices}, "partition": {"fan_rays": [[1, 0], [-1, 1], [0, -1]]}}
+
+
+class TestNoPieceScans:
+    """``lift`` and ``degenerate`` list the lattice points of no polytope but
+    the base when every piece has a smooth lattice vertex: the value
+    generator reads each piece off such a vertex, and the family cuts the
+    base's runs.  The stdout is the same with ``_scan_runs`` patched to
+    raise on any other polytope; ``lift`` scans nothing at all."""
+
+    @pytest.mark.parametrize("command", ["lift", "degenerate"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            STAIRCASE3,
+            CHAIN4,
+            OCTAGON,
+            _staircase_two(3),
+            {
+                "polytope": {"vertices": [[0, 0, 0], [4, 0, 0], [0, 4, 0]]},
+                "partition": {"hyperplanes": [{"normal": [1, 1, 0], "offset": 2}]},
+            },
+            {"polytope": {"halfspaces": [], "rank": 3}, "partition": STAIRCASE3["partition"]},
+        ],
+        ids=["staircase-3", "chain-4", "octagon", "staircase-2-t3", "flat-x+y=2", "torus-3"],
+    )
+    def test_only_the_base_is_scanned(self, tmp_path, capsys, command, spec):
+        path = write_spec(tmp_path, spec)
+        code, out, _ = run(capsys, [command, path])
+        assert code == 0
+        bases, scanned = [], []
+        make, scan = cli.build_polytope, LatticePolytope._scan_runs
+
+        def build(poly_spec):
+            bases.append(make(poly_spec))
+            return bases[-1]
+
+        def guarded(poly):
+            if poly is not bases[-1]:
+                raise AssertionError("lattice point scan of a polytope other than the base")
+            scanned.append(poly)
+            return scan(poly)
+
+        with mock.patch.object(cli, "build_polytope", side_effect=build), mock.patch.object(
+            LatticePolytope, "_scan_runs", autospec=True, side_effect=guarded
+        ):
+            assert run(capsys, [command, path])[:2] == (code, out)
+        assert len(scanned) == (command == "degenerate" and bases[-1].is_compact)
+
+    def test_lift_answers_a_base_past_the_enumeration_budget(self, tmp_path, capsys):
+        # the triangle dilated by 6000 holds about 1.6 * 10^8 lattice points:
+        # lift reads the value generator off smooth vertices and exits 0,
+        # while degenerate, which needs the family, is refused by the base
+        # scan before any lifting
+        path = write_spec(tmp_path, _staircase_two(6000))
+        code, _, records = run(capsys, ["lift", path])
+        assert code == 0
+        assert records[-1]["record"] == "lifted_polytope"
+        with mock.patch.object(cli, "lifting_function", side_effect=AssertionError("lifted")):
+            code, _, records = run(capsys, ["degenerate", path])
+        assert code == 1
+        assert records[-1] == {
+            "record": "error",
+            "code": "UnsupportedGeometryError",
+            "message": "lattice point enumeration past 10000000 prefixes and points",
+            "witness": None,
+        }
 
 
 def _one_piece(vertices):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from toricdegen import (
@@ -23,6 +23,7 @@ from corpus import (
     chain_partition,
     dilated_simplex,
     expanded_degeneration_partition,
+    lift_partitions,
     liftable_partitions,
     mildly_singular_triangle,
     octagon_partition,
@@ -402,6 +403,21 @@ def _outcome(make):
         return type(err), str(err), getattr(err, "witness", None)
 
 
+def _assert_same_family(part, k):
+    lifted = part and _lifted(part)
+    if lifted is None:
+        event("no lift")
+        return
+    event("family" if part.ambient.is_compact else "no family: an unbounded base")
+    lifting = lifted.lifting
+    lifted = replace(lifted, lifting=replace(lifting, function=lifting.function.scale(k)))
+    for anchor in range(-1, len(part.pieces) + 1):
+        for seed in (None, 5):
+            got = _outcome(lambda: family_equations(lifted, anchor=anchor, seed=seed))
+            expected = _outcome(lambda: oracles.family_equations(lifted, anchor=anchor, seed=seed))
+            assert got == expected, (anchor, seed)
+
+
 class TestFamilyAgainstPerPointOracle:
     """The family read off the runs against one index lookup and one
     ``divmod`` per point: points, exponents, supports, coefficients and
@@ -415,20 +431,13 @@ class TestFamilyAgainstPerPointOracle:
     @example(_cut_partition(((0, 0), (4, 0), (0, 4)), (((1, 0), 1), ((1, 0), 2))), 1)
     @example(_cut_partition(((0, 0), (4, 0), (0, 4)), (((1, 0), 1), ((1, 0), 2))), Fraction(1, 2))
     def test_same_family_for_every_anchor(self, part, k):
-        if part is None:
-            return
-        lifted = _lifted(part)
-        if lifted is None:
-            return
-        lifting = lifted.lifting
-        lifted = replace(lifted, lifting=replace(lifting, function=lifting.function.scale(k)))
-        for anchor in range(-1, len(part.pieces) + 1):
-            for seed in (None, 5):
-                got = _outcome(lambda: family_equations(lifted, anchor=anchor, seed=seed))
-                expected = _outcome(
-                    lambda: oracles.family_equations(lifted, anchor=anchor, seed=seed)
-                )
-                assert got == expected, (anchor, seed)
+        _assert_same_family(part, k)
+
+    @given(lift_partitions(), st.sampled_from([1, Fraction(1, 2)]))
+    @settings(max_examples=80, deadline=None)
+    def test_generated_lifts(self, part, k):
+        # torus fans and uncapped intermediates have no family: both refuse
+        _assert_same_family(part, k)
 
     def test_a_whole_run_on_a_wall(self):
         # the cut x = 1 of the triangle: the column over x = 1 lies on the

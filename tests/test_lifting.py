@@ -43,6 +43,7 @@ from corpus import (
     chain_partition,
     dilated_simplex,
     expanded_degeneration_partition,
+    lift_partitions,
     liftable_partitions,
     mildly_singular_triangle,
     octagon_partition,
@@ -306,6 +307,8 @@ OCTAGON = LatticePolytope.from_vertices(
     [(0, 2), (1, 1), (3, 1), (4, 2), (4, 3), (3, 4), (1, 4), (0, 3)]
 )
 QUADRANT = LatticePolytope.from_halfspaces([((1, 0), 0), ((0, 1), 0)], 2)
+# no vertex of it is smooth: its edge pairs have determinant 3
+_NO_SMOOTH_VERTEX = LatticePolytope.from_vertices([(0, 0), (2, 1), (1, 2)])
 
 
 @st.composite
@@ -491,6 +494,103 @@ class TestIntegerLiftingAgainstOracles:
         zero = PiecewiseAffine(part, (AffineFunction.zero(2),) * len(part.pieces), 0)
         assert zero.value_generator() == 0
         assert zero.minimal_integral_scale() == 1 and zero.is_integral()
+
+
+def _smooth_lattice_vertex(piece):
+    return piece.is_lattice and any(piece.is_nonsingular_at(v) for v in piece.vertices)
+
+
+class TestValueGeneratorAgainstOracles:
+    """The value generator, read off a smooth lattice vertex of each piece
+    that has one and scanned for any other, against the per-point
+    ``Fraction`` samples (``oracles.value_samples``), for the lifting
+    function and for arbitrary rational functions per piece; only the
+    pieces without a smooth lattice vertex are scanned."""
+
+    @staticmethod
+    def _assert_matches(part, funcs):
+        smooth = {id(p) for p in part.pieces if _smooth_lattice_vertex(p)}
+        scanned = []
+        scan = lifting_module._scanned_gcd
+
+        def spy(piece, f):
+            scanned.append(id(piece))
+            return scan(piece, f)
+
+        with mock.patch.object(lifting_module, "_scanned_gcd", side_effect=spy):
+            for func in funcs:
+                assert_scale_matches_oracle(func)
+        assert not smooth & set(scanned)
+        return len(smooth) == len(part.pieces)
+
+    @given(lift_partitions(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_generated_partitions(self, part, data):
+        if part is None:
+            event("no partition")
+            return
+        rank = part.ambient.ambient_rank
+        vec = st.lists(RATIONALS, min_size=rank, max_size=rank)
+        funcs = [
+            PiecewiseAffine(
+                part,
+                tuple(AffineFunction.make(data.draw(vec), data.draw(RATIONALS)) for _ in part.pieces),
+                0,
+            )
+        ]
+        try:
+            funcs.append(lifting_function(part).function)
+        except GeometryError:
+            pass
+        k = data.draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3), 6]))
+        smooth = self._assert_matches(part, funcs + [func.scale(k) for func in funcs])
+        event("every piece smooth" if smooth else "a piece scanned")
+
+    @pytest.mark.parametrize(
+        "part",
+        [
+            torus_fan_partition(2),
+            torus_fan_partition(3),
+            partition_by_hyperplanes(
+                LatticePolytope.from_vertices([(0, 0, 0), (4, 0, 0), (0, 4, 0)]), [((1, 1, 0), 2)]
+            ),
+            iterated_lift(dilated_simplex(3, rank=2), (1, 0), [1, 2]).intermediates[1].base,
+            build_partition(_NO_SMOOTH_VERTEX, [_NO_SMOOTH_VERTEX]),
+            partition_by_hyperplanes(_NO_SMOOTH_VERTEX, [((1, -1), 0)]),
+            partition_by_hyperplanes(OCTAGON, [((2, 1), 5)]),
+        ],
+        ids=["torus-2", "torus-3", "flat-x+y=2", "intermediate", "no-smooth", "no-smooth-cut", "rational"],
+    )
+    def test_fixed_partitions(self, part):
+        rest = [Fraction(1, 3)] * (part.ambient.ambient_rank - 1)
+        per_piece = [
+            AffineFunction.make([Fraction(i + 1, 2), *rest], Fraction(i, 3))
+            for i in range(len(part.pieces))
+        ]
+        funcs = [PiecewiseAffine(part, tuple(per_piece), 0)]
+        try:
+            funcs.append(lifting_function(part).function)
+        except GeometryError:
+            pass
+        self._assert_matches(part, funcs)
+
+    def test_the_fallback_runs_where_there_is_no_smooth_lattice_vertex(self):
+        no_smooth = build_partition(_NO_SMOOTH_VERTEX, [_NO_SMOOTH_VERTEX])
+        rational = partition_by_hyperplanes(OCTAGON, [((2, 1), 5)])
+        assert not _smooth_lattice_vertex(no_smooth.pieces[0])
+        assert not all(p.is_lattice for p in rational.pieces)
+        for part in (no_smooth, rational):
+            func = PiecewiseAffine(part, (AffineFunction.make((1, 0)),) * len(part.pieces), 0)
+            scan = lifting_module._scanned_gcd
+            with mock.patch.object(lifting_module, "_scanned_gcd", wraps=scan) as spy:
+                func.value_generator()
+            assert spy.called
+
+    def test_a_smooth_unbounded_piece_is_cut_by_no_box(self):
+        part = torus_fan_partition(3)
+        func = PiecewiseAffine(part, (AffineFunction.make((1, 2, 3), 1),) * len(part.pieces), 0)
+        with mock.patch.object(LatticePolytope, "intersect", side_effect=AssertionError("box")):
+            assert func.value_generator() == 1
 
 
 class TestLiftPolytope:
@@ -1098,6 +1198,15 @@ class TestLiftRejectsBadInput:
         expected = lift_polytope(part, lifting, compact_cap=((0,), 5))
         assert got.cap == expected.cap == ((0,), 5)
         assert got.polytope.key == expected.polytope.key
+
+    def test_cap_below_the_graph_is_refused_with_the_cap(self):
+        # y <= -5 lies below F >= 0 everywhere, so nothing is left above the
+        # graph under it; the cap is the witness, not an empty polyhedron
+        part = segment_partition(0, 2, (1,))
+        lifting = lifting_function(part)
+        with pytest.raises(LiftingError, match="cap does not contribute a facet") as info:
+            lift_polytope(part, lifting, compact_cap=((0,), -5))
+        assert info.value.witness == ((0,), -5)
 
     def test_non_integral_iterated_cuts_rejected(self):
         base = segment(0, 3)
